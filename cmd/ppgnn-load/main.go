@@ -42,7 +42,7 @@
 //	              on the in-process server (DESIGN.md §15)
 //	-oracle       conformance-check every answer (default true; forces
 //	              NoSanitize queries so answers are deterministic)
-//	-out F        write the JSON report (the BENCH_load.json shape)
+//	-out F        write the JSON report (one pass of the -load-gate shape)
 //	-slo-p95 D, -slo-p99 D, -slo-err F, -slo-qps-frac F
 //	              objectives for the measure stage; violations (and any
 //	              oracle mismatch, always) exit nonzero

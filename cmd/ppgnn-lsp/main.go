@@ -16,11 +16,6 @@
 //	-workers N   worker-pool width for candidate queries and the
 //	             homomorphic selection (default 0 = GOMAXPROCS)
 //	-seed N      sanitation RNG seed (single-tenant mode)
-//	-shards N    shard the POI index across N parallel R-trees
-//	             (0/1 = single tree; single-tenant mode — multi-tenant
-//	             mode takes per-tenant "shards" in the config)
-//	-prune-grid  enable the hierarchical grid pruning stage in front of
-//	             the index (single-tenant mode; DESIGN.md §14)
 //	-coalesce    merge the homomorphic batch work of concurrently
 //	             admitted sessions into shared worker submissions
 //	             (DESIGN.md §15). Per-session answers stay byte-identical
@@ -80,8 +75,6 @@ func main() {
 	datasetPath := flag.String("dataset", "", "point file (default: Sequoia substitute; single-tenant mode)")
 	workers := flag.Int("workers", 0, "worker-pool width for candidate queries and homomorphic selection (0 = all cores)")
 	seed := flag.Int64("seed", 1, "sanitation RNG seed (single-tenant mode)")
-	shards := flag.Int("shards", 0, "shard the POI index across N parallel R-trees (0/1 = single tree; single-tenant mode)")
-	pruneGrid := flag.Bool("prune-grid", false, "enable the hierarchical grid pruning stage (single-tenant mode)")
 	coalesce := flag.Bool("coalesce", false, "merge concurrent sessions' homomorphic batches into shared submissions")
 	poolTarget := flag.Int("pool-target", svc.DefaultPoolTarget, "per-key floor for background-refilled rerandomization pools (multi-tenant mode)")
 	quiet := flag.Bool("quiet", false, "suppress per-connection logs")
@@ -95,8 +88,8 @@ func main() {
 	traceSample := flag.Float64("trace-sample", 1, "head-sampling rate in [0,1] for locally originated traces")
 	traceSlow := flag.Duration("trace-slow", obs.DefaultSlowThreshold, "root duration at which a trace enters the slow/failed reservoir")
 	flag.Parse()
-	if *configPath != "" && (*datasetPath != "" || *seed != 1 || *shards != 0 || *pruneGrid) {
-		fatal(fmt.Errorf("-config is the multi-tenant mode; -dataset, -seed, -shards, and -prune-grid belong to the single-tenant mode (use per-tenant config fields)"))
+	if *configPath != "" && (*datasetPath != "" || *seed != 1) {
+		fatal(fmt.Errorf("-config is the multi-tenant mode; -dataset and -seed belong to the single-tenant mode (use per-tenant config fields)"))
 	}
 
 	// The flight recorder hangs off the default registry the transport
@@ -153,18 +146,11 @@ func main() {
 		} else {
 			pois = ppgnn.SequoiaDataset()
 		}
-		server := ppgnn.NewIndexedServer(pois, ppgnn.UnitSpace, ppgnn.IndexOptions{
-			Shards:    *shards,
-			PruneGrid: *pruneGrid,
-		})
+		server := ppgnn.NewServer(pois, ppgnn.UnitSpace)
 		server.Workers = poolWidth
 		server.SanitizeSeed = *seed
 		srv = transport.NewServer(server)
-		if sc := server.ShardCount(); sc > 1 || *pruneGrid {
-			log.Printf("ppgnn-lsp: single-tenant mode, %d POIs (shards=%d prune-grid=%v)", len(pois), sc, *pruneGrid)
-		} else {
-			log.Printf("ppgnn-lsp: single-tenant mode, %d POIs", len(pois))
-		}
+		log.Printf("ppgnn-lsp: single-tenant mode, %d POIs", len(pois))
 	}
 	if *coalesce {
 		co := parallel.NewCoalescer(poolWidth, parallel.CoalesceOptions{})

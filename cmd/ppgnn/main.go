@@ -77,8 +77,6 @@ func main() {
 	retries := flag.Int("retries", 3, "resend attempts after a transient failure (-1 = none)")
 	queryTimeout := flag.Duration("query-timeout", 0, "per-query deadline, retries included (0 = none)")
 	datasetPath := flag.String("dataset", "", "point file for the in-process LSP")
-	shards := flag.Int("shards", 0, "shard the in-process LSP's index across N parallel R-trees (0/1 = single tree)")
-	pruneGrid := flag.Bool("prune-grid", false, "enable the hierarchical grid pruning stage on the in-process LSP")
 	noSanitize := flag.Bool("no-sanitize", false, "disable answer sanitation (PPGNN-NAS)")
 	ids := flag.Bool("ids", false, "include POI IDs in the answer")
 	verbose := flag.Bool("v", false, "print cost accounting")
@@ -252,10 +250,7 @@ func main() {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "loaded %d POIs\n", len(pois))
-		server := ppgnn.NewIndexedServer(pois, ppgnn.UnitSpace, ppgnn.IndexOptions{
-			Shards:    *shards,
-			PruneGrid: *pruneGrid,
-		})
+		server := ppgnn.NewServer(pois, ppgnn.UnitSpace)
 		server.Workers = parallel.Default().Workers()
 		svc = ppgnn.LocalMetered(server, &meter)
 	}

@@ -1,12 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"math/rand"
 	"sync"
 	"testing"
 	"time"
 
-	"ppgnn/internal/geo"
 	"ppgnn/internal/paillier"
 	"ppgnn/internal/parallel"
 )
@@ -16,10 +16,15 @@ import (
 // Coalescer (width > 1, so tasks from different sessions really mix in
 // shared batches) return encrypted answers byte-identical to the same
 // queries processed serially on the uncoalesced LSP. Run under -race
-// this also hammers the coalescer's slot isolation.
+// this also hammers the coalescer's slot isolation. The set-up pins the
+// uncoalesced half of the same contract: pool width never reaches the
+// answer bytes.
 func TestCoalescedSessionsByteIdentical(t *testing.T) {
 	lsp := testLSP(1500)
 	lsp.Workers = 4
+	serial, wide := *lsp, *lsp
+	serial.Workers = 1
+	wide.Workers = -1 // GOMAXPROCS
 	co := parallel.NewCoalescer(4, parallel.CoalesceOptions{})
 	defer co.Close()
 	clsp := lsp.WithCoalescer(co)
@@ -55,6 +60,16 @@ func TestCoalescedSessionsByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("session %d uncoalesced: %v", i, err)
 		}
+		wantBytes := want.Marshal()
+		for _, l := range []*LSP{&serial, &wide} {
+			ans, err := l.Process(q, locs, nil)
+			if err != nil {
+				t.Fatalf("session %d Workers=%d: %v", i, l.Workers, err)
+			}
+			if !bytes.Equal(ans.Marshal(), wantBytes) {
+				t.Fatalf("session %d: answer at Workers=%d differs from Workers=%d", i, l.Workers, lsp.Workers)
+			}
+		}
 		sessions[i] = &session{q: q, locs: locs, want: want}
 	}
 
@@ -87,53 +102,6 @@ func TestCoalescedSessionsByteIdentical(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestCoalescedShardedLSP runs a sharded LSP through a coalescer: the
-// shard fan-out must stay on the per-query pool (no nested coalescer
-// submissions to deadlock on) while the selection phases coalesce, and
-// answers must match the uncoalesced sharded LSP byte for byte.
-func TestCoalescedShardedLSP(t *testing.T) {
-	items := testItems(1200)
-	lsp := NewIndexedLSP(items, geo.UnitRect, IndexOptions{Shards: 3})
-	lsp.Workers = 2
-	co := parallel.NewCoalescer(2, parallel.CoalesceOptions{})
-	defer co.Close()
-	clsp := lsp.WithCoalescer(co)
-
-	rng := rand.New(rand.NewSource(77))
-	p := testParams(4, VariantPPGNN)
-	g, err := NewGroup(p, randomLocations(rng, 4), rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, locs, err := g.BuildQuery(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := lsp.Process(q, locs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for k := 0; k < 4; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			got, err := clsp.Process(q, locs, nil)
-			if err != nil {
-				t.Errorf("coalesced sharded Process: %v", err)
-				return
-			}
-			for j := range want.Cts {
-				if got.Cts[j].Cmp(want.Cts[j]) != 0 {
-					t.Errorf("ct %d: coalesced sharded answer differs", j)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // TestLSPRerandPools wires a PoolSet into a rerandomizing LSP: answers

@@ -18,7 +18,6 @@ import (
 	"ppgnn/internal/partition"
 	"ppgnn/internal/rtree"
 	"ppgnn/internal/sanitize"
-	"ppgnn/internal/shard"
 )
 
 // SearchFunc is the black-box group query engine (paper Section 1: "it
@@ -55,8 +54,8 @@ type LSP struct {
 	// selection itself).
 	Rerandomize bool
 	// Coalesce, when set, submits the homomorphic batch phases (the
-	// candidate fan-out on the single-tree layout, the private selection,
-	// and the answer rerandomization) to a server-shared cross-session
+	// candidate fan-out, the private selection, and the answer
+	// rerandomization) to a server-shared cross-session
 	// Coalescer instead of a per-query pool (DESIGN.md §15), so work from
 	// concurrently admitted sessions merges into shared batches. Answers
 	// stay byte-identical to the uncoalesced path: the paillier batch
@@ -68,73 +67,30 @@ type LSP struct {
 	// the Rerandomize pass, replacing its per-answer online modexps.
 	RerandPools *paillier.PoolSet
 
-	tree   *rtree.Tree
-	shards *shard.Index
+	tree *rtree.Tree
 }
 
 // DefaultMaxCandidates caps δ' per query (Privacy II rarely needs more
 // than a few hundred; the paper's maximum is δ'≈200).
 const DefaultMaxCandidates = 65536
 
-// NewLSP builds an LSP over the POI database, indexed with an R-tree.
+// NewLSP builds an LSP over the POI database, indexed with one dynamic
+// R-tree (Insert and Delete keep it live, the capability the paper
+// contrasts against precomputation-based schemes).
 func NewLSP(items []rtree.Item, space geo.Rect) *LSP {
-	return NewIndexedLSP(items, space, IndexOptions{})
-}
-
-// IndexOptions selects the POI index layout for NewIndexedLSP.
-type IndexOptions struct {
-	// Shards partitions the database across K shard R-trees searched in
-	// parallel on the LSP's worker pool (DESIGN.md §14). 0 or 1 keeps the
-	// single dynamic R-tree of the paper.
-	Shards int
-	// PruneGrid puts the hierarchical grid pruning stage in front of the
-	// index, bounding per-query candidate work sub-linearly in database
-	// size. Implies the static sharded index even with Shards <= 1.
-	PruneGrid bool
-}
-
-// sharded reports whether the options call for the static shard.Index
-// instead of the paper's single dynamic R-tree.
-func (o IndexOptions) sharded() bool { return o.Shards > 1 || o.PruneGrid }
-
-// NewIndexedLSP is NewLSP with an explicit index layout. The sharded
-// layouts answer every query byte-identically to the single-tree path
-// (the shard package's core contract) but are static: the precompute
-// trade-off of grid schemes (PAPERS.md, arXiv 1612.01835) applied to
-// index structure, so Insert/Delete panic and the svc layer instead
-// rebuilds per-tenant indexes on epoch swaps.
-func NewIndexedLSP(items []rtree.Item, space geo.Rect, opts IndexOptions) *LSP {
-	l := &LSP{Space: space, SanitizeSeed: 1}
-	if opts.sharded() {
-		ix := shard.New(items, space, shard.Options{Shards: opts.Shards, PruneGrid: opts.PruneGrid})
-		l.shards = ix
-		l.Search = func(query []geo.Point, k int, agg gnn.Aggregate) []gnn.Result {
-			// The shard fan-out shares the per-query Workers budget so a
-			// Workers=1 LSP keeps the paper's sequential cost accounting.
-			return ix.SearchPool(l.pool(), query, k, agg)
-		}
-		return l
-	}
 	tree := rtree.Bulk(items, rtree.DefaultMaxEntries)
-	l.tree = tree
-	l.Search = func(query []geo.Point, k int, agg gnn.Aggregate) []gnn.Result {
-		return (&gnn.MBM{Tree: tree, Agg: agg}).Search(query, k)
+	return &LSP{
+		Space:        space,
+		SanitizeSeed: 1,
+		tree:         tree,
+		Search: func(query []geo.Point, k int, agg gnn.Aggregate) []gnn.Result {
+			return (&gnn.MBM{Tree: tree, Agg: agg}).Search(query, k)
+		},
 	}
-	return l
 }
 
 // Tree exposes the POI index (used by baselines sharing the database).
-// It is nil for sharded LSPs.
 func (l *LSP) Tree() *rtree.Tree { return l.tree }
-
-// ShardCount reports the shard count of the index: 1 for the single
-// dynamic R-tree, K for a sharded LSP (trace annotation and tests).
-func (l *LSP) ShardCount() int {
-	if l.shards != nil {
-		return l.shards.Shards()
-	}
-	return 1
-}
 
 // pool maps the Workers knob onto a parallel.Pool: 0 keeps the paper's
 // sequential cost accounting, negative widths resolve to GOMAXPROCS.
@@ -146,8 +102,10 @@ func (l *LSP) pool() *parallel.Pool {
 	return parallel.New(w)
 }
 
-// cryptoPool is the pool for the homomorphic phases: the shared
-// coalescer when configured, the per-query Workers pool otherwise.
+// cryptoPool is the pool for the per-query batch phases — the candidate
+// fan-out and the homomorphic selection and rerandomization, all leaf
+// work with no nested pool submissions: the shared coalescer when
+// configured, the per-query Workers pool otherwise.
 func (l *LSP) cryptoPool() *parallel.Pool {
 	if l.Coalesce != nil {
 		return l.Coalesce.Pool()
@@ -158,11 +116,7 @@ func (l *LSP) cryptoPool() *parallel.Pool {
 // WithCoalescer returns a shallow copy of the LSP whose homomorphic
 // batch work is submitted to c (a nil c returns l itself). The copy
 // shares the POI index; transport servers call this per admitted query
-// so concurrent sessions coalesce into shared batches. Note the copy's
-// Search closure still captures the original LSP, so a sharded index's
-// internal fan-out keeps its plain per-query pool — only the top-level
-// batch submissions coalesce, and never from inside a coalescer task
-// (which would deadlock a saturated batch on itself).
+// so concurrent sessions coalesce into shared batches.
 func (l *LSP) WithCoalescer(c *parallel.Coalescer) *LSP {
 	if c == nil {
 		return l
@@ -172,24 +126,11 @@ func (l *LSP) WithCoalescer(c *parallel.Coalescer) *LSP {
 	return &cp
 }
 
-// Insert adds a POI to the live database — the dynamic-database capability
-// the paper contrasts against precomputation-based schemes. Sharded LSPs
-// are static (rebuild to change the database) and panic here.
-func (l *LSP) Insert(it rtree.Item) {
-	if l.tree == nil {
-		panic("core: Insert on a sharded LSP; sharded indexes are static — rebuild with NewIndexedLSP")
-	}
-	l.tree.Insert(it)
-}
+// Insert adds a POI to the live database.
+func (l *LSP) Insert(it rtree.Item) { l.tree.Insert(it) }
 
-// Delete removes a POI from the live database. Sharded LSPs panic, like
-// Insert.
-func (l *LSP) Delete(it rtree.Item) bool {
-	if l.tree == nil {
-		panic("core: Delete on a sharded LSP; sharded indexes are static — rebuild with NewIndexedLSP")
-	}
-	return l.tree.Delete(it)
-}
+// Delete removes a POI from the live database.
+func (l *LSP) Delete(it rtree.Item) bool { return l.tree.Delete(it) }
 
 // Process runs Algorithm 2: candidate query generation, per-candidate kGNN
 // + answer sanitation, answer encoding, and the homomorphic private
@@ -233,16 +174,7 @@ func (l *LSP) Process(q *QueryMsg, locs []*LocationMsg, meter *cost.Meter) (ans 
 		Space: l.Space, Agg: q.Agg,
 	}
 	encoded := make([][]*big.Int, len(candidates))
-	candPool := l.pool()
-	if l.Coalesce != nil && l.shards == nil {
-		// The single-tree candidate fan-out is leaf work (no nested pool
-		// submissions), so it rides the shared coalescer too. Sharded
-		// search fans out internally on the per-query pool and stays off
-		// the coalescer: a coalescer task that submitted back to its own
-		// coalescer could block the very batch it runs in.
-		candPool = l.Coalesce.Pool()
-	}
-	err = candPool.ForEach(context.Background(), len(candidates), func(t int) (taskErr error) {
+	err = l.cryptoPool().ForEach(context.Background(), len(candidates), func(t int) (taskErr error) {
 		// A panic here would escape any recover installed by the caller
 		// (transport sessions recover per session); convert it into a
 		// query rejection so one hostile query cannot kill a serving

@@ -93,7 +93,6 @@ func (l *LSP) annotateTrace(tc obs.TraceContext, q *QueryMsg) {
 	}
 	tc.Span.SetAttr("workers", obs.CountBucketLabel(l.resolvedWorkers()))
 	tc.Span.SetAttr("candidates", obs.CountBucketLabel(q.CandidateCount()))
-	tc.Span.SetAttr("shards", obs.CountBucketLabel(l.ShardCount()))
 	// A server-wide mode bit, never a per-query datum: whether this
 	// query's homomorphic batches rode the shared coalescer.
 	coalesced := "off"

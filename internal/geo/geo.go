@@ -137,7 +137,7 @@ func (r Rect) EnlargeArea(s Rect) float64 {
 // rounded): for a degenerate rect — a single-POI leaf — the bound and the
 // cost reduce to the identical expression, so the computed bound can
 // never exceed the computed cost by an ulp. Bounded searches cut off at
-// an exact k-th cost (the shard layer's grid seed) rely on that.
+// an exact k-th cost (gnn.MBM.SearchBounded) rely on that.
 func (r Rect) MinDist(p Point) float64 {
 	return math.Hypot(axisDist(p.X, r.Min.X, r.Max.X), axisDist(p.Y, r.Min.Y, r.Max.Y))
 }

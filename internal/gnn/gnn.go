@@ -169,14 +169,6 @@ func (a Aggregate) nodeLowerBound(rect geo.Rect, query []geo.Point, queryMBR geo
 	return ptBound
 }
 
-// LowerBound returns an admissible lower bound on the aggregate cost of
-// any point inside rect — the same bound MBM prunes R-tree nodes with,
-// exported for index layers that prune other spatial partitions (the
-// shard package's grid cells).
-func (a Aggregate) LowerBound(rect geo.Rect, query []geo.Point) float64 {
-	return a.nodeLowerBound(rect, query, geo.RectOf(query...))
-}
-
 // rectMinDist is the minimum distance between two rectangles.
 func rectMinDist(a, b geo.Rect) float64 {
 	dx := axisGap(a.Min.X, a.Max.X, b.Min.X, b.Max.X)
@@ -227,10 +219,10 @@ func (m *MBM) Search(query []geo.Point, k int) []Result {
 // lower bound exceeds maxCost are never expanded, and because the queue
 // pops in ascending bound order the search stops outright at the first
 // such entry. Any POI with aggregate cost <= maxCost is still returned,
-// so a caller holding an upper bound on the true k-th cost (the shard
-// layer's grid seed) gets a result byte-identical to the unbounded
-// search. The second return value counts the POIs whose exact cost was
-// evaluated — the per-query candidate work the shard gate curves track.
+// so a caller holding an upper bound on the true k-th cost gets a result
+// byte-identical to the unbounded search. The second return value counts
+// the POIs whose exact cost was evaluated — the per-query candidate work
+// the benchmark reports as scanned POIs.
 func (m *MBM) SearchBounded(query []geo.Point, k int, maxCost float64) ([]Result, int) {
 	if k <= 0 || len(query) == 0 || m.Tree.Len() == 0 {
 		return nil, 0

@@ -102,6 +102,59 @@ func TestMBMMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestSearchBoundedAtKthCost pins the cutoff contract of SearchBounded:
+// with maxCost set to the exact k-th cost the bounded search returns the
+// same (cost, ID)-ordered k results as Search — a POI tied with the k-th
+// at the cutoff is not lost and does not displace it — without scanning
+// more POIs, and just below the cutoff it returns only the strictly
+// cheaper prefix.
+func TestSearchBoundedAtKthCost(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	items := randomItems(rng, 2000)
+	base := rtree.Bulk(items, 16)
+	for _, agg := range []Aggregate{Sum, Max, Min} {
+		for trial := 0; trial < 10; trial++ {
+			q := randomQuery(rng, 1+rng.Intn(8))
+			k := 2 + rng.Intn(12)
+			// Duplicate the k-th POI under a larger ID, so ranks k and k+1
+			// tie on cost and only the ID order separates them.
+			kth := (&MBM{Tree: base, Agg: agg}).Search(q, k)[k-1]
+			tied := rtree.Item{ID: int64(len(items)), P: kth.Item.P}
+			mbm := &MBM{Tree: rtree.Bulk(append(items[:len(items):len(items)], tied), 16), Agg: agg}
+
+			want := mbm.Search(q, k)
+			_, scannedAll := mbm.SearchBounded(q, k, math.Inf(1))
+			cutoff := want[k-1].Cost
+			if next := mbm.Search(q, k+1)[k]; want[k-1].Item.ID != kth.Item.ID || next.Item.ID != tied.ID || next.Cost != cutoff {
+				t.Fatalf("%v trial %d: set-up did not produce a tie at rank k", agg, trial)
+			}
+
+			got, scanned := mbm.SearchBounded(q, k, cutoff)
+			if len(got) != k {
+				t.Fatalf("%v trial %d: cutoff at the k-th cost returned %d of %d results", agg, trial, len(got), k)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%v trial %d rank %d: bounded %+v, unbounded %+v", agg, trial, i, got[i], want[i])
+				}
+			}
+			if scanned > scannedAll {
+				t.Fatalf("%v trial %d: bounded search scanned %d POIs, unbounded search %d", agg, trial, scanned, scannedAll)
+			}
+
+			below, _ := mbm.SearchBounded(q, k, math.Nextafter(cutoff, 0))
+			if len(below) >= k {
+				t.Fatalf("%v trial %d: cutoff below the k-th cost still returned %d results", agg, trial, len(below))
+			}
+			for i, r := range below {
+				if r != want[i] || r.Cost >= cutoff {
+					t.Fatalf("%v trial %d rank %d: below-cutoff result %+v is not the strict prefix of %+v", agg, trial, i, r, want[i])
+				}
+			}
+		}
+	}
+}
+
 func TestSearchResultsAscending(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	items := randomItems(rng, 1000)

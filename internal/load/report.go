@@ -2,8 +2,8 @@ package load
 
 import "fmt"
 
-// Report is one open-loop run, JSON-ready: the payload BENCH_load.json
-// embeds once per pass. Latency quantiles come from the obs
+// Report is one open-loop run, JSON-ready: the load gate's report
+// embeds it once per pass. Latency quantiles come from the obs
 // load_query_seconds histograms (bucket-interpolated, like the
 // -metrics-addr endpoint reports them), so the gate and the live
 // introspection surface can never disagree about what a p95 is.

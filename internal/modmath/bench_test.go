@@ -10,8 +10,8 @@ import (
 // per-term Exp loop at the protocol's characteristic shapes (δ'≈101
 // terms for a ⊙ dot product over the candidate indicator; a handful of
 // terms for a threshold combine), and FixedBase vs cold Exp at
-// short-exponent widths. The -kernel-gate experiment measures the same
-// contrast end to end and CI enforces its floor.
+// short-exponent widths. End to end the same work shows up as the
+// paillier.* layers of `bash bench/run.sh`.
 
 func benchTerms(b *testing.B, bits, k, expBits int) (*Ctx, []*big.Int, []*big.Int) {
 	b.Helper()

@@ -252,8 +252,8 @@ func (c *Ctx) MultiExp(bases, exps []*big.Int) (*big.Int, error) {
 
 // MultiExpRef is the reference implementation MultiExp is measured and
 // fuzzed against: the plain per-term big.Int.Exp product loop the kernel
-// replaced. It stays exported so the fuzz target, the unit tests, and
-// the -kernel-gate benchmarks all compare against the same oracle.
+// replaced. It stays exported so the fuzz target and the unit tests of
+// both packages compare against the same oracle.
 func (c *Ctx) MultiExpRef(bases, exps []*big.Int) (*big.Int, error) {
 	if len(bases) != len(exps) {
 		return nil, errors.New("modmath: multiexp length mismatch")

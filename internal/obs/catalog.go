@@ -172,16 +172,6 @@ func catalog() []catalogEntry {
 		{kindGauge, "svc_ready", nil, nil},
 		{kindCounter, "svc_watchdog_trips_total", nil, nil},
 		{kindHistogram, "svc_session_cost_seconds", TimeBuckets, nil},
-
-		// sharded POI index (internal/shard, DESIGN.md §14). Scan counts
-		// are bucketed histograms (never raw POI coordinates); the grid
-		// label is the closed on/off enum.
-		{kindCounter, "shard_searches_total", nil, allOf("grid")},
-		{kindHistogram, "shard_scanned", CountBuckets, nil},
-		{kindHistogram, "shard_seed_scanned", CountBuckets, nil},
-		{kindCounter, "shard_shards_pruned_total", nil, nil},
-		{kindHistogram, "shard_build_seconds", TimeBuckets, nil},
-		{kindGauge, "shard_count", nil, nil},
 	}
 }
 

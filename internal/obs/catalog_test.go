@@ -75,7 +75,6 @@ func TestCatalogCoversKnownFamilies(t *testing.T) {
 		{"load_sessions_total", "stage"},
 		{"load_sessions_total", "outcome"},
 		{"load_oracle_total", "verdict"},
-		{"shard_searches_total", "grid"},
 	}
 	for _, w := range wantCounters {
 		found := false
@@ -109,14 +108,5 @@ func TestCatalogCoversKnownFamilies(t *testing.T) {
 	}
 	if s.Histogram("load_sched_lag_seconds") == nil {
 		t.Error("catalog is missing load_sched_lag_seconds")
-	}
-	if s.Histogram("shard_scanned") == nil {
-		t.Error("catalog is missing shard_scanned")
-	}
-	if s.Histogram("shard_seed_scanned") == nil {
-		t.Error("catalog is missing shard_seed_scanned")
-	}
-	if s.Histogram("shard_build_seconds") == nil {
-		t.Error("catalog is missing shard_build_seconds")
 	}
 }

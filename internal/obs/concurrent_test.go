@@ -55,11 +55,14 @@ func TestHistogramConcurrentWriters(t *testing.T) {
 				inBuckets += b.Count
 			}
 			// Observe bumps the bucket before the count and the snapshot
-			// reads them non-atomically, so a cut may be skewed — but only
-			// by the number of writers mid-Observe, never unboundedly.
-			if skew := inBuckets + hs.Overflow - hs.Count; skew > writers || skew < -writers {
-				t.Errorf("buckets %d + overflow %d vs count %d: skew beyond %d in-flight writers",
-					inBuckets, hs.Overflow, hs.Count, writers)
+			// reads the count before the buckets, so every counted sample
+			// is already in a bucket: the cut may run ahead of the count
+			// (by however many Observes land while the reader is between
+			// the two reads — unbounded if it is descheduled there) but
+			// never behind it.
+			if inBuckets+hs.Overflow < hs.Count {
+				t.Errorf("buckets %d + overflow %d behind count %d: a counted sample is in no bucket",
+					inBuckets, hs.Overflow, hs.Count)
 				return
 			}
 			if !(hs.P50 <= hs.P95 && hs.P95 <= hs.P99) {

@@ -92,10 +92,6 @@ var labelEnums = map[string]map[string]bool{
 	// admitted, shed by the tenant's session quota, shed by the adaptive
 	// overload gate, or rejected because the tenant does not exist.
 	"admission": enum("ok", "quota", "overload", "unknown"),
-	// grid: whether the shard layer's hierarchical pruning grid was
-	// active for a search (DESIGN.md §14). A boolean mode bit, never a
-	// per-query datum.
-	"grid": enum("on", "off"),
 	// trigger: why the cross-session coalescer flushed a micro-batch
 	// (DESIGN.md §15): the pending task count hit the size bound, the
 	// oldest submission hit the flush deadline, or the coalescer was
@@ -125,7 +121,6 @@ var traceAttrEnums = map[string]map[string]bool{
 	"cause":       labelEnums["cause"],
 	"workers":     enum(countBucketLabels()...),
 	"candidates":  enum(countBucketLabels()...),
-	"shards":      enum(countBucketLabels()...),
 	"retry_after": enum(durationBucketLabels()...),
 	// coalesced: whether the query's homomorphic batches were routed
 	// through the cross-session coalescer (DESIGN.md §15). A boolean

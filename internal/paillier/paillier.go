@@ -42,10 +42,9 @@ var one = big.NewInt(1)
 const MaxS = 8
 
 // kernelDisabled gates the modmath fast paths (MultiExp in ⊙/⨂ and the
-// threshold combine). It exists for the -kernel-gate experiment and the
-// kernel-equivalence tests, which measure and pin the kernel against the
-// reference loops; production code never flips it. Both paths return
-// byte-identical results.
+// threshold combine). It exists for the kernel-equivalence tests, which
+// pin the kernel against the reference loops; production code never
+// flips it. Both paths return byte-identical results.
 var kernelDisabled atomic.Bool
 
 // SetKernel enables (true, the default) or disables the modmath

@@ -232,7 +232,7 @@ func TestCoalesceCloseDrainsAndFallsBackInline(t *testing.T) {
 }
 
 // TestCoalesceSizeTriggerMerges forces the size trigger and checks two
-// sessions land in one dispatch (the merge the sustained gate banks on).
+// sessions land in one dispatch.
 func TestCoalesceSizeTriggerMerges(t *testing.T) {
 	c := NewCoalescer(2, CoalesceOptions{MaxTasks: 4, MaxDelay: time.Hour})
 	defer c.Close()

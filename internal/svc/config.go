@@ -55,14 +55,6 @@ type TenantConfig struct {
 	// MaxLocations overrides the server's per-session location-frame
 	// cap for this tenant (0 = server default).
 	MaxLocations int `json:"max_locations,omitempty"`
-	// Shards partitions the tenant's POI index across this many shard
-	// R-trees searched in parallel (0 or 1 = the single dynamic R-tree).
-	// Sharded indexes are static and rebuilt on every epoch swap.
-	Shards int `json:"shards,omitempty"`
-	// PruneGrid enables the hierarchical grid pruning stage in front of
-	// the tenant's index (DESIGN.md §14); implies a sharded (static)
-	// index even with shards <= 1.
-	PruneGrid bool `json:"prune_grid,omitempty"`
 	// Rerandomize refreshes the randomness of every answer ciphertext
 	// before it goes back on the wire (core.LSP.Rerandomize). The service
 	// backs it with per-tenant background-refilled randomness pools that
@@ -135,9 +127,6 @@ func (c *Config) Validate() error {
 		}
 		if t.MaxLocations < 0 {
 			return fmt.Errorf("svc: config: tenant %q: max_locations %d is negative", t.ID, t.MaxLocations)
-		}
-		if t.Shards < 0 {
-			return fmt.Errorf("svc: config: tenant %q: shards %d is negative", t.ID, t.Shards)
 		}
 	}
 	return nil

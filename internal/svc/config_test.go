@@ -46,6 +46,16 @@ func TestParseConfigRejects(t *testing.T) {
 			want: "max_conns",
 		},
 		{
+			name: "retired field shards",
+			doc:  `{"tenants": [{"id": "a", "synthetic": 10, "max_sessions": 1, "shards": 8}]}`,
+			want: `"shards"`,
+		},
+		{
+			name: "retired field prune_grid",
+			doc:  `{"tenants": [{"id": "a", "synthetic": 10, "max_sessions": 1, "prune_grid": true}]}`,
+			want: `"prune_grid"`,
+		},
+		{
 			name: "trailing garbage",
 			doc:  `{"tenants": [{"id": "a", "synthetic": 10, "max_sessions": 1}]} {"again": true}`,
 			want: "trailing data",

@@ -174,12 +174,7 @@ func (s *Service) buildEpoch(cfg *Config) (*epoch, error) {
 		if err != nil {
 			return nil, fmt.Errorf("svc: tenant %q: %w", tc.ID, err)
 		}
-		// Sharded tenants get a fresh static index every epoch — the swap
-		// is the rebuild point the static-index trade-off relies on.
-		lsp := core.NewIndexedLSP(items, geo.UnitRect, core.IndexOptions{
-			Shards:    tc.Shards,
-			PruneGrid: tc.PruneGrid,
-		})
+		lsp := core.NewLSP(items, geo.UnitRect)
 		lsp.Workers = s.opts.Workers
 		if tc.Seed != 0 {
 			lsp.SanitizeSeed = tc.Seed

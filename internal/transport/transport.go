@@ -50,7 +50,8 @@ type SessionAdmitter interface {
 
 // SessionGrant is one admitted session's lease: the LSP to serve it with,
 // the location cap to hold it to (0 = the server default), and a release
-// hook the server calls exactly once when the session ends, panics
+// hook the server calls exactly once: as soon as the LSP has processed
+// the query, or when the session ends without getting that far, panics
 // included.
 type SessionGrant struct {
 	LSP          *core.LSP
@@ -207,9 +208,18 @@ func (s *Server) acceptLoop(ln net.Listener) {
 func (s *Server) shed(conn net.Conn) {
 	defer conn.Close()
 	s.reg().Counter("transport_server_shed_total").Inc()
-	conn.SetWriteDeadline(time.Now().Add(5 * time.Second))
-	wire.WriteFrame(conn, core.FrameError, []byte(core.BusyMessage))
+	s.reject(conn, core.BusyMessage)
 	s.logf("shed %v: at MaxConns=%d", conn.RemoteAddr(), s.MaxConns)
+}
+
+// reject is the one way the server turns a session away unserved (over
+// MaxConns, draining, shed by admission): the typed FrameError reply,
+// then the discardClient drain, so the close that follows cannot reset
+// the reply away before the client has read it.
+func (s *Server) reject(conn net.Conn, msg string) {
+	conn.SetWriteDeadline(time.Now().Add(5 * time.Second))
+	wire.WriteFrame(conn, core.FrameError, []byte(msg))
+	s.discardClient(conn)
 }
 
 // Addr returns the listening address; it errors before Listen.
@@ -403,9 +413,7 @@ func (s *Server) serveQuery(conn net.Conn) (err error) {
 		s.observeFrame("rx", len(payload))
 	}
 	if !s.beginSession(conn) {
-		conn.SetWriteDeadline(time.Now().Add(5 * time.Second))
-		wire.WriteFrame(conn, core.FrameError, []byte(core.DrainingMessage))
-		s.discardClient(conn)
+		s.reject(conn, core.DrainingMessage)
 		tr.End("drain")
 		return fmt.Errorf("transport: draining, session rejected")
 	}
@@ -431,6 +439,7 @@ func (s *Server) serveQuery(conn net.Conn) (err error) {
 	// Admission: routed and gated before the query is even parsed, so a
 	// shed session costs the server no crypto and no big.Int allocations.
 	lsp, maxLocs := s.LSP, s.MaxLocations
+	release := func() {}
 	if s.Admitter != nil {
 		grant, aerr := s.Admitter.Admit(tenant)
 		if aerr != nil {
@@ -446,16 +455,18 @@ func (s *Server) serveQuery(conn net.Conn) (err error) {
 				}
 				outcomeOverride = "busy"
 				s.reg().Counter("transport_server_shed_total").Inc()
-				conn.SetWriteDeadline(time.Now().Add(5 * time.Second))
-				wire.WriteFrame(conn, core.FrameError, []byte(core.BusyReply(be.RetryAfter)))
-				s.discardClient(conn)
+				s.reject(conn, core.BusyReply(be.RetryAfter))
 				return fmt.Errorf("transport: %w", aerr)
 			}
 			tr.Root().SetAttr("admission", "unknown")
 			return s.replyError(conn, aerr)
 		}
 		if grant.Release != nil {
-			defer grant.Release()
+			// Called as soon as the LSP is done with the query; the deferred
+			// call covers the paths that never get that far. OnceFunc keeps
+			// the grant's exactly-once contract across the two.
+			release = sync.OnceFunc(grant.Release)
+			defer release()
 		}
 		if grant.LSP != nil {
 			lsp = grant.LSP
@@ -539,6 +550,10 @@ func (s *Server) serveQuery(conn net.Conn) (err error) {
 	sp := s.reg().StartSpan("lsp").Attach(node)
 	ans, err := lsp.ProcessTraced(obs.TraceContext{ID: tr.ID(), Span: node}, q, locs, s.Meter)
 	sp.EndErr(err)
+	// The session holds nothing of the tenant from here on; releasing
+	// before the answer write means a client that has its answer never
+	// observes its own session still counted in flight.
+	release()
 	if err != nil {
 		return s.replyError(conn, err)
 	}

@@ -101,18 +101,6 @@ type Server = core.LSP
 // NewServer builds an LSP over the POI database.
 func NewServer(pois []POI, space Rect) *Server { return core.NewLSP(pois, space) }
 
-// IndexOptions selects the POI index layout for NewIndexedServer:
-// Shards > 1 partitions the database across parallel shard R-trees, and
-// PruneGrid puts the hierarchical pruning grid in front of them. Answers
-// are byte-identical to NewServer's; sharded indexes are static
-// (Insert/Delete panic — rebuild instead).
-type IndexOptions = core.IndexOptions
-
-// NewIndexedServer is NewServer with an explicit index layout.
-func NewIndexedServer(pois []POI, space Rect, opts IndexOptions) *Server {
-	return core.NewIndexedLSP(pois, space, opts)
-}
-
 // Group is the client side: the n users and their coordinator.
 type Group = core.Group
 

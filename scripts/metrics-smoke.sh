@@ -84,7 +84,7 @@ for section in ("counters", "gauges", "histograms"):
 
 # The closed trace-attribute catalog (internal/obs/catalog.go). Any key
 # or value outside this grammar fails the smoke test.
-ATTR_KEYS = {"tenant", "admission", "cause", "workers", "candidates", "retry_after"}
+ATTR_KEYS = {"tenant", "admission", "cause", "workers", "candidates", "retry_after", "coalesced"}
 ENUM = re.compile(r"^[a-z0-9_]{1,16}$")
 BUCKET = re.compile(r"^(le|gt)_[0-9]+(ms|s)?$")
 PHASES = {"session", "collect", "partition", "query", "lsp", "decrypt"}
