@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test bench-test race fuzz bench-snapshot bench-load load-smoke chaos-gate svc-smoke metrics-smoke clean
+.PHONY: all build vet test bench-test race fuzz bench-snapshot bench-load load-smoke chaos-gate svc-smoke metrics-smoke driver-smoke clean
 
 all: vet build test
 
@@ -67,6 +67,12 @@ svc-smoke:
 # endpoint serves a JSON snapshot (the CI smoke test).
 metrics-smoke:
 	./scripts/metrics-smoke.sh
+
+# The same seeded query through the shared-memory Group and a quorum
+# session, each with a sole and a threshold key: all four must print the
+# same answer (the CI test job runs it).
+driver-smoke:
+	./scripts/driver-smoke.sh
 
 clean:
 	rm -f BENCH_obs.json BENCH_load.ci.json BENCH_chaos.ci.json

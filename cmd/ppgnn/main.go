@@ -150,7 +150,7 @@ func main() {
 	if *seed != 0 {
 		rng = rand.New(rand.NewSource(*seed))
 	}
-	// runQuery abstracts over the plain and threshold group types.
+	// runQuery abstracts over the two rosters: shared memory and links.
 	var runQuery func(svc ppgnn.Service, meter *ppgnn.Meter) (*ppgnn.Result, error)
 	var deltaPrime int
 	var keygen time.Duration
@@ -215,16 +215,13 @@ func main() {
 		}
 		deltaPrime, _ = coord.DeltaPrime(p.N)
 		keygen = coord.KeygenTime
-	} else if *threshold > 0 {
-		tg, err := ppgnn.NewThresholdGroup(p, locs, rng, *threshold)
-		if err != nil {
-			fatal(err)
-		}
-		runQuery = tg.Run
-		deltaPrime = tg.DeltaPrime()
-		keygen = tg.KeygenTime
 	} else {
-		group, err := ppgnn.NewGroup(p, locs, rng)
+		var group *ppgnn.Group
+		if *threshold > 0 {
+			group, err = ppgnn.NewThresholdGroup(p, locs, rng, *threshold)
+		} else {
+			group, err = ppgnn.NewGroup(p, locs, rng)
+		}
 		if err != nil {
 			fatal(err)
 		}

@@ -1,18 +1,16 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math/big"
 	"math/rand"
 	"time"
 
 	"ppgnn/internal/cost"
-	"ppgnn/internal/dummy"
 	"ppgnn/internal/encode"
 	"ppgnn/internal/geo"
+	"ppgnn/internal/obs"
 	"ppgnn/internal/paillier"
-	"ppgnn/internal/partition"
 	"ppgnn/internal/wire"
 )
 
@@ -35,39 +33,19 @@ func (s LocalService) Process(q *QueryMsg, locs []*LocationMsg) (*AnswerMsg, err
 	return s.LSP.Process(q, locs, s.Meter)
 }
 
-// Group is the client side of the protocol: the n users and the randomly
-// chosen coordinator u_c (user 0 here; the choice does not affect cost or
-// privacy since no extra trust is placed in u_c).
+// Group is the shared-memory roster around a Coordinator: all n users in
+// one process, user 0 being the randomly chosen coordinator u_c (the
+// choice does not affect cost or privacy since no extra trust is placed
+// in u_c). Everything u_c computes is the embedded Coordinator's; Group
+// adds the other users' location sets and, under a threshold key, their
+// decryption shares.
 type Group struct {
-	Params    Params
-	Locations []geo.Point // the users' real locations
-	Gen       dummy.Generator
-	Rng       *rand.Rand
+	*Coordinator
+	Locations []geo.Point // the users' real locations; Locations[0] is u_c's
 
-	// Key is the coordinator's Paillier key pair, generated by NewGroup and
-	// reused across queries. KeygenTime records its one-time cost, which is
-	// reported separately from the per-query user cost.
-	Key        *paillier.PrivateKey
-	KeygenTime time.Duration
-
-	part partition.Params // solved once per parameter set
-
-	// Offline encryption-randomness pools (see Precompute).
-	pre1, pre2 *paillier.Precomputer
-
-	// encOverride replaces the indicator-encryption public key (threshold
-	// mode encrypts under the shared threshold modulus).
-	encOverride *paillier.PublicKey
-
-	// EncCache, when set, routes the indicator encryptions through a
-	// shared encrypted-constant cache (DESIGN.md §15): the indicator
-	// vectors re-encrypt the same tiny constant set (zeros and a one) on
-	// every query, so a cache hit replaces the (1+N)^m exponentiation
-	// with one modular multiply against a fresh randomness factor. Hits
-	// are rerandomized, never replayed — see paillier.EncCache. Load
-	// harnesses share one cache across many groups; the cache keys by
-	// public key, so groups never see each other's entries.
-	EncCache *paillier.EncCache
+	// Shares is set in threshold mode: share i belongs to user i, and the
+	// first TK.T users cooperate on every decryption.
+	Shares []*paillier.KeyShare
 
 	// CacheSets reuses each user's location set (and the hidden positions)
 	// across queries instead of drawing fresh dummies every time. Fresh
@@ -78,384 +56,123 @@ type Group struct {
 	// trade-off is linkability: the LSP can tell the queries come from the
 	// same (still anonymous) group. Call InvalidateCache after moving.
 	CacheSets bool
-	cached    *cachedQuery
+	plan      *RoundPlan     // the previous query's plan and sets, for
+	sets      []*LocationMsg // CacheSets mode
 }
 
-// cachedQuery remembers the location sets and hidden positions of the
-// previous query for CacheSets mode.
-type cachedQuery struct {
-	seg  int
-	xs   []int
-	pos  int // Naive variant position
-	locs []*LocationMsg
-}
+// ThresholdGroup is a Group whose answer decryption requires TK.T of the
+// n users to cooperate.
+type ThresholdGroup = Group
 
 // InvalidateCache discards the cached location sets (required after any
 // user's real location changes).
-func (g *Group) InvalidateCache() { g.cached = nil }
+func (g *Group) InvalidateCache() { g.plan, g.sets = nil, nil }
 
-// Precompute fills the coordinator's encryption-randomness pools while the
-// device is idle (e.g. charging), so the next count indicator encryptions
-// pay only the cheap plaintext-dependent part online. The pools drain one
-// factor per ciphertext; call again before later queries. It returns the
-// offline time spent.
-func (g *Group) Precompute(count int) (time.Duration, error) {
-	start := time.Now()
-	var err error
-	if g.pre1 == nil {
-		if g.pre1, err = g.Key.NewPrecomputer(1); err != nil {
-			return 0, err
-		}
-	}
-	if err := g.pre1.Fill(nil, count); err != nil {
-		return 0, err
-	}
-	if g.Params.Variant == VariantOPT {
-		if g.pre2 == nil {
-			if g.pre2, err = g.Key.NewPrecomputer(2); err != nil {
-				return 0, err
-			}
-		}
-		if err := g.pre2.Fill(nil, count); err != nil {
-			return 0, err
-		}
-	}
-	return time.Since(start), nil
-}
-
-// StartRefill starts background refillers on the coordinator's
-// randomness pools (degree 1, and degree 2 for OPT), so sustained query
-// streams keep finding pooled factors without explicit Precompute calls
-// between queries. o configures both refillers (o.Target is typically
-// the expected indicator length of the next query; drain-based sizing
-// happens on top — see paillier.RefillerOptions). The returned stop
-// halts them and is safe to call more than once. Threshold-mode groups
-// encrypt online and have no pools to refill.
-func (g *Group) StartRefill(o paillier.RefillerOptions) (func(), error) {
-	if g.encOverride != nil {
-		return nil, fmt.Errorf("core: threshold groups encrypt online; nothing to refill")
-	}
-	var err error
-	if g.pre1 == nil {
-		if g.pre1, err = g.Key.NewPrecomputer(1); err != nil {
-			return nil, err
-		}
-	}
-	stops := []func(){g.pre1.StartRefiller(o)}
-	if g.Params.Variant == VariantOPT {
-		if g.pre2 == nil {
-			if g.pre2, err = g.Key.NewPrecomputer(2); err != nil {
-				stops[0]()
-				return nil, err
-			}
-		}
-		stops = append(stops, g.pre2.StartRefiller(o))
-	}
-	return func() {
-		for _, stop := range stops {
-			stop()
-		}
-	}, nil
-}
-
-// NewGroup validates the parameters, solves the partition-parameter
-// program, and generates the key pair.
+// NewGroup validates the parameters, checks that the partition-parameter
+// program is feasible, and generates the coordinator's key pair.
 func NewGroup(p Params, locations []geo.Point, rng *rand.Rand) (*Group, error) {
-	p = p.withDefaults()
-	if err := p.Validate(); err != nil {
+	if err := checkLocations(p, locations); err != nil {
 		return nil, err
 	}
+	c, err := NewCoordinator(p, locations[0], rng)
+	if err != nil {
+		return nil, err
+	}
+	return &Group{Coordinator: c, Locations: locations}, nil
+}
+
+// NewThresholdGroup builds a group with a (t, n)-threshold key; see
+// NewThresholdCoordinator for the dealing and its cost.
+func NewThresholdGroup(p Params, locations []geo.Point, rng *rand.Rand, t int) (*ThresholdGroup, error) {
+	if err := checkLocations(p, locations); err != nil {
+		return nil, err
+	}
+	c, shares, err := NewThresholdCoordinator(p, locations[0], rng, t)
+	if err != nil {
+		return nil, err
+	}
+	return &Group{Coordinator: c, Locations: locations, Shares: append([]*paillier.KeyShare{c.Share}, shares...)}, nil
+}
+
+// checkLocations checks the roster against the group size and the space.
+func checkLocations(p Params, locations []geo.Point) error {
+	p = p.withDefaults()
+	if err := p.Validate(); err != nil {
+		return err
+	}
 	if len(locations) != p.N {
-		return nil, fmt.Errorf("core: %d locations for group size n=%d", len(locations), p.N)
+		return fmt.Errorf("core: %d locations for group size n=%d", len(locations), p.N)
 	}
 	for i, l := range locations {
 		if !p.Space.Contains(l) {
-			return nil, fmt.Errorf("core: user %d location %v outside space", i, l)
+			return fmt.Errorf("core: user %d location %v outside space", i, l)
 		}
 	}
-	if rng == nil {
-		rng = rand.New(rand.NewSource(time.Now().UnixNano()))
-	}
-	g := &Group{Params: p, Locations: locations, Gen: dummy.Uniform{}, Rng: rng}
-	if p.Variant != VariantNaive {
-		part, err := partition.Solve(p.N, p.D, p.Delta)
-		if err != nil {
-			return nil, err
-		}
-		g.part = part
-	}
-	start := time.Now()
-	key, err := paillier.GenerateKey(nil, p.KeyBits)
-	if err != nil {
-		return nil, fmt.Errorf("core: generating key: %w", err)
-	}
-	if p.ShortRandBits > 0 {
-		if err := key.SetOptions(paillier.Options{ShortRandBits: p.ShortRandBits}); err != nil {
-			return nil, fmt.Errorf("core: enabling short-exponent randomness: %w", err)
-		}
-	}
-	g.Key = key
-	g.KeygenTime = time.Since(start)
-	return g, nil
+	return nil
 }
 
 // DeltaPrime returns the candidate-query count δ' the LSP will process
 // (δ for the Naive variant).
 func (g *Group) DeltaPrime() int {
-	if g.Params.Variant == VariantNaive {
-		return g.Params.Delta
-	}
-	return g.part.DeltaPrime
+	dp, _ := g.Coordinator.DeltaPrime(g.Params.N) // feasibility was checked at construction
+	return dp
 }
 
-// BuildQuery runs Algorithm 1: the coordinator picks the segment and
-// per-subgroup positions, broadcasts them, builds the encrypted indicator
-// vector(s), and every user builds their location set. The intra-group
-// broadcast bytes are recorded on the meter.
+// BuildQuery runs Algorithm 1: the coordinator plans the round (segment
+// and per-subgroup positions) and broadcasts the positions, every user
+// builds their location set, and the coordinator encrypts the indicator
+// vector(s). The intra-group broadcast bytes are recorded on the meter.
 func (g *Group) BuildQuery(meter *cost.Meter) (*QueryMsg, []*LocationMsg, error) {
 	start := time.Now()
-	defer func() { meter.AddTime(cost.Users, time.Since(start)) }()
-
-	p := g.Params
-	if p.Variant == VariantNaive {
-		return g.buildNaive(meter)
-	}
-
-	var seg int
-	var xs, pos []int
-	if g.CacheSets && g.cached != nil {
-		seg, xs = g.cached.seg, g.cached.xs
-	} else {
-		// Line 3: pick the segment by the size-weighted distribution (Eqn 11).
-		seg = sampleSegment(g.Rng, g.part.SegmentDist())
-		// Lines 4–7: pick and broadcast per-subgroup positions.
-		xs = make([]int, g.part.Alpha)
-		pos = make([]int, g.part.Alpha)
-		off := g.part.SegmentOffset(seg)
-		for j := range xs {
-			xs[j] = g.Rng.Intn(g.part.DBar[seg])
-			pos[j] = off + xs[j]
-		}
-		// Broadcast pos_j to every non-coordinator user in subgroup j.
-		for u := 1; u < p.N; u++ {
-			meter.AddBytes(cost.IntraGroup, uvarintLen(uint64(pos[g.part.SubgroupOfUser(u)])))
-		}
-	}
-
-	// Lines 9–10: indicator vector(s) at the query index (Eqn 12).
-	qi := g.part.QueryIndex(seg, xs)
-	msg := &QueryMsg{
-		Variant: p.Variant, K: p.K, Agg: p.Agg,
-		Theta0: p.Theta0, Gamma: p.Gamma, Eta: p.Eta, Phi: p.Phi,
-		Sanitize: !p.NoSanitize, Include: p.IncludeIDs,
-		PK:   g.encPublic().N,
-		NBar: g.part.NBar, DBar: g.part.DBar, Delta: p.Delta,
-	}
-	var err error
-	switch p.Variant {
-	case VariantPPGNN:
-		msg.V, err = g.encryptIndicator(g.part.DeltaPrime, qi, 1, meter)
-		if err != nil {
+	plan, sets := g.plan, g.sets
+	if plan == nil {
+		var err error
+		if plan, err = g.Plan(len(g.Locations)); err != nil {
 			return nil, nil, err
 		}
-	case VariantOPT:
-		omega := OptimalOmega(g.part.DeltaPrime)
-		cols := (g.part.DeltaPrime + omega - 1) / omega
-		msg.V1, err = g.encryptIndicator(cols, qi%cols, 1, meter)
-		if err != nil {
-			return nil, nil, err
-		}
-		msg.V2, err = g.encryptIndicator(omega, qi/cols, 2, meter)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-
-	// Lines 12–15: each user builds a location set with the real location
-	// at their subgroup's broadcast position (or reuses the cached one).
-	var locs []*LocationMsg
-	if g.CacheSets && g.cached != nil {
-		locs = g.cached.locs
-	} else {
-		locs = make([]*LocationMsg, p.N)
-		for u := 0; u < p.N; u++ {
-			j := g.part.SubgroupOfUser(u)
-			set := g.Gen.LocationSet(g.Rng, g.Locations[u], p.D, pos[j], p.Space)
-			locs[u] = &LocationMsg{UserID: u, Set: set}
+		// Lines 12–15: each user builds a location set with the real
+		// location at the position broadcast to their subgroup.
+		p := g.Params
+		sets = make([]*LocationMsg, len(g.Locations))
+		for u, loc := range g.Locations {
+			if u > 0 {
+				meter.AddBytes(cost.IntraGroup, uvarintLen(uint64(plan.PosFor(u))))
+			}
+			set := g.Gen.LocationSet(g.Rng, loc, plan.SetSize(p), plan.PosFor(u), p.Space)
+			sets[u] = &LocationMsg{UserID: u, Set: set}
 		}
 		if g.CacheSets {
-			g.cached = &cachedQuery{seg: seg, xs: xs, locs: locs}
+			g.plan, g.sets = plan, sets
 		}
 	}
-	return msg, locs, nil
-}
-
-// buildNaive implements the strawman of Section 4: every user sends δ
-// locations aligned at a common random position.
-func (g *Group) buildNaive(meter *cost.Meter) (*QueryMsg, []*LocationMsg, error) {
-	p := g.Params
-	var pos int
-	if g.CacheSets && g.cached != nil {
-		pos = g.cached.pos
-	} else {
-		pos = g.Rng.Intn(p.Delta)
-		for u := 1; u < p.N; u++ {
-			meter.AddBytes(cost.IntraGroup, uvarintLen(uint64(pos)))
-		}
-	}
-	msg := &QueryMsg{
-		Variant: VariantNaive, K: p.K, Agg: p.Agg,
-		Theta0: p.Theta0, Gamma: p.Gamma, Eta: p.Eta, Phi: p.Phi,
-		Sanitize: !p.NoSanitize, Include: p.IncludeIDs,
-		PK: g.encPublic().N, Delta: p.Delta,
-	}
-	var err error
-	msg.V, err = g.encryptIndicator(p.Delta, pos, 1, meter)
+	meter.AddTime(cost.Users, time.Since(start))
+	q, err := g.Coordinator.BuildQuery(plan, meter)
 	if err != nil {
 		return nil, nil, err
 	}
-	var locs []*LocationMsg
-	if g.CacheSets && g.cached != nil {
-		locs = g.cached.locs
-	} else {
-		locs = make([]*LocationMsg, p.N)
-		for u := 0; u < p.N; u++ {
-			set := g.Gen.LocationSet(g.Rng, g.Locations[u], p.Delta, pos, p.Space)
-			locs[u] = &LocationMsg{UserID: u, Set: set}
-		}
-		if g.CacheSets {
-			g.cached = &cachedQuery{pos: pos, locs: locs}
-		}
-	}
-	return msg, locs, nil
+	return q, sets, nil
 }
 
-// encPublic returns the public key the indicator vectors are encrypted
-// under: the coordinator's own key, or the shared threshold key.
-func (g *Group) encPublic() *paillier.PublicKey {
-	if g.encOverride != nil {
-		return g.encOverride
-	}
-	return &g.Key.PublicKey
-}
-
-// encryptIndicator returns the element-wise encryption of the length-n
-// indicator vector with a 1 at index one, under ε_degree. Pooled offline
-// randomness (Precompute) is used when available (the pools are tied to
-// the coordinator key, so threshold mode encrypts online).
-func (g *Group) encryptIndicator(n, one, degree int, meter *cost.Meter) ([]*big.Int, error) {
-	pre := g.pre1
-	if degree == 2 {
-		pre = g.pre2
-	}
-	if g.encOverride != nil {
-		pre = nil
-	}
-	return encryptIndicatorVec(g.encPublic(), pre, g.EncCache, n, one, degree, meter)
-}
-
-// encryptIndicatorVec is the shared indicator-encryption core used by
-// Group (shared-memory protocol) and Coordinator (distributed sessions):
-// element-wise encryption of the length-n indicator with a 1 at index
-// one, under ε_degree of pk, drawing from pre when non-nil and going
-// through the shared constant cache when ec is non-nil.
-func encryptIndicatorVec(pk *paillier.PublicKey, pre *paillier.Precomputer, ec *paillier.EncCache, n, one, degree int, meter *cost.Meter) ([]*big.Int, error) {
-	if one < 0 || one >= n {
-		return nil, fmt.Errorf("core: indicator index %d outside [0,%d)", one, n)
-	}
-	bitVal := big.NewInt(0)
-	oneVal := big.NewInt(1)
-	ms := make([]*big.Int, n)
-	for i := range ms {
-		ms[i] = bitVal
-	}
-	ms[one] = oneVal
-	// Fan the n encryptions across the process-default worker pool,
-	// draining pooled offline randomness first when a Precomputer is
-	// given (the pooled/online split feeds the paper's cost model).
-	var (
-		cts    []*paillier.Ciphertext
-		pooled int
-		err    error
-	)
-	switch {
-	case ec != nil:
-		cts, pooled, err = ec.EncryptBatch(context.Background(), nil, nil, pk, pre, ms, degree)
-	case pre != nil:
-		cts, pooled, err = pre.EncryptBatch(context.Background(), nil, nil, ms)
-	default:
-		cts, err = pk.EncryptBatch(context.Background(), nil, nil, ms, degree)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("core: encrypting indicator: %w", err)
-	}
-	out := make([]*big.Int, n)
-	for i, ct := range cts {
-		out[i] = ct.C
-	}
-	meter.CountOp(fmt.Sprintf("enc%d", degree), int64(n-pooled))
-	if pooled > 0 {
-		meter.CountOp(fmt.Sprintf("enc%d-pooled", degree), int64(pooled))
-	}
-	return out, nil
-}
-
-// DecryptAnswer decrypts and decodes the LSP's answer, and accounts for the
-// coordinator broadcasting the plaintext answer to the other users.
+// DecryptAnswer decrypts and decodes the LSP's answer — the coordinator
+// alone with a sole key, the first TK.T users jointly under a threshold
+// key — and accounts for the coordinator broadcasting the plaintext
+// answer to the other users.
 func (g *Group) DecryptAnswer(ans *AnswerMsg, meter *cost.Meter) ([]encode.Record, error) {
-	start := time.Now()
-	defer func() { meter.AddTime(cost.Users, time.Since(start)) }()
-
-	wantDegree := 1
-	if g.Params.Variant == VariantOPT {
-		wantDegree = 2
-	}
-	if ans.Degree != wantDegree {
-		return nil, fmt.Errorf("core: answer degree %d, want %d", ans.Degree, wantDegree)
-	}
-	ints, err := decryptAnswerInts(g.Key, ans)
-	if err != nil {
-		return nil, err
-	}
-	meter.CountOp(fmt.Sprintf("dec%d", ans.Degree), int64(len(ints)))
-
-	codec := encode.Codec{ModulusBits: g.Key.N.BitLen(), IncludeID: g.Params.IncludeIDs}
-	records, err := codec.Decode(ints)
-	if err != nil {
-		return nil, fmt.Errorf("core: decoding answer: %w", err)
-	}
-	// Coordinator broadcasts the plaintext answer to the other n−1 users.
-	if g.Params.N > 1 {
-		recBytes := 8
-		if g.Params.IncludeIDs {
-			recBytes = 16
+	return g.Decrypt(ans, len(g.Locations), meter, func(degree int, cts []*big.Int) (map[int][]*big.Int, error) {
+		start := time.Now()
+		defer func() { meter.AddTime(cost.Users, time.Since(start)) }()
+		shares := make(map[int][]*big.Int, g.TK.T)
+		for _, ks := range g.Shares[1:g.TK.T] {
+			vec, err := g.partial(ks, degree, cts)
+			if err != nil {
+				return nil, err
+			}
+			shares[ks.Index] = vec
 		}
-		meter.AddBytes(cost.IntraGroup, (g.Params.N-1)*(1+len(records)*recBytes))
-	}
-	return records, nil
-}
-
-// decryptAnswerInts decrypts the answer vector with the sole key, fanning
-// the per-element CRT decryptions across the process-default worker pool
-// (a double layered unwrap per element for the OPT degree-2 answer).
-func decryptAnswerInts(key *paillier.PrivateKey, ans *AnswerMsg) ([]*big.Int, error) {
-	cts := make([]*paillier.Ciphertext, len(ans.Cts))
-	for i, c := range ans.Cts {
-		cts[i] = &paillier.Ciphertext{C: c, S: ans.Degree}
-	}
-	var (
-		ints []*big.Int
-		err  error
-	)
-	if ans.Degree == 2 {
-		ints, err = key.DecryptLayeredBatch(context.Background(), nil, cts, 2)
-	} else {
-		ints, err = key.DecryptBatch(context.Background(), nil, cts)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("core: decrypting answer: %w", err)
-	}
-	return ints, nil
+		// The share exchange: T shares of (degree+1)·KeyBytes per ciphertext.
+		meter.AddBytes(cost.IntraGroup, len(cts)*g.TK.T*(degree+1)*g.KeyBytes())
+		return shares, nil
+	})
 }
 
 // Result is a decoded, dequantized query answer.
@@ -472,37 +189,41 @@ func (g *Group) Run(svc Service, meter *cost.Meter) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	meter.AddBytes(cost.UserToLSP, len(q.Marshal()))
-	for _, lm := range locs {
-		meter.AddBytes(cost.UserToLSP, len(lm.Marshal()))
-	}
-	ans, err := svc.Process(q, locs)
+	ans, err := RoundTrip(svc, obs.TraceContext{}, q, locs, meter)
 	if err != nil {
 		return nil, err
 	}
-	meter.AddBytes(cost.LSPToUser, len(ans.Marshal()))
 	records, err := g.DecryptAnswer(ans, meter)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Records: records, Points: make([]geo.Point, len(records))}
-	for i, r := range records {
-		res.Points[i] = r.Point(g.Params.Space)
-	}
-	return res, nil
+	return g.Finish(records), nil
 }
 
-// sampleSegment draws a segment index from the distribution (Eqn 11).
-func sampleSegment(rng *rand.Rand, dist []float64) int {
-	u := rng.Float64()
-	acc := 0.0
-	for i, p := range dist {
-		acc += p
-		if u < acc {
-			return i
-		}
+// RoundTrip sends the query and its location sets to the LSP and returns
+// the answer, charging both directions to the meter. A traced context is
+// handed across the Service boundary when svc can carry it (transport
+// clients propagate the id on the wire, LocalService annotates the LSP
+// attributes directly); otherwise it is plain Process.
+func RoundTrip(svc Service, tc obs.TraceContext, q *QueryMsg, locs []*LocationMsg, meter *cost.Meter) (*AnswerMsg, error) {
+	meter.AddBytes(cost.UserToLSP, len(q.Marshal()))
+	for _, lm := range locs {
+		meter.AddBytes(cost.UserToLSP, len(lm.Marshal()))
 	}
-	return len(dist) - 1
+	var (
+		ans *AnswerMsg
+		err error
+	)
+	if ts, ok := svc.(TracedService); ok && tc.Traced() {
+		ans, err = ts.ProcessTraced(tc, q, locs)
+	} else {
+		ans, err = svc.Process(q, locs)
+	}
+	if err != nil {
+		return nil, err
+	}
+	meter.AddBytes(cost.LSPToUser, len(ans.Marshal()))
+	return ans, nil
 }
 
 // uvarintLen returns the encoded size of v, used to cost tiny broadcasts.

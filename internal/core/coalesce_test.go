@@ -181,7 +181,7 @@ func TestGroupRefillAndCache(t *testing.T) {
 	defer stop()
 	// Let the refiller reach its floor before querying, so the queries
 	// observably draw pooled factors.
-	for deadline := time.Now().Add(10 * time.Second); g.pre1.Size() == 0; {
+	for deadline := time.Now().Add(10 * time.Second); g.pre[0].Size() == 0; {
 		if time.Now().After(deadline) {
 			t.Fatal("refiller never filled the pool")
 		}
@@ -202,7 +202,7 @@ func TestGroupRefillAndCache(t *testing.T) {
 	if g.EncCache.Len() == 0 {
 		t.Fatal("indicator encryptions never populated the constant cache")
 	}
-	if g.pre1.Taken() == 0 {
+	if g.pre[0].Taken() == 0 {
 		t.Fatal("refilled pool was never drawn from")
 	}
 	// Stop is idempotent and the group keeps working afterwards.

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"math/big"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"ppgnn/internal/cost"
@@ -595,6 +597,36 @@ func TestMaxCandidatesCap(t *testing.T) {
 		t.Fatal("LSP accepted a query above its candidate cap")
 	}
 	lsp.MaxCandidates = 0 // default cap is permissive
+
+	// A hostile shape is refused from the message alone, before its
+	// candidate list or partition layout exists: n=4 users in singleton
+	// subgroups over one 25-wide segment imply δ' = 25⁴ = 390,625 from a
+	// 240 KB OPT query (59 MB allocated, and a layout pinned in the
+	// process-wide cache, when the cap was checked after materializing).
+	one := new(big.Int).Lsh(big.NewInt(1), 200)
+	hostile := &QueryMsg{
+		Variant: VariantOPT, K: 1, PK: one, Delta: 100,
+		NBar: []int{1, 1, 1, 1}, DBar: []int{25},
+		V1: make([]*big.Int, 625), V2: make([]*big.Int, 625),
+	}
+	for i := range hostile.V1 {
+		hostile.V1[i], hostile.V2[i] = one, one
+	}
+	sets := make([]*LocationMsg, 4)
+	for u := range sets {
+		sets[u] = &LocationMsg{UserID: u, Set: randomLocations(rng, 25)}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = lsp.Process(hostile, sets, nil)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("LSP accepted a query implying 390,625 candidates")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<20 {
+		t.Fatalf("rejecting the over-cap query allocated %d bytes", grew)
+	}
+
 	if _, err := g.Run(LocalService{LSP: lsp}, nil); err != nil {
 		t.Fatalf("default cap rejected a normal query: %v", err)
 	}

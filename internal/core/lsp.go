@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/big"
 	"math/rand"
-	"sort"
 	"time"
 
 	"ppgnn/internal/cost"
@@ -137,8 +136,8 @@ func (l *LSP) Delete(it rtree.Item) bool { return l.tree.Delete(it) }
 // selection. The meter (may be nil) accumulates the LSP computational cost
 // and operation counts.
 func (l *LSP) Process(q *QueryMsg, locs []*LocationMsg, meter *cost.Meter) (ans *AnswerMsg, err error) {
-	start := nowFunc()
-	defer func() { meter.AddTime(cost.LSP, nowFunc().Sub(start)) }()
+	start := time.Now()
+	defer func() { meter.AddTime(cost.LSP, time.Since(start)) }()
 
 	if err := l.validateQuery(q, locs); err != nil {
 		return nil, err
@@ -157,13 +156,6 @@ func (l *LSP) Process(q *QueryMsg, locs []*LocationMsg, meter *cost.Meter) (ans 
 	candidates, err := l.candidates(q, ordered)
 	if err != nil {
 		return nil, err
-	}
-	maxCand := l.MaxCandidates
-	if maxCand <= 0 {
-		maxCand = DefaultMaxCandidates
-	}
-	if len(candidates) > maxCand {
-		return nil, fmt.Errorf("core: query implies %d candidate queries, above this LSP's limit %d", len(candidates), maxCand)
 	}
 	meter.CountOp("candidates", int64(len(candidates)))
 
@@ -230,11 +222,19 @@ func (l *LSP) Process(q *QueryMsg, locs []*LocationMsg, meter *cost.Meter) (ans 
 	}
 }
 
-// nowFunc is swappable in tests.
-var nowFunc = time.Now
-
-// validateQuery checks message consistency against the location sets.
+// validateQuery checks message consistency against the location sets,
+// and bounds δ' from the message's shape alone: the candidate list, the
+// partition layout (memoized process-wide per shape) and the answer matrix
+// all grow with it, so an over-cap query must be refused before any of
+// them exists.
 func (l *LSP) validateQuery(q *QueryMsg, locs []*LocationMsg) error {
+	maxCand := l.MaxCandidates
+	if maxCand <= 0 {
+		maxCand = DefaultMaxCandidates
+	}
+	if dp := q.CandidateCount(); dp > maxCand {
+		return fmt.Errorf("core: query implies %d candidate queries, above this LSP's limit %d", dp, maxCand)
+	}
 	if len(locs) == 0 {
 		return fmt.Errorf("core: no location sets")
 	}
@@ -287,14 +287,10 @@ func (l *LSP) candidates(q *QueryMsg, ordered [][]geo.Point) ([][]geo.Point, err
 		return out, nil
 	}
 
-	deltaPrime := 0
-	alpha := len(q.NBar)
-	for _, di := range q.DBar {
-		deltaPrime += intPow(di, alpha)
-	}
+	deltaPrime := q.CandidateCount()
 	params := partition.Params{
 		N: n, D: d, Delta: q.Delta,
-		Alpha: alpha, NBar: q.NBar, DBar: q.DBar,
+		Alpha: len(q.NBar), NBar: q.NBar, DBar: q.DBar,
 		DeltaPrime: deltaPrime,
 	}
 	if err := params.Validate(); err != nil {
@@ -315,12 +311,15 @@ func (l *LSP) candidates(q *QueryMsg, ordered [][]geo.Point) ([][]geo.Point, err
 	return params.Candidates(ordered)
 }
 
-func intPow(b, e int) int {
-	r := 1
-	for i := 0; i < e; i++ {
-		r *= b
+// CandidateCount returns the candidate-query count δ' the query implies,
+// from its shape alone and saturating rather than overflowing on a
+// hostile one. The LSP bounds it before materializing anything; trace
+// attributes bucket it, and it never enters a trace raw.
+func (q *QueryMsg) CandidateCount() int {
+	if q.Variant == VariantNaive {
+		return q.Delta
 	}
-	return r
+	return partition.CandidateCount(len(q.NBar), q.DBar)
 }
 
 // selectSinglePhase computes A ⨂ [v] (Theorem 3.1) and returns m ε_1
@@ -429,10 +428,4 @@ func OptimalOmega(deltaPrime int) int {
 		omega = deltaPrime
 	}
 	return omega
-}
-
-// sortLocations orders location messages by user ID (stable input for
-// Process callers that collected them out of order).
-func sortLocations(locs []*LocationMsg) {
-	sort.Slice(locs, func(i, j int) bool { return locs[i].UserID < locs[j].UserID })
 }

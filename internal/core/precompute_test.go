@@ -5,30 +5,45 @@ import (
 	"testing"
 
 	"ppgnn/internal/cost"
+	"ppgnn/internal/paillier"
 )
 
 // Precomputed randomness must not change answers, must drain the pool, and
-// must shift encryption work offline (the enc1 vs enc1-pooled op counters).
+// must shift encryption work offline (the enc1 vs enc1-pooled op counters)
+// — under a threshold key as under a sole one, the pools holding factors
+// for the public key either way.
 func TestGroupPrecompute(t *testing.T) {
 	lsp := testLSP(1500)
-	for _, variant := range []Variant{VariantPPGNN, VariantOPT} {
+	for _, tc := range []struct {
+		variant   Variant
+		threshold int // t of a (t, 3) key; 0 = sole key
+	}{{VariantPPGNN, 0}, {VariantOPT, 0}, {VariantPPGNN, 2}} {
+		variant := tc.variant
 		p := testParams(3, variant)
+		if tc.threshold > 0 {
+			p = thresholdTestParams(3, variant)
+		}
 		p.NoSanitize = true
 		locs := randomLocations(rand.New(rand.NewSource(3)), 3)
+		newGroup := func() (g *Group) {
+			var err error
+			if rng := rand.New(rand.NewSource(7)); tc.threshold > 0 {
+				g, err = NewThresholdGroup(p, locs, rng, tc.threshold)
+			} else {
+				g, err = NewGroup(p, locs, rng)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			return g
+		}
 
-		plain, err := NewGroup(p, locs, rand.New(rand.NewSource(7)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resPlain, err := plain.Run(LocalService{LSP: lsp}, nil)
+		resPlain, err := newGroup().Run(LocalService{LSP: lsp}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 
-		pooled, err := NewGroup(p, locs, rand.New(rand.NewSource(7)))
-		if err != nil {
-			t.Fatal(err)
-		}
+		pooled := newGroup()
 		if _, err := pooled.Precompute(pooled.DeltaPrime() + 8); err != nil {
 			t.Fatal(err)
 		}
@@ -56,6 +71,11 @@ func TestGroupPrecompute(t *testing.T) {
 		if variant == VariantOPT && ops["enc2-pooled"] == 0 {
 			t.Fatalf("OPT: no pooled ε2 encryptions: %v", ops)
 		}
+		stop, err := pooled.StartRefill(paillier.RefillerOptions{Min: 1})
+		if err != nil {
+			t.Fatalf("%v threshold=%d: StartRefill: %v", variant, tc.threshold, err)
+		}
+		stop()
 	}
 }
 

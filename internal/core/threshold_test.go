@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"testing"
+	"time"
 
 	"ppgnn/internal/cost"
 )
@@ -22,9 +23,18 @@ func TestThresholdGroupEndToEnd(t *testing.T) {
 		p.NoSanitize = true
 		locs := randomLocations(rand.New(rand.NewSource(1)), 4)
 
+		start := time.Now()
 		tg, err := NewThresholdGroup(p, locs, rand.New(rand.NewSource(2)), 3)
 		if err != nil {
 			t.Fatalf("%v: %v", variant, err)
+		}
+		// No sole key is generated beside the threshold one, and none is
+		// timed: nobody in the group can decrypt alone.
+		if tg.Key != nil {
+			t.Fatalf("%v: threshold group holds a sole private key", variant)
+		}
+		if tg.KeygenTime <= 0 || tg.KeygenTime > time.Since(start) {
+			t.Fatalf("%v: KeygenTime %v outside the constructor's own %v", variant, tg.KeygenTime, time.Since(start))
 		}
 		var m cost.Meter
 		res, err := tg.Run(LocalService{LSP: lsp, Meter: &m}, &m)

@@ -48,31 +48,6 @@ type TracedService interface {
 	ProcessTraced(tc obs.TraceContext, q *QueryMsg, locs []*LocationMsg) (*AnswerMsg, error)
 }
 
-// ProcessMaybeTraced dispatches to ProcessTraced when svc supports it
-// and the context carries a trace, and to plain Process otherwise.
-func ProcessMaybeTraced(svc Service, tc obs.TraceContext, q *QueryMsg, locs []*LocationMsg) (*AnswerMsg, error) {
-	if ts, ok := svc.(TracedService); ok && tc.Traced() {
-		return ts.ProcessTraced(tc, q, locs)
-	}
-	return svc.Process(q, locs)
-}
-
-// CandidateCount returns the candidate-query count δ' the query
-// implies, mirroring the LSP's candidate materialization without
-// running it. Trace attributes bucket this value; it never enters a
-// trace raw.
-func (q *QueryMsg) CandidateCount() int {
-	if q.Variant == VariantNaive {
-		return q.Delta
-	}
-	deltaPrime := 0
-	alpha := len(q.NBar)
-	for _, di := range q.DBar {
-		deltaPrime += intPow(di, alpha)
-	}
-	return deltaPrime
-}
-
 // resolvedWorkers maps the Workers knob to the effective pool width
 // (the same resolution LSP.pool applies).
 func (l *LSP) resolvedWorkers() int {

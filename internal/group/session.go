@@ -14,7 +14,6 @@ import (
 
 	"ppgnn/internal/core"
 	"ppgnn/internal/cost"
-	"ppgnn/internal/encode"
 	"ppgnn/internal/obs"
 	"ppgnn/internal/wire"
 )
@@ -150,6 +149,9 @@ type Session struct {
 // (share index i+2, the coordinator keeping index 1).
 func NewSession(coord *core.Coordinator, links []Link, cfg Config) (*Session, error) {
 	n := coord.Params.N
+	if n < 2 {
+		return nil, fmt.Errorf("group: a session needs n ≥ 2, got %d", n)
+	}
 	if len(links) != n-1 {
 		return nil, fmt.Errorf("group: %d links for a roster of %d members", len(links), n)
 	}
@@ -308,39 +310,28 @@ func (s *Session) Run(ctx context.Context, svc core.Service) (out *Outcome, err 
 		s.phase = PhaseFailed
 		return s.outcome(nil, contributors, rounds), err
 	}
-	s.cfg.Meter.AddBytes(cost.UserToLSP, len(qm.Marshal()))
-	for _, lm := range locs {
-		s.cfg.Meter.AddBytes(cost.UserToLSP, len(lm.Marshal()))
-	}
-	// Traced sessions hand the query node across the Service boundary:
-	// transport clients propagate the id to the LSP on the wire,
-	// LocalService annotates the LSP attributes directly.
-	ans, perr := core.ProcessMaybeTraced(svc, tr.Context(qnode), qm, locs)
+	ans, perr := core.RoundTrip(svc, tr.Context(qnode), qm, locs, s.cfg.Meter)
 	qsp.End(groupOutcome(perr))
 	if perr != nil {
 		s.phase = PhaseFailed
 		err = perr
 		return s.outcome(nil, contributors, rounds), err
 	}
-	s.cfg.Meter.AddBytes(cost.LSPToUser, len(ans.Marshal()))
 
+	// Decrypt: the coordinator alone with a sole key, one joint round per
+	// ciphertext layer with the members' shares under a threshold key.
 	s.phase = PhaseDecrypt
 	dsp := s.reg.StartSpan("decrypt").Attach(tr.Root().Child("decrypt"))
 	s.curSpan = dsp
-	records, err := s.decrypt(ctx, ans)
+	records, err := s.coord.Decrypt(ans, len(locs), s.cfg.Meter, func(degree int, cts []*big.Int) (map[int][]*big.Int, error) {
+		return s.partialRound(ctx, degree, cts)
+	})
 	s.curSpan = nil
 	dsp.End(groupOutcome(err))
 	if err != nil {
 		s.phase = PhaseFailed
 		return s.outcome(nil, contributors, rounds), err
 	}
-	// Coordinator broadcasts the plaintext answer to the other
-	// contributors, as in Group.DecryptAnswer.
-	recBytes := 8
-	if s.coord.Params.IncludeIDs {
-		recBytes = 16
-	}
-	s.cfg.Meter.AddBytes(cost.IntraGroup, (len(locs)-1)*(1+len(records)*recBytes))
 
 	s.phase = PhaseDone
 	return s.outcome(s.coord.Finish(records), contributors, rounds), nil
@@ -492,41 +483,15 @@ func (s *Session) staleVerdict(m *memberState, round int, payload []byte) (verdi
 	return vSkip, nil
 }
 
-// decrypt recovers the answer records: directly in plain mode, via joint
-// partial-decryption rounds in threshold mode (two layers for OPT).
-func (s *Session) decrypt(ctx context.Context, ans *core.AnswerMsg) ([]encode.Record, error) {
-	if s.coord.TK == nil {
-		return s.coord.DecryptAnswer(ans, s.cfg.Meter)
-	}
-	if ans.Degree != s.coord.AnswerDegree() {
-		return nil, fmt.Errorf("group: answer degree %d, want %d", ans.Degree, s.coord.AnswerDegree())
-	}
-	cts := ans.Cts
-	for degree := ans.Degree; degree >= 1; degree-- {
-		ints, err := s.decryptLayer(ctx, degree, cts)
-		if err != nil {
-			return nil, err
-		}
-		cts = ints
-	}
-	return s.coord.DecodeInts(cts)
-}
-
-// decryptLayer runs one joint decryption round: the coordinator's own
-// shares plus the first T−1 valid member responses win; stragglers are
-// cancelled, invalid shares eject their member, and a roster that can no
-// longer field T share-holders fails fast.
-func (s *Session) decryptLayer(ctx context.Context, degree int, cts []*big.Int) ([]*big.Int, error) {
+// partialRound runs the members' half of one joint decryption layer: the
+// first T−1 valid member responses win (the coordinator adds its own
+// share); stragglers are cancelled, invalid shares eject their member, and
+// a roster that can no longer field T share-holders fails fast.
+func (s *Session) partialRound(ctx context.Context, degree int, cts []*big.Int) (map[int][]*big.Int, error) {
 	defer s.countRound("decrypt", time.Now())
 	tk := s.coord.TK
 	round := s.round
 	s.round++
-
-	self, err := s.coord.PartialSelf(degree, cts)
-	if err != nil {
-		return nil, err
-	}
-	shares := map[int][]*big.Int{s.coord.Share.Index: self}
 
 	roster := s.roster()
 	if len(roster)+1 < tk.T {
@@ -566,14 +531,16 @@ func (s *Session) decryptLayer(ctx context.Context, degree int, cts []*big.Int) 
 			<-ch
 		}
 	}()
-	for len(shares) < tk.T && pending > 0 {
+	// The coordinator's own share is the +1 toward T throughout.
+	shares := make(map[int][]*big.Int, tk.T)
+	for len(shares)+1 < tk.T && pending > 0 {
 		select {
 		case r := <-ch:
 			pending--
 			if r.err != nil {
 				s.drop(r.id, r.err)
-				if len(shares)+pending < tk.T {
-					return nil, s.quorumLost("decrypt", tk.T, len(shares)+pending)
+				if len(shares)+1+pending < tk.T {
+					return nil, s.quorumLost("decrypt", tk.T, len(shares)+1+pending)
 				}
 				continue
 			}
@@ -582,10 +549,10 @@ func (s *Session) decryptLayer(ctx context.Context, degree int, cts []*big.Int) 
 			return nil, ctx.Err()
 		}
 	}
-	if len(shares) < tk.T {
-		return nil, s.quorumLost("decrypt", tk.T, len(shares))
+	if len(shares)+1 < tk.T {
+		return nil, s.quorumLost("decrypt", tk.T, len(shares)+1)
 	}
-	return s.coord.CombinePartials(degree, cts, shares, s.cfg.Meter)
+	return shares, nil
 }
 
 // partialOne requests one member's decryption shares, validating them

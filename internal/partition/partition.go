@@ -47,6 +47,20 @@ func powSat(base, exp int) int64 {
 	return r
 }
 
+// CandidateCount returns δ' = Σ_i d̄_i^α for a shape nobody has validated
+// yet, saturating at math.MaxInt instead of overflowing (a non-positive
+// d̄_i may saturate too; Validate rejects it by name). Callers bound it
+// before allocating anything of that size.
+func CandidateCount(alpha int, dBar []int) int {
+	total := int64(0)
+	for _, v := range dBar {
+		if total += powSat(v, alpha); total >= satCap || total > math.MaxInt {
+			return math.MaxInt
+		}
+	}
+	return int(total)
+}
+
 type solveKey struct{ n, d, delta int }
 
 var (

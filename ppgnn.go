@@ -101,24 +101,27 @@ type Server = core.LSP
 // NewServer builds an LSP over the POI database.
 func NewServer(pois []POI, space Rect) *Server { return core.NewLSP(pois, space) }
 
-// Group is the client side: the n users and their coordinator.
+// Group is the client side with all n users in one process: a
+// Coordinator (user 0) plus the other users' locations in shared memory.
+// GroupSession is the same coordinator over member links.
 type Group = core.Group
 
 // NewGroup validates parameters, solves the partition-parameter program
-// (Eqn 7–10), and generates the group's key pair. A nil rng seeds from the
-// current time.
+// (Eqn 7–10), and generates the coordinator's key pair. A nil rng seeds
+// from the current time.
 func NewGroup(p Params, locations []Point, rng *rand.Rand) (*Group, error) {
 	return core.NewGroup(p, locations, rng)
 }
 
 // ThresholdGroup is a Group whose answer decryption requires t of the n
 // users to cooperate (no single user — coordinator included — can decrypt
-// alone). See examples/threshold.
+// alone): the same type, holding a threshold key and the users' shares
+// instead of a sole key. See examples/threshold.
 type ThresholdGroup = core.ThresholdGroup
 
 // NewThresholdGroup builds a group with a (t, n)-threshold Paillier key
-// (Damgård–Jurik threshold decryption). Key generation uses safe primes
-// and is slower than NewGroup.
+// (Damgård–Jurik threshold decryption) and no sole key. Key generation
+// uses safe primes and is slower than NewGroup.
 func NewThresholdGroup(p Params, locations []Point, rng *rand.Rand, t int) (*ThresholdGroup, error) {
 	return core.NewThresholdGroup(p, locations, rng, t)
 }
@@ -187,12 +190,13 @@ func LoadDataset(r io.Reader) ([]POI, error) { return dataset.Load(r) }
 // LoadDatasetFile is LoadDataset over a path.
 func LoadDatasetFile(path string) ([]POI, error) { return dataset.LoadFile(path) }
 
-// Coordinator is the u_c side of a distributed group session: it holds
-// only its own location and key material, and collects the other members'
-// contributions over links (see GroupSession).
+// Coordinator is everything u_c does — key material, round plan,
+// indicator encryption, answer decryption — with only its own location.
+// A Group embeds one beside the other users' locations; a GroupSession
+// drives one against member links.
 type Coordinator = core.Coordinator
 
-// NewCoordinator builds a plain-mode coordinator for a roster of
+// NewCoordinator builds a sole-key coordinator for a roster of
 // p.N users (coordinator included); it alone can decrypt answers.
 func NewCoordinator(p Params, loc Point, rng *rand.Rand) (*Coordinator, error) {
 	return core.NewCoordinator(p, loc, rng)

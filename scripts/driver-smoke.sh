@@ -1,0 +1,31 @@
+#!/bin/sh
+# Driver-equivalence smoke test: one coordinator, two rosters, two kinds
+# of key. The same seeded three-user query through the shared-memory
+# Group (plain, and -threshold 2) and through a quorum session over
+# in-process links (-quorum-t 3, and with -threshold 2) must print the
+# same answer lines.
+set -eu
+
+workdir=$(mktemp -d)
+trap 'rm -rf "$workdir"' EXIT
+
+go build -o "$workdir/ppgnn" ./cmd/ppgnn
+
+run() {
+    "$workdir/ppgnn" -keybits 256 -seed 7 -no-sanitize "$@" \
+        0.2,0.3 0.25,0.35 0.22,0.4 2>/dev/null | sed -n '/^answer/,$p'
+}
+
+run >"$workdir/plain"
+[ "$(wc -l <"$workdir/plain")" -gt 1 ] || { echo "plain run printed no answer" >&2; exit 1; }
+
+for flags in "-threshold 2" "-quorum-t 3" "-quorum-t 3 -threshold 2"; do
+    # shellcheck disable=SC2086 # $flags is a flag list, split on purpose
+    run $flags >"$workdir/other"
+    if ! cmp -s "$workdir/plain" "$workdir/other"; then
+        echo "answer with [$flags] differs from the plain Group's:" >&2
+        diff "$workdir/plain" "$workdir/other" >&2 || true
+        exit 1
+    fi
+done
+echo "driver smoke: 4 drivers, $(($(wc -l <"$workdir/plain") - 1)) identical answer lines"
