@@ -27,9 +27,9 @@ race:
 	$(GO) test -race ./...
 
 # Short burst of every fuzz target (15s each by default; FUZZTIME=1m
-# for longer local runs).
+# for longer local runs). The script holds the package list.
 fuzz:
-	./scripts/fuzz-pass.sh ./internal/core ./internal/wire ./internal/modmath ./internal/svc ./internal/parallel
+	./scripts/fuzz-pass.sh
 
 # Seeded n=5 t=3 faultnet soak; writes per-phase p50/p95, retry/dropout
 # counters, and the Precomputer hit rate to BENCH_obs.json (DESIGN.md §9).

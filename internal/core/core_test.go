@@ -1,6 +1,9 @@
 package core
 
 import (
+	"bytes"
+	"errors"
+	"math"
 	"math/big"
 	"math/rand"
 	"runtime"
@@ -10,6 +13,7 @@ import (
 	"ppgnn/internal/dataset"
 	"ppgnn/internal/gnn"
 	"ppgnn/internal/rtree"
+	"ppgnn/internal/sanitize"
 
 	"ppgnn/internal/geo"
 )
@@ -579,6 +583,93 @@ func TestWorkersParallelSanitation(t *testing.T) {
 	for i := range res1b.Points {
 		if res1b.Points[i] != res2.Points[i] {
 			t.Fatalf("parallel vs sequential differ at rank %d", i)
+		}
+	}
+}
+
+// The sanitizer's working memory is reused from candidate to candidate
+// within a query and dropped after it; none of that may reach the answer.
+func TestSanitizedQueryRepeatsByteIdentical(t *testing.T) {
+	lsp := testLSP(1000)
+	rng := rand.New(rand.NewSource(72))
+	g, err := NewGroup(testParams(4, VariantPPGNN), randomLocations(rng, 4), rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, locs, err := g.BuildQuery(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := lsp.Process(q, locs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := lsp.Process(q, locs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first.Marshal(), second.Marshal()) {
+		t.Fatal("the same sanitised query processed twice on one LSP gave different answer bytes")
+	}
+}
+
+// The hypothesis-testing parameters are wire input and size the sanitizer's
+// sample set (N_H ∝ 1/(θ0·φ²)): values outside Theorem 5.1's ranges, or
+// implying more samples than sanitize.MaxSampleSize, are refused from the
+// message alone, typed, before anything is allocated for them.
+func TestHostileSanitationParams(t *testing.T) {
+	lsp := testLSP(500)
+	rng := rand.New(rand.NewSource(73))
+	g, err := NewGroup(testParams(3, VariantPPGNN), randomLocations(rng, 3), rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, locs, err := g.BuildQuery(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nan := math.NaN()
+	for _, tc := range []struct {
+		name                    string
+		theta0, gamma, eta, phi float64
+	}{
+		{"θ0 tiny: N_H ≈ 6e8", 1e-6, 0.05, 0.2, 0.1},
+		{"θ0 = 0", 0, 0.05, 0.2, 0.1},
+		{"θ0 < 0", -0.5, 0.05, 0.2, 0.1},
+		{"θ0 = 1", 1, 0.05, 0.2, 0.1},
+		{"θ0 > 1", 1.5, 0.05, 0.2, 0.1},
+		{"θ0 NaN", nan, 0.05, 0.2, 0.1},
+		{"θ0(1+φ) ≥ 1", 0.95, 0.05, 0.2, 0.1},
+		{"φ < 0", 0.05, 0.05, 0.2, -0.1},
+		{"φ NaN", 0.05, 0.05, 0.2, nan},
+		{"φ tiny: N_H ≈ 1e12", 0.05, 0.05, 0.2, 1e-6},
+		{"φ below float resolution", 0.05, 0.05, 0.2, 1e-300},
+		{"γ = 1", 0.05, 1, 0.2, 0.1},
+		{"γ < 0", 0.05, -1, 0.2, 0.1},
+		{"γ NaN", 0.05, nan, 0.2, 0.1},
+		{"η > 1", 0.05, 0.05, 1.5, 0.1},
+		{"η NaN", 0.05, 0.05, nan, 0.1},
+	} {
+		bad := *q
+		bad.Theta0, bad.Gamma, bad.Eta, bad.Phi = tc.theta0, tc.gamma, tc.eta, tc.phi
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := lsp.Process(&bad, locs, nil)
+		runtime.ReadMemStats(&after)
+		var pe *sanitize.ParamError
+		if !errors.As(err, &pe) {
+			t.Errorf("%s: error %v, want a *sanitize.ParamError", tc.name, err)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+			t.Errorf("%s: refusing the query allocated %d bytes", tc.name, alloc)
+		}
+	}
+	// The paper's whole range (Table 3) is served, defaults spelled as zeros.
+	for _, theta0 := range []float64{0.01, 0.05, 0.1} {
+		ok := *q
+		ok.Theta0, ok.Gamma, ok.Eta, ok.Phi = theta0, 0, 0, 0
+		if _, err := lsp.Process(&ok, locs, nil); err != nil {
+			t.Errorf("θ0=%v refused: %v", theta0, err)
 		}
 	}
 }

@@ -161,12 +161,20 @@ func (l *LSP) Process(q *QueryMsg, locs []*LocationMsg, meter *cost.Meter) (ans 
 
 	// Per-candidate: kGNN (line 3), sanitation (line 4), encoding (line 5).
 	codec := encode.Codec{ModulusBits: q.PK.BitLen(), IncludeID: q.Include}
-	sanCfg := sanitize.Config{
-		Theta0: q.Theta0, Gamma: q.Gamma, Eta: q.Eta, Phi: q.Phi,
-		Space: l.Space, Agg: q.Agg,
+	pool := l.cryptoPool()
+	sanitizing := q.Sanitize && n > 1
+	sanCfg := l.sanitizer(q)
+	// The sanitizer's working memory (≈100 bytes per Monte-Carlo sample,
+	// most of a megabyte at the paper's defaults) goes from candidate to
+	// candidate through a free list as wide as the pool, and is garbage
+	// once this query returns: a process-lifetime cache would sit in the
+	// live heap of an idle server.
+	var scratch chan *sanitize.Scratch
+	if sanitizing {
+		scratch = make(chan *sanitize.Scratch, pool.Workers())
 	}
 	encoded := make([][]*big.Int, len(candidates))
-	err = l.cryptoPool().ForEach(context.Background(), len(candidates), func(t int) (taskErr error) {
+	err = pool.ForEach(context.Background(), len(candidates), func(t int) (taskErr error) {
 		// A panic here would escape any recover installed by the caller
 		// (transport sessions recover per session); convert it into a
 		// query rejection so one hostile query cannot kill a serving
@@ -177,9 +185,19 @@ func (l *LSP) Process(q *QueryMsg, locs []*LocationMsg, meter *cost.Meter) (ans 
 			}
 		}()
 		res := l.Search(candidates[t], q.K, q.Agg)
-		if q.Sanitize && n > 1 {
+		if sanitizing {
+			var s *sanitize.Scratch
+			select {
+			case s = <-scratch:
+			default:
+				s = new(sanitize.Scratch)
+			}
 			rng := rand.New(rand.NewSource(l.SanitizeSeed + int64(t)))
-			res = sanCfg.Sanitize(rng, res, candidates[t])
+			res = sanCfg.SanitizeWith(s, rng, res, candidates[t])
+			select {
+			case scratch <- s:
+			default:
+			}
 		}
 		records := make([]encode.Record, len(res))
 		for i, r := range res {
@@ -198,7 +216,7 @@ func (l *LSP) Process(q *QueryMsg, locs []*LocationMsg, meter *cost.Meter) (ans 
 		return nil, err
 	}
 	meter.CountOp("kgnn", int64(len(candidates)))
-	if q.Sanitize && n > 1 {
+	if sanitizing {
 		meter.CountOp("sanitize", int64(len(candidates)))
 	}
 
@@ -228,6 +246,11 @@ func (l *LSP) Process(q *QueryMsg, locs []*LocationMsg, meter *cost.Meter) (ans 
 // all grow with it, so an over-cap query must be refused before any of
 // them exists.
 func (l *LSP) validateQuery(q *QueryMsg, locs []*LocationMsg) error {
+	if q.Sanitize && len(locs) > 1 {
+		if err := l.sanitizer(q).Validate(); err != nil {
+			return fmt.Errorf("core: %w", err)
+		}
+	}
 	maxCand := l.MaxCandidates
 	if maxCand <= 0 {
 		maxCand = DefaultMaxCandidates
@@ -262,6 +285,14 @@ func (l *LSP) validateQuery(q *QueryMsg, locs []*LocationMsg) error {
 		}
 	}
 	return nil
+}
+
+// sanitizer is the answer sanitizer the query asks for.
+func (l *LSP) sanitizer(q *QueryMsg) sanitize.Config {
+	return sanitize.Config{
+		Theta0: q.Theta0, Gamma: q.Gamma, Eta: q.Eta, Phi: q.Phi,
+		Space: l.Space, Agg: q.Agg,
+	}
 }
 
 // candidates materializes the candidate query list for the query variant.

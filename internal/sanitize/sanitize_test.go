@@ -1,12 +1,15 @@
 package sanitize
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
 	"ppgnn/internal/geo"
 	"ppgnn/internal/gnn"
 	"ppgnn/internal/rtree"
+	"ppgnn/internal/stats"
 )
 
 func defaultConfig(theta0 float64) Config {
@@ -23,13 +26,19 @@ func randomQuery(rng *rand.Rand, n int) []geo.Point {
 
 // answerFor computes a real top-k answer over a random database.
 func answerFor(rng *rand.Rand, query []geo.Point, k int) []gnn.Result {
+	return answerForAgg(rng, query, k, gnn.Sum)
+}
+
+func answerForAgg(rng *rand.Rand, query []geo.Point, k int, agg gnn.Aggregate) []gnn.Result {
 	items := make([]rtree.Item, 2000)
 	for i := range items {
 		items[i] = rtree.Item{ID: int64(i), P: geo.Point{X: rng.Float64(), Y: rng.Float64()}}
 	}
-	bf := &gnn.BruteForce{Items: items, Agg: gnn.Sum}
+	bf := &gnn.BruteForce{Items: items, Agg: agg}
 	return bf.Search(query, k)
 }
+
+var aggregates = []gnn.Aggregate{gnn.Sum, gnn.Max, gnn.Min}
 
 func TestSanitizeSingleUserUnchanged(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
@@ -150,18 +159,21 @@ func TestAttackThetaFullSpaceWithoutInequalities(t *testing.T) {
 }
 
 // The attack region must always contain the target's true location: the
-// real location satisfies the true inequalities by construction.
+// real location satisfies the true inequalities by construction. Planted as
+// the only sample, it must survive every inequality — to the last ulp
+// against the costs the engine ranked the answer by.
 func TestTrueLocationSatisfiesInequalities(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 20; trial++ {
-		q := randomQuery(rng, 4)
-		ans := answerFor(rng, q, 8)
-		for target := range q {
-			st := newAttackState(defaultConfig(0.05).withDefaults(), rng, ans, q, target, 1)
-			st.survivors[0] = q[target] // plant the true location as the sample
-			for ti := 1; ti < len(ans); ti++ {
-				if st.addInequality(ti) != 1 {
-					t.Fatalf("trial %d: true location excluded by inequality %d", trial, ti)
+		for _, agg := range aggregates {
+			q := randomQuery(rng, 4)
+			ans := answerForAgg(rng, q, 8, agg)
+			for target := range q {
+				var s Scratch
+				s.setLen(1)
+				s.xs[0], s.ys[0] = q[target].X, q[target].Y
+				if passed := s.attack(agg, ans, q, target, target+1, 0); passed != len(ans)-1 {
+					t.Fatalf("trial %d %v: true location of user %d excluded by inequality %d", trial, agg, target, passed+1)
 				}
 			}
 		}
@@ -269,5 +281,297 @@ func TestGridThetaEdgeCases(t *testing.T) {
 			}()
 			fn()
 		}()
+	}
+}
+
+// keepNaive is one step of the attack written the obvious way, over an
+// array of points: it appends to dst (which may be pts[:0]) those of pts at
+// which inequality t holds for target u, F(p_{t-1}) ≤ F(p_t) with l_u moved
+// to the point.
+func keepNaive(agg gnn.Aggregate, dst, pts []geo.Point, answer []gnn.Result, query []geo.Point, u, t int) []geo.Point {
+	fold := func(acc, d float64) float64 {
+		switch {
+		case agg == gnn.Sum:
+			return acc + d
+		case agg == gnn.Max && d > acc, agg == gnn.Min && d < acc:
+			return d
+		}
+		return acc
+	}
+	others := func(p geo.Point) float64 {
+		acc := 0.0
+		if agg == gnn.Min {
+			acc = math.Inf(1)
+		}
+		for j, l := range query {
+			if j != u {
+				acc = fold(acc, p.Dist(l))
+			}
+		}
+		return acc
+	}
+	pa, pb := answer[t-1].Item.P, answer[t].Item.P
+	parA, parB := others(pa), others(pb)
+	for _, x := range pts {
+		if fold(parA, pa.Dist(x)) <= fold(parB, pb.Dist(x)) {
+			dst = append(dst, x)
+		}
+	}
+	return dst
+}
+
+// referenceSanitize is the sanitizer as the paper states it and as this
+// package computed it before the targets shared their samples: every target
+// user gets N_H points of its own.
+func referenceSanitize(c Config, rng *rand.Rand, answer []gnn.Result, query []geo.Point) []gnn.Result {
+	c = c.withDefaults()
+	nh := c.SampleSize()
+	threshold := stats.ZTest{Theta0: c.Theta0, Gamma: c.Gamma}.Threshold(nh)
+	pts := make([][]geo.Point, len(query))
+	for u := range pts {
+		pts[u] = make([]geo.Point, nh)
+		for i := range pts[u] {
+			pts[u][i] = geo.Point{X: c.Space.Min.X + rng.Float64()*c.Space.Width(), Y: c.Space.Min.Y + rng.Float64()*c.Space.Height()}
+		}
+	}
+	for t := 1; t < len(answer); t++ {
+		for u := range query {
+			pts[u] = keepNaive(c.Agg, pts[u][:0], pts[u], answer, query, u, t)
+			if float64(len(pts[u])) <= threshold {
+				return answer[:t]
+			}
+		}
+	}
+	return answer
+}
+
+// checkAgainstNaive draws the sample set Sanitize would draw from seed and
+// runs the naive filter over the same points for every target, with no early
+// stop. The optimized evaluator must report the same survivor count for
+// every target after 1, 2, 4, 8, … and all inequalities, and Sanitize the
+// prefix those counts imply.
+func checkAgainstNaive(c Config, seed int64, answer []gnn.Result, query []geo.Point) error {
+	c = c.withDefaults()
+	var s Scratch
+	nh := c.SampleSize()
+	s.sample(rand.New(rand.NewSource(seed)), c.Space, nh)
+	pts := make([]geo.Point, nh)
+	for i := range pts {
+		pts[i] = geo.Point{X: s.xs[i], Y: s.ys[i]}
+	}
+	threshold := stats.ZTest{Theta0: c.Theta0, Gamma: c.Gamma}.Threshold(nh)
+
+	want := make([][]int, len(answer)) // want[t][u]: survivors of target u after t inequalities
+	safe := 1
+	alive := make([][]geo.Point, len(query))
+	for t := 1; t < len(answer); t++ {
+		want[t] = make([]int, len(query))
+		pass := safe == t
+		for u := range query {
+			if t == 1 {
+				alive[u] = keepNaive(c.Agg, make([]geo.Point, 0, nh/2), pts, answer, query, u, t)
+			} else {
+				alive[u] = keepNaive(c.Agg, alive[u][:0], alive[u], answer, query, u, t)
+			}
+			want[t][u] = len(alive[u])
+			pass = pass && float64(want[t][u]) > threshold
+		}
+		if pass {
+			safe = t + 1
+		}
+	}
+
+	for t := 1; t < len(answer); t++ {
+		if t&(t-1) != 0 && t != len(answer)-1 {
+			continue
+		}
+		if passed := s.attack(c.Agg, answer[:t+1], query, 0, len(query), -1); passed != t {
+			return fmt.Errorf("attack with no threshold stopped after %d of %d inequalities", passed, t)
+		}
+		for u, w := range want[t] {
+			if s.count[u] != w {
+				return fmt.Errorf("target %d after %d inequalities: %d survivors, naive filter has %d", u, t, s.count[u], w)
+			}
+		}
+	}
+	got := c.Sanitize(rand.New(rand.NewSource(seed)), answer, query)
+	if len(got) != safe || &got[0] != &answer[0] {
+		return fmt.Errorf("Sanitize kept %d POIs, naive filter over the same samples keeps %d", len(got), safe)
+	}
+	return nil
+}
+
+func TestFilterMatchesNaive(t *testing.T) {
+	t.Parallel() // with TestPrivacyIVMissRate: the two are nine tenths of the package's run
+	rng := rand.New(rand.NewSource(31))
+	for _, agg := range aggregates {
+		for _, n := range []int{2, 8, 32} {
+			for _, k := range []int{2, 8, 32} {
+				for _, theta0 := range []float64{0.01, 0.05, 0.1} {
+					q := randomQuery(rng, n)
+					ans := answerForAgg(rng, q, k, agg)
+					cfg := Config{Theta0: theta0, Space: geo.UnitRect, Agg: agg}
+					if err := checkAgainstNaive(cfg, rng.Int63(), ans, q); err != nil {
+						t.Fatalf("%v n=%d k=%d θ0=%v: %v", agg, n, k, theta0, err)
+					}
+				}
+			}
+		}
+	}
+}
+
+func FuzzSanitize(f *testing.F) {
+	f.Add(int64(1), uint8(8), uint8(8), uint8(0), uint8(5))
+	f.Add(int64(2), uint8(2), uint8(32), uint8(1), uint8(1))
+	f.Add(int64(3), uint8(32), uint8(2), uint8(2), uint8(10))
+	f.Fuzz(func(t *testing.T, seed int64, n, k, agg, theta uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		cfg := Config{
+			Theta0: float64(1+theta%50) / 100, // 0.01 … 0.50
+			Agg:    aggregates[int(agg)%len(aggregates)],
+		}
+		q := randomQuery(rng, 2+int(n)%15)
+		ans := answerForAgg(rng, q, 1+int(k)%16, cfg.Agg)
+		if len(ans) == 1 {
+			if got := cfg.Sanitize(rng, ans, q); len(got) != 1 {
+				t.Fatalf("one-POI answer became %d POIs", len(got))
+			}
+			return
+		}
+		if err := checkAgainstNaive(cfg, seed, ans, q); err != nil {
+			t.Fatalf("%v n=%d k=%d θ0=%v: %v", cfg.Agg, len(q), len(ans), cfg.Theta0, err)
+		}
+	})
+}
+
+// The prefix is a function of (config, seed, answer, query) alone: a scratch
+// that has held larger, smaller and differently shaped attacks gives what a
+// fresh one gives.
+func TestScratchHistoryDoesNotReachAnswer(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	var reused Scratch
+	for i, theta0 := range []float64{0.05, 0.01, 0.1, 0.05, 0.3, 0.01} {
+		agg := aggregates[i%len(aggregates)]
+		q := randomQuery(rng, 2+rng.Intn(12))
+		ans := answerForAgg(rng, q, 2+rng.Intn(15), agg)
+		cfg := Config{Theta0: theta0, Space: geo.UnitRect, Agg: agg}
+		seed := rng.Int63()
+		fresh := cfg.Sanitize(rand.New(rand.NewSource(seed)), ans, q)
+		again := cfg.Sanitize(rand.New(rand.NewSource(seed)), ans, q)
+		with := cfg.SanitizeWith(&reused, rand.New(rand.NewSource(seed)), ans, q)
+		if len(again) != len(fresh) || len(with) != len(fresh) {
+			t.Fatalf("call %d: fresh scratch keeps %d POIs, the same seed again %d, a reused scratch %d", i, len(fresh), len(again), len(with))
+		}
+	}
+}
+
+type missTally struct {
+	answers, kept, scored, misses int
+	minTheta                      float64 // smallest lattice θ among the scored targets
+}
+
+func (m missTally) rate() float64 { return float64(m.misses) / float64(m.scored) }
+
+// wilson is the 95% Wilson score interval of the miss rate.
+func (m missTally) wilson() (lo, hi float64) {
+	const z = 1.96
+	n, p := float64(m.scored), m.rate()
+	mid := (p + z*z/(2*n)) / (1 + z*z/n)
+	half := z * math.Sqrt(p*(1-p)/n+z*z/(4*n*n)) / (1 + z*z/n)
+	return mid - half, mid + half
+}
+
+// Privacy IV, measured: how often a sanitised answer longer than one POI
+// still pins some target user to a region smaller than θ0, scored with the
+// deterministic lattice so neither sanitizer marks its own work. Sharing
+// one sample set among the n targets keeps each target's test valid but
+// correlates them; this is the check that the correlation costs nothing
+// measurable against the independent-samples sanitizer of the paper.
+func TestPrivacyIVMissRate(t *testing.T) {
+	t.Parallel()
+	const (
+		theta0 = 0.05
+		k      = 8
+		groups = 34 // per (aggregate, n): 306 in all
+		grid   = 200
+	)
+	shared, reference := missTally{minTheta: 1}, missTally{minTheta: 1}
+	for a, agg := range aggregates {
+		cfg := Config{Theta0: theta0, Space: geo.UnitRect, Agg: agg}
+		for _, n := range []int{2, 4, 8} {
+			for g := 0; g < groups; g++ {
+				seed := int64(a*1000000 + n*1000 + g)
+				rng := rand.New(rand.NewSource(seed))
+				q := randomQuery(rng, n)
+				ans := answerForAgg(rng, q, k, agg)
+				score := func(m *missTally, safe []gnn.Result) {
+					m.answers++
+					m.kept += len(safe)
+					if len(safe) < 2 {
+						return
+					}
+					for u := range q {
+						m.scored++
+						theta := cfg.GridTheta(safe, q, u, grid)
+						m.minTheta = math.Min(m.minTheta, theta)
+						if theta < theta0 {
+							m.misses++
+						}
+					}
+				}
+				score(&shared, cfg.Sanitize(rand.New(rand.NewSource(seed)), ans, q))
+				score(&reference, referenceSanitize(cfg, rand.New(rand.NewSource(seed)), ans, q))
+			}
+		}
+	}
+	for _, r := range []struct {
+		name string
+		m    missTally
+	}{{"shared samples", shared}, {"independent samples (reference)", reference}} {
+		lo, hi := r.m.wilson()
+		t.Logf("%s: %d answers, mean kept POIs %.2f of %d; %d of %d scored targets under θ0=%v: miss rate %.4f, 95%% Wilson [%.4f, %.4f], smallest θ %.4f",
+			r.name, r.m.answers, float64(r.m.kept)/float64(r.m.answers), k, r.m.misses, r.m.scored, theta0, r.m.rate(), lo, hi, r.m.minTheta)
+		if lo > DefaultGamma {
+			t.Errorf("%s: miss rate %.4f is above γ=%v by more than its interval [%.4f, %.4f]", r.name, r.m.rate(), DefaultGamma, lo, hi)
+		}
+	}
+	// One-sided two-proportion test, 5% level: is the shared-sample miss
+	// rate above the reference's?
+	ns, nr := float64(shared.scored), float64(reference.scored)
+	pooled := float64(shared.misses+reference.misses) / (ns + nr)
+	if se := math.Sqrt(pooled * (1 - pooled) * (1/ns + 1/nr)); se > 0 {
+		if z := (shared.rate() - reference.rate()) / se; z > 1.645 {
+			t.Errorf("shared-sample miss rate %.4f exceeds the reference's %.4f (z=%.2f > 1.645)", shared.rate(), reference.rate(), z)
+		}
+	}
+}
+
+var benchKept int
+
+// BenchmarkSanitizeDefault is the sanitation of one query at the paper's
+// defaults as LSP.Process does it: 101 candidates of n=8 users, k=8,
+// θ0=0.05, candidate t seeded with 1+t, one scratch for the query.
+func BenchmarkSanitizeDefault(b *testing.B) {
+	const candidates, n, k = 101, 8, 8
+	rng := rand.New(rand.NewSource(51))
+	items := make([]rtree.Item, 20000)
+	for i := range items {
+		items[i] = rtree.Item{ID: int64(i), P: geo.Point{X: rng.Float64(), Y: rng.Float64()}}
+	}
+	bf := &gnn.BruteForce{Items: items, Agg: gnn.Sum}
+	queries := make([][]geo.Point, candidates)
+	answers := make([][]gnn.Result, candidates)
+	for t := range queries {
+		queries[t] = randomQuery(rng, n)
+		answers[t] = bf.Search(queries[t], k)
+	}
+	cfg := defaultConfig(0.05)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := new(Scratch)
+		for t := range queries {
+			benchKept += len(cfg.SanitizeWith(s, rand.New(rand.NewSource(int64(1+t))), answers[t], queries[t]))
+		}
 	}
 }

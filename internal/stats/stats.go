@@ -105,6 +105,13 @@ func (t ZTest) Threshold(n int) float64 {
 // It panics when the parameters are out of range (θ0, θ1 must lie in (0,1),
 // θ1 > θ0, and γ, η in (0,1)).
 func SampleSize(theta0, gamma, eta, phi float64) int {
+	return int(math.Ceil(SampleSizeReal(theta0, gamma, eta, phi)))
+}
+
+// SampleSizeReal is the right-hand side of Theorem 5.1 before it is rounded
+// up to an integer, for callers that must bound N_H while it may still be
+// too large for an int. It panics as SampleSize does.
+func SampleSizeReal(theta0, gamma, eta, phi float64) float64 {
 	theta1 := theta0 * (1 + phi)
 	if !(theta0 > 0 && theta0 < 1) || !(theta1 > theta0 && theta1 < 1) {
 		panic(fmt.Sprintf("stats: invalid thetas θ0=%v θ1=%v", theta0, theta1))
@@ -116,7 +123,7 @@ func SampleSize(theta0, gamma, eta, phi float64) int {
 	ze := CriticalZ(eta)
 	num := zg*math.Sqrt(theta0*(1-theta0)) + ze*math.Sqrt(theta1*(1-theta1))
 	v := num / (theta1 - theta0)
-	return int(math.Ceil(v * v))
+	return v * v
 }
 
 // BinomialSF returns the survival function Pr[X ≥ x] for X ~ Binomial(n, p),

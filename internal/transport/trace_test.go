@@ -33,7 +33,14 @@ func TestTracePropagationClientToServer(t *testing.T) {
 	}
 
 	client := creg.Recorder().Snapshot()
-	server := sreg.Recorder().Snapshot()
+	// The server completes the trace when its session goroutine unwinds,
+	// which can lag the client reading the answer.
+	var server []*obs.TraceSnap
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		if server = sreg.Recorder().Snapshot(); len(server) > 0 {
+			break
+		}
+	}
 	if len(client) != 1 || len(server) != 1 {
 		t.Fatalf("client retained %d traces, server %d; want 1 and 1", len(client), len(server))
 	}

@@ -2,13 +2,15 @@
 # fuzz-pass.sh — run every fuzz target of the given packages for a short
 # burst (FUZZTIME, default 15s each): the CI smoke pass. `go test -fuzz`
 # accepts only one target per invocation, so enumerate with -list first.
+# With no arguments it covers the default package list below, which lives
+# here and nowhere else (`make fuzz` and CI call this bare).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 fuzztime=${FUZZTIME:-15s}
 pkgs=("$@")
 if [ ${#pkgs[@]} -eq 0 ]; then
-  pkgs=(./internal/core ./internal/wire ./internal/modmath ./internal/svc ./internal/parallel)
+  pkgs=(./internal/core ./internal/wire ./internal/modmath ./internal/svc ./internal/parallel ./internal/sanitize)
 fi
 
 for pkg in "${pkgs[@]}"; do
