@@ -65,6 +65,10 @@ type Group struct {
 	Rng       *mrand.Rand
 
 	keys []*paillier.PrivateKey // per-user keys, generated on first use
+	// pubs[j] is user j's key as every other user holds it: the modulus
+	// alone. Encrypting under keys[j] itself would hand user i the key
+	// holder's CRT shortcut, which only user j has.
+	pubs []*paillier.PublicKey
 }
 
 // Query runs the GLP protocol: secure-sum centroid then centroid kNN.
@@ -81,14 +85,15 @@ func (g *Group) Query(srv *Server, k int, meter *cost.Meter) ([]rtree.Item, erro
 	// keygen is excluded from the per-query user cost, as for PPGNN).
 	if g.keys == nil {
 		keys := make([]*paillier.PrivateKey, n)
+		pubs := make([]*paillier.PublicKey, n)
 		for i := range keys {
 			key, err := paillier.GenerateKey(nil, g.KeyBits)
 			if err != nil {
 				return nil, fmt.Errorf("glp: keygen: %w", err)
 			}
-			keys[i] = key
+			keys[i], pubs[i] = key, paillier.NewPublicKey(key.N)
 		}
-		g.keys = keys
+		g.keys, g.pubs = keys, pubs
 	}
 	keys := g.keys
 	userStart := time.Now()
@@ -131,7 +136,7 @@ func (g *Group) Query(srv *Server, k int, meter *cost.Meter) ([]rtree.Item, erro
 				return nil, fmt.Errorf("glp: drawing mask: %w", err)
 			}
 			sent[i][j] = r
-			ct, err := keys[j].PublicKey.Encrypt(nil, r, 1)
+			ct, err := g.pubs[j].Encrypt(nil, r, 1)
 			if err != nil {
 				return nil, fmt.Errorf("glp: encrypting mask: %w", err)
 			}

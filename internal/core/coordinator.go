@@ -60,8 +60,11 @@ type Coordinator struct {
 	EncCache *paillier.EncCache
 
 	// Offline encryption-randomness pools (see Precompute), pre[s-1] for
-	// ε_s. They hold r^{N^s} factors for the public key, so they work
-	// under a sole and under a threshold key alike.
+	// ε_s. They hold N^s-th residue factors for the encryption key, so they
+	// work under a sole and under a threshold key alike. A sole key holds
+	// its factorization, so its pools (and its online encryptions) compute
+	// each factor by CRT; a threshold key has no factorization to use and
+	// stays on r^{N^s} mod N^{s+1}.
 	pre [2]*paillier.Precomputer
 }
 

@@ -96,10 +96,11 @@ func (t Table) Format() string {
 
 // measurement is one averaged protocol run.
 type measurement struct {
-	CommBytes float64 // total communication (all channels)
-	UserMS    float64 // summed user computation, milliseconds
-	LSPMS     float64 // LSP computation, milliseconds
-	Answer    float64 // POIs returned per answer
+	CommBytes float64          // total communication (all channels)
+	UserMS    float64          // summed user computation, milliseconds
+	LSPMS     float64          // LSP computation, milliseconds
+	Answer    float64          // POIs returned per answer
+	Ops       map[string]int64 // per-query operation counts (cost.Meter)
 }
 
 // runProtocol measures `queries` repetitions of a group query with the
@@ -130,6 +131,7 @@ func (c Config) runProtocol(p core.Params, lsp *core.LSP, seed int64) (measureme
 		UserMS:    float64(avg.UserTime) / float64(time.Millisecond),
 		LSPMS:     float64(avg.LSPTime) / float64(time.Millisecond),
 		Answer:    float64(answers) / float64(c.Queries),
+		Ops:       avg.Ops,
 	}, nil
 }
 

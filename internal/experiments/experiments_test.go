@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"ppgnn/internal/core"
 	"ppgnn/internal/dataset"
 )
 
@@ -117,12 +118,33 @@ func TestFig8Quick(t *testing.T) {
 			t.Errorf("Figure 8a shape violated at k=%v: IPPF=%v PPGNN=%v", r.X, r.Values[2], r.Values[0])
 		}
 	}
-	// PPGNN-NAS LSP cost must be below PPGNN's (the sanitation gap,
-	// Figure 8c).
-	lspT := tables[2]
-	for _, r := range lspT.Rows {
-		if r.Values[1] >= r.Values[0] {
-			t.Errorf("Figure 8c shape violated at k=%v: NAS=%v PPGNN=%v", r.X, r.Values[1], r.Values[0])
+	// Figure 8c: what separates PPGNN from PPGNN-NAS at the LSP is the
+	// sanitation work, checked here by count rather than by the clock. The
+	// two LSP times are close by design — the "gap gone" shape documented
+	// in EXPERIMENTS.md — so ordering them would only test the box.
+	cfg = cfg.Defaults()
+	lsp := cfg.newLSP()
+	for _, k := range cfg.sweepK() {
+		var ms [2]measurement
+		for i, nas := range []bool{false, true} {
+			p := cfg.params(cfg.defaultN(), core.VariantPPGNN)
+			p.K, p.NoSanitize = k, nas
+			if ms[i], err = cfg.runProtocol(p, lsp, cfg.Seed+int64(k)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ppgnn, nas := ms[0], ms[1]
+		if dp := ppgnn.Ops["candidates"]; dp == 0 || ppgnn.Ops["sanitize"] != dp {
+			t.Errorf("Figure 8c k=%d: PPGNN sanitized %d of %d candidates, want all", k, ppgnn.Ops["sanitize"], dp)
+		}
+		if nas.Ops["sanitize"] != 0 || nas.Ops["candidates"] != ppgnn.Ops["candidates"] {
+			t.Errorf("Figure 8c k=%d: NAS sanitized %d of %d candidates, want 0 of %d",
+				k, nas.Ops["sanitize"], nas.Ops["candidates"], ppgnn.Ops["candidates"])
+		}
+		for i, m := range ms {
+			if m.Answer < 1 || m.Answer > float64(k) {
+				t.Errorf("Figure 8c k=%d series %s: %v POIs kept, want within [1, %d]", k, comm.Series[i], m.Answer, k)
+			}
 		}
 	}
 }

@@ -93,14 +93,17 @@ func (pk *PublicKey) EncryptBatch(ctx context.Context, pl *parallel.Pool, random
 }
 
 // warmEnc materializes the caches an ε_s encryption reads (the kernel
-// contexts for N^i, the inverse factorials, and the short-rand
-// fixed-base table when that mode is on), so fanned-out workers hit
-// lock-free read paths instead of serializing on first-use population.
+// contexts for N^i, the inverse factorials, the key holder's CRT context,
+// and the short-rand fixed-base table when that mode is on), so
+// fanned-out workers hit lock-free read paths instead of serializing on
+// first-use population.
 func (pk *PublicKey) warmEnc(s int) {
 	pk.NS(s + 1)
 	pk.invFactorial(s)
 	if sr := pk.shortRand.Load(); sr != nil {
 		sr.table(pk, s)
+	} else if pk.sk != nil {
+		pk.sk.crt(s)
 	}
 }
 
@@ -477,9 +480,10 @@ func (p *Precomputer) RerandomizeBatch(ctx context.Context, pl *parallel.Pool, r
 // FillCtx adds n randomness factors to the pool, fanning the factor
 // exponentiations — the entire cost of the offline phase — across the
 // pool's workers. Draws stay serial, so the pool contents for a seeded
-// reader are independent of the worker count. In short-rand mode the
-// factors are table-backed (h^{N^s})^x values; either way the pooled
-// value is a complete r^{N^s} mod N^{s+1} factor.
+// reader are independent of the worker count. The factors come from
+// encFactor, so they are CRT-computed for the key holder and table-backed
+// (h^{N^s})^x values in short-rand mode; either way the pooled value is a
+// complete N^s-th residue mod N^{s+1}.
 func (p *Precomputer) FillCtx(ctx context.Context, pl *parallel.Pool, random io.Reader, n int) error {
 	if n <= 0 {
 		return nil

@@ -29,31 +29,40 @@ func batchPlaintexts(k *PrivateKey, s, n int) []*big.Int {
 	return ms
 }
 
+// encKeys returns the two ways a modulus encrypts: the key holder's own
+// key (CRT factors) and the modulus alone, as the LSP holds it (public
+// factors). Determinism tests run on both.
+func encKeys(k *PrivateKey) map[string]*PublicKey {
+	return map[string]*PublicKey{"GenerateKey": &k.PublicKey, "NewPublicKey": NewPublicKey(k.N)}
+}
+
 // TestEncryptBatchMatchesSerial pins the batch determinism contract: for
 // the same seeded reader, EncryptBatch at any worker count produces the
 // byte-identical ciphertexts of a serial Encrypt loop.
 func TestEncryptBatchMatchesSerial(t *testing.T) {
 	k := key(t)
-	for s := 1; s <= 2; s++ {
-		ms := batchPlaintexts(k, s, 9)
+	for name, pk := range encKeys(k) {
+		for s := 1; s <= 2; s++ {
+			ms := batchPlaintexts(k, s, 9)
 
-		serial := make([]*Ciphertext, len(ms))
-		rng := mrand.New(mrand.NewSource(42))
-		for i, m := range ms {
-			c, err := k.Encrypt(rng, m, s)
-			if err != nil {
-				t.Fatalf("s=%d serial Encrypt: %v", s, err)
+			serial := make([]*Ciphertext, len(ms))
+			rng := mrand.New(mrand.NewSource(42))
+			for i, m := range ms {
+				c, err := pk.Encrypt(rng, m, s)
+				if err != nil {
+					t.Fatalf("%s s=%d serial Encrypt: %v", name, s, err)
+				}
+				serial[i] = c
 			}
-			serial[i] = c
-		}
 
-		batch, err := k.EncryptBatch(context.Background(), batchPool(), mrand.New(mrand.NewSource(42)), ms, s)
-		if err != nil {
-			t.Fatalf("s=%d EncryptBatch: %v", s, err)
-		}
-		for i := range ms {
-			if !bytes.Equal(serial[i].Bytes(&k.PublicKey), batch[i].Bytes(&k.PublicKey)) {
-				t.Fatalf("s=%d element %d: batch ciphertext differs from serial", s, i)
+			batch, err := pk.EncryptBatch(context.Background(), batchPool(), mrand.New(mrand.NewSource(42)), ms, s)
+			if err != nil {
+				t.Fatalf("%s s=%d EncryptBatch: %v", name, s, err)
+			}
+			for i := range ms {
+				if !bytes.Equal(serial[i].Bytes(pk), batch[i].Bytes(pk)) {
+					t.Fatalf("%s s=%d element %d: batch ciphertext differs from serial", name, s, i)
+				}
 			}
 		}
 	}
@@ -346,8 +355,8 @@ func TestThresholdBatches(t *testing.T) {
 
 // TestBatchHammer is the 64-goroutine -race hammer of the ISSUE: all
 // goroutines share one key and one Precomputer while running mixed batch
-// ops, so the locked caches (N^i, inverse factorials, CRT contexts, λ^{-1})
-// and the pool's LIFO stack all see real contention.
+// ops, so the lazily built caches (N^i, inverse factorials, CRT contexts,
+// λ^{-1}) and the pool's LIFO stack all see real contention.
 func TestBatchHammer(t *testing.T) {
 	k := key(t)
 	pre, err := k.NewPrecomputer(1)

@@ -1,8 +1,12 @@
 package paillier
 
 import (
+	"bytes"
+	"context"
 	"crypto/rand"
+	"fmt"
 	"math/big"
+	mrand "math/rand"
 	"testing"
 )
 
@@ -51,6 +55,192 @@ func TestCRTDecryptionFreshKey(t *testing.T) {
 	}
 }
 
+// TestCRTFactorIdentity pins the CRT encryption factor against the public
+// one. The public factor of r is the unique N^s-th residue ≡ r^{N^s}
+// (mod N), so it must equal the CRT factor of r^{N^s} mod N byte for byte.
+// Every CRT factor must also reduce to its r mod N and be killed by λ, the
+// two facts that make it an encryption of zero.
+func TestCRTFactorIdentity(t *testing.T) {
+	rng := mrand.New(mrand.NewSource(41))
+	for _, bits := range []int{256, 301, 512} {
+		k, err := GenerateKey(nil, bits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s := 1; s <= 3; s++ {
+			mod := k.NS(s + 1)
+			for trial := 0; trial < 4; trial++ {
+				r, err := k.randomUnit(rng)
+				if err != nil {
+					t.Fatal(err)
+				}
+				public := k.Ctx(s+1).Exp(r, k.NS(s))
+				rN := new(big.Int).Mod(public, k.N)
+				if got := k.crtFactor(rN, s); !bytes.Equal(got.Bytes(), public.Bytes()) {
+					t.Fatalf("%d-bit s=%d: crtFactor(r^{N^s} mod N) != r^{N^s} mod N^{s+1}", bits, s)
+				}
+				f := k.crtFactor(r, s)
+				if f.Sign() <= 0 || f.Cmp(mod) >= 0 {
+					t.Fatalf("%d-bit s=%d: factor outside [1, N^{s+1})", bits, s)
+				}
+				if new(big.Int).Mod(f, k.N).Cmp(r) != 0 {
+					t.Fatalf("%d-bit s=%d: factor mod N != r", bits, s)
+				}
+				if new(big.Int).Exp(f, k.lambda, mod).Cmp(one) != 0 {
+					t.Fatalf("%d-bit s=%d: factor^λ != 1 mod N^{s+1}", bits, s)
+				}
+			}
+		}
+	}
+}
+
+// TestEncFactorPaths is the in-package assertion of which keys take the
+// CRT path: only a key from GenerateKey with full-width randomness. A
+// NewPublicKey, a threshold key and a short-rand key keep their old
+// factors exactly.
+func TestEncFactorPaths(t *testing.T) {
+	k := key(t)
+	pub := NewPublicKey(k.N)
+	tk, _ := thresholdKey(t)
+	if k.sk != k || pub.sk != nil || tk.sk != nil {
+		t.Fatalf("factorization links: GenerateKey %v, NewPublicKey %v, threshold %v",
+			k.sk != nil, pub.sk != nil, tk.sk != nil)
+	}
+	rng := mrand.New(mrand.NewSource(43))
+	for s := 1; s <= 2; s++ {
+		for _, c := range []struct {
+			name string
+			pk   *PublicKey
+			want func(r *big.Int) *big.Int
+		}{
+			{"GenerateKey", &k.PublicKey, func(r *big.Int) *big.Int { return k.crtFactor(r, s) }},
+			{"NewPublicKey", pub, func(r *big.Int) *big.Int { return pub.Ctx(s+1).Exp(r, pub.NS(s)) }},
+			{"threshold", &tk.PublicKey, func(r *big.Int) *big.Int { return tk.Ctx(s+1).Exp(r, tk.NS(s)) }},
+		} {
+			r, err := c.pk.randomUnit(rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.pk.encFactor(r, nil, s).Cmp(c.want(r)) != 0 {
+				t.Fatalf("%s s=%d: factor left its expected path", c.name, s)
+			}
+		}
+	}
+
+	short := freshKey(t)
+	if err := short.SetOptions(Options{ShortRandBits: 64}); err != nil {
+		t.Fatal(err)
+	}
+	sr := short.shortRand.Load()
+	for s := 1; s <= 2; s++ {
+		x, err := short.drawEncRand(rng, sr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := sr.table(&short.PublicKey, s).Exp(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if short.encFactor(x, sr, s).Cmp(want) != 0 {
+			t.Fatalf("short-rand s=%d: factor left the fixed-base path", s)
+		}
+	}
+}
+
+// TestCRTAndPublicCiphertextsInteroperate mixes every way a factor is
+// made — the key holder's CRT factor online, the public factor through
+// NewPublicKey, pooled CRT factors, and EncCache hits and misses — and
+// checks they decrypt alike and combine under ⊕, ⊙ and the layered
+// selection as if they came from one path.
+func TestCRTAndPublicCiphertextsInteroperate(t *testing.T) {
+	k := key(t)
+	pub := NewPublicKey(k.N)
+	ctx := context.Background()
+	pre, err := k.NewPrecomputer(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pre.Fill(nil, 2); err != nil {
+		t.Fatal(err)
+	}
+	ec := NewEncCache(8)
+	ms := []*big.Int{big.NewInt(0), big.NewInt(1), big.NewInt(7)}
+
+	encs := map[string][]*Ciphertext{}
+	add := func(name string, cts []*Ciphertext, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		encs[name] = cts
+	}
+	cts, err := k.EncryptBatch(ctx, nil, nil, ms, 1)
+	add("crt", cts, err)
+	cts, err = pub.EncryptBatch(ctx, nil, nil, ms, 1)
+	add("public", cts, err)
+	cts, pooled, err := pre.EncryptBatch(ctx, nil, nil, ms) // 2 pooled, 1 online
+	add("precomputer", cts, err)
+	if pooled != 2 {
+		t.Fatalf("precomputer pooled %d, want 2", pooled)
+	}
+	cts, _, err = ec.EncryptBatch(ctx, nil, nil, &k.PublicKey, nil, ms, 1)
+	add("cache miss", cts, err)
+	hit0, _ := cacheCounters()
+	cts, _, err = ec.EncryptBatch(ctx, nil, nil, pub, nil, ms, 1)
+	add("cache hit", cts, err)
+	if hit1, _ := cacheCounters(); hit1-hit0 != int64(len(ms)) {
+		t.Fatalf("public-key pass hit %d cached CRT entries, want %d", hit1-hit0, len(ms))
+	}
+
+	for name, cts := range encs {
+		for i, c := range cts {
+			got, err := k.Decrypt(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Cmp(ms[i]) != 0 {
+				t.Fatalf("%s slot %d: decrypts to %v, want %v", name, i, got, ms[i])
+			}
+		}
+	}
+
+	// ⊕ across paths, ⊙ with a CRT/public/pooled mix as the indicator.
+	sum, err := pub.Add(encs["crt"][2], encs["public"][2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := k.Decrypt(sum); got.Int64() != 14 {
+		t.Fatalf("CRT ⊕ public = %v, want 14", got)
+	}
+	v := []*Ciphertext{encs["crt"][0], encs["public"][1], encs["precomputer"][0], encs["cache hit"][0]}
+	dot, err := pub.DotProduct([]*big.Int{big.NewInt(3), big.NewInt(5), big.NewInt(11), big.NewInt(13)}, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := k.Decrypt(dot); got.Int64() != 5 {
+		t.Fatalf("mixed-path ⊙ = %v, want 5", got)
+	}
+
+	// Layered selection: v1 mixes paths at ε_1, v2 at ε_2.
+	v2pub, err := pub.EncryptBatch(ctx, nil, nil, []*big.Int{big.NewInt(1)}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2crt, err := k.EncryptBatch(ctx, nil, nil, []*big.Int{big.NewInt(0)}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := []*Ciphertext{encs["cache miss"][0], encs["crt"][1]} // selects column 1
+	cols := [][]*big.Int{{big.NewInt(10)}, {big.NewInt(20)}, {big.NewInt(30)}, {big.NewInt(40)}}
+	out, err := pub.LayeredSelectBatch(ctx, nil, cols, v1, []*Ciphertext{v2pub[0], v2crt[0]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := k.DecryptLayered(out[0], 2); err != nil || got.Int64() != 20 {
+		t.Fatalf("mixed-path layered selection = %v (%v), want 20", got, err)
+	}
+}
+
 func benchKey(b *testing.B, bits int) *PrivateKey {
 	b.Helper()
 	k, err := GenerateKey(nil, bits)
@@ -67,6 +257,36 @@ func BenchmarkEncrypt1024(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := k.Encrypt(nil, m, 1); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// factorSink keeps BenchmarkEncFactor's result live.
+var factorSink *big.Int
+
+// BenchmarkEncFactor times one encryption factor on the public path
+// (r^{N^s} mod N^{s+1}, what NewPublicKey and the LSP run) against the key
+// holder's CRT path, at 1024 and 2048 bits and s ∈ {1, 2}.
+func BenchmarkEncFactor(b *testing.B) {
+	for _, bits := range []int{1024, 2048} {
+		k := benchKey(b, bits)
+		for s := 1; s <= 2; s++ {
+			for _, c := range []struct {
+				name string
+				pk   *PublicKey
+			}{{"public", NewPublicKey(k.N)}, {"crt", &k.PublicKey}} {
+				b.Run(fmt.Sprintf("%d/s=%d/%s", bits, s, c.name), func(b *testing.B) {
+					r, err := c.pk.randomUnit(nil)
+					if err != nil {
+						b.Fatal(err)
+					}
+					c.pk.warmEnc(s)
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						factorSink = c.pk.encFactor(r, nil, s)
+					}
+				})
+			}
 		}
 	}
 }

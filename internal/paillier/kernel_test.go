@@ -93,7 +93,12 @@ func withKernelOff(t *testing.T, f func()) {
 // ⊙ and ⨂ produce byte-identical ciphertexts with the kernel on and off,
 // including negative and zero coefficients.
 func TestDotProductKernelEquivalence(t *testing.T) {
-	k := key(t)
+	for name, pk := range encKeys(key(t)) {
+		t.Run(name, func(t *testing.T) { dotProductKernelEquivalence(t, pk) })
+	}
+}
+
+func dotProductKernelEquivalence(t *testing.T, k *PublicKey) {
 	rng := mrand.New(mrand.NewSource(21))
 	for s := 1; s <= 2; s++ {
 		ns := k.NS(s)

@@ -73,6 +73,10 @@ type PublicKey struct {
 	// shortRand, when non-nil, holds the Options.ShortRandBits state:
 	// the fixed base h and its per-degree power tables.
 	shortRand atomic.Pointer[shortRandState]
+	// sk links the key to its factorization. Only GenerateKey sets it, so
+	// only the key holder's encryption factors take the CRT path (crt.go);
+	// NewPublicKey and threshold keys leave it nil.
+	sk *PrivateKey
 }
 
 // PrivateKey holds the factorization-derived trapdoor.
@@ -81,9 +85,11 @@ type PrivateKey struct {
 	P, Q   *big.Int
 	lambda *big.Int // lcm(p-1, q-1)
 
-	mu      sync.Mutex
-	invLam  []*big.Int // invLam[s] = lambda^{-1} mod N^s
-	crtCtxs []*crtCtx  // per-degree CRT acceleration contexts
+	mu     sync.Mutex
+	invLam []*big.Int // invLam[s] = lambda^{-1} mod N^s
+	// crtCtxs[s] is the degree-s CRT context (crt.go), built once and
+	// read lock-free like PublicKey.ctxs.
+	crtCtxs [MaxS + 1]atomic.Pointer[crtCtx]
 }
 
 // Ciphertext is an element of Z*_{N^{S+1}} encrypting a plaintext in Z_{N^S}.
@@ -135,6 +141,7 @@ func GenerateKey(random io.Reader, bits int) (*PrivateKey, error) {
 			Q:         q,
 			lambda:    lambda,
 		}
+		key.sk = key
 		return key, nil
 	}
 }
@@ -367,19 +374,23 @@ func (pk *PublicKey) drawEncRand(random io.Reader, sr *shortRandState) (*big.Int
 }
 
 // encFactor turns a drawn randomness value into the ciphertext factor:
-// r^{N^s} mod N^{s+1} full-width, or the table-backed (h^{N^s})^x in
+// r^{N^s} mod N^{s+1} full-width, the same-distribution CRT factor when
+// the key holder encrypts (crt.go), or the table-backed (h^{N^s})^x in
 // short-rand mode. Safe for concurrent use once warmEnc has built the
 // needed tables.
 func (pk *PublicKey) encFactor(rv *big.Int, sr *shortRandState, s int) *big.Int {
-	if sr == nil {
-		return pk.Ctx(s+1).Exp(rv, pk.NS(s))
+	switch {
+	case sr != nil:
+		f, err := sr.table(pk, s).Exp(rv)
+		if err != nil {
+			// Unreachable: drawEncRand only returns values in [0, 2^bits).
+			panic(fmt.Sprintf("paillier: short-rand factor: %v", err))
+		}
+		return f
+	case pk.sk != nil:
+		return pk.sk.crtFactor(rv, s)
 	}
-	f, err := sr.table(pk, s).Exp(rv)
-	if err != nil {
-		// Unreachable: drawEncRand only returns values in [0, 2^bits).
-		panic(fmt.Sprintf("paillier: short-rand factor: %v", err))
-	}
-	return f
+	return pk.Ctx(s+1).Exp(rv, pk.NS(s))
 }
 
 // Encrypt encrypts m under ε_s. m must lie in [0, N^s). random defaults to

@@ -26,7 +26,7 @@ type Precomputer struct {
 	taken atomic.Int64
 
 	mu    sync.Mutex
-	pool  []*big.Int // ready r^{N^s} mod N^{s+1} factors
+	pool  []*big.Int // ready N^s-th residue factors mod N^{s+1} (encFactor)
 	depth *obs.Gauge // this pool's depth gauge (degree × tenant slot)
 }
 

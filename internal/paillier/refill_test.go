@@ -152,31 +152,33 @@ func TestEncryptBatchLIFODeterminismWithPausedRefill(t *testing.T) {
 	for i := range ms {
 		ms[i] = big.NewInt(int64(100 + i))
 	}
-	run := func(width int) []*Ciphertext {
-		pre, err := k.NewPrecomputer(1)
-		if err != nil {
-			t.Fatal(err)
+	for name, pk := range encKeys(k) {
+		run := func(width int) []*Ciphertext {
+			pre, err := pk.NewPrecomputer(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Identical pool state: same seed for the fill...
+			if err := pre.FillCtx(context.Background(), nil, mrand.New(mrand.NewSource(7)), poolDepth); err != nil {
+				t.Fatal(err)
+			}
+			// ...and the same seed for the online tail.
+			cts, pooled, err := pre.EncryptBatch(context.Background(), parallel.New(width), mrand.New(mrand.NewSource(11)), ms)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pooled != poolDepth {
+				t.Fatalf("%s width %d: pooled = %d, want %d", name, width, pooled, poolDepth)
+			}
+			return cts
 		}
-		// Identical pool state: same seed for the fill...
-		if err := pre.FillCtx(context.Background(), nil, mrand.New(mrand.NewSource(7)), poolDepth); err != nil {
-			t.Fatal(err)
-		}
-		// ...and the same seed for the online tail.
-		cts, pooled, err := pre.EncryptBatch(context.Background(), parallel.New(width), mrand.New(mrand.NewSource(11)), ms)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pooled != poolDepth {
-			t.Fatalf("width %d: pooled = %d, want %d", width, pooled, poolDepth)
-		}
-		return cts
-	}
-	want := run(1)
-	for _, width := range []int{2, 4, 8} {
-		got := run(width)
-		for i := range want {
-			if !bytes.Equal(want[i].C.Bytes(), got[i].C.Bytes()) {
-				t.Fatalf("width %d slot %d: ciphertext differs from serial run", width, i)
+		want := run(1)
+		for _, width := range []int{2, 4, 8} {
+			got := run(width)
+			for i := range want {
+				if !bytes.Equal(want[i].C.Bytes(), got[i].C.Bytes()) {
+					t.Fatalf("%s width %d slot %d: ciphertext differs from serial run", name, width, i)
+				}
 			}
 		}
 	}
