@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/big"
 	"math/rand"
+	"sync"
 	"time"
 
 	"ppgnn/internal/cost"
@@ -25,12 +26,16 @@ import (
 type SearchFunc func(query []geo.Point, k int, agg gnn.Aggregate) []gnn.Result
 
 // LSP is the location-based service provider: it owns the POI database and
-// processes privacy-preserving queries (Algorithm 2). An LSP is safe for
-// concurrent use.
+// processes privacy-preserving queries (Algorithm 2). Process, Insert and
+// Delete are safe for concurrent use: queries share a read lock on the
+// database and each write takes it exclusively, so every candidate query of
+// one Process call sees the same database version. Callers of Tree get the
+// index itself, with no lock; they must not run beside Insert or Delete.
 type LSP struct {
 	Space geo.Rect
 	// Search answers plaintext group queries; defaults to MBM over the
-	// R-tree built by NewLSP.
+	// R-tree built by NewLSP. Process calls it under the database's read
+	// lock, so it must not call Insert or Delete.
 	Search SearchFunc
 	// Workers bounds the per-query parallelism across candidate queries
 	// and the homomorphic selection (1 = sequential, matching the paper's
@@ -67,6 +72,9 @@ type LSP struct {
 	RerandPools *paillier.PoolSet
 
 	tree *rtree.Tree
+	// mu guards tree. It is a pointer so the copies WithCoalescer makes
+	// share it with the original.
+	mu *sync.RWMutex
 }
 
 // DefaultMaxCandidates caps δ' per query (Privacy II rarely needs more
@@ -82,13 +90,16 @@ func NewLSP(items []rtree.Item, space geo.Rect) *LSP {
 		Space:        space,
 		SanitizeSeed: 1,
 		tree:         tree,
+		mu:           new(sync.RWMutex),
 		Search: func(query []geo.Point, k int, agg gnn.Aggregate) []gnn.Result {
 			return (&gnn.MBM{Tree: tree, Agg: agg}).Search(query, k)
 		},
 	}
 }
 
-// Tree exposes the POI index (used by baselines sharing the database).
+// Tree exposes the POI index (used by baselines sharing the database). It
+// takes no lock: a caller reading the tree while another goroutine calls
+// Insert or Delete races with the write.
 func (l *LSP) Tree() *rtree.Tree { return l.tree }
 
 // pool maps the Workers knob onto a parallel.Pool: 0 keeps the paper's
@@ -125,11 +136,20 @@ func (l *LSP) WithCoalescer(c *parallel.Coalescer) *LSP {
 	return &cp
 }
 
-// Insert adds a POI to the live database.
-func (l *LSP) Insert(it rtree.Item) { l.tree.Insert(it) }
+// Insert adds a POI to the live database. It waits for in-flight queries
+// to finish their candidate phase.
+func (l *LSP) Insert(it rtree.Item) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.tree.Insert(it)
+}
 
-// Delete removes a POI from the live database.
-func (l *LSP) Delete(it rtree.Item) bool { return l.tree.Delete(it) }
+// Delete removes a POI from the live database. It waits like Insert.
+func (l *LSP) Delete(it rtree.Item) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.tree.Delete(it)
+}
 
 // Process runs Algorithm 2: candidate query generation, per-candidate kGNN
 // + answer sanitation, answer encoding, and the homomorphic private
@@ -159,10 +179,44 @@ func (l *LSP) Process(q *QueryMsg, locs []*LocationMsg, meter *cost.Meter) (ans 
 	}
 	meter.CountOp("candidates", int64(len(candidates)))
 
-	// Per-candidate: kGNN (line 3), sanitation (line 4), encoding (line 5).
+	sanitizing := q.Sanitize && n > 1
+	encoded, err := l.answerCandidates(q, candidates, sanitizing)
+	if err != nil {
+		return nil, err
+	}
+	meter.CountOp("kgnn", int64(len(candidates)))
+	if sanitizing {
+		meter.CountOp("sanitize", int64(len(candidates)))
+	}
+
+	// Build the m × δ' answer matrix (line 6), padding answers to height m.
+	m := 0
+	for _, ints := range encoded {
+		if len(ints) > m {
+			m = len(ints)
+		}
+	}
+	for t := range encoded {
+		encoded[t] = encode.Pad(encoded[t], m)
+	}
+
+	// Private selection (line 7).
+	switch q.Variant {
+	case VariantOPT:
+		return l.selectTwoPhase(pk, q, encoded, m, meter)
+	default:
+		return l.selectSinglePhase(pk, q, encoded, m, meter)
+	}
+}
+
+// answerCandidates runs Algorithm 2's per-candidate lines: kGNN (line 3),
+// sanitation (line 4) and encoding (line 5), under one read lock on the
+// database so that all candidates answer from the same version of it.
+func (l *LSP) answerCandidates(q *QueryMsg, candidates [][]geo.Point, sanitizing bool) ([][]*big.Int, error) {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
 	codec := encode.Codec{ModulusBits: q.PK.BitLen(), IncludeID: q.Include}
 	pool := l.cryptoPool()
-	sanitizing := q.Sanitize && n > 1
 	sanCfg := l.sanitizer(q)
 	// The sanitizer's working memory (≈100 bytes per Monte-Carlo sample,
 	// most of a megabyte at the paper's defaults) goes from candidate to
@@ -174,7 +228,7 @@ func (l *LSP) Process(q *QueryMsg, locs []*LocationMsg, meter *cost.Meter) (ans 
 		scratch = make(chan *sanitize.Scratch, pool.Workers())
 	}
 	encoded := make([][]*big.Int, len(candidates))
-	err = pool.ForEach(context.Background(), len(candidates), func(t int) (taskErr error) {
+	err := pool.ForEach(context.Background(), len(candidates), func(t int) (taskErr error) {
 		// A panic here would escape any recover installed by the caller
 		// (transport sessions recover per session); convert it into a
 		// query rejection so one hostile query cannot kill a serving
@@ -215,29 +269,7 @@ func (l *LSP) Process(q *QueryMsg, locs []*LocationMsg, meter *cost.Meter) (ans 
 	if err != nil {
 		return nil, err
 	}
-	meter.CountOp("kgnn", int64(len(candidates)))
-	if sanitizing {
-		meter.CountOp("sanitize", int64(len(candidates)))
-	}
-
-	// Build the m × δ' answer matrix (line 6), padding answers to height m.
-	m := 0
-	for _, ints := range encoded {
-		if len(ints) > m {
-			m = len(ints)
-		}
-	}
-	for t := range encoded {
-		encoded[t] = encode.Pad(encoded[t], m)
-	}
-
-	// Private selection (line 7).
-	switch q.Variant {
-	case VariantOPT:
-		return l.selectTwoPhase(pk, q, encoded, m, meter)
-	default:
-		return l.selectSinglePhase(pk, q, encoded, m, meter)
-	}
+	return encoded, nil
 }
 
 // validateQuery checks message consistency against the location sets,

@@ -18,7 +18,6 @@
 package gnn
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"sort"
@@ -127,15 +126,11 @@ func (a Aggregate) Cost(p geo.Point, query []geo.Point) float64 {
 // any point inside rect: F applied to the per-query-point MINDISTs, combined
 // with the MBM bound from the query MBR.
 func (a Aggregate) nodeLowerBound(rect geo.Rect, query []geo.Point, queryMBR geo.Rect) float64 {
-	mbrBound := rect.MinDist(queryMBR.Center()) // placeholder, replaced below
-	// MBM bound: every query point lies inside queryMBR, so any p has
-	// dist(p, l_i) >= MinDist(rect→... ) — use mindist between rect and MBR.
-	md := rectMinDist(rect, queryMBR)
-	switch a {
-	case Sum:
-		mbrBound = float64(len(query)) * md
-	case Max, Min:
-		mbrBound = md
+	// MBM bound: every query point lies inside queryMBR, so any p in rect
+	// has dist(p, l_i) >= the minimum distance between rect and queryMBR.
+	mbrBound := rectMinDist(rect, queryMBR)
+	if a == Sum {
+		mbrBound *= float64(len(query))
 	}
 	// Tighter per-point bound.
 	var ptBound float64
@@ -215,83 +210,23 @@ func (m *MBM) Search(query []geo.Point, k int) []Result {
 	return out
 }
 
-// SearchBounded is Search with an admissible cost cutoff: entries whose
-// lower bound exceeds maxCost are never expanded, and because the queue
-// pops in ascending bound order the search stops outright at the first
-// such entry. Any POI with aggregate cost <= maxCost is still returned,
-// so a caller holding an upper bound on the true k-th cost gets a result
-// byte-identical to the unbounded search. The second return value counts
-// the POIs whose exact cost was evaluated — the per-query candidate work
-// the benchmark reports as scanned POIs.
+// SearchBounded is Search with an admissible cost cutoff: nodes whose
+// lower bound exceeds maxCost are never expanded, and POIs costing more
+// than maxCost are never returned. Any POI with aggregate cost <= maxCost
+// is still returned, so a caller holding an upper bound on the true k-th
+// cost gets a result byte-identical to the unbounded search. The second
+// return value counts the POIs whose exact cost was evaluated — the
+// per-query candidate work the benchmark reports as scanned POIs. The walk
+// is bestFirst's: only nodes are queued, and the k best POIs so far tighten
+// the cut as they arrive.
 func (m *MBM) SearchBounded(query []geo.Point, k int, maxCost float64) ([]Result, int) {
 	if k <= 0 || len(query) == 0 || m.Tree.Len() == 0 {
 		return nil, 0
 	}
 	queryMBR := geo.RectOf(query...)
-	pq := &boundQueue{}
-	root := m.Tree.Root()
-	heap.Push(pq, boundEntry{
-		bound: m.Agg.nodeLowerBound(root.Rect(), query, queryMBR),
-		node:  root,
-	})
-	scanned := 0
-	var out []Result
-	for pq.Len() > 0 && len(out) < k {
-		e := heap.Pop(pq).(boundEntry)
-		if e.bound > maxCost {
-			break
-		}
-		switch {
-		case e.node != nil && e.node.IsLeaf():
-			for _, it := range e.node.Items() {
-				scanned++
-				heap.Push(pq, boundEntry{
-					bound:  m.Agg.Cost(it.P, query),
-					item:   it,
-					isItem: true,
-				})
-			}
-		case e.node != nil:
-			for _, c := range e.node.Children() {
-				heap.Push(pq, boundEntry{
-					bound: m.Agg.nodeLowerBound(c.Rect(), query, queryMBR),
-					node:  c,
-				})
-			}
-		default:
-			out = append(out, Result{Item: e.item, Cost: e.bound})
-		}
-	}
-	return out, scanned
-}
-
-type boundEntry struct {
-	bound  float64
-	node   *rtree.Node
-	item   rtree.Item
-	isItem bool
-}
-
-type boundQueue []boundEntry
-
-func (q boundQueue) Len() int { return len(q) }
-func (q boundQueue) Less(i, j int) bool {
-	if q[i].bound != q[j].bound {
-		return q[i].bound < q[j].bound
-	}
-	if q[i].isItem != q[j].isItem {
-		return !q[i].isItem // expand tied nodes before emitting items
-	}
-	return q[i].item.ID < q[j].item.ID
-}
-func (q boundQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *boundQueue) Push(x interface{}) { *q = append(*q, x.(boundEntry)) }
-func (q *boundQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	*q = old[:n-1]
-	return e
+	return bestFirst(m.Tree, k, maxCost,
+		func(r geo.Rect) float64 { return m.Agg.nodeLowerBound(r, query, queryMBR) },
+		func(p geo.Point) float64 { return m.Agg.Cost(p, query) })
 }
 
 // BruteForce is the exhaustive reference implementation used for testing

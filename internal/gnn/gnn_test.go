@@ -1,11 +1,15 @@
 package gnn
 
 import (
+	"container/heap"
 	"math"
 	"math/rand"
 	"testing"
 
+	"ppgnn/internal/dataset"
+	"ppgnn/internal/dummy"
 	"ppgnn/internal/geo"
+	"ppgnn/internal/partition"
 	"ppgnn/internal/rtree"
 )
 
@@ -271,17 +275,22 @@ func TestRectMinDist(t *testing.T) {
 	}
 }
 
+// BenchmarkMBMSearch times one kGNN candidate query the way Algorithm 2
+// issues them: 100k clustered POIs, and 8-point queries taken from the δ'
+// candidate list of an n=8, d=25, δ=100 group (uniform dummies).
 func BenchmarkMBMSearch(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	items := randomItems(rng, 62556)
-	tree := rtree.Bulk(items, rtree.DefaultMaxEntries)
-	mbm := &MBM{Tree: tree, Agg: Sum}
-	q := randomQuery(rng, 8)
+	items := dataset.Synthetic(1, 100000)
+	mbm := &MBM{Tree: rtree.Bulk(items, rtree.DefaultMaxEntries), Agg: Sum}
+	cands := groupCandidates(rand.New(rand.NewSource(1)), 8, 25, 100)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mbm.Search(q, 8)
+		benchSink = mbm.Search(cands[i%len(cands)], 8)
 	}
 }
+
+// benchSink keeps benchmarked results live.
+var benchSink []Result
 
 func BenchmarkBruteForceSearch(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
@@ -293,3 +302,220 @@ func BenchmarkBruteForceSearch(b *testing.B) {
 		bf.Search(q, 8)
 	}
 }
+
+// groupCandidates draws n real locations, hides each in a d-point uniform
+// location set, and returns the δ' candidate queries the LSP would build
+// from them.
+func groupCandidates(rng *rand.Rand, n, d, delta int) [][]geo.Point {
+	params, err := partition.Solve(n, d, delta)
+	if err != nil {
+		panic(err)
+	}
+	sets := make([][]geo.Point, n)
+	for u := range sets {
+		at := geo.Point{X: 0.3 + 0.4*rng.Float64(), Y: 0.3 + 0.4*rng.Float64()}
+		sets[u] = dummy.Uniform{}.LocationSet(rng, at, d, rng.Intn(d), geo.UnitRect)
+	}
+	cands, err := params.Candidates(sets)
+	if err != nil {
+		panic(err)
+	}
+	return cands
+}
+
+// referenceSearch is the single-queue MBM the typed kernel replaced: nodes
+// and POIs share one container/heap queue ordered by (bound,
+// node-before-POI, ID), and the k-th POI popped ends the search. It is kept
+// as the differential oracle for SearchBounded's results and scanned count.
+func referenceSearch(m *MBM, query []geo.Point, k int, maxCost float64) ([]Result, int) {
+	if k <= 0 || len(query) == 0 || m.Tree.Len() == 0 {
+		return nil, 0
+	}
+	queryMBR := geo.RectOf(query...)
+	pq := &refQueue{}
+	root := m.Tree.Root()
+	heap.Push(pq, refEntry{bound: m.Agg.nodeLowerBound(root.Rect(), query, queryMBR), node: root})
+	scanned := 0
+	var out []Result
+	for pq.Len() > 0 && len(out) < k {
+		e := heap.Pop(pq).(refEntry)
+		if e.bound > maxCost {
+			break
+		}
+		switch {
+		case e.node != nil && e.node.IsLeaf():
+			for _, it := range e.node.Items() {
+				scanned++
+				heap.Push(pq, refEntry{bound: m.Agg.Cost(it.P, query), item: it, isItem: true})
+			}
+		case e.node != nil:
+			for _, c := range e.node.Children() {
+				heap.Push(pq, refEntry{bound: m.Agg.nodeLowerBound(c.Rect(), query, queryMBR), node: c})
+			}
+		default:
+			out = append(out, Result{Item: e.item, Cost: e.bound})
+		}
+	}
+	return out, scanned
+}
+
+type refEntry struct {
+	bound  float64
+	node   *rtree.Node
+	item   rtree.Item
+	isItem bool
+}
+
+type refQueue []refEntry
+
+func (q refQueue) Len() int { return len(q) }
+func (q refQueue) Less(i, j int) bool {
+	if q[i].bound != q[j].bound {
+		return q[i].bound < q[j].bound
+	}
+	if q[i].isItem != q[j].isItem {
+		return !q[i].isItem
+	}
+	return q[i].item.ID < q[j].item.ID
+}
+func (q refQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
+func (q *refQueue) Push(x interface{}) { *q = append(*q, x.(refEntry)) }
+func (q *refQueue) Pop() interface{} {
+	old := *q
+	e := old[len(old)-1]
+	*q = old[:len(old)-1]
+	return e
+}
+
+// churnedTree builds a dynamic tree by insertion (quadratic splits) and
+// then applies 500 random Insert/Delete calls, returning it with the items
+// it finally holds.
+func churnedTree(rng *rand.Rand, n, maxEntries int) (*rtree.Tree, []rtree.Item) {
+	tree := rtree.New(maxEntries)
+	live := randomItems(rng, n)
+	for _, it := range live {
+		tree.Insert(it)
+	}
+	nextID := int64(n)
+	for op := 0; op < 500; op++ {
+		if rng.Intn(2) == 0 && len(live) > 0 {
+			i := rng.Intn(len(live))
+			if !tree.Delete(live[i]) {
+				panic("churnedTree: delete of a live item failed")
+			}
+			live[i] = live[len(live)-1]
+			live = live[:len(live)-1]
+			continue
+		}
+		it := rtree.Item{ID: nextID, P: geo.Point{X: rng.Float64(), Y: rng.Float64()}}
+		nextID++
+		tree.Insert(it)
+		live = append(live, it)
+	}
+	return tree, live
+}
+
+// withDuplicates adds, for every fifth item, a copy at the same location
+// under a fresh ID, so many ranks tie on cost and only IDs order them.
+func withDuplicates(items []rtree.Item) []rtree.Item {
+	out := append([]rtree.Item(nil), items...)
+	next := int64(len(items)) * 2
+	for i := 0; i < len(items); i += 5 {
+		out = append(out, rtree.Item{ID: next, P: items[i].P})
+		next++
+	}
+	return out
+}
+
+// TestSearchBoundedMatchesReference is the differential test of the typed
+// kernel: on STR and insert-built trees, with tied duplicate locations,
+// for every aggregate, k from 1 past the database size, and unbounded and
+// finite cutoffs, SearchBounded returns exactly the reference queue's
+// results and scanned count, and exactly BruteForce's results.
+func TestSearchBoundedMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	type db struct {
+		name  string
+		tree  *rtree.Tree
+		items []rtree.Item
+	}
+	var dbs []db
+	for _, fanout := range []int{4, 16, rtree.DefaultMaxEntries} {
+		items := withDuplicates(randomItems(rng, 1500))
+		dbs = append(dbs, db{"str", rtree.Bulk(items, fanout), items})
+	}
+	for _, fanout := range []int{4, 9} {
+		tree, items := churnedTree(rng, 800, fanout)
+		if err := tree.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		dbs = append(dbs, db{"churned", tree, withDuplicates(items)})
+		// Duplicates enter the churned tree by insertion too.
+		for _, it := range dbs[len(dbs)-1].items[len(items):] {
+			tree.Insert(it)
+		}
+	}
+	for _, d := range dbs {
+		for _, agg := range []Aggregate{Sum, Max, Min} {
+			mbm := &MBM{Tree: d.tree, Agg: agg}
+			for trial := 0; trial < 6; trial++ {
+				q := randomQuery(rng, 1+rng.Intn(8))
+				ranked := (&BruteForce{Items: d.items, Agg: agg}).Search(q, len(d.items))
+				for _, k := range []int{1, 1 + rng.Intn(20), d.tree.Len(), d.tree.Len() + 7} {
+					full := ranked[:min(k, len(ranked))]
+					kth := full[len(full)-1].Cost
+					cutoffs := []float64{math.Inf(1), kth, math.Nextafter(kth, 0), full[0].Cost * (1 + rng.Float64()), full[0].Cost / 2}
+					for _, maxCost := range cutoffs {
+						got, scanned := mbm.SearchBounded(q, k, maxCost)
+						ref, refScanned := referenceSearch(mbm, q, k, maxCost)
+						want := full
+						for len(want) > 0 && want[len(want)-1].Cost > maxCost {
+							want = want[:len(want)-1]
+						}
+						if scanned != refScanned {
+							t.Fatalf("%s %v k=%d cutoff=%v: scanned %d POIs, reference %d", d.name, agg, k, maxCost, scanned, refScanned)
+						}
+						if len(got) != len(ref) || len(got) != len(want) {
+							t.Fatalf("%s %v k=%d cutoff=%v: %d results, reference %d, brute force %d", d.name, agg, k, maxCost, len(got), len(ref), len(want))
+						}
+						for i := range got {
+							if got[i] != ref[i] || got[i] != want[i] {
+								t.Fatalf("%s %v k=%d cutoff=%v rank %d: got %+v, reference %+v, brute force %+v", d.name, agg, k, maxCost, i, got[i], ref[i], want[i])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSearchAllocsBounded pins the kernel's allocation profile: a search
+// allocates its result slots and its node queue, never one object per
+// scanned POI, so the bound holds on a database 16 times larger.
+func TestSearchAllocsBounded(t *testing.T) {
+	cands := groupCandidates(rand.New(rand.NewSource(3)), 8, 25, 100)
+	for _, n := range []int{5000, 80000} {
+		mbm := &MBM{Tree: rtree.Bulk(dataset.Synthetic(2, n), rtree.DefaultMaxEntries), Agg: Sum}
+		scanned := 0
+		for _, q := range cands {
+			_, s := mbm.SearchBounded(q, 8, math.Inf(1))
+			scanned += s
+		}
+		i := 0
+		allocs := testing.AllocsPerRun(len(cands), func() {
+			mbm.Search(cands[i%len(cands)], 8)
+			i++
+		})
+		if perQuery := scanned / len(cands); perQuery < 100 {
+			t.Fatalf("n=%d: only %d POIs scanned per query; the bound below says nothing", n, perQuery)
+		}
+		if allocs > maxSearchAllocs {
+			t.Fatalf("n=%d: %.1f allocations per search, want <= %d (%d POIs scanned per query)", n, allocs, maxSearchAllocs, scanned/len(cands))
+		}
+	}
+}
+
+// maxSearchAllocs bounds one search's heap allocations: the k result slots,
+// the node queue, and two doublings of it for frontiers past its start.
+const maxSearchAllocs = 4

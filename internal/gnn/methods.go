@@ -1,7 +1,6 @@
 package gnn
 
 import (
-	"container/heap"
 	"math"
 
 	"ppgnn/internal/geo"
@@ -63,7 +62,7 @@ func (s *SPM) Search(query []geo.Point, k int) []Result {
 		}
 	}
 
-	best := newTopK(k)
+	best := kBest{k: k, size: s.Tree.Len()}
 	it := s.Tree.NearestIter(q)
 	for {
 		item, r, ok := it.Next()
@@ -103,7 +102,7 @@ func (m *MQM) Search(query []geo.Point, k int) []Result {
 		iters[i] = m.Tree.NearestIter(l)
 	}
 	seen := make(map[int64]bool)
-	best := newTopK(k)
+	best := kBest{k: k, size: m.Tree.Len()}
 	remaining := m.Tree.Len()
 	for seenCount := 0; seenCount < remaining; {
 		// Advance the stream with the smallest threshold (round-robin over
@@ -138,57 +137,4 @@ func (m *MQM) Search(query []geo.Point, k int) []Result {
 		}
 	}
 	return best.sorted()
-}
-
-// topK maintains the k best results seen so far (max-heap on cost, ties by
-// reversed ID so that final extraction is deterministic).
-type topK struct {
-	k    int
-	heap resultMaxHeap
-}
-
-func newTopK(k int) *topK { return &topK{k: k} }
-
-func (t *topK) full() bool { return t.heap.Len() >= t.k }
-
-// worst returns the k-th best cost; call only when full.
-func (t *topK) worst() float64 { return t.heap[0].Cost }
-
-func (t *topK) add(r Result) {
-	if t.heap.Len() < t.k {
-		heap.Push(&t.heap, r)
-		return
-	}
-	w := t.heap[0]
-	if r.Cost < w.Cost || (r.Cost == w.Cost && r.Item.ID < w.Item.ID) {
-		t.heap[0] = r
-		heap.Fix(&t.heap, 0)
-	}
-}
-
-func (t *topK) sorted() []Result {
-	out := make([]Result, t.heap.Len())
-	for i := len(out) - 1; i >= 0; i-- {
-		out[i] = heap.Pop(&t.heap).(Result)
-	}
-	return out
-}
-
-type resultMaxHeap []Result
-
-func (h resultMaxHeap) Len() int { return len(h) }
-func (h resultMaxHeap) Less(i, j int) bool {
-	if h[i].Cost != h[j].Cost {
-		return h[i].Cost > h[j].Cost
-	}
-	return h[i].Item.ID > h[j].Item.ID // worst-first also by ID for determinism
-}
-func (h resultMaxHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *resultMaxHeap) Push(x interface{}) { *h = append(*h, x.(Result)) }
-func (h *resultMaxHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	r := old[n-1]
-	*h = old[:n-1]
-	return r
 }

@@ -1,8 +1,8 @@
 package gnn
 
 import (
-	"container/heap"
 	"fmt"
+	"math"
 
 	"ppgnn/internal/geo"
 	"ppgnn/internal/rtree"
@@ -65,31 +65,14 @@ func (w *Weighted) Search(query []geo.Point, k int) []Result {
 	if err := w.Validate(); err != nil {
 		return nil
 	}
-	bound := func(rect geo.Rect) float64 {
-		s := 0.0
-		for i, q := range query {
-			s += w.Weights[i] * rect.MinDist(q)
-		}
-		return s
-	}
-	pq := &boundQueue{}
-	root := w.Tree.Root()
-	heap.Push(pq, boundEntry{bound: bound(root.Rect()), node: root})
-	var out []Result
-	for pq.Len() > 0 && len(out) < k {
-		e := heap.Pop(pq).(boundEntry)
-		switch {
-		case e.node != nil && e.node.IsLeaf():
-			for _, it := range e.node.Items() {
-				heap.Push(pq, boundEntry{bound: w.Cost(it.P, query), item: it, isItem: true})
+	out, _ := bestFirst(w.Tree, k, math.Inf(1),
+		func(rect geo.Rect) float64 {
+			s := 0.0
+			for i, q := range query {
+				s += w.Weights[i] * rect.MinDist(q)
 			}
-		case e.node != nil:
-			for _, c := range e.node.Children() {
-				heap.Push(pq, boundEntry{bound: bound(c.Rect()), node: c})
-			}
-		default:
-			out = append(out, Result{Item: e.item, Cost: e.bound})
-		}
-	}
+			return s
+		},
+		func(p geo.Point) float64 { return w.Cost(p, query) })
 	return out
 }
