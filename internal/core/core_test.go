@@ -7,6 +7,8 @@ import (
 	"math/big"
 	"math/rand"
 	"runtime"
+	"strings"
+	"sync"
 	"testing"
 
 	"ppgnn/internal/cost"
@@ -276,6 +278,99 @@ func TestDynamicDatabase(t *testing.T) {
 	if res2.Points[0].Dist(geo.Point{X: 0.5, Y: 0.5}) < 1e-9 {
 		t.Fatal("deleted POI still returned")
 	}
+}
+
+// TestInsertBehindQueryLandsBeforeNextQuery checks the RWMutex writer
+// preference DESIGN §2 "Live updates" claims: an Insert blocked behind a
+// query's in-flight candidate phase takes the lock ahead of a query that
+// arrived after it, so that query parks on the read lock instead of
+// overtaking the write, and then reads the tree with the insert in it.
+func TestInsertBehindQueryLandsBeforeNextQuery(t *testing.T) {
+	lsp := testLSP(500)
+	at := geo.Point{X: 0.5, Y: 0.5}
+	p := testParams(1, VariantPPGNN)
+	p.K = 1
+	group := func(seed int64) *Group {
+		g, err := NewGroup(p, []geo.Point{at}, rand.New(rand.NewSource(seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	first, second := group(22), group(23)
+
+	// The first query's first kGNN call holds its candidate phase open
+	// until release closes.
+	tree := lsp.Tree()
+	entered, release := make(chan struct{}), make(chan struct{})
+	var hold sync.Once
+	lsp.Search = func(query []geo.Point, k int, agg gnn.Aggregate) []gnn.Result {
+		hold.Do(func() { close(entered); <-release })
+		return (&gnn.MBM{Tree: tree, Agg: agg}).Search(query, k)
+	}
+	type outcome struct {
+		res *Result
+		err error
+	}
+	run := func(g *Group) chan outcome {
+		done := make(chan outcome, 1)
+		go func() {
+			res, err := g.Run(LocalService{LSP: lsp}, nil)
+			done <- outcome{res, err}
+		}()
+		return done
+	}
+
+	firstDone := run(first)
+	<-entered
+	inserted := make(chan struct{})
+	go func() {
+		lsp.Insert(rtree.Item{ID: 999999, P: at})
+		close(inserted)
+	}()
+	for !parked("[sync.RWMutex.Lock", "(*LSP).Insert") {
+		select {
+		case <-inserted:
+			t.Fatal("Insert did not wait for the in-flight candidate phase")
+		default:
+			runtime.Gosched()
+		}
+	}
+	secondDone := run(second)
+	for !parked("[sync.RWMutex.RLock", "(*LSP).answerCandidates") {
+		select {
+		case <-secondDone:
+			t.Fatal("a query that arrived behind a waiting Insert overtook it")
+		default:
+			runtime.Gosched()
+		}
+	}
+	close(release)
+
+	if o := <-firstDone; o.err != nil {
+		t.Fatal(o.err)
+	}
+	<-inserted
+	o := <-secondDone
+	if o.err != nil {
+		t.Fatal(o.err)
+	}
+	if got := o.res.Points[0]; got.Dist(at) > 1e-6 {
+		t.Fatalf("the later query's top-1 is %v: it did not read the insert at %v", got, at)
+	}
+}
+
+// parked reports whether some goroutine is blocked in the state a stack
+// dump names in its header (such as "[sync.RWMutex.RLock") with fn on its
+// stack.
+func parked(state, fn string) bool {
+	buf := make([]byte, 1<<20)
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		if strings.Contains(g, state) && strings.Contains(g, fn) {
+			return true
+		}
+	}
+	return false
 }
 
 func TestQueryMsgRoundTrip(t *testing.T) {

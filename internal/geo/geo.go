@@ -133,11 +133,13 @@ func (r Rect) EnlargeArea(s Rect) float64 {
 // point of r. It is zero when p lies inside r. This is the classic MINDIST
 // lower bound used for R-tree pruning.
 //
-// It must use the same rounding as Point.Dist (math.Hypot, correctly
-// rounded): for a degenerate rect — a single-POI leaf — the bound and the
-// cost reduce to the identical expression, so the computed bound can
-// never exceed the computed cost by an ulp. Bounded searches cut off at
-// an exact k-th cost (gnn.MBM.SearchBounded) rely on that.
+// It must compute the same expression as Point.Dist, math.Hypot of the
+// coordinate differences. Go's Hypot is max·√(1 + (min/max)²), not
+// correctly rounded, but for a degenerate rect — a single-POI leaf — the
+// bound and the cost then evaluate the identical expression on identical
+// inputs, so the computed bound can never exceed the computed cost by an
+// ulp. Bounded searches cut off at an exact k-th cost
+// (gnn.MBM.SearchBounded) rely on that.
 func (r Rect) MinDist(p Point) float64 {
 	return math.Hypot(axisDist(p.X, r.Min.X, r.Max.X), axisDist(p.Y, r.Min.Y, r.Max.Y))
 }

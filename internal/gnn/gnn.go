@@ -5,10 +5,11 @@
 //
 // The main engine is the Minimum Bounding Method (MBM) of Papadias et al.
 // ("Group Nearest Neighbor Queries", ICDE 2004): a best-first branch and
-// bound over the LSP's R-tree that prunes nodes using two admissible lower
-// bounds — the cheap bound derived from the minimum bounding rectangle M of
-// the query points, and the tighter per-point bound F(mindist(N,l_1), …,
-// mindist(N,l_n)).
+// bound over the LSP's R-tree that prunes a node N by the per-point bound
+// F(mindist(N,l_1), …, mindist(N,l_n)), which dominates the paper's bound
+// from the query points' minimum bounding rectangle. For Sum it also uses
+// the tangent plane of the convex cost at N's centre, which is far tighter
+// near the group's optimum (see sumBound).
 //
 // The PPGNN protocol treats query answering as a black box (paper Section
 // 1), which the Searcher interface captures: anything that maps a set of
@@ -123,24 +124,18 @@ func (a Aggregate) Cost(p geo.Point, query []geo.Point) float64 {
 }
 
 // nodeLowerBound returns an admissible lower bound on the aggregate cost of
-// any point inside rect: F applied to the per-query-point MINDISTs, combined
-// with the MBM bound from the query MBR.
-func (a Aggregate) nodeLowerBound(rect geo.Rect, query []geo.Point, queryMBR geo.Rect) float64 {
-	// MBM bound: every query point lies inside queryMBR, so any p in rect
-	// has dist(p, l_i) >= the minimum distance between rect and queryMBR.
-	mbrBound := rectMinDist(rect, queryMBR)
-	if a == Sum {
-		mbrBound *= float64(len(query))
-	}
-	// Tighter per-point bound.
-	var ptBound float64
+// any point inside rect. For Max and Min it is F applied to the
+// per-query-point MINDISTs; for Sum it is sumBound with unit weights.
+//
+// MBM's other classic bound, the MINDIST between rect and the query
+// points' MBR (times n for Sum), is dominated and not computed: every l_u
+// lies inside the MBR, so MINDIST(rect, l_u) >= MINDIST(rect, MBR) for
+// each u, and Sum, Max and Min of the per-point terms are each at least
+// the same aggregate of n copies of the MBR term.
+func (a Aggregate) nodeLowerBound(rect geo.Rect, query []geo.Point) float64 {
 	switch a {
 	case Sum:
-		s := 0.0
-		for _, q := range query {
-			s += rect.MinDist(q)
-		}
-		ptBound = s
+		return sumBound(rect, query, nil)
 	case Max:
 		m := 0.0
 		for _, q := range query {
@@ -148,7 +143,7 @@ func (a Aggregate) nodeLowerBound(rect geo.Rect, query []geo.Point, queryMBR geo
 				m = d
 			}
 		}
-		ptBound = m
+		return m
 	case Min:
 		m := math.Inf(1)
 		for _, q := range query {
@@ -156,30 +151,69 @@ func (a Aggregate) nodeLowerBound(rect geo.Rect, query []geo.Point, queryMBR geo
 				m = d
 			}
 		}
-		ptBound = m
-	}
-	if mbrBound > ptBound {
-		return mbrBound
-	}
-	return ptBound
-}
-
-// rectMinDist is the minimum distance between two rectangles.
-func rectMinDist(a, b geo.Rect) float64 {
-	dx := axisGap(a.Min.X, a.Max.X, b.Min.X, b.Max.X)
-	dy := axisGap(a.Min.Y, a.Max.Y, b.Min.Y, b.Max.Y)
-	return math.Hypot(dx, dy)
-}
-
-func axisGap(alo, ahi, blo, bhi float64) float64 {
-	switch {
-	case ahi < blo:
-		return blo - ahi
-	case bhi < alo:
-		return alo - bhi
+		return m
 	default:
-		return 0
+		panic("gnn: unknown aggregate")
 	}
+}
+
+// tangentSlack is the relative safety margin of sumBound's tangent-plane
+// bound; see the rounding argument there.
+const tangentSlack = 1e-9
+
+// sumBound returns an admissible lower bound on f(p) = Σ_u w_u·‖p − l_u‖
+// over p in rect, for weights w_u >= 0 (nil weights mean every w_u = 1,
+// the Sum aggregate). It is the larger of two bounds:
+//
+//   - the per-point bound Σ_u w_u·MINDIST(rect, l_u), computed with the
+//     same expression as the cost, so on a single-POI rect it equals the
+//     computed cost exactly;
+//   - the tangent-plane bound. f is convex, so with c the rect's centre
+//     and g = Σ_u w_u·(c − l_u)/‖c − l_u‖ a subgradient at c (a term with
+//     c = l_u contributes 0), f(p) >= f(c) + g·(p − c), which over the
+//     rect is smallest at f(c) − |g_x|·h_x − |g_y|·h_y with h the largest
+//     offset of the rect from c on each axis.
+//
+// The per-point bound's slack grows linearly with the rect's size, since
+// the users pull in different directions; near the aggregate optimum g
+// nearly vanishes and the tangent bound's slack is second order, which is
+// what prunes the leaves around a group query's answers.
+//
+// Rounding. With W = Σ w_u and ε the unit roundoff, the computed f(c) is
+// within (n+2)ε·f(c) of the exact one; each computed g component is within
+// (n+3)ε·W of the exact subgradient, which costs at most (n+3)ε·W·(h_x+h_y)
+// in the plane; the final products and differences add a few ε of
+// f(c) + W·(h_x+h_y). A POI's computed cost is within (n+2)ε·f(p) of its
+// exact cost, and f(p) <= f(c) + W·(h_x+h_y). The total is below
+// (3n+10)ε·(f(c) + W·(h_x+h_y)), so subtracting tangentSlack times that
+// scale keeps the computed bound at or below every computed cost in the
+// rect for any query under a million points. An overflow shows up as an
+// infinity or NaN, and then the tangent bound contributes nothing.
+func sumBound(rect geo.Rect, query []geo.Point, weights []float64) float64 {
+	c := rect.Center()
+	var pt, fc, gx, gy, wsum float64
+	for u, q := range query {
+		w := 1.0
+		if weights != nil {
+			w = weights[u]
+		}
+		dx, dy := c.X-q.X, c.Y-q.Y
+		d := math.Hypot(dx, dy)
+		pt += w * rect.MinDist(q)
+		fc += w * d
+		if d > 0 {
+			gx += w * dx / d
+			gy += w * dy / d
+		}
+		wsum += w
+	}
+	hx := max(c.X-rect.Min.X, rect.Max.X-c.X)
+	hy := max(c.Y-rect.Min.Y, rect.Max.Y-c.Y)
+	tangent := fc - math.Abs(gx)*hx - math.Abs(gy)*hy - tangentSlack*(fc+wsum*(hx+hy))
+	if tangent > pt && !math.IsInf(tangent, 0) {
+		return tangent
+	}
+	return pt
 }
 
 // Result is one ranked POI of a kGNN answer.
@@ -223,9 +257,8 @@ func (m *MBM) SearchBounded(query []geo.Point, k int, maxCost float64) ([]Result
 	if k <= 0 || len(query) == 0 || m.Tree.Len() == 0 {
 		return nil, 0
 	}
-	queryMBR := geo.RectOf(query...)
 	return bestFirst(m.Tree, k, maxCost,
-		func(r geo.Rect) float64 { return m.Agg.nodeLowerBound(r, query, queryMBR) },
+		func(r geo.Rect) float64 { return m.Agg.nodeLowerBound(r, query) },
 		func(p geo.Point) float64 { return m.Agg.Cost(p, query) })
 }
 

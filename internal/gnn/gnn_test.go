@@ -259,22 +259,6 @@ func TestBruteForceEdgeCases(t *testing.T) {
 	}
 }
 
-func TestRectMinDist(t *testing.T) {
-	a := geo.Rect{Min: geo.Point{X: 0, Y: 0}, Max: geo.Point{X: 1, Y: 1}}
-	b := geo.Rect{Min: geo.Point{X: 2, Y: 0}, Max: geo.Point{X: 3, Y: 1}}
-	if got := rectMinDist(a, b); got != 1 {
-		t.Errorf("rectMinDist = %v, want 1", got)
-	}
-	c := geo.Rect{Min: geo.Point{X: 0.5, Y: 0.5}, Max: geo.Point{X: 2, Y: 2}}
-	if got := rectMinDist(a, c); got != 0 {
-		t.Errorf("overlapping rectMinDist = %v, want 0", got)
-	}
-	d := geo.Rect{Min: geo.Point{X: 4, Y: 5}, Max: geo.Point{X: 6, Y: 7}}
-	if got := rectMinDist(a, d); math.Abs(got-5) > 1e-12 {
-		t.Errorf("diagonal rectMinDist = %v, want 5", got)
-	}
-}
-
 // BenchmarkMBMSearch times one kGNN candidate query the way Algorithm 2
 // issues them: 100k clustered POIs, and 8-point queries taken from the δ'
 // candidate list of an n=8, d=25, δ=100 group (uniform dummies).
@@ -282,11 +266,15 @@ func BenchmarkMBMSearch(b *testing.B) {
 	items := dataset.Synthetic(1, 100000)
 	mbm := &MBM{Tree: rtree.Bulk(items, rtree.DefaultMaxEntries), Agg: Sum}
 	cands := groupCandidates(rand.New(rand.NewSource(1)), 8, 25, 100)
+	scanned := 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchSink = mbm.Search(cands[i%len(cands)], 8)
+		var s int
+		benchSink, s = mbm.SearchBounded(cands[i%len(cands)], 8, math.Inf(1))
+		scanned += s
 	}
+	b.ReportMetric(float64(scanned)/float64(b.N), "scanned/op")
 }
 
 // benchSink keeps benchmarked results live.
@@ -323,18 +311,20 @@ func groupCandidates(rng *rand.Rand, n, d, delta int) [][]geo.Point {
 	return cands
 }
 
-// referenceSearch is the single-queue MBM the typed kernel replaced: nodes
-// and POIs share one container/heap queue ordered by (bound,
-// node-before-POI, ID), and the k-th POI popped ends the search. It is kept
-// as the differential oracle for SearchBounded's results and scanned count.
-func referenceSearch(m *MBM, query []geo.Point, k int, maxCost float64) ([]Result, int) {
-	if k <= 0 || len(query) == 0 || m.Tree.Len() == 0 {
+// referenceSearch is the single-queue best-first search the typed kernel
+// replaced: nodes and POIs share one container/heap queue ordered by
+// (bound, node-before-POI, ID), and the k-th POI popped ends the search.
+// With refBound or refWeightedBound it is the frozen pre-tangent-bound
+// MBM, kept as the differential oracle for SearchBounded's results and
+// scanned count.
+func referenceSearch(tree *rtree.Tree, k int, maxCost float64,
+	bound func(geo.Rect) float64, cost func(geo.Point) float64) ([]Result, int) {
+	if k <= 0 || tree.Len() == 0 {
 		return nil, 0
 	}
-	queryMBR := geo.RectOf(query...)
 	pq := &refQueue{}
-	root := m.Tree.Root()
-	heap.Push(pq, refEntry{bound: m.Agg.nodeLowerBound(root.Rect(), query, queryMBR), node: root})
+	root := tree.Root()
+	heap.Push(pq, refEntry{bound: bound(root.Rect()), node: root})
 	scanned := 0
 	var out []Result
 	for pq.Len() > 0 && len(out) < k {
@@ -346,17 +336,46 @@ func referenceSearch(m *MBM, query []geo.Point, k int, maxCost float64) ([]Resul
 		case e.node != nil && e.node.IsLeaf():
 			for _, it := range e.node.Items() {
 				scanned++
-				heap.Push(pq, refEntry{bound: m.Agg.Cost(it.P, query), item: it, isItem: true})
+				heap.Push(pq, refEntry{bound: cost(it.P), item: it, isItem: true})
 			}
 		case e.node != nil:
 			for _, c := range e.node.Children() {
-				heap.Push(pq, refEntry{bound: m.Agg.nodeLowerBound(c.Rect(), query, queryMBR), node: c})
+				heap.Push(pq, refEntry{bound: bound(c.Rect()), node: c})
 			}
 		default:
 			out = append(out, Result{Item: e.item, Cost: e.bound})
 		}
 	}
 	return out, scanned
+}
+
+// refBound is MBM's node bound before the tangent plane: F applied to the
+// per-query-point MINDISTs (the query-MBR term it also took is dominated).
+func refBound(agg Aggregate, query []geo.Point) func(geo.Rect) float64 {
+	return func(rect geo.Rect) float64 {
+		d := make([]float64, len(query))
+		for i, q := range query {
+			d[i] = rect.MinDist(q)
+		}
+		return agg.Combine(d)
+	}
+}
+
+// refWeightedBound is Weighted's node bound before the tangent plane.
+func refWeightedBound(weights []float64, query []geo.Point) func(geo.Rect) float64 {
+	return func(rect geo.Rect) float64 {
+		s := 0.0
+		for i, q := range query {
+			s += weights[i] * rect.MinDist(q)
+		}
+		return s
+	}
+}
+
+// refMBM is referenceSearch with the frozen MBM bound.
+func refMBM(m *MBM, query []geo.Point, k int, maxCost float64) ([]Result, int) {
+	return referenceSearch(m.Tree, k, maxCost, refBound(m.Agg, query),
+		func(p geo.Point) float64 { return m.Agg.Cost(p, query) })
 }
 
 type refEntry struct {
@@ -430,10 +449,13 @@ func withDuplicates(items []rtree.Item) []rtree.Item {
 // TestSearchBoundedMatchesReference is the differential test of the typed
 // kernel: on STR and insert-built trees, with tied duplicate locations,
 // for every aggregate, k from 1 past the database size, and unbounded and
-// finite cutoffs, SearchBounded returns exactly the reference queue's
-// results and scanned count, and exactly BruteForce's results.
+// finite cutoffs, SearchBounded returns exactly the frozen reference's
+// results and exactly BruteForce's results. Max and Min keep the
+// reference's bound, so they scan exactly its POIs; Sum and Weighted add
+// the tangent-plane bound, so they may only scan fewer.
 func TestSearchBoundedMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
+	wrng := rand.New(rand.NewSource(43))
 	type db struct {
 		name  string
 		tree  *rtree.Tree
@@ -467,12 +489,12 @@ func TestSearchBoundedMatchesReference(t *testing.T) {
 					cutoffs := []float64{math.Inf(1), kth, math.Nextafter(kth, 0), full[0].Cost * (1 + rng.Float64()), full[0].Cost / 2}
 					for _, maxCost := range cutoffs {
 						got, scanned := mbm.SearchBounded(q, k, maxCost)
-						ref, refScanned := referenceSearch(mbm, q, k, maxCost)
+						ref, refScanned := refMBM(mbm, q, k, maxCost)
 						want := full
 						for len(want) > 0 && want[len(want)-1].Cost > maxCost {
 							want = want[:len(want)-1]
 						}
-						if scanned != refScanned {
+						if scanned > refScanned || (agg != Sum && scanned != refScanned) {
 							t.Fatalf("%s %v k=%d cutoff=%v: scanned %d POIs, reference %d", d.name, agg, k, maxCost, scanned, refScanned)
 						}
 						if len(got) != len(ref) || len(got) != len(want) {
@@ -487,7 +509,54 @@ func TestSearchBoundedMatchesReference(t *testing.T) {
 				}
 			}
 		}
+		for trial := 0; trial < 6; trial++ {
+			q := randomQuery(wrng, 1+wrng.Intn(8))
+			weights := make([]float64, len(q))
+			for i := range weights {
+				if wrng.Intn(4) > 0 {
+					weights[i] = wrng.Float64() * 5
+				}
+			}
+			weights[wrng.Intn(len(q))] = 1
+			w := &Weighted{Tree: d.tree, Weights: weights}
+			for _, k := range []int{1, 1 + wrng.Intn(20), d.tree.Len(), d.tree.Len() + 7} {
+				got, scanned := w.search(q, k)
+				ref, refScanned := referenceSearch(d.tree, k, math.Inf(1), refWeightedBound(weights, q),
+					func(p geo.Point) float64 { return w.Cost(p, q) })
+				want := weightedBrute(d.items, q, weights, k)
+				if scanned > refScanned {
+					t.Fatalf("%s weighted k=%d: scanned %d POIs, reference %d", d.name, k, scanned, refScanned)
+				}
+				if len(got) != len(ref) || len(got) != len(want) {
+					t.Fatalf("%s weighted k=%d: %d results, reference %d, brute force %d", d.name, k, len(got), len(ref), len(want))
+				}
+				for i := range got {
+					if got[i] != ref[i] || got[i] != want[i] {
+						t.Fatalf("%s weighted k=%d rank %d: got %+v, reference %+v, brute force %+v", d.name, k, i, got[i], ref[i], want[i])
+					}
+				}
+			}
+		}
 	}
+}
+
+// TestTangentBoundPrunes is the clock-free guard on the tangent-plane
+// bound's pruning: over the δ′ candidate queries of an n=8, d=25, δ=100
+// group on 200k clustered POIs, Sum-kGNN scans at most a tenth of the POIs
+// the frozen per-point bound scans.
+func TestTangentBoundPrunes(t *testing.T) {
+	mbm := &MBM{Tree: rtree.Bulk(dataset.Synthetic(1, 200000), rtree.DefaultMaxEntries), Agg: Sum}
+	scanned, refScanned := 0, 0
+	for _, q := range groupCandidates(rand.New(rand.NewSource(1)), 8, 25, 100) {
+		_, s := mbm.SearchBounded(q, 8, math.Inf(1))
+		_, r := refMBM(mbm, q, 8, math.Inf(1))
+		scanned += s
+		refScanned += r
+	}
+	if scanned*10 > refScanned {
+		t.Fatalf("scanned %d POIs, frozen per-point bound %d: want at most a tenth", scanned, refScanned)
+	}
+	t.Logf("scanned %d POIs, frozen per-point bound %d", scanned, refScanned)
 }
 
 // TestSearchAllocsBounded pins the kernel's allocation profile: a search

@@ -9,7 +9,9 @@ import (
 // best-first walk of tree that returns the k POIs of smallest cost with
 // cost <= maxCost, ascending by (cost, ID), and the number of POIs whose
 // exact cost it evaluated. bound must be an admissible lower bound on cost
-// over a rectangle that never decreases from a node to its children.
+// over a rectangle. A child is queued under the larger of its own bound and
+// its parent's — both bound every point of the child — so queued bounds
+// never decrease from a node to its children.
 //
 // Only nodes enter the queue. The k best POIs seen so far sit in a k-slot
 // max-heap, and the pruning cut is min(maxCost, current k-th cost): a child
@@ -48,7 +50,7 @@ func bestFirst(tree *rtree.Tree, k int, maxCost float64,
 			continue
 		}
 		for _, c := range e.node.Children() {
-			if b := bound(c.Rect()); b <= cut {
+			if b := max(bound(c.Rect()), e.bound); b <= cut {
 				nodes.push(b, c)
 			}
 		}

@@ -14,8 +14,10 @@ import (
 // model users with different travel costs (walking vs driving, or priority
 // members whose convenience matters more).
 //
-// Like MBM it is a best-first branch and bound over the R-tree; the node
-// bound is Σ_i w_i·mindist(N, l_i), admissible because every w_i ≥ 0.
+// Like MBM it is a best-first branch and bound over the R-tree, with the
+// node bound of MBM's Sum (sumBound): the larger of Σ_i w_i·mindist(N, l_i)
+// and the tangent plane of the convex cost at N's centre, both admissible
+// because every w_i ≥ 0.
 // It implements Searcher, so it plugs into the protocol's black box the
 // same way as the road-network engine (LSP.Search override).
 type Weighted struct {
@@ -65,14 +67,13 @@ func (w *Weighted) Search(query []geo.Point, k int) []Result {
 	if err := w.Validate(); err != nil {
 		return nil
 	}
-	out, _ := bestFirst(w.Tree, k, math.Inf(1),
-		func(rect geo.Rect) float64 {
-			s := 0.0
-			for i, q := range query {
-				s += w.Weights[i] * rect.MinDist(q)
-			}
-			return s
-		},
-		func(p geo.Point) float64 { return w.Cost(p, query) })
+	out, _ := w.search(query, k)
 	return out
+}
+
+// search is Search after validation; it also returns the scanned count.
+func (w *Weighted) search(query []geo.Point, k int) ([]Result, int) {
+	return bestFirst(w.Tree, k, math.Inf(1),
+		func(rect geo.Rect) float64 { return sumBound(rect, query, w.Weights) },
+		func(p geo.Point) float64 { return w.Cost(p, query) })
 }

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"ppgnn/internal/dataset"
 	"ppgnn/internal/geo"
 	"ppgnn/internal/rtree"
 )
@@ -32,31 +33,46 @@ func weightedBrute(items []rtree.Item, query []geo.Point, weights []float64, k i
 	return all
 }
 
+// TestWeightedMatchesBruteForce checks Weighted against the exhaustive
+// ranking on 3k uniform POIs with random queries, and on 100k clustered
+// POIs with the δ′ candidate queries of an n=8, d=25, δ=100 group — the
+// queries near whose optimum the tangent-plane bound prunes hardest.
 func TestWeightedMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
-	items := randomItems(rng, 3000)
-	tree := rtree.Bulk(items, 16)
+	uniform := randomItems(rng, 3000)
+	var uniformQueries [][]geo.Point
 	for trial := 0; trial < 20; trial++ {
-		n := 1 + rng.Intn(6)
-		query := randomQuery(rng, n)
-		weights := make([]float64, n)
-		for i := range weights {
-			weights[i] = rng.Float64() * 5
-		}
-		weights[rng.Intn(n)] = 1 // ensure at least one positive
-		w := &Weighted{Tree: tree, Weights: weights}
-		k := 1 + rng.Intn(10)
-		got := w.Search(query, k)
-		want := weightedBrute(items, query, weights, k)
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: %d results, want %d", trial, len(got), len(want))
-		}
-		for i := range want {
-			if got[i].Item.ID != want[i].Item.ID {
-				t.Fatalf("trial %d rank %d: got %d, want %d", trial, i, got[i].Item.ID, want[i].Item.ID)
+		uniformQueries = append(uniformQueries, randomQuery(rng, 1+rng.Intn(6)))
+	}
+	clustered := dataset.Synthetic(5, 100000)
+	cands := groupCandidates(rand.New(rand.NewSource(7)), 8, 25, 100)
+	for _, db := range []struct {
+		items   []rtree.Item
+		fanout  int
+		queries [][]geo.Point
+	}{
+		{uniform, 16, uniformQueries},
+		{clustered, rtree.DefaultMaxEntries, cands[:12]},
+	} {
+		tree := rtree.Bulk(db.items, db.fanout)
+		for trial, query := range db.queries {
+			n := len(query)
+			weights := make([]float64, n)
+			for i := range weights {
+				weights[i] = rng.Float64() * 5
 			}
-			if math.Abs(got[i].Cost-want[i].Cost) > 1e-9 {
-				t.Fatalf("trial %d rank %d: cost mismatch", trial, i)
+			weights[rng.Intn(n)] = 1 // ensure at least one positive
+			w := &Weighted{Tree: tree, Weights: weights}
+			k := 1 + rng.Intn(10)
+			got := w.Search(query, k)
+			want := weightedBrute(db.items, query, weights, k)
+			if len(got) != len(want) {
+				t.Fatalf("%d POIs trial %d: %d results, want %d", len(db.items), trial, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%d POIs trial %d rank %d: got %+v, want %+v", len(db.items), trial, i, got[i], want[i])
+				}
 			}
 		}
 	}
