@@ -218,11 +218,12 @@ func (l *LSP) answerCandidates(q *QueryMsg, candidates [][]geo.Point, sanitizing
 	codec := encode.Codec{ModulusBits: q.PK.BitLen(), IncludeID: q.Include}
 	pool := l.cryptoPool()
 	sanCfg := l.sanitizer(q)
-	// The sanitizer's working memory (≈100 bytes per Monte-Carlo sample,
-	// most of a megabyte at the paper's defaults) goes from candidate to
-	// candidate through a free list as wide as the pool, and is garbage
-	// once this query returns: a process-lifetime cache would sit in the
-	// live heap of an idle server.
+	// The sanitizer's working memory (≈(32 + 4n) bytes per point drawn;
+	// the sequential test draws ≈2k points per candidate at the paper's
+	// defaults, N_H = 12,116 at most) goes from candidate to candidate
+	// through a free list as wide as the pool, and is garbage once this
+	// query returns: a process-lifetime cache would sit in the live heap of
+	// an idle server.
 	var scratch chan *sanitize.Scratch
 	if sanitizing {
 		scratch = make(chan *sanitize.Scratch, pool.Workers())

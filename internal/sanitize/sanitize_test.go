@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ppgnn/internal/geo"
@@ -169,11 +170,10 @@ func TestTrueLocationSatisfiesInequalities(t *testing.T) {
 			q := randomQuery(rng, 4)
 			ans := answerForAgg(rng, q, 8, agg)
 			for target := range q {
-				var s Scratch
-				s.setLen(1)
-				s.xs[0], s.ys[0] = q[target].X, q[target].Y
-				if passed := s.attack(agg, ans, q, target, target+1, 0); passed != len(ans)-1 {
-					t.Fatalf("trial %d %v: true location of user %d excluded by inequality %d", trial, agg, target, passed+1)
+				s := Scratch{xs: []float64{q[target].X}, ys: []float64{q[target].Y}}
+				s.attack(agg, ans, q, target, target+1)
+				if len(s.alive[target]) != 1 {
+					t.Fatalf("trial %d %v: true location of user %d excluded by the %d-POI answer's inequalities", trial, agg, target, len(ans))
 				}
 			}
 		}
@@ -284,11 +284,9 @@ func TestGridThetaEdgeCases(t *testing.T) {
 	}
 }
 
-// keepNaive is one step of the attack written the obvious way, over an
-// array of points: it appends to dst (which may be pts[:0]) those of pts at
-// which inequality t holds for target u, F(p_{t-1}) ≤ F(p_t) with l_u moved
-// to the point.
-func keepNaive(agg gnn.Aggregate, dst, pts []geo.Point, answer []gnn.Result, query []geo.Point, u, t int) []geo.Point {
+// naiveIneq is inequality t for target u written the obvious way: whether
+// F(p_{t-1}) ≤ F(p_t) holds with l_u moved to the point.
+func naiveIneq(agg gnn.Aggregate, answer []gnn.Result, query []geo.Point, u, t int) func(geo.Point) bool {
 	fold := func(acc, d float64) float64 {
 		switch {
 		case agg == gnn.Sum:
@@ -312,21 +310,22 @@ func keepNaive(agg gnn.Aggregate, dst, pts []geo.Point, answer []gnn.Result, que
 	}
 	pa, pb := answer[t-1].Item.P, answer[t].Item.P
 	parA, parB := others(pa), others(pb)
-	for _, x := range pts {
-		if fold(parA, pa.Dist(x)) <= fold(parB, pb.Dist(x)) {
-			dst = append(dst, x)
-		}
-	}
-	return dst
+	return func(x geo.Point) bool { return fold(parA, pa.Dist(x)) <= fold(parB, pb.Dist(x)) }
 }
 
-// referenceSanitize is the sanitizer as the paper states it and as this
-// package computed it before the targets shared their samples: every target
-// user gets N_H points of its own.
+// zThreshold is the paper's fixed-sample test, Eqn 16: H0: θ ≤ θ0 is
+// rejected iff more than this many of n uniform points survive.
+func zThreshold(c Config, n int) float64 {
+	mean := float64(n) * c.Theta0
+	return mean + stats.CriticalZ(c.Gamma)*math.Sqrt(mean*(1-c.Theta0))
+}
+
+// referenceSanitize is the sanitizer as the paper states it: every target
+// user gets N_H points of its own, and each prefix is decided by Eqn 16.
 func referenceSanitize(c Config, rng *rand.Rand, answer []gnn.Result, query []geo.Point) []gnn.Result {
 	c = c.withDefaults()
 	nh := c.SampleSize()
-	threshold := stats.ZTest{Theta0: c.Theta0, Gamma: c.Gamma}.Threshold(nh)
+	threshold := zThreshold(c, nh)
 	pts := make([][]geo.Point, len(query))
 	for u := range pts {
 		pts[u] = make([]geo.Point, nh)
@@ -336,8 +335,14 @@ func referenceSanitize(c Config, rng *rand.Rand, answer []gnn.Result, query []ge
 	}
 	for t := 1; t < len(answer); t++ {
 		for u := range query {
-			pts[u] = keepNaive(c.Agg, pts[u][:0], pts[u], answer, query, u, t)
-			if float64(len(pts[u])) <= threshold {
+			holds, kept := naiveIneq(c.Agg, answer, query, u, t), pts[u][:0]
+			for _, x := range pts[u] {
+				if holds(x) {
+					kept = append(kept, x)
+				}
+			}
+			pts[u] = kept
+			if float64(len(kept)) <= threshold {
 				return answer[:t]
 			}
 		}
@@ -345,64 +350,109 @@ func referenceSanitize(c Config, rng *rand.Rand, answer []gnn.Result, query []ge
 	return answer
 }
 
-// checkAgainstNaive draws the sample set Sanitize would draw from seed and
-// runs the naive filter over the same points for every target, with no early
-// stop. The optimized evaluator must report the same survivor count for
-// every target after 1, 2, 4, 8, … and all inequalities, and Sanitize the
-// prefix those counts imply.
+// fixedPrefix is the length of the prefix Eqn 16 keeps over the first N_H
+// points of the stream Sanitize draws from seed, shared by the targets: the
+// fixed-sample decision the sequential test stands in for.
+func fixedPrefix(c Config, seed int64, answer []gnn.Result, query []geo.Point) int {
+	c = c.withDefaults()
+	nh := c.SampleSize()
+	threshold := zThreshold(c, nh)
+	var s Scratch
+	s.draw(rand.New(rand.NewSource(seed)), c.Space, nh)
+	for t := 1; t < len(answer); t++ {
+		s.attack(c.Agg, answer[:t+1], query, 0, len(query))
+		for u := range query {
+			if float64(len(s.alive[u])) <= threshold {
+				return t
+			}
+		}
+	}
+	return len(answer)
+}
+
+// naiveSurvivors draws the N_H points of the stream Sanitize draws from seed
+// and returns, at [t][u], the indices of those satisfying inequalities
+// 1, …, t for target u, filtered one point at a time.
+func naiveSurvivors(c Config, seed int64, answer []gnn.Result, query []geo.Point) [][][]int32 {
+	var s Scratch
+	s.draw(rand.New(rand.NewSource(seed)), c.Space, c.SampleSize())
+	surv := make([][][]int32, len(answer))
+	for t := 1; t < len(answer); t++ {
+		surv[t] = make([][]int32, len(query))
+		for u := range query {
+			holds, src := naiveIneq(c.Agg, answer, query, u, t), s.iota(len(s.xs))
+			if t > 1 {
+				src = surv[t-1][u]
+			}
+			for _, i := range src {
+				if holds(geo.Point{X: s.xs[i], Y: s.ys[i]}) {
+					surv[t][u] = append(surv[t][u], i)
+				}
+			}
+		}
+	}
+	return surv
+}
+
+// naiveSequential is the length of the prefix the sequential test keeps,
+// written the obvious way over the survivors: test (t, u) walks its
+// Bernoulli stream a point at a time, checks both count lines after every
+// point, and stops at the first it crosses or at the cap.
+func naiveSequential(test stats.SPRT, surv [][][]int32) int {
+	for t := 1; t < len(surv); t++ {
+		for _, list := range surv[t] {
+			safe, s := false, 0
+			for n := 1; n <= test.Cap; n++ {
+				if s < len(list) && int(list[s]) == n-1 {
+					s++
+				}
+				if s >= test.MinReject(n) {
+					safe = true
+					break
+				}
+				if s <= test.MaxAccept(n) {
+					break
+				}
+			}
+			if !safe {
+				return t
+			}
+		}
+	}
+	return len(surv)
+}
+
+// checkAgainstNaive filters the N_H points of the stream drawn from seed the
+// naive way for every target and inequality. The fixed-sample evaluator
+// behind AttackTheta and GridTheta must keep the same points for every
+// target after 1, 2, 4, 8, … and all inequalities, and Sanitize the prefix
+// the naive sequential test over those points keeps.
 func checkAgainstNaive(c Config, seed int64, answer []gnn.Result, query []geo.Point) error {
 	c = c.withDefaults()
+	surv := naiveSurvivors(c, seed, answer, query)
 	var s Scratch
-	nh := c.SampleSize()
-	s.sample(rand.New(rand.NewSource(seed)), c.Space, nh)
-	pts := make([]geo.Point, nh)
-	for i := range pts {
-		pts[i] = geo.Point{X: s.xs[i], Y: s.ys[i]}
-	}
-	threshold := stats.ZTest{Theta0: c.Theta0, Gamma: c.Gamma}.Threshold(nh)
-
-	want := make([][]int, len(answer)) // want[t][u]: survivors of target u after t inequalities
-	safe := 1
-	alive := make([][]geo.Point, len(query))
-	for t := 1; t < len(answer); t++ {
-		want[t] = make([]int, len(query))
-		pass := safe == t
-		for u := range query {
-			if t == 1 {
-				alive[u] = keepNaive(c.Agg, make([]geo.Point, 0, nh/2), pts, answer, query, u, t)
-			} else {
-				alive[u] = keepNaive(c.Agg, alive[u][:0], alive[u], answer, query, u, t)
-			}
-			want[t][u] = len(alive[u])
-			pass = pass && float64(want[t][u]) > threshold
-		}
-		if pass {
-			safe = t + 1
-		}
-	}
-
+	s.draw(rand.New(rand.NewSource(seed)), c.Space, c.SampleSize())
 	for t := 1; t < len(answer); t++ {
 		if t&(t-1) != 0 && t != len(answer)-1 {
 			continue
 		}
-		if passed := s.attack(c.Agg, answer[:t+1], query, 0, len(query), -1); passed != t {
-			return fmt.Errorf("attack with no threshold stopped after %d of %d inequalities", passed, t)
-		}
-		for u, w := range want[t] {
-			if s.count[u] != w {
-				return fmt.Errorf("target %d after %d inequalities: %d survivors, naive filter has %d", u, t, s.count[u], w)
+		s.attack(c.Agg, answer[:t+1], query, 0, len(query))
+		for u, want := range surv[t] {
+			if !slices.Equal(s.alive[u], want) {
+				return fmt.Errorf("target %d after %d inequalities: %d survivors, naive filter has %d", u, t, len(s.alive[u]), len(want))
 			}
 		}
 	}
+	want := naiveSequential(stats.NewSPRT(c.Theta0, c.Gamma, c.Eta, c.Phi), surv)
 	got := c.Sanitize(rand.New(rand.NewSource(seed)), answer, query)
-	if len(got) != safe || &got[0] != &answer[0] {
-		return fmt.Errorf("Sanitize kept %d POIs, naive filter over the same samples keeps %d", len(got), safe)
+	if len(got) != want || &got[0] != &answer[0] {
+		return fmt.Errorf("Sanitize kept %d POIs, the naive sequential test over the same stream keeps %d", len(got), want)
 	}
 	return nil
 }
 
 func TestFilterMatchesNaive(t *testing.T) {
-	t.Parallel() // with TestPrivacyIVMissRate: the two are nine tenths of the package's run
+	t.Parallel() // with TestPrivacyIVMissRate: the two are most of the package's run
 	rng := rand.New(rand.NewSource(31))
 	for _, agg := range aggregates {
 		for _, n := range []int{2, 8, 32} {
@@ -444,6 +494,41 @@ func FuzzSanitize(f *testing.F) {
 	})
 }
 
+// The sequential test and the fixed-sample test it replaced disagree only
+// where θ sits near θ0: over a fixed corpus, reading the same stream, they
+// keep the same prefix for at least 95% of answers and the same number of
+// POIs on average to within 0.05.
+func TestSequentialTracksFixedSample(t *testing.T) {
+	t.Parallel()
+	const k, groups = 8, 30 // per (aggregate, n): 270 answers
+	same, total, keptSeq, keptFixed := 0, 0, 0, 0
+	for a, agg := range aggregates {
+		cfg := Config{Theta0: 0.05, Space: geo.UnitRect, Agg: agg}
+		for _, n := range []int{2, 4, 8} {
+			for g := range groups {
+				seed := int64(7000000 + a*100000 + n*1000 + g)
+				rng := rand.New(rand.NewSource(seed))
+				q := randomQuery(rng, n)
+				ans := answerForAgg(rng, q, k, agg)
+				seq := len(cfg.Sanitize(rand.New(rand.NewSource(seed)), ans, q))
+				fixed := fixedPrefix(cfg, seed, ans, q)
+				total++
+				keptSeq += seq
+				keptFixed += fixed
+				if seq == fixed {
+					same++
+				}
+			}
+		}
+	}
+	share := float64(same) / float64(total)
+	delta := float64(keptSeq-keptFixed) / float64(total)
+	t.Logf("%d answers: %.1f%% identical prefixes; mean kept POIs %.3f sequential, %.3f fixed-sample", total, 100*share, float64(keptSeq)/float64(total), float64(keptFixed)/float64(total))
+	if share < 0.95 || math.Abs(delta) > 0.05 {
+		t.Errorf("sequential test strays from the fixed-sample test: %.1f%% identical prefixes (want ≥ 95%%), mean kept moved by %+.3f (want within ±0.05)", 100*share, delta)
+	}
+}
+
 // The prefix is a function of (config, seed, answer, query) alone: a scratch
 // that has held larger, smaller and differently shaped attacks gives what a
 // fresh one gives.
@@ -478,80 +563,89 @@ func (m missTally) wilson() (lo, hi float64) {
 	n, p := float64(m.scored), m.rate()
 	mid := (p + z*z/(2*n)) / (1 + z*z/n)
 	half := z * math.Sqrt(p*(1-p)/n+z*z/(4*n*n)) / (1 + z*z/n)
-	return mid - half, mid + half
+	return max(0, mid-half), mid + half
 }
 
 // Privacy IV, measured: how often a sanitised answer longer than one POI
 // still pins some target user to a region smaller than θ0, scored with the
-// deterministic lattice so neither sanitizer marks its own work. Sharing
-// one sample set among the n targets keeps each target's test valid but
-// correlates them; this is the check that the correlation costs nothing
-// measurable against the independent-samples sanitizer of the paper.
+// deterministic lattice so neither sanitizer marks its own work, swept over
+// θ0 and k. The sequential test bounds each test's type I error by γ
+// exactly (Ville), so its Wilson upper bound must stay within γ in every
+// cell. Beside it runs the paper's sanitizer, independent samples per
+// target and Eqn 16's fixed-sample test, which must not miss significantly
+// less often.
 func TestPrivacyIVMissRate(t *testing.T) {
 	t.Parallel()
-	const (
-		theta0 = 0.05
-		k      = 8
-		groups = 34 // per (aggregate, n): 306 in all
-		grid   = 200
-	)
-	shared, reference := missTally{minTheta: 1}, missTally{minTheta: 1}
-	for a, agg := range aggregates {
-		cfg := Config{Theta0: theta0, Space: geo.UnitRect, Agg: agg}
-		for _, n := range []int{2, 4, 8} {
-			for g := 0; g < groups; g++ {
-				seed := int64(a*1000000 + n*1000 + g)
-				rng := rand.New(rand.NewSource(seed))
-				q := randomQuery(rng, n)
-				ans := answerForAgg(rng, q, k, agg)
-				score := func(m *missTally, safe []gnn.Result) {
-					m.answers++
-					m.kept += len(safe)
-					if len(safe) < 2 {
-						return
-					}
-					for u := range q {
-						m.scored++
-						theta := cfg.GridTheta(safe, q, u, grid)
-						m.minTheta = math.Min(m.minTheta, theta)
-						if theta < theta0 {
-							m.misses++
+	const grid = 200
+	var seqAll, refAll missTally
+	for _, theta0 := range []float64{0.01, 0.05, 0.1} {
+		groups := 6 // per (aggregate, n): 54 answers a cell
+		if theta0 == 0.01 {
+			groups = 4 // the reference's N_H is 63,225 points per target here
+		}
+		for _, k := range []int{2, 8, 32} {
+			seq, ref := missTally{minTheta: 1}, missTally{minTheta: 1}
+			for a, agg := range aggregates {
+				cfg := Config{Theta0: theta0, Space: geo.UnitRect, Agg: agg}
+				for _, n := range []int{2, 4, 8} {
+					for g := range groups {
+						seed := int64(a*1000000 + n*1000 + k*20 + g)
+						rng := rand.New(rand.NewSource(seed))
+						q := randomQuery(rng, n)
+						ans := answerForAgg(rng, q, k, agg)
+						score := func(m *missTally, safe []gnn.Result) {
+							m.answers++
+							m.kept += len(safe)
+							if len(safe) < 2 {
+								return
+							}
+							for u := range q {
+								m.scored++
+								theta := cfg.GridTheta(safe, q, u, grid)
+								m.minTheta = math.Min(m.minTheta, theta)
+								if theta < theta0 {
+									m.misses++
+								}
+							}
 						}
+						score(&seq, cfg.Sanitize(rand.New(rand.NewSource(seed)), ans, q))
+						score(&ref, referenceSanitize(cfg, rand.New(rand.NewSource(seed)), ans, q))
 					}
 				}
-				score(&shared, cfg.Sanitize(rand.New(rand.NewSource(seed)), ans, q))
-				score(&reference, referenceSanitize(cfg, rand.New(rand.NewSource(seed)), ans, q))
 			}
+			for _, r := range []struct {
+				name string
+				m    missTally
+			}{{"sequential", seq}, {"fixed-sample reference", ref}} {
+				lo, hi := r.m.wilson()
+				t.Logf("θ0=%v k=%d %s: %d answers, mean kept POIs %.2f; %d of %d scored targets under θ0: miss rate %.4f, 95%% Wilson [%.4f, %.4f], smallest θ %.4f",
+					theta0, k, r.name, r.m.answers, float64(r.m.kept)/float64(r.m.answers), r.m.misses, r.m.scored, r.m.rate(), lo, hi, r.m.minTheta)
+			}
+			if _, hi := seq.wilson(); hi > DefaultGamma {
+				t.Errorf("θ0=%v k=%d: sequential miss rate %.4f (%d of %d) has Wilson upper bound %.4f above γ=%v", theta0, k, seq.rate(), seq.misses, seq.scored, hi, DefaultGamma)
+			}
+			if lo, hi := ref.wilson(); lo > DefaultGamma {
+				t.Errorf("θ0=%v k=%d: reference miss rate %.4f is above γ=%v by more than its interval [%.4f, %.4f]", theta0, k, ref.rate(), DefaultGamma, lo, hi)
+			}
+			seqAll.scored, seqAll.misses = seqAll.scored+seq.scored, seqAll.misses+seq.misses
+			refAll.scored, refAll.misses = refAll.scored+ref.scored, refAll.misses+ref.misses
 		}
 	}
-	for _, r := range []struct {
-		name string
-		m    missTally
-	}{{"shared samples", shared}, {"independent samples (reference)", reference}} {
-		lo, hi := r.m.wilson()
-		t.Logf("%s: %d answers, mean kept POIs %.2f of %d; %d of %d scored targets under θ0=%v: miss rate %.4f, 95%% Wilson [%.4f, %.4f], smallest θ %.4f",
-			r.name, r.m.answers, float64(r.m.kept)/float64(r.m.answers), k, r.m.misses, r.m.scored, theta0, r.m.rate(), lo, hi, r.m.minTheta)
-		if lo > DefaultGamma {
-			t.Errorf("%s: miss rate %.4f is above γ=%v by more than its interval [%.4f, %.4f]", r.name, r.m.rate(), DefaultGamma, lo, hi)
-		}
-	}
-	// One-sided two-proportion test, 5% level: is the shared-sample miss
-	// rate above the reference's?
-	ns, nr := float64(shared.scored), float64(reference.scored)
-	pooled := float64(shared.misses+reference.misses) / (ns + nr)
+	// One-sided two-proportion test over the whole sweep, 5% level: is the
+	// sequential miss rate above the reference's?
+	ns, nr := float64(seqAll.scored), float64(refAll.scored)
+	pooled := float64(seqAll.misses+refAll.misses) / (ns + nr)
 	if se := math.Sqrt(pooled * (1 - pooled) * (1/ns + 1/nr)); se > 0 {
-		if z := (shared.rate() - reference.rate()) / se; z > 1.645 {
-			t.Errorf("shared-sample miss rate %.4f exceeds the reference's %.4f (z=%.2f > 1.645)", shared.rate(), reference.rate(), z)
+		if z := (seqAll.rate() - refAll.rate()) / se; z > 1.645 {
+			t.Errorf("sequential miss rate %.4f exceeds the reference's %.4f (z=%.2f > 1.645)", seqAll.rate(), refAll.rate(), z)
 		}
 	}
 }
 
-var benchKept int
-
-// BenchmarkSanitizeDefault is the sanitation of one query at the paper's
-// defaults as LSP.Process does it: 101 candidates of n=8 users, k=8,
-// θ0=0.05, candidate t seeded with 1+t, one scratch for the query.
-func BenchmarkSanitizeDefault(b *testing.B) {
+// defaultFixture is the sanitation work of one query at the paper's
+// defaults as LSP.Process sees it: 101 candidates of n=8 users, each with
+// its k=8 answer over a 20,000-POI database.
+func defaultFixture() (queries [][]geo.Point, answers [][]gnn.Result) {
 	const candidates, n, k = 101, 8, 8
 	rng := rand.New(rand.NewSource(51))
 	items := make([]rtree.Item, 20000)
@@ -559,19 +653,52 @@ func BenchmarkSanitizeDefault(b *testing.B) {
 		items[i] = rtree.Item{ID: int64(i), P: geo.Point{X: rng.Float64(), Y: rng.Float64()}}
 	}
 	bf := &gnn.BruteForce{Items: items, Agg: gnn.Sum}
-	queries := make([][]geo.Point, candidates)
-	answers := make([][]gnn.Result, candidates)
+	queries = make([][]geo.Point, candidates)
+	answers = make([][]gnn.Result, candidates)
 	for t := range queries {
 		queries[t] = randomQuery(rng, n)
 		answers[t] = bf.Search(queries[t], k)
 	}
+	return queries, answers
+}
+
+// The sequential test's saving, counted rather than timed: on the default
+// fixture a candidate draws on average at most a third of the N_H points
+// every candidate drew under the fixed-sample test.
+func TestSanitizeDrawsAThirdOfNH(t *testing.T) {
+	queries, answers := defaultFixture()
 	cfg := defaultConfig(0.05)
+	var s Scratch
+	drawn := 0
+	for c := range queries {
+		cfg.SanitizeWith(&s, rand.New(rand.NewSource(int64(1+c))), answers[c], queries[c])
+		drawn += len(s.xs)
+	}
+	mean, nh := float64(drawn)/float64(len(queries)), cfg.SampleSize()
+	t.Logf("mean points drawn per candidate: %.0f of N_H=%d (%.1f%%)", mean, nh, 100*mean/float64(nh))
+	if mean > float64(nh)/3 {
+		t.Errorf("mean points drawn per candidate %.0f, above N_H/3 = %.0f", mean, float64(nh)/3)
+	}
+}
+
+var benchKept int
+
+// BenchmarkSanitizeDefault is the sanitation of one query at the paper's
+// defaults as LSP.Process does it: the default fixture, θ0=0.05, candidate
+// t seeded with 1+t, one scratch for the query. samples/op is the points
+// drawn over the 101 candidates.
+func BenchmarkSanitizeDefault(b *testing.B) {
+	queries, answers := defaultFixture()
+	cfg := defaultConfig(0.05)
+	drawn := 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := new(Scratch)
 		for t := range queries {
 			benchKept += len(cfg.SanitizeWith(s, rand.New(rand.NewSource(int64(1+t))), answers[t], queries[t]))
+			drawn += len(s.xs)
 		}
 	}
+	b.ReportMetric(float64(drawn)/float64(b.N), "samples/op")
 }

@@ -1,7 +1,8 @@
 // Package stats provides the statistical machinery of Section 5.3: the
-// standard normal quantile z_γ, the one-tailed Z-test of Eqn (16) used to
-// decide whether an inequality attack succeeds, and the Fleiss sample-size
-// formula of Theorem 5.1 (Eqn 17) that bounds both error types.
+// standard normal quantile z_γ, the Fleiss sample-size formula of Theorem
+// 5.1 (Eqn 17), and the sequential test, truncated at that sample size, that
+// decides whether an inequality attack succeeds. The sequential test stands
+// in for the paper's fixed-sample Z-test (Eqn 16); see SPRT.
 package stats
 
 import (
@@ -69,33 +70,6 @@ func CriticalZ(gamma float64) float64 {
 	return NormalQuantile(1 - gamma)
 }
 
-// ZTest holds the parameters of the one-tailed proportion test of Section
-// 5.3, testing H0: θ ≤ θ0 against H1: θ > θ0.
-type ZTest struct {
-	Theta0 float64 // the privacy parameter θ0 of Privacy IV
-	Gamma  float64 // Type I error bound γ
-}
-
-// RejectH0 reports whether the test rejects H0 (the attack is judged NOT
-// successful, i.e. the solution region is large enough) given that x of n
-// uniform samples landed in the attack's solution region — Eqn (16):
-//
-//	reject H0 iff X > n·θ0 + z_γ·sqrt(n·θ0·(1-θ0))
-func (t ZTest) RejectH0(x, n int) bool {
-	mean := float64(n) * t.Theta0
-	sd := math.Sqrt(float64(n) * t.Theta0 * (1 - t.Theta0))
-	return float64(x) > mean+CriticalZ(t.Gamma)*sd
-}
-
-// Threshold returns the smallest sample count X that rejects H0 for sample
-// size n. Useful for the incremental sanitation loop: once the surviving
-// sample count drops to or below this, the prefix is unsafe.
-func (t ZTest) Threshold(n int) float64 {
-	mean := float64(n) * t.Theta0
-	sd := math.Sqrt(float64(n) * t.Theta0 * (1 - t.Theta0))
-	return mean + CriticalZ(t.Gamma)*sd
-}
-
 // SampleSize returns the number of Monte-Carlo samples N_H required so that
 // Pr(Type I) ≤ γ and Pr(Type II) ≤ η when distinguishing θ0 from
 // θ1 = θ0·(1+φ) — Theorem 5.1 (Fleiss et al.):
@@ -124,49 +98,4 @@ func SampleSizeReal(theta0, gamma, eta, phi float64) float64 {
 	num := zg*math.Sqrt(theta0*(1-theta0)) + ze*math.Sqrt(theta1*(1-theta1))
 	v := num / (theta1 - theta0)
 	return v * v
-}
-
-// BinomialSF returns the survival function Pr[X ≥ x] for X ~ Binomial(n, p),
-// computed by direct summation of log-probabilities (math.Lgamma), so it is
-// exact up to floating-point error for any n the sanitizer uses. The Z-test
-// of Eqn (16) relies on the normal approximation, which is excellent at the
-// paper's N_H (tens of thousands); RejectH0Exact uses this function instead
-// and is preferable when a caller configures very small sample counts.
-func BinomialSF(x, n int, p float64) float64 {
-	if n < 0 || x < 0 {
-		panic(fmt.Sprintf("stats: BinomialSF(%d, %d) with negative argument", x, n))
-	}
-	if !(p >= 0 && p <= 1) {
-		panic(fmt.Sprintf("stats: BinomialSF with p=%v outside [0,1]", p))
-	}
-	if x > n {
-		return 0
-	}
-	if x == 0 {
-		return 1
-	}
-	if p == 0 {
-		return 0
-	}
-	if p == 1 {
-		return 1
-	}
-	lp, lq := math.Log(p), math.Log1p(-p)
-	lgN, _ := math.Lgamma(float64(n + 1))
-	sum := 0.0
-	for i := x; i <= n; i++ {
-		lgI, _ := math.Lgamma(float64(i + 1))
-		lgNI, _ := math.Lgamma(float64(n - i + 1))
-		sum += math.Exp(lgN - lgI - lgNI + float64(i)*lp + float64(n-i)*lq)
-	}
-	if sum > 1 {
-		sum = 1
-	}
-	return sum
-}
-
-// RejectH0Exact is the exact-test counterpart of RejectH0: reject H0: θ ≤ θ0
-// iff Pr[X ≥ x | θ = θ0] ≤ γ. For large n it agrees with the Z-test.
-func (t ZTest) RejectH0Exact(x, n int) bool {
-	return BinomialSF(x, n, t.Theta0) <= t.Gamma
 }
