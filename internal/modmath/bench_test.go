@@ -51,6 +51,61 @@ func BenchmarkMultiExp8Ref(b *testing.B)      { benchMultiExp(b, 1024, 8, 512, t
 func BenchmarkMultiExp3Kernel(b *testing.B)   { benchMultiExp(b, 1024, 3, 1024, false) }
 func BenchmarkMultiExp3Ref(b *testing.B)      { benchMultiExp(b, 1024, 3, 1024, true) }
 
+// BenchmarkMultiExpShapes times MultiExp against the per-term loop at
+// the three shapes private selection runs in production:
+//
+//   - opt1: PPGNN-OPT phase 1 at 2048-bit keys, 15 terms mod N² (4096
+//     bits) with 1100-bit answer exponents;
+//   - opt2: PPGNN-OPT phase 2, 7 terms mod N³ (6144 bits) with 4096-bit
+//     exponents (phase-1 ciphertexts);
+//   - ppgnn: PPGNN's ⊙ at 1024-bit keys, 101 terms mod N² (2048 bits)
+//     with about 1000-bit exponents.
+//
+// DESIGN.md §11 records the ratios against the Mul+Mod chain the
+// Montgomery one replaced.
+func BenchmarkMultiExpShapes(b *testing.B) {
+	shapes := []struct {
+		name                 string
+		nBits, s, k, expBits int
+	}{
+		{"opt1_N2_4096", 2048, 1, 15, 1100},
+		{"opt2_N3_6144", 2048, 2, 7, 4096},
+		{"ppgnn_N2_2048", 1024, 1, 101, 1000},
+	}
+	for _, sh := range shapes {
+		n := testN(b, sh.nBits)
+		m := new(big.Int).Exp(n, big.NewInt(int64(sh.s+1)), nil)
+		ctx := MustCtx(m)
+		rng := mrand.New(mrand.NewSource(9))
+		bound := new(big.Int).Lsh(big.NewInt(1), uint(sh.expBits))
+		bases := make([]*big.Int, sh.k)
+		exps := make([]*big.Int, sh.k)
+		for i := range bases {
+			bases[i] = randBelow(rng, m)
+			exps[i] = randBelow(rng, bound)
+		}
+		for _, ref := range []bool{false, true} {
+			name := sh.name + "/kernel"
+			if ref {
+				name = sh.name + "/ref"
+			}
+			b.Run(name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					var err error
+					if ref {
+						_, err = ctx.MultiExpRef(bases, exps)
+					} else {
+						_, err = ctx.MultiExp(bases, exps)
+					}
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
 func BenchmarkFixedBaseExp(b *testing.B) {
 	rng := mrand.New(mrand.NewSource(8))
 	m := testModulus(b, 1024)

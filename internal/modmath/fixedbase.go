@@ -23,7 +23,9 @@ type FixedBase struct {
 	ctx     *Ctx
 	g       *big.Int // reduced base (for the over-width fallback)
 	maxBits int
-	tbl     [][]*big.Int // tbl[i][j-1] = g^(j·2^{i·w}) mod M, j ∈ [1, 2^w)
+	// tbl[i] holds the Montgomery residues of g^(j·2^{i·w}) mod M for
+	// j ∈ [1, 2^w), entry j at tbl[i][(j-1)·n:][:n].
+	tbl [][]big.Word
 }
 
 // NewFixedBase precomputes the table of g's powers covering exponents
@@ -37,42 +39,36 @@ func (c *Ctx) NewFixedBase(g *big.Int, maxBits int) (*FixedBase, error) {
 		return nil, errors.New("modmath: fixed-base table needs maxBits >= 1")
 	}
 	const w = fixedBaseWindow
+	n := len(c.mw)
 	digits := (maxBits + w - 1) / w
 	done := timeTableBuild(tableFixedBase, digits)
 	f := &FixedBase{
 		ctx:     c,
 		g:       new(big.Int).Mod(g, c.M),
 		maxBits: maxBits,
-		tbl:     make([][]*big.Int, digits),
+		tbl:     make([][]big.Word, digits),
 	}
-	sq := new(big.Int)
-	base := f.g // g^(2^{i·w}) for the current digit position i
+	s := c.newScratch()
+	base := make([]big.Word, n) // residue of g^(2^{i·w}) for digit position i
+	s.enter(base, f.g)
 	for i := 0; i < digits; i++ {
-		row := make([]*big.Int, (1<<w)-1)
-		row[0] = base
-		for j := 1; j < len(row); j++ {
-			next := new(big.Int)
-			sq.Mul(row[j-1], base)
-			next.Mod(sq, c.M)
-			row[j] = next
+		row := make([]big.Word, ((1<<w)-1)*n)
+		copy(row, base)
+		for off := n; off < len(row); off += n {
+			s.mul(row[off:off+n], row[off-n:off], base)
 		}
 		f.tbl[i] = row
-		if i+1 < digits {
-			// base^(2^w) = g^(2^{(i+1)·w}): top entry times base once more.
-			next := new(big.Int)
-			sq.Mul(row[len(row)-1], base)
-			next.Mod(sq, c.M)
-			base = next
-		}
+		// base^(2^w) = g^(2^{(i+1)·w}): top entry times base once more.
+		s.mul(base, row[len(row)-n:], base)
 	}
 	done()
 	return f, nil
 }
 
 // Exp returns g^e mod M for e ≥ 0. Exponents within the table's range
-// cost one multiplication per nonzero base-2^w digit; wider exponents
-// fall back to a cold exponentiation (a table miss in the kernel
-// metrics). The result is byte-identical to Ctx.Exp(g, e).
+// cost one Montgomery product per nonzero base-2^w digit; wider
+// exponents fall back to a cold exponentiation (a table miss in the
+// kernel metrics). The result is byte-identical to Ctx.Exp(g, e).
 func (f *FixedBase) Exp(e *big.Int) (*big.Int, error) {
 	if e == nil || e.Sign() < 0 {
 		return nil, errors.New("modmath: fixed-base exponent must be >= 0")
@@ -83,9 +79,10 @@ func (f *FixedBase) Exp(e *big.Int) (*big.Int, error) {
 	}
 	countFixedBase(true)
 	const w = fixedBaseWindow
-	acc := new(big.Int)
+	n := len(f.ctx.mw)
+	s := f.ctx.newScratch()
+	acc := make([]big.Word, n)
 	live := false
-	sq := new(big.Int)
 	for i := 0; i*w < e.BitLen(); i++ {
 		var digit uint
 		for b := w - 1; b >= 0; b-- {
@@ -94,19 +91,18 @@ func (f *FixedBase) Exp(e *big.Int) (*big.Int, error) {
 		if digit == 0 {
 			continue
 		}
-		v := f.tbl[i][digit-1]
+		v := f.tbl[i][int(digit-1)*n:][:n]
 		if live {
-			sq.Mul(acc, v)
-			acc.Mod(sq, f.ctx.M)
+			s.mul(acc, acc, v)
 		} else {
-			acc.Set(v)
+			copy(acc, v)
 			live = true
 		}
 	}
 	if !live {
-		return acc.Mod(one, f.ctx.M), nil
+		return big.NewInt(1), nil
 	}
-	return acc, nil
+	return s.leave(acc), nil
 }
 
 // Base returns the (reduced) fixed base g.

@@ -6,15 +6,20 @@
 // so this package trades per-call generality for per-modulus and
 // per-base precomputation:
 //
-//   - Ctx: a per-modulus context caching the modulus and derived state
-//     so repeated operations share it instead of recomputing (the
+//   - Ctx: a per-modulus context caching the odd modulus and its
+//     Montgomery constants so repeated operations share them (the
 //     paillier keys hold one Ctx per power of N, built once per key).
 //   - MultiExp: Straus/interleaved multi-exponentiation
 //     Π bases[i]^{exps[i]} mod M with one shared squaring chain across
 //     all terms — the ⊙/⨂/combine replacement for per-term Exp loops.
+//     Exp is the same chain with one term.
 //   - FixedBase: windowed fixed-base exponentiation with a precomputed
 //     power table, for bases reused across many exponentiations (the
 //     short-exponent encryption randomness h^x of paillier.Options).
+//
+// All three multiply Montgomery residues and reduce with REDC over
+// math/big's assembly word primitives (montgomery.go,
+// arith_linkname.go) instead of dividing by M.
 //
 // Exactness contract: every routine returns exactly the canonical
 // representative in [0, M) that the equivalent big.Int.Exp composition
@@ -32,24 +37,30 @@ import (
 
 var one = big.NewInt(1)
 
-// Ctx is an arithmetic context for one modulus. It is immutable after
-// creation and safe for concurrent use. The modulus M must not be
+// Ctx is an arithmetic context for one odd modulus. It is immutable
+// after creation and safe for concurrent use. The modulus M must not be
 // mutated by callers.
 type Ctx struct {
 	// M is the modulus. Callers may read it freely (the paillier layer
 	// uses Ctx as its N^s cache), but must never mutate it.
 	M *big.Int
 
-	odd bool // odd moduli take big.Int.Exp's Montgomery path
+	mw []big.Word // M's words, little-endian: n = len(mw), R = 2^(n·W)
+	k0 big.Word   // −M⁻¹ mod 2^W, the REDC multiplier
 }
 
-// NewCtx builds a context for modulus m > 1. The context aliases m;
-// callers must not mutate it afterwards.
+// NewCtx builds a context for an odd modulus m > 1; every modulus of
+// the protocol is a power of N, p or q. The context aliases m; callers
+// must not mutate it afterwards.
 func NewCtx(m *big.Int) (*Ctx, error) {
 	if m == nil || m.Cmp(one) <= 0 {
 		return nil, errors.New("modmath: modulus must be > 1")
 	}
-	return &Ctx{M: m, odd: m.Bit(0) == 1}, nil
+	if m.Bit(0) == 0 {
+		return nil, errors.New("modmath: modulus must be odd")
+	}
+	mw := m.Bits()
+	return &Ctx{M: m, mw: mw, k0: negInv(mw[0])}, nil
 }
 
 // MustCtx is NewCtx for moduli known valid at construction time.
@@ -61,13 +72,17 @@ func MustCtx(m *big.Int) *Ctx {
 	return c
 }
 
-// Exp returns base^e mod M for e ≥ 0. Single exponentiations delegate to
-// big.Int.Exp, whose internal Montgomery/window machinery is already the
-// right tool for one (base, exponent) pair; the kernel's wins come from
-// sharing work across calls (MultiExp, FixedBase), not from beating
-// math/big at its own game.
+// Exp returns base^e mod M for e ≥ 0; it panics on a negative exponent.
+// It is MultiExp's chain with one term, and returns the value
+// big.Int.Exp would.
 func (c *Ctx) Exp(base, e *big.Int) *big.Int {
-	return new(big.Int).Exp(base, e, c.M)
+	switch e.Sign() {
+	case -1:
+		panic("modmath: negative exponent")
+	case 0:
+		return big.NewInt(1)
+	}
+	return c.straus([]term{{base: base, exp: e}}, e.BitLen())
 }
 
 // windowWidth picks the Straus window width for the given maximum
@@ -93,10 +108,6 @@ func windowWidth(maxBits, terms int) uint {
 	}
 	return w
 }
-
-// strausMinTerms is the live-term count below which MultiExp delegates
-// to per-term big.Int.Exp (see the comment at the call site).
-const strausMinTerms = 4
 
 // window is one sliding-window digit of an exponent: an odd value val
 // whose least-significant bit sits at bit position pos.
@@ -131,6 +142,12 @@ func slideWindows(e *big.Int, w uint, dst []window) []window {
 	return dst
 }
 
+// term is one live factor base^exp of a product, exp > 0.
+type term struct {
+	base *big.Int
+	exp  *big.Int
+}
+
 // MultiExp computes Π bases[i]^{exps[i]} mod M via Straus' interleaved
 // sliding-window method: one shared squaring chain over the longest
 // exponent plus per-term window multiplications, instead of a full
@@ -145,10 +162,6 @@ func (c *Ctx) MultiExp(bases, exps []*big.Int) (*big.Int, error) {
 		return nil, errors.New("modmath: multiexp length mismatch")
 	}
 	// Collect live terms (nonzero exponent) and the squaring-chain length.
-	type term struct {
-		base *big.Int
-		exp  *big.Int
-	}
 	terms := make([]term, 0, len(bases))
 	maxBits := 0
 	for i := range bases {
@@ -169,53 +182,40 @@ func (c *Ctx) MultiExp(bases, exps []*big.Int) (*big.Int, error) {
 	}
 	observeMultiExp(len(terms))
 	if len(terms) == 0 {
-		return new(big.Int).Mod(one, c.M), nil
+		return big.NewInt(1), nil
 	}
-	// Below strausMinTerms live terms the shared squaring chain cannot
-	// amortize: its Mul+Mod squarings cost ~2× the Montgomery squarings
-	// inside big.Int.Exp, so interleaving only pays once enough terms
-	// share the chain (BenchmarkMultiExp3* vs BenchmarkMultiExp8* in
-	// bench_test.go). Either path returns the identical canonical value.
-	if len(terms) < strausMinTerms {
-		acc := new(big.Int)
-		tmp := new(big.Int)
-		for i, tm := range terms {
-			tmp.Exp(tm.base, tm.exp, c.M)
-			if i == 0 {
-				acc.Set(tmp)
-				continue
-			}
-			acc.Mul(acc, tmp)
-			acc.Mod(acc, c.M)
-		}
-		return acc, nil
-	}
+	return c.straus(terms, maxBits), nil
+}
 
+// straus is the chain under Exp and MultiExp, on Montgomery residues
+// (montgomery.go): every base enters the domain once, every table entry,
+// square and window product is a Montgomery product, and the result
+// leaves through one REDC. maxBits is the longest exponent's bit length.
+func (c *Ctx) straus(terms []term, maxBits int) *big.Int {
+	n := len(c.mw)
+	s := c.newScratch()
 	w := windowWidth(maxBits, len(terms))
 	halfTbl := 1 << (w - 1) // odd powers b^1, b^3, …, b^{2^w-1}
 
-	// Per-term odd-power tables and window decompositions. A base that
+	// Per-term odd-power tables, entry j of term t at
+	// tbl[(t·halfTbl+j)·n:][:n], and window decompositions. A base that
 	// reduces to zero zeroes the whole product (its exponent is > 0).
 	buildDone := timeTableBuild(tableWindow, len(terms))
-	tbl := make([][]*big.Int, len(terms))
+	tbl := make([]big.Word, len(terms)*halfTbl*n)
+	entry := func(t, j int) []big.Word {
+		off := (t*halfTbl + j) * n
+		return tbl[off : off+n : off+n]
+	}
 	wins := make([][]window, len(terms))
-	sq := new(big.Int) // scratch for products before reduction
+	b2 := make([]big.Word, n)
 	for t, tm := range terms {
-		b := new(big.Int).Mod(tm.base, c.M)
-		if b.Sign() == 0 {
-			return new(big.Int), nil
+		if !s.enter(entry(t, 0), tm.base) {
+			return new(big.Int)
 		}
-		tbl[t] = make([]*big.Int, halfTbl)
-		tbl[t][0] = b
 		if halfTbl > 1 {
-			b2 := new(big.Int)
-			sq.Mul(b, b)
-			b2.Mod(sq, c.M)
+			s.mul(b2, entry(t, 0), entry(t, 0))
 			for j := 1; j < halfTbl; j++ {
-				next := new(big.Int)
-				sq.Mul(tbl[t][j-1], b2)
-				next.Mod(sq, c.M)
-				tbl[t][j] = next
+				s.mul(entry(t, j), entry(t, j-1), b2)
 			}
 		}
 		wins[t] = slideWindows(tm.exp, w, nil)
@@ -225,29 +225,27 @@ func (c *Ctx) MultiExp(bases, exps []*big.Int) (*big.Int, error) {
 	// Shared left-to-right chain: square once per bit level, multiply in
 	// every window whose low end sits at that level. next[t] tracks the
 	// first unconsumed window of term t (windows are MSB-first).
-	acc := new(big.Int)
+	acc := make([]big.Word, n)
 	live := false // acc holds a value (skip squarings of the implicit 1)
 	next := make([]int, len(terms))
 	for p := maxBits - 1; p >= 0; p-- {
 		if live {
-			sq.Mul(acc, acc)
-			acc.Mod(sq, c.M)
+			s.mul(acc, acc, acc)
 		}
 		for t := range terms {
 			if next[t] < len(wins[t]) && wins[t][next[t]].pos == p {
-				v := tbl[t][wins[t][next[t]].val>>1]
+				v := entry(t, int(wins[t][next[t]].val>>1))
 				if live {
-					sq.Mul(acc, v)
-					acc.Mod(sq, c.M)
+					s.mul(acc, acc, v)
 				} else {
-					acc.Set(v)
+					copy(acc, v)
 					live = true
 				}
 				next[t]++
 			}
 		}
 	}
-	return acc, nil
+	return s.leave(acc)
 }
 
 // MultiExpRef is the reference implementation MultiExp is measured and

@@ -7,20 +7,26 @@ import (
 	"testing"
 )
 
-// testModulus returns an odd composite modulus of the given bit size,
-// built like a Paillier N² (two primes, squared) so the group structure
-// matches the kernel's production use.
-func testModulus(t testing.TB, bits int) *big.Int {
+// testN returns an RSA-shaped N = p·q of nBits bits (two nBits/2-bit
+// primes), the base of every modulus the kernel serves in production.
+func testN(t testing.TB, nBits int) *big.Int {
 	t.Helper()
-	p, err := rand.Prime(rand.Reader, bits/4)
+	p, err := rand.Prime(rand.Reader, nBits/2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := rand.Prime(rand.Reader, bits/4)
+	q, err := rand.Prime(rand.Reader, nBits/2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := new(big.Int).Mul(p, q)
+	return p.Mul(p, q)
+}
+
+// testModulus returns an odd composite modulus of the given bit size,
+// built like a Paillier N² so the group structure matches the kernel's
+// production use.
+func testModulus(t testing.TB, bits int) *big.Int {
+	n := testN(t, bits/2)
 	return n.Mul(n, n)
 }
 
@@ -30,14 +36,26 @@ func randBelow(rng *mrand.Rand, bound *big.Int) *big.Int {
 	return new(big.Int).Mod(new(big.Int).SetBytes(b), bound)
 }
 
+// paillierModuli returns N² for a 1024-bit N, and N² and N³ for a
+// 2048-bit N: the 2048-, 4096- and 6144-bit moduli the protocol
+// exponentiates under.
+func paillierModuli(t testing.TB) []*big.Int {
+	n1, n2 := testN(t, 1024), testN(t, 2048)
+	return []*big.Int{
+		new(big.Int).Mul(n1, n1),
+		new(big.Int).Mul(n2, n2),
+		new(big.Int).Exp(n2, big.NewInt(3), nil),
+	}
+}
+
 func TestNewCtxRejectsBadModulus(t *testing.T) {
-	for _, m := range []*big.Int{nil, big.NewInt(0), big.NewInt(1), big.NewInt(-7)} {
+	for _, m := range []*big.Int{nil, big.NewInt(0), big.NewInt(1), big.NewInt(-7), big.NewInt(2), big.NewInt(4)} {
 		if _, err := NewCtx(m); err == nil {
 			t.Errorf("NewCtx(%v) accepted an invalid modulus", m)
 		}
 	}
-	if _, err := NewCtx(big.NewInt(2)); err != nil {
-		t.Errorf("NewCtx(2): %v", err)
+	if _, err := NewCtx(big.NewInt(3)); err != nil {
+		t.Errorf("NewCtx(3): %v", err)
 	}
 }
 
@@ -46,13 +64,17 @@ func TestNewCtxRejectsBadModulus(t *testing.T) {
 // Exp-product loop — the kernel's exactness contract.
 func TestMultiExpMatchesReference(t *testing.T) {
 	rng := mrand.New(mrand.NewSource(1))
-	mods := []*big.Int{
-		big.NewInt(2), big.NewInt(3), big.NewInt(35),
+	mods := append([]*big.Int{
+		big.NewInt(3), big.NewInt(35),
 		testModulus(t, 256), testModulus(t, 512),
-	}
+	}, paillierModuli(t)...)
 	for _, m := range mods {
 		ctx := MustCtx(m)
-		for trial := 0; trial < 30; trial++ {
+		trials := 30
+		if m.BitLen() > 512 {
+			trials = 3 // full-width exponents at 2048–6144 bits
+		}
+		for trial := 0; trial < trials; trial++ {
 			k := rng.Intn(12)
 			bases := make([]*big.Int, k)
 			exps := make([]*big.Int, k)
@@ -103,15 +125,25 @@ func TestMultiExpEdgeCases(t *testing.T) {
 	if _, err := ctx.MultiExp([]*big.Int{big.NewInt(2)}, []*big.Int{big.NewInt(-1)}); err == nil {
 		t.Error("negative exponent accepted")
 	}
-	// Single term delegates to Exp and matches it.
+	// A single term runs the same chain as Exp; both match big.Int.Exp.
 	b, e := big.NewInt(123456), big.NewInt(789)
 	got, err = ctx.MultiExp([]*big.Int{b}, []*big.Int{e})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := ctx.Exp(b, e); got.Cmp(want) != 0 {
+	want := new(big.Int).Exp(b, e, ctx.M)
+	if got.Cmp(want) != 0 {
 		t.Fatalf("single-term MultiExp = %v, want %v", got, want)
 	}
+	if got := ctx.Exp(b, e); got.Cmp(want) != 0 {
+		t.Fatalf("Exp = %v, want %v", got, want)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Exp accepted a negative exponent")
+		}
+	}()
+	ctx.Exp(b, big.NewInt(-1))
 }
 
 func TestFixedBaseMatchesExp(t *testing.T) {
@@ -143,7 +175,7 @@ func TestFixedBaseMatchesExp(t *testing.T) {
 		if err != nil {
 			t.Fatalf("FixedBase.Exp(%v): %v", e, err)
 		}
-		if want := ctx.Exp(g, e); got.Cmp(want) != 0 {
+		if want := new(big.Int).Exp(g, e, m); got.Cmp(want) != 0 {
 			t.Fatalf("trial %d: FixedBase.Exp = %v, want %v", trial, got, want)
 		}
 	}
@@ -200,7 +232,8 @@ func FuzzMultiExp(f *testing.F) {
 	f.Add([]byte{0}, []byte{}, 0)
 	f.Fuzz(func(t *testing.T, modBytes, data []byte, k int) {
 		m := new(big.Int).SetBytes(modBytes)
-		if m.Cmp(big.NewInt(2)) < 0 || m.BitLen() > 512 {
+		m.SetBit(m, 0, 1) // the kernel takes odd moduli only
+		if m.Cmp(big.NewInt(3)) < 0 || m.BitLen() > 4096 {
 			t.Skip()
 		}
 		if k < 0 || k > 16 {
