@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test bench-test race fuzz bench-snapshot bench-load load-smoke chaos-gate svc-smoke metrics-smoke driver-smoke clean
+.PHONY: all build vet test bench-test race fuzz bench-snapshot bench-load load-smoke chaos-gate remote-load-smoke svc-smoke metrics-smoke driver-smoke flag-budget clean
 
 all: vet build test
 
@@ -34,7 +34,7 @@ fuzz:
 # Seeded n=5 t=3 faultnet soak; writes per-phase p50/p95, retry/dropout
 # counters, and the Precomputer hit rate to BENCH_obs.json (DESIGN.md §9).
 bench-snapshot:
-	$(GO) run ./cmd/ppgnn-experiments -snapshot -keybits 256 -queries 6
+	$(GO) run ./cmd/ppgnn-experiments -gate obs -keybits 256 -queries 6
 
 # The open-loop sustained-traffic conformance gate (ROADMAP item 5): an
 # in-process LSP on real TCP, a fleet of client groups at a fixed Poisson
@@ -42,20 +42,26 @@ bench-snapshot:
 # decrypted answer checked against the plaintext engine. Fails on any SLO
 # violation, oracle mismatch, or trace-audit violation.
 bench-load:
-	$(GO) run ./cmd/ppgnn-experiments -load-gate -load-out BENCH_load.ci.json
+	$(GO) run ./cmd/ppgnn-experiments -gate load -out BENCH_load.ci.json
 
 # The ~20s CI variant: lower rate, shorter measure window, same oracle
 # check and SLOs.
 load-smoke:
-	$(GO) run ./cmd/ppgnn-experiments -load-gate -load-rate 25 -load-measure 4s \
-		-load-out BENCH_load.ci.json
+	$(GO) run ./cmd/ppgnn-experiments -gate load -rate 25 -measure 4s \
+		-out BENCH_load.ci.json
 
 # The multi-tenant lifecycle soak: two tenants under concurrent traffic
 # (one behind seeded faults, one with a quota of a single session) while
 # a reload storm rewrites the config mid-traffic. Fails on any oracle
 # mismatch, lost session, epoch leak, or a shed not classified retryable.
 chaos-gate:
-	$(GO) run ./cmd/ppgnn-experiments -chaos-gate -chaos-out BENCH_chaos.ci.json
+	$(GO) run ./cmd/ppgnn-experiments -gate chaos -out BENCH_chaos.ci.json
+
+# Boot a single-tenant ppgnn-lsp and drive it with ppgnn-load for a short
+# window: every answer oracle-checked against a local copy of the
+# daemon's dataset (the CI test job runs it).
+remote-load-smoke:
+	./scripts/remote-load-smoke.sh
 
 # Boot a two-tenant ppgnn-lsp from a config file, probe /healthz and
 # /readyz, SIGHUP-reload it mid-load, then run the chaos soak (the CI
@@ -73,6 +79,10 @@ metrics-smoke:
 # same answer (the CI test job runs it).
 driver-smoke:
 	./scripts/driver-smoke.sh
+
+# The five binaries together expose at most 70 flags (ROADMAP item 10).
+flag-budget:
+	./scripts/flag-budget.sh
 
 clean:
 	rm -f BENCH_obs.json BENCH_load.ci.json BENCH_chaos.ci.json

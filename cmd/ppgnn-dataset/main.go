@@ -4,8 +4,8 @@
 // Usage:
 //
 //	ppgnn-dataset -gen out.txt [-n 62556] [-seed 20180326]   generate synthetic POIs
-//	ppgnn-dataset -stats file.txt                            print dataset statistics
-//	ppgnn-dataset -stats ""                                  statistics of the bundled substitute
+//	ppgnn-dataset -stats -file file.txt                      print dataset statistics
+//	ppgnn-dataset -stats                                     statistics of the bundled substitute
 package main
 
 import (

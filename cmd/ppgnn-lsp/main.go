@@ -15,7 +15,7 @@
 //	-dataset F   point file (default: the bundled Sequoia substitute)
 //	-workers N   worker-pool width for candidate queries and the
 //	             homomorphic selection (default 0 = GOMAXPROCS)
-//	-seed N      sanitation RNG seed (single-tenant mode)
+//	-seed N      sanitation RNG seed (single-tenant mode; default 1)
 //	-coalesce    merge the homomorphic batch work of concurrently
 //	             admitted sessions into shared worker submissions
 //	             (DESIGN.md §15). Per-session answers stay byte-identical

@@ -12,9 +12,13 @@
 //	-d N         Privacy I anonymity parameter (default 25)
 //	-delta N     Privacy II anonymity parameter (default 100; = d for n=1)
 //	-theta0 F    Privacy IV parameter (default 0.05)
-//	-agg sum|max|min
-//	-variant ppgnn|opt|naive
+//	-agg sum|max|min  aggregate function (default sum)
+//	-variant ppgnn|opt|naive  protocol variant (default opt)
 //	-keybits N   Paillier modulus size (default 1024)
+//	-short-rand-bits N  short-exponent encryption randomness width
+//	             (default 0 = full-width, paper-faithful; changes the
+//	             security assumption, see SECURITY.md)
+//	-seed N      RNG seed (default 0 = time-based)
 //	-connect A   query a remote LSP at address A instead of in-process
 //	-tenant T    route -connect sessions to tenant T of a multi-tenant
 //	             LSP (default: the default tenant, no tenant frame)
@@ -28,6 +32,7 @@
 //	             n users responding (in-process members; 0 = shared-memory
 //	             group requiring all n)
 //	-member-timeout D  per-member exchange deadline for -quorum-t
+//	             (default 5s)
 //	-members-tcp serve the -quorum-t members over loopback TCP
 //	             MemberServers (accept-loop failures are logged) instead
 //	             of in-process links

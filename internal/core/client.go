@@ -15,8 +15,8 @@ import (
 )
 
 // Service abstracts the LSP from the client's point of view; LocalService
-// calls an in-process LSP, wire.Client (internal/wire) talks to a remote
-// one over TCP.
+// calls an in-process LSP, and transport.Client or the retrying
+// transport.Pool (internal/transport) talk to a remote one over TCP.
 type Service interface {
 	Process(q *QueryMsg, locs []*LocationMsg) (*AnswerMsg, error)
 }

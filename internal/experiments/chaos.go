@@ -65,16 +65,18 @@ type ChaosTenant struct {
 	Report  *load.Report `json:"report"`
 }
 
+// chaosReloads is the number of valid config rewrites the storm pushes
+// mid-traffic (one extra corrupt write exercises the rejected path);
+// Check demands that every one of them was applied.
+const chaosReloads = 3
+
 // ChaosGateOptions sizes a ChaosGate run. The zero value is the CI smoke
 // configuration (~15 s of wall clock).
 type ChaosGateOptions struct {
 	Rate                   float64       // per-tenant offered QPS (default 25)
 	Warmup, Measure, Drain time.Duration // defaults 1s / 4s / 30s
 	Groups                 int           // client groups per tenant (default 4)
-	// Reloads is the number of valid config rewrites pushed mid-traffic
-	// (default 3; one extra corrupt write exercises the rejected path).
-	Reloads int
-	Logf    func(format string, args ...any)
+	Logf                   func(format string, args ...any)
 }
 
 func (o ChaosGateOptions) withDefaults() ChaosGateOptions {
@@ -92,9 +94,6 @@ func (o ChaosGateOptions) withDefaults() ChaosGateOptions {
 	}
 	if o.Groups <= 0 {
 		o.Groups = 4
-	}
-	if o.Reloads <= 0 {
-		o.Reloads = 3
 	}
 	return o
 }
@@ -145,7 +144,7 @@ func chaosSlowLinks(seed int64) func(group int) func(addr string) (net.Conn, err
 // file back through the same loader — byte-identical POI databases by
 // construction, so a mismatch can only be a protocol or lifecycle bug.
 func (c Config) ChaosGate(opts ChaosGateOptions) (*ChaosReport, error) {
-	c = c.Defaults()
+	c = c.gateDefaults()
 	opts = opts.withDefaults()
 	logf := opts.Logf
 	if logf == nil {
@@ -234,9 +233,9 @@ func (c Config) ChaosGate(opts ChaosGateOptions) (*ChaosReport, error) {
 	stormWG.Add(1)
 	go func() {
 		defer stormWG.Done()
-		interval := (opts.Warmup + opts.Measure) / time.Duration(opts.Reloads+2)
+		interval := (opts.Warmup + opts.Measure) / (chaosReloads + 2)
 		writes := 0
-		for i := 0; writes < opts.Reloads; i++ {
+		for i := 0; writes < chaosReloads; i++ {
 			select {
 			case <-stormCtx.Done():
 				return
@@ -402,8 +401,8 @@ func quotaSheds(reg *obs.Registry) int64 {
 //
 //   - zero oracle mismatches on either tenant, anywhere in the run;
 //   - zero abandoned in-flight sessions;
-//   - the storm really stormed: ≥3 applied reload epochs on top of the
-//     initial one, and ≥1 rejected reload;
+//   - the storm really stormed: all chaosReloads reload epochs applied
+//     on top of the initial one, and ≥1 rejected reload;
 //   - alpha (quota headroom + retries) lost nothing: every session ok;
 //   - beta's sheds all classified as the retryable "busy" — nothing
 //     leaked out as a protocol-fatal or unclassified error — and at
@@ -422,8 +421,8 @@ func (r *ChaosReport) Check() error {
 			return fmt.Errorf("chaos gate: tenant %s: %d in-flight session(s) abandoned", t.Tenant, t.Report.Abandoned)
 		}
 	}
-	if r.AppliedReloads < 3 {
-		return fmt.Errorf("chaos gate: only %d applied reloads, want ≥3", r.AppliedReloads)
+	if r.AppliedReloads < chaosReloads {
+		return fmt.Errorf("chaos gate: only %d applied reloads, want ≥%d", r.AppliedReloads, chaosReloads)
 	}
 	if r.RejectedReloads < 1 {
 		return fmt.Errorf("chaos gate: the corrupt config was never rejected")

@@ -60,6 +60,21 @@ func (c Config) Defaults() Config {
 	return c
 }
 
+// gateKeyBits is the modulus the conformance gates (LoadGate, ChaosGate,
+// ObsSnapshot) run at when KeyBits is unset: they exercise the service
+// and lifecycle layers, not the paper's cost model, so a CI pass stays
+// around 20 seconds.
+const gateKeyBits = 256
+
+// gateDefaults is Defaults for the conformance gates: KeyBits 0 means
+// gateKeyBits there, not the paper's 1024.
+func (c Config) gateDefaults() Config {
+	if c.KeyBits == 0 {
+		c.KeyBits = gateKeyBits
+	}
+	return c.Defaults()
+}
+
 // Table is one chart of the paper rendered as text.
 type Table struct {
 	Title  string

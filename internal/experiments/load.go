@@ -17,9 +17,9 @@ import (
 	"context"
 )
 
-// LoadReport is what -load-gate writes to -load-out: one or two open-loop
-// passes (clean, and optionally faulted) of the sustained-traffic
-// conformance harness against an in-process ppgnn-lsp over real TCP.
+// LoadReport is what -gate load writes to -out: two open-loop passes
+// (clean, then faulted) of the sustained-traffic conformance harness
+// against an in-process ppgnn-lsp over real TCP.
 // Every decrypted answer in every pass is checked against the plaintext
 // gnn oracle; a single mismatch fails the gate regardless of SLOs.
 type LoadReport struct {
@@ -51,15 +51,9 @@ type LoadPass struct {
 // LoadGateOptions sizes a LoadGate run. The zero value is the CI smoke
 // configuration: ~20 seconds of wall clock at a modest rate.
 type LoadGateOptions struct {
-	Rate                   float64 // offered QPS (default 40)
-	Arrival                load.Arrival
+	Rate                   float64       // offered QPS (default 40)
 	Warmup, Measure, Drain time.Duration // defaults 1s / 6s / 30s
 	Groups, GroupSize      int           // default 6 groups of 3
-	MaxInFlight            int
-	// Faulted adds a second pass with seeded faultnet schedules — dial
-	// drops, added latency, and mid-answer connection kills — injected on
-	// the client links while the oracle check stays on.
-	Faulted bool
 	// SLO overrides the clean pass's objective (the faulted pass derives
 	// a tolerant variant of it).
 	SLO  *load.SLO
@@ -118,12 +112,13 @@ func gateFaults(seed int64) func(group int) func(addr string) (net.Conn, error) 
 // LoadGate is ROADMAP item 5's CI teeth: it starts an in-process LSP on
 // a real TCP listener, builds a fleet of client groups, offers open-loop
 // traffic, and holds the run to an SLO while conformance-checking every
-// answer against the plaintext engine. With opts.Faulted it repeats the
-// run under seeded faultnet schedules, where sessions may be lost to the
-// taxonomy but never answered wrongly. Call Check on the returned report
-// to enforce it.
+// answer against the plaintext engine. It then repeats the run under
+// seeded faultnet schedules — dial drops, added latency and mid-answer
+// connection kills on the client links — where sessions may be lost to
+// the taxonomy but never answered wrongly. Call Check on the returned
+// report to enforce it.
 func (c Config) LoadGate(opts LoadGateOptions) (*LoadReport, error) {
-	c = c.Defaults()
+	c = c.gateDefaults()
 	opts = opts.withDefaults()
 
 	lsp := core.NewLSP(c.Items, c.Space)
@@ -161,14 +156,7 @@ func (c Config) LoadGate(opts LoadGateOptions) (*LoadReport, error) {
 		name    string
 		faulted bool
 		slo     load.SLO
-	}{{"clean", false, cleanSLO}}
-	if opts.Faulted {
-		passes = append(passes, struct {
-			name    string
-			faulted bool
-			slo     load.SLO
-		}{"faulted", true, faultedSLO})
-	}
+	}{{"clean", false, cleanSLO}, {"faulted", true, faultedSLO}}
 
 	for i, p := range passes {
 		fc := load.FleetConfig{
@@ -188,11 +176,9 @@ func (c Config) LoadGate(opts LoadGateOptions) (*LoadReport, error) {
 		}
 		d, err := load.NewDriver(load.Config{
 			Rate:          opts.Rate,
-			Arrival:       opts.Arrival,
 			Warmup:        opts.Warmup,
 			Measure:       opts.Measure,
 			Drain:         opts.Drain,
-			MaxInFlight:   opts.MaxInFlight,
 			Seed:          c.Seed + int64(i),
 			OracleChecked: true,
 			Obs:           obs.NewRegistry(), // isolated per pass

@@ -17,7 +17,6 @@ func quickLoadOpts() LoadGateOptions {
 		Measure: time.Second,
 		Drain:   20 * time.Second,
 		Groups:  4,
-		Faulted: true,
 		SLO: &load.SLO{
 			P95:               5 * time.Second,
 			P99:               10 * time.Second,

@@ -39,30 +39,34 @@ type ObsReport struct {
 	Snapshot obs.Snapshot `json:"snapshot"`
 }
 
+// obsLatency is the faultnet latency the soak injects on every link.
+const obsLatency = 5 * time.Millisecond
+
 // latencySchedule builds a fault schedule of n latency-only entries, so
 // every connection a dialer opens during the soak carries the delay.
-func latencySchedule(seed int64, latency time.Duration, n int) []faultnet.Faults {
+func latencySchedule(seed int64, n int) []faultnet.Faults {
 	s := make([]faultnet.Faults, n)
 	for i := range s {
-		s[i] = faultnet.Faults{Seed: seed + int64(i), Latency: latency}
+		s[i] = faultnet.Faults{Seed: seed + int64(i), Latency: obsLatency}
 	}
 	return s
 }
 
 // ObsSnapshot runs the observability soak: an n=5 group with a t=3
 // threshold key and quorum 3, querying a real transport.Server through a
-// retrying Pool, every link impaired with the given faultnet latency and
-// a few scheduled connection faults (one mid-reply reset on the LSP path,
-// one member whose first session is unreachable). It resets the process
-// registry first, so the report reflects this run alone.
+// retrying Pool, every link impaired with obsLatency of faultnet
+// latency and a few scheduled connection faults (one mid-reply reset on
+// the LSP path, one member whose first session is unreachable). It
+// resets the process registry first, so the report reflects this run
+// alone.
 //
 // The run exercises every instrument family of DESIGN.md §9 on purpose:
 // phase spans (collect/partition/query/lsp/decrypt), transport retry and
 // dial counters, group dropout/re-partition counters, and the paillier
 // Precomputer pool (filled for roughly half the encryptions, so both the
 // pool and online paths appear).
-func (c Config) ObsSnapshot(latency time.Duration) (*ObsReport, error) {
-	c = c.Defaults()
+func (c Config) ObsSnapshot() (*ObsReport, error) {
+	c = c.gateDefaults()
 	reg := obs.Default()
 	reg.Reset()
 
@@ -104,7 +108,7 @@ func (c Config) ObsSnapshot(latency time.Duration) (*ObsReport, error) {
 		return nil, err
 	}
 	defer srv.Close()
-	lspSched := latencySchedule(c.Seed, latency, 4*c.Queries)
+	lspSched := latencySchedule(c.Seed, 4*c.Queries)
 	lspSched[0].FailDial = true
 	pool := transport.NewPool(addr.String())
 	pool.Size = 2
@@ -128,7 +132,7 @@ func (c Config) ObsSnapshot(latency time.Duration) (*ObsReport, error) {
 			return nil, err
 		}
 		defer msrv.Close()
-		sched := latencySchedule(c.Seed+int64(100*id), latency, 8*c.Queries)
+		sched := latencySchedule(c.Seed+int64(100*id), 8*c.Queries)
 		if id == 1 {
 			sched[0].FailDial = true
 			sched[1].FailDial = true
@@ -142,7 +146,7 @@ func (c Config) ObsSnapshot(latency time.Duration) (*ObsReport, error) {
 	report := &ObsReport{
 		N: n, T: t, Quorum: quorum,
 		Queries: c.Queries, KeyBits: c.KeyBits, Seed: c.Seed,
-		LatencyMS: latency.Milliseconds(),
+		LatencyMS: obsLatency.Milliseconds(),
 	}
 	for q := 0; q < c.Queries; q++ {
 		sess, err := group.NewSession(coord, links, group.Config{
@@ -194,4 +198,16 @@ func (c Config) ObsSnapshot(latency time.Duration) (*ObsReport, error) {
 		}
 	}
 	return report, nil
+}
+
+// Check enforces the soak: at least one session answered, and the
+// per-phase latency histograms were recorded.
+func (r *ObsReport) Check() error {
+	if r.OK == 0 {
+		return fmt.Errorf("obs soak: no session answered (%d failed)", r.Failed)
+	}
+	if len(r.Phases) == 0 {
+		return fmt.Errorf("obs soak: report has no ppgnn_phase_seconds rows")
+	}
+	return nil
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"testing"
-	"time"
 
 	"ppgnn/internal/obs"
 )
@@ -17,12 +16,15 @@ import (
 // Precomputer hit rate — all of it privacy-safe by construction.
 func TestObsSoakServesSnapshot(t *testing.T) {
 	cfg := Config{Queries: 2, KeyBits: 192, Seed: 7}
-	report, err := cfg.ObsSnapshot(2 * time.Millisecond)
+	report, err := cfg.ObsSnapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if report.OK != 2 {
 		t.Fatalf("soak: %d/%d ok (failed %d)", report.OK, report.Queries, report.Failed)
+	}
+	if err := report.Check(); err != nil {
+		t.Fatalf("Check: %v", err)
 	}
 	if report.PoolHitRate <= 0 || report.PoolHitRate > 1 {
 		t.Errorf("pool hit rate %v, want in (0,1]", report.PoolHitRate)
@@ -86,5 +88,21 @@ func TestObsSoakServesSnapshot(t *testing.T) {
 	}
 	if snap.Counter("paillier_precompute_encrypt_total", obs.L("source", "pool")) < 1 {
 		t.Error("endpoint snapshot lacks the Precomputer pool counter")
+	}
+}
+
+func TestObsReportCheckRejects(t *testing.T) {
+	healthy := ObsReport{OK: 1, Phases: []obs.HistSnap{{Name: "ppgnn_phase_seconds"}}}
+	if err := healthy.Check(); err != nil {
+		t.Fatalf("healthy report rejected: %v", err)
+	}
+	noOK := healthy
+	noOK.OK, noOK.Failed = 0, 4
+	noPhases := healthy
+	noPhases.Phases = nil
+	for name, r := range map[string]ObsReport{"no ok": noOK, "no phases": noPhases} {
+		if err := r.Check(); err == nil {
+			t.Errorf("%s: Check accepted %+v", name, r)
+		}
 	}
 }

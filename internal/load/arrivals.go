@@ -33,17 +33,6 @@ func (a Arrival) String() string {
 	return fmt.Sprintf("arrival(%d)", int(a))
 }
 
-// ParseArrival maps the flag spelling to an Arrival.
-func ParseArrival(s string) (Arrival, error) {
-	switch s {
-	case "poisson":
-		return Poisson, nil
-	case "fixed":
-		return Fixed, nil
-	}
-	return 0, fmt.Errorf("load: unknown arrival process %q (want poisson|fixed)", s)
-}
-
 // schedule produces the deterministic inter-arrival gaps of one run: the
 // same (process, rate, seed) triple always yields the same sequence, so a
 // faulted run can be replayed exactly.

@@ -11,7 +11,6 @@ import (
 	"ppgnn/internal/core"
 	"ppgnn/internal/geo"
 	"ppgnn/internal/gnn"
-	"ppgnn/internal/paillier"
 	"ppgnn/internal/transport"
 )
 
@@ -88,16 +87,6 @@ type FleetConfig struct {
 	// many factors before the run (0 = none): steady-state traffic is
 	// the Precomputer's design point.
 	Precompute int
-	// Refill, when > 0, starts a background refiller on each group's
-	// Precomputer with this pool floor, so sustained traffic keeps
-	// drawing pooled randomness instead of falling off the one-shot
-	// Precompute cliff mid-run. Fleet.Close stops the refillers.
-	Refill int
-	// CacheSize, when > 0, shares one bounded indicator-ciphertext
-	// cache of this many entries across the whole fleet. The cache keys
-	// by public key, so groups never see each other's entries; sharing
-	// one LRU is exactly the multi-client deployment shape.
-	CacheSize int
 }
 
 func (c FleetConfig) withDefaults() FleetConfig {
@@ -148,9 +137,6 @@ type fleetGroup struct {
 type Fleet struct {
 	cfg    FleetConfig
 	groups []*fleetGroup
-	// stops holds the per-group refiller stop functions when
-	// FleetConfig.Refill is set; Close runs them before the pools go.
-	stops []func()
 }
 
 // NewFleet builds the client fleet: Groups key pairs and location sets
@@ -162,10 +148,6 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		return nil, fmt.Errorf("load: fleet needs a server address")
 	}
 	f := &Fleet{cfg: cfg, groups: make([]*fleetGroup, cfg.Groups)}
-	var ec *paillier.EncCache
-	if cfg.CacheSize > 0 {
-		ec = paillier.NewEncCache(cfg.CacheSize)
-	}
 	for i := range f.groups {
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(i)*1009))
 		p := core.DefaultParams(cfg.GroupSize)
@@ -189,19 +171,10 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		// the same d-anonymous view (the multi-query intersection defense)
 		// and skip redundant dummy generation on the hot path.
 		g.CacheSets = true
-		g.EncCache = ec
 		if cfg.Precompute > 0 {
 			if _, err := g.Precompute(cfg.Precompute); err != nil {
 				return nil, fmt.Errorf("load: precomputing group %d: %w", i, err)
 			}
-		}
-		if cfg.Refill > 0 {
-			stop, err := g.StartRefill(paillier.RefillerOptions{Min: cfg.Refill})
-			if err != nil {
-				f.Close()
-				return nil, fmt.Errorf("load: refilling group %d: %w", i, err)
-			}
-			f.stops = append(f.stops, stop)
 		}
 		pool := transport.NewPool(cfg.Addr)
 		pool.Size = cfg.PoolSize
@@ -267,14 +240,9 @@ func (f *Fleet) Run(ctx context.Context, arrival int64) error {
 	return nil
 }
 
-// Close stops any background refillers and releases every group's
-// connection pool. Nil-safe on partially built fleets so NewFleet can
-// unwind through it on a mid-construction failure.
+// Close releases every group's connection pool. Nil-safe on partially
+// built fleets.
 func (f *Fleet) Close() {
-	for _, stop := range f.stops {
-		stop()
-	}
-	f.stops = nil
 	for _, fg := range f.groups {
 		if fg != nil && fg.pool != nil {
 			fg.pool.Close()

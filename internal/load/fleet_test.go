@@ -1,58 +1,6 @@
 package load
 
-import (
-	"context"
-	"testing"
-)
-
-// TestFleetRefillAndSharedCache wires the steady-state client machinery
-// into the fleet: every group shares one constant cache (keyed by public
-// key, so answers stay per-group exact), each group gets a background
-// refiller, and Close tears the refillers down before the pools.
-func TestFleetRefillAndSharedCache(t *testing.T) {
-	rig := newLoadRig(t)
-	cfg := testFleetConfig(rig.addr, rig.oracle())
-	cfg.Refill = 16
-	cfg.CacheSize = 512
-	fleet, err := NewFleet(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fleet.Close()
-
-	if len(fleet.stops) != cfg.Groups {
-		t.Fatalf("%d refiller stops for %d groups", len(fleet.stops), cfg.Groups)
-	}
-	shared := fleet.groups[0].g.EncCache
-	if shared == nil {
-		t.Fatal("no shared cache installed")
-	}
-	for i, fg := range fleet.groups {
-		if fg.g.EncCache != shared {
-			t.Fatalf("group %d has its own cache; the fleet must share one", i)
-		}
-	}
-
-	// Two oracle-checked rounds per group: exactness through the cache
-	// and refilled pools, and repeat queries to make hits possible.
-	for round := 0; round < 2; round++ {
-		for i := 0; i < cfg.Groups; i++ {
-			if err := fleet.Run(context.Background(), int64(i)); err != nil {
-				t.Fatalf("round %d group %d: %v", round, i, err)
-			}
-		}
-	}
-	if shared.Len() == 0 {
-		t.Fatal("queries never populated the shared cache")
-	}
-
-	// Close is idempotent and stops the refillers exactly once.
-	fleet.Close()
-	if fleet.stops != nil {
-		t.Fatal("Close did not clear the refiller stops")
-	}
-	fleet.Close()
-}
+import "testing"
 
 // TestFleetCloseOnPartialBuild pins the construction-failure unwind:
 // Close on a fleet whose later groups were never built must not panic.

@@ -43,22 +43,6 @@ func TestScheduleDeterministic(t *testing.T) {
 	}
 }
 
-func TestParseArrival(t *testing.T) {
-	for _, c := range []struct {
-		in   string
-		want Arrival
-		ok   bool
-	}{{"poisson", Poisson, true}, {"fixed", Fixed, true}, {"burst", 0, false}} {
-		got, err := ParseArrival(c.in)
-		if c.ok && (err != nil || got != c.want) {
-			t.Fatalf("ParseArrival(%q) = %v, %v", c.in, got, err)
-		}
-		if !c.ok && err == nil {
-			t.Fatalf("ParseArrival(%q) accepted", c.in)
-		}
-	}
-}
-
 func TestClassify(t *testing.T) {
 	cases := []struct {
 		name string

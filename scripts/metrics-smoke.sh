@@ -12,6 +12,7 @@
 set -eu
 
 workdir=$(mktemp -d)
+lsp_pid=
 trap 'kill "$lsp_pid" 2>/dev/null || true; rm -rf "$workdir"' EXIT
 
 go build -o "$workdir/ppgnn-lsp" ./cmd/ppgnn-lsp

@@ -7,6 +7,7 @@
 set -eu
 
 workdir=$(mktemp -d)
+lsp_pid=
 trap 'kill "$lsp_pid" 2>/dev/null || true; rm -rf "$workdir"' EXIT
 
 go build -o "$workdir/ppgnn-lsp" ./cmd/ppgnn-lsp
@@ -96,8 +97,8 @@ wait "$lsp_pid" 2>/dev/null || true
 # The seeded chaos soak: two tenants, reload storm, faultnet dial-kills,
 # every answer oracle-checked. The gate exits nonzero on any violation;
 # the report assertion below additionally pins the zero-mismatch record.
-"$workdir/ppgnn-experiments" -chaos-gate -chaos-measure 3s \
-    -chaos-out "$workdir/BENCH_chaos.json"
+"$workdir/ppgnn-experiments" -gate chaos -measure 3s \
+    -out "$workdir/BENCH_chaos.json"
 REPORT="$workdir/BENCH_chaos.json" python3 - <<'PY'
 import json, os
 
