@@ -19,6 +19,16 @@
 //     (the tests measure ≈0.4–0.5 top-1 accuracy at d=10 in that worst
 //     case). Production deployments should draw dummies from a population
 //     prior rather than uniformly — the Generator interface admits that.
+//
+//   - MinSpread and MinTop1Cost: single-query attacks on Privacy II. The
+//     LSP sees δ′ candidate queries, and one of them is the tuple of real
+//     locations. The paper's generators draw every user's dummies without
+//     regard to the other users, so a dummy candidate mixes points
+//     scattered over the space, while a group that meets nearby is
+//     compact. Picking the candidate with the least spread, or the least
+//     top-1 aggregate cost the LSP computes for every candidate anyway,
+//     finds the real one far more often than 1/δ′ once the group is
+//     co-located (the tests record the rates).
 package attack
 
 import (
@@ -26,6 +36,7 @@ import (
 	"sort"
 
 	"ppgnn/internal/geo"
+	"ppgnn/internal/gnn"
 	"ppgnn/internal/rtree"
 )
 
@@ -120,4 +131,48 @@ func GuessAccuracy(sets [][]geo.Point, realIdx []int, db *rtree.Tree, r float64)
 		}
 	}
 	return float64(hits) / float64(len(sets))
+}
+
+// MinSpread guesses the real query among one query's candidate tuples as
+// the most compact one: the least sum of squared distances from its
+// points to their centroid. It returns the index into cands, or −1 when
+// cands is empty.
+func MinSpread(cands [][]geo.Point) int {
+	return argmin(cands, func(q []geo.Point) float64 {
+		var c geo.Point
+		for _, p := range q {
+			c.X += p.X / float64(len(q))
+			c.Y += p.Y / float64(len(q))
+		}
+		var ss float64
+		for _, p := range q {
+			d := p.Dist(c)
+			ss += d * d
+		}
+		return ss
+	})
+}
+
+// MinTop1Cost guesses the real query as the candidate whose best POI
+// under s has the least aggregate cost: a group that meets nearby has a
+// cheap meeting place, a tuple of scattered dummies does not. It returns
+// the index into cands, or −1 when cands is empty.
+func MinTop1Cost(cands [][]geo.Point, s gnn.Searcher) int {
+	return argmin(cands, func(q []geo.Point) float64 {
+		if top := s.Search(q, 1); len(top) > 0 {
+			return top[0].Cost
+		}
+		return math.Inf(1)
+	})
+}
+
+// argmin returns the index of the first candidate with the least score.
+func argmin(cands [][]geo.Point, score func([]geo.Point) float64) int {
+	best, bestScore := -1, math.Inf(1)
+	for i, q := range cands {
+		if v := score(q); best < 0 || v < bestScore {
+			best, bestScore = i, v
+		}
+	}
+	return best
 }

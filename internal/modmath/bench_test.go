@@ -9,9 +9,9 @@ import (
 // The kernel's reason to exist, in microbenchmark form: MultiExp vs the
 // per-term Exp loop at the protocol's characteristic shapes (δ'≈101
 // terms for a ⊙ dot product over the candidate indicator; a handful of
-// terms for a threshold combine), and FixedBase vs cold Exp at
-// short-exponent widths. End to end the same work shows up as the
-// paillier.* layers of `bash bench/run.sh`.
+// terms for a threshold combine), and the FixedBase comb vs cold Exp at
+// the key holder's CRT-half and short-exponent widths. End to end the
+// same work shows up as the paillier.* layers of `bash bench/run.sh`.
 
 func benchTerms(b *testing.B, bits, k, expBits int) (*Ctx, []*big.Int, []*big.Int) {
 	b.Helper()
@@ -106,21 +106,38 @@ func BenchmarkMultiExpShapes(b *testing.B) {
 	}
 }
 
+// BenchmarkFixedBaseExp times one comb exponentiation at the shapes the
+// key holder's CRT halves run (an exponent as wide as the prime, mod
+// p^{s+1}, at the 7, 6 and 5 rows fixedBaseTableBytes gives them) and at
+// a 320-bit short exponent mod a 2048-bit N², the short-rand shape.
 func BenchmarkFixedBaseExp(b *testing.B) {
-	rng := mrand.New(mrand.NewSource(8))
-	m := testModulus(b, 1024)
-	ctx := MustCtx(m)
-	g := randBelow(rng, m)
-	f, err := ctx.NewFixedBase(g, 320)
-	if err != nil {
-		b.Fatal(err)
-	}
-	e := randBelow(rng, new(big.Int).Lsh(big.NewInt(1), 320))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := f.Exp(e); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct {
+		name             string
+		modBits, expBits int
+	}{
+		{"p2_1024/h=7", 1024, 512},
+		{"p2_2048/h=6", 2048, 1024},
+		{"p3_3072/h=5", 3072, 1024},
+		{"short_N2_2048", 2048, 320},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			rng := mrand.New(mrand.NewSource(8))
+			m := randBelow(rng, new(big.Int).Lsh(big.NewInt(1), uint(c.modBits)))
+			m.SetBit(m, c.modBits-1, 1)
+			m.SetBit(m, 0, 1)
+			ctx := MustCtx(m)
+			f, err := ctx.NewFixedBase(randBelow(rng, m), c.expBits)
+			if err != nil {
+				b.Fatal(err)
+			}
+			e := randBelow(rng, new(big.Int).Lsh(big.NewInt(1), uint(c.expBits)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := f.Exp(e); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -3,34 +3,50 @@ package modmath
 import (
 	"errors"
 	"math/big"
+	"math/bits"
 )
 
-// fixedBaseWindow is the digit width of the fixed-base tables: 2^w − 1
-// table entries per digit position, one multiplication per nonzero
-// digit at evaluation time. Width 4 keeps the table for a 2048-bit
-// exponent range around 2^4·2048/4 ≈ 8k entries worst case while already
-// cutting evaluation to ~maxBits/4 multiplications with no squarings.
-const fixedBaseWindow = 4
+// fixedBaseTableBytes bounds one comb table: 2^h entries of one modulus
+// width each. It gives h = 7 rows mod a 1024-bit p², 6 mod a 2048-bit p²
+// and 5 mod a 3072-bit p³ — the key holder's CRT halves at 1024- and
+// 2048-bit keys.
+const fixedBaseTableBytes = 16 << 10
 
-// FixedBase is a precomputed power table for one base under one
-// modulus: Exp(e) costs at most ⌈maxBits/4⌉ modular multiplications and
-// no squarings, against a full square-and-multiply ladder for a cold
-// base. Build it once per (base, modulus) pair that sees many
-// exponentiations — the paillier layer keys tables by (key, s) for the
-// short-exponent randomness base h^{N^s}. Immutable after creation and
-// safe for concurrent use.
+// FixedBase is a Lim–Lee comb for one base under one modulus (Lim and
+// Lee, CRYPTO '94). An exponent of up to maxBits bits is cut into h rows
+// of c = ⌈maxBits/h⌉ bits; the table holds, for every h-bit mask m, the
+// product of g^(2^{i·c}) over the rows i set in m, with entry 0 = 1.
+// Exp(e) then walks the c columns once: one squaring and one table
+// product per column, for every exponent alike — against a full
+// square-and-multiply ladder for a cold base. Build it once per (base,
+// modulus) pair that sees many exponentiations: the paillier layer keeps
+// one per CRT half and degree for the key holder's encryption factors,
+// and one per degree for the short-exponent base h^{N^s}. Immutable
+// after creation and safe for concurrent use.
 type FixedBase struct {
 	ctx     *Ctx
 	g       *big.Int // reduced base (for the over-width fallback)
 	maxBits int
-	// tbl[i] holds the Montgomery residues of g^(j·2^{i·w}) mod M for
-	// j ∈ [1, 2^w), entry j at tbl[i][(j-1)·n:][:n].
-	tbl [][]big.Word
+	h, cols int // rows and columns of the comb, h·cols ≥ maxBits
+	// tbl holds the 2^h Montgomery residues, entry m at tbl[m·n:][:n].
+	tbl []big.Word
 }
 
-// NewFixedBase precomputes the table of g's powers covering exponents
-// up to maxBits bits. Exponents beyond maxBits still work via a plain
-// Exp fallback (counted as a table miss).
+// combRows is the comb's row count for an n-word modulus: the largest h
+// with 2^h entries inside fixedBaseTableBytes, at least 1 and at most
+// maxBits.
+func combRows(n, maxBits int) int {
+	entryBytes := n * bits.UintSize / 8
+	h := 1
+	for h < maxBits && (2<<h)*entryBytes <= fixedBaseTableBytes {
+		h++
+	}
+	return h
+}
+
+// NewFixedBase precomputes the comb of g covering exponents up to
+// maxBits bits. Exponents beyond maxBits still work via a plain Exp
+// fallback (counted as a table miss).
 func (c *Ctx) NewFixedBase(g *big.Int, maxBits int) (*FixedBase, error) {
 	if g == nil {
 		return nil, errors.New("modmath: nil fixed base")
@@ -38,37 +54,46 @@ func (c *Ctx) NewFixedBase(g *big.Int, maxBits int) (*FixedBase, error) {
 	if maxBits < 1 {
 		return nil, errors.New("modmath: fixed-base table needs maxBits >= 1")
 	}
-	const w = fixedBaseWindow
 	n := len(c.mw)
-	digits := (maxBits + w - 1) / w
-	done := timeTableBuild(tableFixedBase, digits)
+	h := combRows(n, maxBits)
+	done := timeTableBuild(tableFixedBase, 1<<h)
 	f := &FixedBase{
 		ctx:     c,
 		g:       new(big.Int).Mod(g, c.M),
 		maxBits: maxBits,
-		tbl:     make([][]big.Word, digits),
+		h:       h,
+		cols:    (maxBits + h - 1) / h,
+		tbl:     make([]big.Word, n<<h),
 	}
 	s := c.newScratch()
-	base := make([]big.Word, n) // residue of g^(2^{i·w}) for digit position i
-	s.enter(base, f.g)
-	for i := 0; i < digits; i++ {
-		row := make([]big.Word, ((1<<w)-1)*n)
-		copy(row, base)
-		for off := n; off < len(row); off += n {
-			s.mul(row[off:off+n], row[off-n:off], base)
+	s.enter(f.entry(0), one)
+	row := make([]big.Word, n) // residue of g^(2^{i·cols}) for row i
+	s.enter(row, f.g)
+	for i := 0; i < h; i++ {
+		if i > 0 {
+			for j := 0; j < f.cols; j++ {
+				s.mul(row, row, row)
+			}
 		}
-		f.tbl[i] = row
-		// base^(2^w) = g^(2^{(i+1)·w}): top entry times base once more.
-		s.mul(base, row[len(row)-n:], base)
+		// Masks with top row i: the masks below 2^i times row i.
+		for m := 1 << i; m < 2<<i; m++ {
+			s.mul(f.entry(m), f.entry(m-(1<<i)), row)
+		}
 	}
 	done()
 	return f, nil
 }
 
+// entry returns table entry m.
+func (f *FixedBase) entry(m int) []big.Word {
+	n := len(f.ctx.mw)
+	return f.tbl[m*n : (m+1)*n : (m+1)*n]
+}
+
 // Exp returns g^e mod M for e ≥ 0. Exponents within the table's range
-// cost one Montgomery product per nonzero base-2^w digit; wider
-// exponents fall back to a cold exponentiation (a table miss in the
-// kernel metrics). The result is byte-identical to Ctx.Exp(g, e).
+// cost the same 2·(cols−1) Montgomery products whatever their value;
+// wider exponents fall back to a cold exponentiation (a table miss in
+// the kernel metrics). The result is byte-identical to big.Int.Exp.
 func (f *FixedBase) Exp(e *big.Int) (*big.Int, error) {
 	if e == nil || e.Sign() < 0 {
 		return nil, errors.New("modmath: fixed-base exponent must be >= 0")
@@ -78,35 +103,29 @@ func (f *FixedBase) Exp(e *big.Int) (*big.Int, error) {
 		return f.ctx.Exp(f.g, e), nil
 	}
 	countFixedBase(true)
-	const w = fixedBaseWindow
-	n := len(f.ctx.mw)
 	s := f.ctx.newScratch()
-	acc := make([]big.Word, n)
-	live := false
-	for i := 0; i*w < e.BitLen(); i++ {
-		var digit uint
-		for b := w - 1; b >= 0; b-- {
-			digit = digit<<1 | uint(e.Bit(i*w+b))
-		}
-		if digit == 0 {
-			continue
-		}
-		v := f.tbl[i][int(digit-1)*n:][:n]
-		if live {
-			s.mul(acc, acc, v)
-		} else {
-			copy(acc, v)
-			live = true
-		}
-	}
-	if !live {
-		return big.NewInt(1), nil
-	}
-	return s.leave(acc), nil
+	return s.leave(f.comb(s, e)), nil
 }
 
-// Base returns the (reduced) fixed base g.
-func (f *FixedBase) Base() *big.Int { return f.g }
+// comb evaluates the comb for an in-range e into a fresh residue: the
+// top column's entry, then a squaring and a table product for each
+// column below it. Entry 0 is 1, so a zero column still costs its
+// product.
+func (f *FixedBase) comb(s *montScratch, e *big.Int) []big.Word {
+	acc := make([]big.Word, len(f.ctx.mw))
+	copy(acc, f.entry(f.column(e, f.cols-1)))
+	for j := f.cols - 2; j >= 0; j-- {
+		s.mul(acc, acc, acc)
+		s.mul(acc, acc, f.entry(f.column(e, j)))
+	}
+	return acc
+}
 
-// MaxBits returns the exponent width the table covers.
-func (f *FixedBase) MaxBits() int { return f.maxBits }
+// column gathers bit j of every row of e into a mask, row i at bit i.
+func (f *FixedBase) column(e *big.Int, j int) int {
+	m := 0
+	for i := f.h - 1; i >= 0; i-- {
+		m = m<<1 | int(e.Bit(i*f.cols+j))
+	}
+	return m
+}

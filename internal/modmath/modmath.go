@@ -2,8 +2,8 @@
 // homomorphic pipeline (DESIGN.md §11). Every hot path of the protocol —
 // encryption randomness r^{N^s}, the ⊙ dot products and ⨂ selections of
 // the LSP, threshold share combination — bottoms out in modular
-// exponentiation over a handful of fixed moduli (N^{s+1} for s ∈ {1,2}),
-// so this package trades per-call generality for per-modulus and
+// exponentiation over a handful of fixed moduli (N^{s+1} for s ∈ {1,2},
+// and p^{s+1}, q^{s+1} for the key holder), so this package trades per-call generality for per-modulus and
 // per-base precomputation:
 //
 //   - Ctx: a per-modulus context caching the odd modulus and its
@@ -13,9 +13,11 @@
 //     Π bases[i]^{exps[i]} mod M with one shared squaring chain across
 //     all terms — the ⊙/⨂/combine replacement for per-term Exp loops.
 //     Exp is the same chain with one term.
-//   - FixedBase: windowed fixed-base exponentiation with a precomputed
-//     power table, for bases reused across many exponentiations (the
-//     short-exponent encryption randomness h^x of paillier.Options).
+//   - FixedBase: a Lim–Lee comb with a precomputed table, for bases
+//     reused across many exponentiations: the key holder's encryption
+//     factors, one generator per CRT half, and the short-exponent
+//     encryption randomness h^x of paillier.Options. Every exponent
+//     costs the same number of products.
 //
 // All three multiply Montgomery residues and reduce with REDC over
 // math/big's assembly word primitives (montgomery.go,

@@ -187,6 +187,59 @@ func TestFixedBaseMatchesExp(t *testing.T) {
 	}
 }
 
+// TestFixedBaseConstantWork pins the comb's clock-free promise: every
+// in-range exponent costs the same number of Montgomery products, 0 and
+// all-ones alike, so the count reveals nothing of a secret exponent. It
+// also pins the row count that fixedBaseTableBytes gives each CRT half
+// of the protocol's keys.
+func TestFixedBaseConstantWork(t *testing.T) {
+	rng := mrand.New(mrand.NewSource(6))
+	for _, c := range []struct {
+		modBits, expBits, rows int
+	}{
+		{1024, 512, 7},  // p² for a 512-bit p: 1024-bit keys, s = 1
+		{2048, 1024, 6}, // p² for a 1024-bit p: 2048-bit keys, s = 1
+		{3072, 1024, 5}, // p³ for a 1024-bit p: 2048-bit keys, s = 2
+		{128, 61, 10},   // a small key's half: the comb covers few columns
+	} {
+		m := randBelow(rng, new(big.Int).Lsh(big.NewInt(1), uint(c.modBits)))
+		m.SetBit(m, c.modBits-1, 1)
+		m.SetBit(m, 0, 1)
+		ctx := MustCtx(m)
+		f, err := ctx.NewFixedBase(randBelow(rng, m), c.expBits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.h != c.rows || f.h*f.cols < c.expBits {
+			t.Fatalf("%d-bit modulus: comb of %d rows × %d columns, want %d rows covering %d bits",
+				c.modBits, f.h, f.cols, c.rows, c.expBits)
+		}
+		bound := new(big.Int).Lsh(big.NewInt(1), uint(c.expBits))
+		exps := []*big.Int{
+			big.NewInt(0),
+			big.NewInt(1),
+			new(big.Int).Sub(bound, big.NewInt(1)),
+			randBelow(rng, bound),
+			randBelow(rng, bound),
+		}
+		want := -1
+		for _, e := range exps {
+			s := ctx.newScratch()
+			got := s.leave(f.comb(s, e))
+			if ref := new(big.Int).Exp(f.g, e, m); got.Cmp(ref) != 0 {
+				t.Fatalf("%d-bit modulus: comb(%v) = %v, want %v", c.modBits, e, got, ref)
+			}
+			if want < 0 {
+				want = s.products
+			}
+			if s.products != want || want != 2*(f.cols-1) {
+				t.Fatalf("%d-bit modulus: e=%x took %d products, want %d for every exponent",
+					c.modBits, e, s.products, 2*(f.cols-1))
+			}
+		}
+	}
+}
+
 func TestFixedBaseRejectsBadInputs(t *testing.T) {
 	ctx := MustCtx(big.NewInt(97))
 	if _, err := ctx.NewFixedBase(nil, 10); err == nil {

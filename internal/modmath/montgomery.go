@@ -35,6 +35,9 @@ type montScratch struct {
 	x, y big.Int    // views of the operands, for big.Int.Mul
 	prod big.Int    // product buffer; keeps its capacity across products
 	t    []big.Word // 2n-word REDC input
+	// products counts mul calls, for the constant-work test of the
+	// fixed-base comb.
+	products int
 }
 
 func (c *Ctx) newScratch() *montScratch {
@@ -45,6 +48,7 @@ func (c *Ctx) newScratch() *montScratch {
 // alias x or y; passing the same slice as x and y takes the squaring
 // path.
 func (s *montScratch) mul(z, x, y []big.Word) {
+	s.products++
 	s.x.SetBits(x)
 	if &x[0] == &y[0] {
 		s.prod.Mul(&s.x, &s.x)

@@ -10,30 +10,34 @@ import (
 // costs of Damgård–Jurik are full-width exponentiations mod N^{s+1}:
 // c^λ in decryption and the randomness factor r^{N^s} in encryption.
 // Knowing p and q, the key holder computes both modulo p^{s+1} and
-// q^{s+1} separately and recombines — two half-width exponentiations
-// instead of one full-width one. That roughly halves decryption, and cuts
-// an encryption factor to about a third, because its exponent halves too
-// (see BenchmarkDecrypt1024CRT and BenchmarkEncFactor in the tests).
+// q^{s+1} separately and recombines. That roughly halves decryption. An
+// encryption factor costs a tenth to a twentieth of r^{N^s}: its moduli
+// and exponents are half as wide, and each half is a fixed-base comb
+// (modmath.FixedBase) instead of a variable-base exponentiation (see
+// BenchmarkDecrypt1024CRT and BenchmarkEncFactor in the tests).
 //
 // The encryption factor is not the same value as r^{N^s}, but it has the
 // same distribution (DESIGN.md §5). The N^s-th residues of Z*_{N^{s+1}}
-// form H = T_p × T_q, where T_p ⊂ Z*_{p^{s+1}} is the order-(p−1)
-// subgroup. crtFactor maps r ∈ Z*_N to the unique element of H that is
-// ≡ r (mod N): the Teichmüller lifts (r mod p)^{p^s} mod p^{s+1} and
-// (r mod q)^{q^s} mod q^{s+1}. That map is a bijection Z*_N → H, so
-// uniform r gives a uniform factor in H, exactly as r ↦ r^{N^s} does
-// (a bijection on H because q ∤ p−1 and p ∤ q−1, which GenerateKey's
-// gcd(λ, N) = 1 check guarantees).
+// form H = T_p × T_q, where T_p ⊂ Z*_{p^{s+1}} is the cyclic order-(p−1)
+// subgroup; r ↦ r^{N^s} is uniform on H for uniform r ∈ Z*_N (a
+// bijection on H because q ∤ p−1 and p ∤ q−1, which GenerateKey's
+// gcd(λ, N) = 1 check guarantees). GenerateKey keeps a generator g of
+// Z*_p (prime.go), so G_p = g^{p^s} mod p^{s+1} generates T_p: raising to
+// p^s kills the order-p^s part and G_p ≡ g (mod p) keeps order p−1. One
+// uniform draw x ∈ [0, (p−1)(q−1)) splits into independent uniform
+// a = x mod (p−1) and b = ⌊x/(p−1)⌋ < q−1, so CRT(G_p^a, G_q^b) is
+// uniform on H — the distribution of r^{N^s}, with the same DCRA
+// assumption, unlike the short-exponent mode.
 
 // crtCtx caches the per-degree CRT moduli (as kernel contexts, so the
 // half-width exponentiations share the same cached-modulus machinery as
-// every other hot path), the Teichmüller exponents and the recombination
-// coefficient.
+// every other hot path), the fixed-base combs of the two generators and
+// the recombination coefficient.
 type crtCtx struct {
-	pCtx   *modmath.Ctx // modulus p^{s+1}
-	qCtx   *modmath.Ctx // modulus q^{s+1}
-	pS, qS *big.Int     // p^s and q^s
-	coef   *big.Int     // (p^{s+1})^{-1} mod q^{s+1}
+	pCtx   *modmath.Ctx       // modulus p^{s+1}
+	qCtx   *modmath.Ctx       // modulus q^{s+1}
+	gp, gq *modmath.FixedBase // G_p = g_p^{p^s} mod p^{s+1}, G_q likewise
+	coef   *big.Int           // (p^{s+1})^{-1} mod q^{s+1}
 }
 
 // crt returns the CRT context for degree s, built once per key and read
@@ -50,11 +54,12 @@ func (sk *PrivateKey) crt(s int) *crtCtx {
 	if coef == nil {
 		panic("paillier: p^{s+1} not invertible mod q^{s+1}")
 	}
+	pCtx, qCtx := modmath.MustCtx(pPow), modmath.MustCtx(qPow)
 	ctx := &crtCtx{
-		pCtx: modmath.MustCtx(pPow),
-		qCtx: modmath.MustCtx(qPow),
-		pS:   pS,
-		qS:   qS,
+		pCtx: pCtx,
+		qCtx: qCtx,
+		gp:   fixedBase(pCtx, pCtx.Exp(sk.gp, pS), sk.P.BitLen()),
+		gq:   fixedBase(qCtx, qCtx.Exp(sk.gq, qS), sk.Q.BitLen()),
 		coef: coef,
 	}
 	// First writer wins so all callers share one context.
@@ -62,6 +67,16 @@ func (sk *PrivateKey) crt(s int) *crtCtx {
 		ctx = sk.crtCtxs[s].Load()
 	}
 	return ctx
+}
+
+// fixedBase builds the comb of g for exponents up to maxBits bits.
+func fixedBase(ctx *modmath.Ctx, g *big.Int, maxBits int) *modmath.FixedBase {
+	f, err := ctx.NewFixedBase(g, maxBits)
+	if err != nil {
+		// Unreachable: g is non-nil and maxBits ≥ 1 at every call site.
+		panic("paillier: building fixed-base table: " + err.Error())
+	}
+	return f
 }
 
 // combine returns the u mod N^{s+1} with u ≡ up (mod p^{s+1}) and
@@ -86,12 +101,17 @@ func (sk *PrivateKey) expLambdaCRT(c *big.Int, s int) *big.Int {
 	return ctx.combine(up, uq)
 }
 
-// crtFactor computes the encryption factor for r ∈ Z*_N: the unique
-// N^s-th residue mod N^{s+1} that is ≡ r (mod N), as the pair of
-// Teichmüller lifts described above.
-func (sk *PrivateKey) crtFactor(r *big.Int, s int) *big.Int {
+// combFactor computes the encryption factor for a draw x ∈
+// [0, (p−1)(q−1)): CRT(G_p^{x mod (p−1)}, G_q^{⌊x/(p−1)⌋}), uniform on H
+// for uniform x. Both combs cost the same for every exponent.
+func (sk *PrivateKey) combFactor(x *big.Int, s int) *big.Int {
 	ctx := sk.crt(s)
-	fp := ctx.pCtx.Exp(new(big.Int).Mod(r, sk.P), ctx.pS)
-	fq := ctx.qCtx.Exp(new(big.Int).Mod(r, sk.Q), ctx.qS)
+	b, a := new(big.Int).QuoRem(x, sk.pm1, new(big.Int))
+	fp, errP := ctx.gp.Exp(a)
+	fq, errQ := ctx.gq.Exp(b)
+	if errP != nil || errQ != nil {
+		// Unreachable: drawEncRand only returns x ≥ 0.
+		panic("paillier: negative CRT factor exponent")
+	}
 	return ctx.combine(fp, fq)
 }

@@ -1,7 +1,6 @@
 package paillier
 
 import (
-	"bytes"
 	"context"
 	"crypto/rand"
 	"fmt"
@@ -55,14 +54,14 @@ func TestCRTDecryptionFreshKey(t *testing.T) {
 	}
 }
 
-// TestCRTFactorIdentity pins the CRT encryption factor against the public
-// one. The public factor of r is the unique N^s-th residue ≡ r^{N^s}
-// (mod N), so it must equal the CRT factor of r^{N^s} mod N byte for byte.
-// Every CRT factor must also reduce to its r mod N and be killed by λ, the
-// two facts that make it an encryption of zero.
-func TestCRTFactorIdentity(t *testing.T) {
+// TestCombFactorInH checks the key holder's fixed-base factor at several
+// key sizes and degrees. Every factor must lie in H, the N^s-th residues,
+// which is what makes it an encryption of zero: f^λ ≡ 1 (mod N^{s+1}).
+// Each CRT half must be the comb's G^a with G ≡ g (mod p), so the factor
+// reduces to g_p^a mod p and g_q^b mod q for the split of its draw.
+func TestCombFactorInH(t *testing.T) {
 	rng := mrand.New(mrand.NewSource(41))
-	for _, bits := range []int{256, 301, 512} {
+	for _, bits := range []int{64, 256, 301, 512} {
 		k, err := GenerateKey(nil, bits)
 		if err != nil {
 			t.Fatal(err)
@@ -70,34 +69,61 @@ func TestCRTFactorIdentity(t *testing.T) {
 		for s := 1; s <= 3; s++ {
 			mod := k.NS(s + 1)
 			for trial := 0; trial < 4; trial++ {
-				r, err := k.randomUnit(rng)
+				x, err := k.drawEncRand(rng, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				public := k.Ctx(s+1).Exp(r, k.NS(s))
-				rN := new(big.Int).Mod(public, k.N)
-				if got := k.crtFactor(rN, s); !bytes.Equal(got.Bytes(), public.Bytes()) {
-					t.Fatalf("%d-bit s=%d: crtFactor(r^{N^s} mod N) != r^{N^s} mod N^{s+1}", bits, s)
+				if x.Sign() < 0 || x.Cmp(k.phi) >= 0 {
+					t.Fatalf("%d-bit: draw %v outside [0, (p−1)(q−1))", bits, x)
 				}
-				f := k.crtFactor(r, s)
+				f := k.combFactor(x, s)
 				if f.Sign() <= 0 || f.Cmp(mod) >= 0 {
 					t.Fatalf("%d-bit s=%d: factor outside [1, N^{s+1})", bits, s)
 				}
-				if new(big.Int).Mod(f, k.N).Cmp(r) != 0 {
-					t.Fatalf("%d-bit s=%d: factor mod N != r", bits, s)
-				}
 				if new(big.Int).Exp(f, k.lambda, mod).Cmp(one) != 0 {
 					t.Fatalf("%d-bit s=%d: factor^λ != 1 mod N^{s+1}", bits, s)
+				}
+				b, a := new(big.Int).QuoRem(x, k.pm1, new(big.Int))
+				if new(big.Int).Mod(f, k.P).Cmp(new(big.Int).Exp(k.gp, a, k.P)) != 0 ||
+					new(big.Int).Mod(f, k.Q).Cmp(new(big.Int).Exp(k.gq, b, k.Q)) != 0 {
+					t.Fatalf("%d-bit s=%d: factor halves are not g_p^a, g_q^b", bits, s)
 				}
 			}
 		}
 	}
 }
 
+// TestCombFactorCoversH draws factors under a 16-bit key, whose primes
+// are small enough to enumerate: the factors mod p must take every value
+// of Z*_p, and likewise mod q. A base that generates only a subgroup —
+// g² has order (p−1)/2 — would leave at least half of Z*_p unseen.
+func TestCombFactorCoversH(t *testing.T) {
+	k, err := GenerateKey(mrand.New(mrand.NewSource(44)), 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := mrand.New(mrand.NewSource(45))
+	seenP, seenQ := map[int64]bool{}, map[int64]bool{}
+	for i := 0; i < 4000; i++ {
+		x, err := k.drawEncRand(rng, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := k.encFactor(x, nil, 1)
+		seenP[new(big.Int).Mod(f, k.P).Int64()] = true
+		seenQ[new(big.Int).Mod(f, k.Q).Int64()] = true
+	}
+	if int64(len(seenP)) != k.pm1.Int64() || int64(len(seenQ)) != k.Q.Int64()-1 {
+		t.Fatalf("factors cover %d of Z*_%v and %d of Z*_%v, want all",
+			len(seenP), k.P, len(seenQ), k.Q)
+	}
+}
+
 // TestEncFactorPaths is the in-package assertion of which keys take the
-// CRT path: only a key from GenerateKey with full-width randomness. A
-// NewPublicKey, a threshold key and a short-rand key keep their old
-// factors exactly.
+// fixed-base CRT path: only a key from GenerateKey with full-width
+// randomness, whose factor is CRT(G_p^a mod p^{s+1}, G_q^b mod q^{s+1})
+// recomputed here with big.Int.Exp. A NewPublicKey, a threshold key and a
+// short-rand key keep their old factors exactly.
 func TestEncFactorPaths(t *testing.T) {
 	k := key(t)
 	pub := NewPublicKey(k.N)
@@ -108,21 +134,37 @@ func TestEncFactorPaths(t *testing.T) {
 	}
 	rng := mrand.New(mrand.NewSource(43))
 	for s := 1; s <= 2; s++ {
+		sBig := big.NewInt(int64(s))
+		pPow := new(big.Int).Exp(k.P, big.NewInt(int64(s+1)), nil)
+		qPow := new(big.Int).Exp(k.Q, big.NewInt(int64(s+1)), nil)
+		gP := new(big.Int).Exp(k.gp, new(big.Int).Exp(k.P, sBig, nil), pPow)
+		gQ := new(big.Int).Exp(k.gq, new(big.Int).Exp(k.Q, sBig, nil), qPow)
+		comb := func(x *big.Int) bool {
+			f := k.encFactor(x, nil, s)
+			b, a := new(big.Int).QuoRem(x, k.pm1, new(big.Int))
+			return new(big.Int).Mod(f, pPow).Cmp(new(big.Int).Exp(gP, a, pPow)) == 0 &&
+				new(big.Int).Mod(f, qPow).Cmp(new(big.Int).Exp(gQ, b, qPow)) == 0
+		}
+		x, err := k.drawEncRand(rng, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !comb(x) {
+			t.Fatalf("GenerateKey s=%d: factor left the fixed-base CRT path", s)
+		}
 		for _, c := range []struct {
 			name string
 			pk   *PublicKey
-			want func(r *big.Int) *big.Int
-		}{
-			{"GenerateKey", &k.PublicKey, func(r *big.Int) *big.Int { return k.crtFactor(r, s) }},
-			{"NewPublicKey", pub, func(r *big.Int) *big.Int { return pub.Ctx(s+1).Exp(r, pub.NS(s)) }},
-			{"threshold", &tk.PublicKey, func(r *big.Int) *big.Int { return tk.Ctx(s+1).Exp(r, tk.NS(s)) }},
-		} {
-			r, err := c.pk.randomUnit(rng)
+		}{{"NewPublicKey", pub}, {"threshold", &tk.PublicKey}} {
+			r, err := c.pk.drawEncRand(rng, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if c.pk.encFactor(r, nil, s).Cmp(c.want(r)) != 0 {
-				t.Fatalf("%s s=%d: factor left its expected path", c.name, s)
+			if new(big.Int).GCD(nil, nil, r, c.pk.N).Cmp(one) != 0 {
+				t.Fatalf("%s: draw is not a unit of Z_N", c.name)
+			}
+			if c.pk.encFactor(r, nil, s).Cmp(c.pk.Ctx(s+1).Exp(r, c.pk.NS(s))) != 0 {
+				t.Fatalf("%s s=%d: factor left r^{N^s}", c.name, s)
 			}
 		}
 	}
@@ -136,6 +178,9 @@ func TestEncFactorPaths(t *testing.T) {
 		x, err := short.drawEncRand(rng, sr)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if x.BitLen() > 64 {
+			t.Fatalf("short-rand draw of %d bits, want ≤ 64", x.BitLen())
 		}
 		want, err := sr.table(&short.PublicKey, s).Exp(x)
 		if err != nil {
@@ -266,7 +311,8 @@ var factorSink *big.Int
 
 // BenchmarkEncFactor times one encryption factor on the public path
 // (r^{N^s} mod N^{s+1}, what NewPublicKey and the LSP run) against the key
-// holder's CRT path, at 1024 and 2048 bits and s ∈ {1, 2}.
+// holder's CRT path (one fixed-base comb per half), at 1024 and 2048 bits
+// and s ∈ {1, 2}.
 func BenchmarkEncFactor(b *testing.B) {
 	for _, bits := range []int{1024, 2048} {
 		k := benchKey(b, bits)
@@ -276,7 +322,7 @@ func BenchmarkEncFactor(b *testing.B) {
 				pk   *PublicKey
 			}{{"public", NewPublicKey(k.N)}, {"crt", &k.PublicKey}} {
 				b.Run(fmt.Sprintf("%d/s=%d/%s", bits, s, c.name), func(b *testing.B) {
-					r, err := c.pk.randomUnit(nil)
+					r, err := c.pk.drawEncRand(nil, nil)
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -84,6 +84,10 @@ type PrivateKey struct {
 	PublicKey
 	P, Q   *big.Int
 	lambda *big.Int // lcm(p-1, q-1)
+	// gp and gq generate Z*_p and Z*_q (prime.go); pm1 = p−1 and
+	// phi = (p−1)(q−1) split and bound the encryption draws (crt.go).
+	gp, gq   *big.Int
+	pm1, phi *big.Int
 
 	mu     sync.Mutex
 	invLam []*big.Int // invLam[s] = lambda^{-1} mod N^s
@@ -110,28 +114,27 @@ func GenerateKey(random io.Reader, bits int) (*PrivateKey, error) {
 		random = rand.Reader
 	}
 	for {
-		p, err := rand.Prime(random, bits/2)
+		p, gp, _, err := genPrime(random, bits/2)
 		if err != nil {
 			return nil, fmt.Errorf("paillier: generating p: %w", err)
 		}
-		q, err := rand.Prime(random, bits-bits/2)
+		q, gq, _, err := genPrime(random, bits-bits/2)
 		if err != nil {
 			return nil, fmt.Errorf("paillier: generating q: %w", err)
 		}
 		if p.Cmp(q) == 0 {
 			continue
 		}
+		// Both primes have their top two bits set, so N has all its bits.
 		n := new(big.Int).Mul(p, q)
-		if n.BitLen() != bits {
-			continue
-		}
 		pm1 := new(big.Int).Sub(p, one)
 		qm1 := new(big.Int).Sub(q, one)
+		phi := new(big.Int).Mul(pm1, qm1)
 		gcd := new(big.Int).GCD(nil, nil, pm1, qm1)
-		lambda := new(big.Int).Mul(pm1, qm1)
-		lambda.Div(lambda, gcd)
-		// Equal-bit-length distinct primes guarantee gcd(lambda, N) = 1,
-		// but verify anyway: decryption requires lambda invertible mod N^s.
+		lambda := new(big.Int).Div(phi, gcd)
+		// Decryption requires lambda invertible mod N^s, and the CRT
+		// factors' uniformity needs q ∤ p−1 and p ∤ q−1: both are
+		// gcd(lambda, N) = 1.
 		if new(big.Int).GCD(nil, nil, lambda, n).Cmp(one) != 0 {
 			continue
 		}
@@ -140,6 +143,10 @@ func GenerateKey(random io.Reader, bits int) (*PrivateKey, error) {
 			P:         p,
 			Q:         q,
 			lambda:    lambda,
+			gp:        gp,
+			gq:        gq,
+			pm1:       pm1,
+			phi:       phi,
 		}
 		key.sk = key
 		return key, nil
@@ -349,35 +356,35 @@ func (sr *shortRandState) table(pk *PublicKey, s int) *modmath.FixedBase {
 		return f
 	}
 	ctx := pk.Ctx(s + 1)
-	g := ctx.Exp(sr.h, pk.NS(s))
-	f, err := ctx.NewFixedBase(g, sr.bits)
-	if err != nil {
-		// Unreachable for a well-formed state: bits ≥ 16, g ∈ [0, N^{s+1}).
-		panic(fmt.Sprintf("paillier: building short-rand table: %v", err))
-	}
+	f := fixedBase(ctx, ctx.Exp(sr.h, pk.NS(s)), sr.bits)
 	sr.fbs[s].Store(f)
 	return f
 }
 
 // drawEncRand draws one encryption-randomness value for the mode sr
-// (nil = full-width): a unit r ∈ Z*_N, or a short exponent x < 2^bits.
-// Batch paths draw serially in index order with the mode loaded once,
-// so seeded readers are consumed exactly like the serial loop.
+// (nil = full-width): a short exponent x < 2^bits in short-rand mode,
+// else x < (p−1)(q−1) for the key holder's CRT factor, else a unit
+// r ∈ Z*_N. Batch paths draw serially in index order with the mode
+// loaded once, so seeded readers are consumed exactly like the serial
+// loop.
 func (pk *PublicKey) drawEncRand(random io.Reader, sr *shortRandState) (*big.Int, error) {
-	if sr == nil {
+	if sr == nil && pk.sk == nil {
 		return pk.randomUnit(random)
 	}
 	if random == nil {
 		random = rand.Reader
 	}
+	if sr == nil {
+		return rand.Int(random, pk.sk.phi)
+	}
 	return rand.Int(random, sr.bound)
 }
 
 // encFactor turns a drawn randomness value into the ciphertext factor:
-// r^{N^s} mod N^{s+1} full-width, the same-distribution CRT factor when
-// the key holder encrypts (crt.go), or the table-backed (h^{N^s})^x in
-// short-rand mode. Safe for concurrent use once warmEnc has built the
-// needed tables.
+// r^{N^s} mod N^{s+1} full-width, the same-distribution fixed-base CRT
+// factor when the key holder encrypts (crt.go), or the table-backed
+// (h^{N^s})^x in short-rand mode. Safe for concurrent use once warmEnc
+// has built the needed tables.
 func (pk *PublicKey) encFactor(rv *big.Int, sr *shortRandState, s int) *big.Int {
 	switch {
 	case sr != nil:
@@ -388,7 +395,7 @@ func (pk *PublicKey) encFactor(rv *big.Int, sr *shortRandState, s int) *big.Int 
 		}
 		return f
 	case pk.sk != nil:
-		return pk.sk.crtFactor(rv, s)
+		return pk.sk.combFactor(rv, s)
 	}
 	return pk.Ctx(s+1).Exp(rv, pk.NS(s))
 }
