@@ -15,9 +15,6 @@
 //	-agg sum|max|min  aggregate function (default sum)
 //	-variant ppgnn|opt|naive  protocol variant (default opt)
 //	-keybits N   Paillier modulus size (default 1024)
-//	-short-rand-bits N  short-exponent encryption randomness width
-//	             (default 0 = full-width, paper-faithful; changes the
-//	             security assumption, see SECURITY.md)
 //	-seed N      RNG seed (default 0 = time-based)
 //	-connect A   query a remote LSP at address A instead of in-process
 //	-tenant T    route -connect sessions to tenant T of a multi-tenant
@@ -95,7 +92,6 @@ func main() {
 	workers := flag.Int("workers", 0, "worker-pool width for batch crypto and the in-process LSP (0 = all cores)")
 	traceSample := flag.Float64("trace-sample", 1, "head-sampling rate in [0,1] for the per-query trace")
 	traceOut := flag.String("trace-out", "", "write the client-side trace tree as JSON to this file after the query")
-	shortRandBits := flag.Int("short-rand-bits", 0, "short-exponent encryption randomness width (0 = full-width, paper-faithful; changes the security assumption, see SECURITY.md)")
 	flag.Parse()
 
 	// 0 = GOMAXPROCS at the flag layer; the resolved width sizes the
@@ -127,7 +123,6 @@ func main() {
 	}
 	p.Theta0 = *theta0
 	p.KeyBits = *keybits
-	p.ShortRandBits = *shortRandBits
 	p.NoSanitize = *noSanitize
 	p.IncludeIDs = *ids
 	switch *agg {

@@ -204,11 +204,14 @@ func (g *Group) Run(svc Service, meter *cost.Meter) (*Result, error) {
 // the answer, charging both directions to the meter. A traced context is
 // handed across the Service boundary when svc can carry it (transport
 // clients propagate the id on the wire, LocalService annotates the LSP
-// attributes directly); otherwise it is plain Process.
+// attributes directly); otherwise it is plain Process. The messages are
+// marshalled only to count their bytes, so a nil meter skips that work.
 func RoundTrip(svc Service, tc obs.TraceContext, q *QueryMsg, locs []*LocationMsg, meter *cost.Meter) (*AnswerMsg, error) {
-	meter.AddBytes(cost.UserToLSP, len(q.Marshal()))
-	for _, lm := range locs {
-		meter.AddBytes(cost.UserToLSP, len(lm.Marshal()))
+	if meter != nil {
+		meter.AddBytes(cost.UserToLSP, len(q.Marshal()))
+		for _, lm := range locs {
+			meter.AddBytes(cost.UserToLSP, len(lm.Marshal()))
+		}
 	}
 	var (
 		ans *AnswerMsg
@@ -222,7 +225,9 @@ func RoundTrip(svc Service, tc obs.TraceContext, q *QueryMsg, locs []*LocationMs
 	if err != nil {
 		return nil, err
 	}
-	meter.AddBytes(cost.LSPToUser, len(ans.Marshal()))
+	if meter != nil {
+		meter.AddBytes(cost.LSPToUser, len(ans.Marshal()))
+	}
 	return ans, nil
 }
 

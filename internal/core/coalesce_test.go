@@ -113,7 +113,7 @@ func TestLSPRerandPools(t *testing.T) {
 	for _, variant := range []Variant{VariantPPGNN, VariantOPT} {
 		lsp := testLSP(1500)
 		lsp.Rerandomize = true
-		ps := paillier.NewPoolSet(paillier.PoolSetOptions{})
+		ps := paillier.NewPoolSet(paillier.PoolSetConfig{})
 		lsp.RerandPools = ps
 		defer ps.Close()
 

@@ -79,11 +79,6 @@ func NewCoordinator(p Params, loc geo.Point, rng *rand.Rand) (*Coordinator, erro
 	if err != nil {
 		return nil, fmt.Errorf("core: generating key: %w", err)
 	}
-	if c.Params.ShortRandBits > 0 {
-		if err := key.SetOptions(paillier.Options{ShortRandBits: c.Params.ShortRandBits}); err != nil {
-			return nil, fmt.Errorf("core: enabling short-exponent randomness: %w", err)
-		}
-	}
 	c.Key = key
 	c.KeygenTime = time.Since(start)
 	return c, nil
@@ -110,11 +105,6 @@ func NewThresholdCoordinator(p Params, loc geo.Point, rng *rand.Rand, t int) (*C
 	tk, shares, err := paillier.GenerateThresholdKey(nil, p.KeyBits, p.N, t, c.AnswerDegree())
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: threshold keygen: %w", err)
-	}
-	if c.Params.ShortRandBits > 0 {
-		if err := tk.SetOptions(paillier.Options{ShortRandBits: c.Params.ShortRandBits}); err != nil {
-			return nil, nil, fmt.Errorf("core: enabling short-exponent randomness: %w", err)
-		}
 	}
 	c.KeygenTime = time.Since(start)
 	c.TK = tk

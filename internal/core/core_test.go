@@ -14,6 +14,7 @@ import (
 	"ppgnn/internal/cost"
 	"ppgnn/internal/dataset"
 	"ppgnn/internal/gnn"
+	"ppgnn/internal/obs"
 	"ppgnn/internal/rtree"
 	"ppgnn/internal/sanitize"
 
@@ -450,6 +451,53 @@ func TestAnswerMsgRoundTrip(t *testing.T) {
 	}
 	if len(records) == 0 {
 		t.Fatal("no records after roundtrip")
+	}
+}
+
+// TestRoundTripNilMeter: RoundTrip marshals the query, the location
+// sets and the answer only to count their bytes. A metered trip charges
+// exactly the marshalled sizes; a nil-meter trip skips the marshalling
+// and so allocates less.
+func TestRoundTripNilMeter(t *testing.T) {
+	lsp := testLSP(500)
+	rng := rand.New(rand.NewSource(37))
+	p := testParams(2, VariantPPGNN)
+	p.NoSanitize = true
+	g, err := NewGroup(p, randomLocations(rng, 2), rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, locs, err := g.BuildQuery(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := LocalService{LSP: lsp}
+	var m cost.Meter
+	ans, err := RoundTrip(svc, obs.TraceContext{}, q, locs, &m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	up := len(q.Marshal())
+	for _, lm := range locs {
+		up += len(lm.Marshal())
+	}
+	snap := m.Snapshot()
+	if snap.UserToLSPBytes != int64(up) || snap.LSPToUserBytes != int64(len(ans.Marshal())) {
+		t.Fatalf("metered bytes up %d down %d, want %d and %d",
+			snap.UserToLSPBytes, snap.LSPToUserBytes, up, len(ans.Marshal()))
+	}
+
+	trip := func(meter *cost.Meter) func() {
+		return func() {
+			if _, err := RoundTrip(svc, obs.TraceContext{}, q, locs, meter); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	metered := testing.AllocsPerRun(5, trip(&m))
+	bare := testing.AllocsPerRun(5, trip(nil))
+	if bare >= metered {
+		t.Fatalf("nil-meter round trip allocates %v times, metered %v: want fewer", bare, metered)
 	}
 }
 

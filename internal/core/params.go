@@ -66,14 +66,6 @@ type Params struct {
 	Agg     gnn.Aggregate // aggregate F (paper default: sum)
 	Space   geo.Rect      // normalized location space
 
-	// ShortRandBits, when > 0, enables the short-exponent encryption
-	// randomness mode (paillier.Options.ShortRandBits) on the group's
-	// key: randomness factors come from a fixed-base power table instead
-	// of a full-width exponentiation. Answers are identical; the
-	// semantic-security assumption changes (see SECURITY.md), which is
-	// why 0 — the paper-faithful full-width mode — is the default.
-	ShortRandBits int
-
 	// Hypothesis-testing parameters (Section 5.3); zero means the paper
 	// defaults γ=0.05, η=0.2, φ=0.1.
 	Gamma, Eta, Phi float64
@@ -157,9 +149,6 @@ func (p Params) Validate() error {
 	}
 	if p.KeyBits < 128 {
 		return fmt.Errorf("core: key size %d bits too small", p.KeyBits)
-	}
-	if p.ShortRandBits != 0 && (p.ShortRandBits < 16 || p.ShortRandBits >= p.KeyBits) {
-		return fmt.Errorf("core: ShortRandBits=%d outside [16, KeyBits)", p.ShortRandBits)
 	}
 	if p.Variant < VariantPPGNN || p.Variant > VariantNaive {
 		return fmt.Errorf("core: unknown variant %d", p.Variant)

@@ -20,12 +20,10 @@ const fixedBaseTableBytes = 16 << 10
 // product per column, for every exponent alike — against a full
 // square-and-multiply ladder for a cold base. Build it once per (base,
 // modulus) pair that sees many exponentiations: the paillier layer keeps
-// one per CRT half and degree for the key holder's encryption factors,
-// and one per degree for the short-exponent base h^{N^s}. Immutable
-// after creation and safe for concurrent use.
+// one per CRT half and degree for the key holder's encryption factors.
+// Immutable after creation and safe for concurrent use.
 type FixedBase struct {
 	ctx     *Ctx
-	g       *big.Int // reduced base (for the over-width fallback)
 	maxBits int
 	h, cols int // rows and columns of the comb, h·cols ≥ maxBits
 	// tbl holds the 2^h Montgomery residues, entry m at tbl[m·n:][:n].
@@ -45,8 +43,7 @@ func combRows(n, maxBits int) int {
 }
 
 // NewFixedBase precomputes the comb of g covering exponents up to
-// maxBits bits. Exponents beyond maxBits still work via a plain Exp
-// fallback (counted as a table miss).
+// maxBits bits.
 func (c *Ctx) NewFixedBase(g *big.Int, maxBits int) (*FixedBase, error) {
 	if g == nil {
 		return nil, errors.New("modmath: nil fixed base")
@@ -59,7 +56,6 @@ func (c *Ctx) NewFixedBase(g *big.Int, maxBits int) (*FixedBase, error) {
 	done := timeTableBuild(tableFixedBase, 1<<h)
 	f := &FixedBase{
 		ctx:     c,
-		g:       new(big.Int).Mod(g, c.M),
 		maxBits: maxBits,
 		h:       h,
 		cols:    (maxBits + h - 1) / h,
@@ -68,7 +64,7 @@ func (c *Ctx) NewFixedBase(g *big.Int, maxBits int) (*FixedBase, error) {
 	s := c.newScratch()
 	s.enter(f.entry(0), one)
 	row := make([]big.Word, n) // residue of g^(2^{i·cols}) for row i
-	s.enter(row, f.g)
+	s.enter(row, new(big.Int).Mod(g, c.M))
 	for i := 0; i < h; i++ {
 		if i > 0 {
 			for j := 0; j < f.cols; j++ {
@@ -90,21 +86,17 @@ func (f *FixedBase) entry(m int) []big.Word {
 	return f.tbl[m*n : (m+1)*n : (m+1)*n]
 }
 
-// Exp returns g^e mod M for e ≥ 0. Exponents within the table's range
-// cost the same 2·(cols−1) Montgomery products whatever their value;
-// wider exponents fall back to a cold exponentiation (a table miss in
-// the kernel metrics). The result is byte-identical to big.Int.Exp.
-func (f *FixedBase) Exp(e *big.Int) (*big.Int, error) {
-	if e == nil || e.Sign() < 0 {
-		return nil, errors.New("modmath: fixed-base exponent must be >= 0")
+// Exp returns g^e mod M for 0 ≤ e < 2^maxBits, at the same
+// 2·(cols−1) Montgomery products whatever e's value. The result is
+// byte-identical to big.Int.Exp. It panics on a negative or over-width
+// exponent, as Ctx.Exp does on a negative one.
+func (f *FixedBase) Exp(e *big.Int) *big.Int {
+	if e.Sign() < 0 || e.BitLen() > f.maxBits {
+		panic("modmath: fixed-base exponent outside [0, 2^maxBits)")
 	}
-	if e.BitLen() > f.maxBits {
-		countFixedBase(false)
-		return f.ctx.Exp(f.g, e), nil
-	}
-	countFixedBase(true)
+	mFixedHit.Inc()
 	s := f.ctx.newScratch()
-	return s.leave(f.comb(s, e)), nil
+	return s.leave(f.comb(s, e))
 }
 
 // comb evaluates the comb for an in-range e into a fresh residue: the

@@ -9,8 +9,8 @@ import (
 // Kernel telemetry (DESIGN.md §9, §11). Like the paillier layer, modmath
 // reports to the process-global obs.Default registry with pre-bound
 // instruments: the kernel has no per-query object, and its signals —
-// how often tables are (re)built, whether fixed-base exponentiations hit
-// their table, how wide the multi-exponentiations run — only make sense
+// how often tables are (re)built, how many fixed-base exponentiations
+// ran, how wide the multi-exponentiations run — only make sense
 // aggregated per process. All labels come from the closed enums in
 // obs/contract.go; obs.MustPreRegister materializes every series at
 // zero (catalog.go).
@@ -20,7 +20,6 @@ var (
 	mTblSecsWindow  = obs.Default().Histogram("modmath_table_build_seconds", obs.TimeBuckets, obs.L("table", "window"))
 	mTblSecsFixed   = obs.Default().Histogram("modmath_table_build_seconds", obs.TimeBuckets, obs.L("table", "fixed_base"))
 	mFixedHit       = obs.Default().Counter("modmath_fixed_base_total", obs.L("result", "hit"))
-	mFixedMiss      = obs.Default().Counter("modmath_fixed_base_total", obs.L("result", "miss"))
 	mMultiExpWidth  = obs.Default().Histogram("modmath_multiexp_width", obs.CountBuckets)
 )
 
@@ -29,7 +28,7 @@ type tableKind int
 
 const (
 	tableWindow    tableKind = iota // per-call Straus odd-power tables
-	tableFixedBase                  // long-lived fixed-base digit tables
+	tableFixedBase                  // long-lived fixed-base comb tables
 )
 
 // timeTableBuild counts one table build and returns a closure that
@@ -45,16 +44,6 @@ func timeTableBuild(kind tableKind, size int) func() {
 	}
 	cnt.Inc()
 	return func() { hist.Observe(time.Since(start).Seconds()) }
-}
-
-// countFixedBase records a fixed-base exponentiation that used its table
-// (hit) or fell back to a cold exponentiation (miss).
-func countFixedBase(hit bool) {
-	if hit {
-		mFixedHit.Inc()
-	} else {
-		mFixedMiss.Inc()
-	}
 }
 
 // observeMultiExp records the live width (nonzero-exponent terms) of one

@@ -15,9 +15,8 @@
 //     Exp is the same chain with one term.
 //   - FixedBase: a Lim–Lee comb with a precomputed table, for bases
 //     reused across many exponentiations: the key holder's encryption
-//     factors, one generator per CRT half, and the short-exponent
-//     encryption randomness h^x of paillier.Options. Every exponent
-//     costs the same number of products.
+//     factors, one generator per CRT half. Every exponent costs the same
+//     number of products.
 //
 // All three multiply Montgomery residues and reduce with REDC over
 // math/big's assembly word primitives (montgomery.go,

@@ -53,7 +53,7 @@ func TestMontgomeryEdges(t *testing.T) {
 			randBelow(rng, m),
 		}
 		for _, b := range bases {
-			f, err := ctx.NewFixedBase(b, 2*int(w)+3)
+			f, err := ctx.NewFixedBase(b, 257) // the widest exponent below
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -73,8 +73,8 @@ func TestMontgomeryEdges(t *testing.T) {
 				if err != nil || got.Cmp(want) != 0 {
 					t.Fatalf("m=%v b=%v e=%v: MultiExp=%v, %v; want %v", m, b, e, got, err, want)
 				}
-				if got, err := f.Exp(e); err != nil || got.Cmp(want) != 0 {
-					t.Fatalf("m=%v b=%v e=%v: FixedBase.Exp=%v, %v; want %v", m, b, e, got, err, want)
+				if got := f.Exp(e); got.Cmp(want) != 0 {
+					t.Fatalf("m=%v b=%v e=%v: FixedBase.Exp=%v want %v", m, b, e, got, want)
 				}
 			}
 			// Every exponent at once over this base and M−1: the Straus

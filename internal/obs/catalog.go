@@ -141,11 +141,11 @@ func catalog() []catalogEntry {
 		{kindHistogram, "parallel_coalesce_wait_seconds", TimeBuckets, nil},
 
 		// modmath exponentiation kernel (DESIGN.md §11): table builds by
-		// family, fixed-base table hit/miss, and the live width of every
-		// multi-exponentiation.
+		// family, fixed-base comb exponentiations (every one a table hit),
+		// and the live width of every multi-exponentiation.
 		{kindCounter, "modmath_table_builds_total", nil, allOf("table")},
 		{kindHistogram, "modmath_table_build_seconds", TimeBuckets, allOf("table")},
-		{kindCounter, "modmath_fixed_base_total", nil, allOf("result")},
+		{kindCounter, "modmath_fixed_base_total", nil, each("result", "hit")},
 		{kindHistogram, "modmath_multiexp_width", CountBuckets, nil},
 
 		// open-loop load harness (internal/load, DESIGN.md §12). Arrivals

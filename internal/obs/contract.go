@@ -69,8 +69,9 @@ var labelEnums = map[string]map[string]bool{
 	// table: which modmath precomputed-table family was built (§11):
 	// per-call Straus odd-power tables vs long-lived fixed-base tables.
 	"table": enum("window", "fixed_base"),
-	// result: whether a fixed-base exponentiation used its table, and
-	// whether a svc config reload was applied or rejected.
+	// result: whether an encrypted-constant cache lookup or a fixed-base
+	// exponentiation hit, and whether a svc config reload was applied or
+	// rejected.
 	"result": enum("hit", "miss", "applied", "rejected"),
 	// stage: which phase of an open-loop load run an arrival belongs
 	// to (internal/load, DESIGN.md §12). Completions are attributed to

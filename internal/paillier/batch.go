@@ -52,104 +52,150 @@ import (
 // errNilElement keeps batch validation messages uniform.
 var errNilElement = errors.New("paillier: nil element in batch")
 
+// encFactors readies n degree-s encryption factors for one batch; it is
+// the one way every batch encryption, rerandomization and pool fill gets
+// its randomness. Pooled factors come first, popped from pre (nil = no
+// pool) in one LIFO takeN; the rest are drawn from random serially in
+// index order, before any fan-out. factor(i) returns the pooled factor or
+// the exponentiation of draw i, and is safe to call from the caller's
+// pl.ForEach workers, once per index. With a pool, every factor is
+// counted by source. pooled is how many factors came from pre.
+func (pk *PublicKey) encFactors(pre *Precomputer, random io.Reader, n, s int) (factor func(i int) *big.Int, pooled int, err error) {
+	var pool []*big.Int
+	if pre != nil {
+		pool = pre.takeN(n)
+	}
+	drawn := make([]*big.Int, n-len(pool))
+	for i := range drawn {
+		if drawn[i], err = pk.drawEncRand(random); err != nil {
+			// The popped factors are dropped, never reused: losing pooled
+			// randomness is safe, reusing it would break semantic security.
+			return nil, 0, fmt.Errorf("paillier: drawing randomness: %w", err)
+		}
+	}
+	pk.warmEnc(s)
+	return func(i int) *big.Int {
+		if i < len(pool) {
+			mEncPooled.Inc()
+			return pool[i]
+		}
+		if pre != nil {
+			mEncOnline.Inc()
+		}
+		return pk.encFactor(drawn[i-len(pool)], s)
+	}, len(pool), nil
+}
+
+// warmEnc materializes the caches an ε_s encryption reads (the kernel
+// contexts for N^i, the inverse factorials and the key holder's CRT
+// context), so fanned-out workers hit lock-free read paths instead of
+// serializing on first-use population.
+func (pk *PublicKey) warmEnc(s int) {
+	pk.NS(s + 1)
+	pk.invFactorial(s)
+	if pk.sk != nil {
+		pk.sk.crt(s)
+	}
+}
+
+// checkPlaintexts validates a batch of degree-s plaintexts up front.
+func (pk *PublicKey) checkPlaintexts(ms []*big.Int, s int) error {
+	if s < 1 || s > MaxS {
+		return fmt.Errorf("paillier: degree s=%d out of range [1,%d]", s, MaxS)
+	}
+	ns := pk.NS(s)
+	for i, m := range ms {
+		if m == nil {
+			return fmt.Errorf("paillier: plaintext %d: %w", i, errNilElement)
+		}
+		if m.Sign() < 0 || m.Cmp(ns) >= 0 {
+			return fmt.Errorf("paillier: plaintext %d out of range [0, N^%d)", i, s)
+		}
+	}
+	return nil
+}
+
+// checkDegree validates a batch of ciphertexts that must all have degree s.
+func checkDegree(cs []*Ciphertext, s int) error {
+	if s < 1 || s > MaxS {
+		return fmt.Errorf("paillier: degree s=%d out of range [1,%d]", s, MaxS)
+	}
+	for i, c := range cs {
+		if c == nil {
+			return fmt.Errorf("paillier: ciphertext %d: %w", i, errNilElement)
+		}
+		if c.S != s {
+			return fmt.Errorf("paillier: ciphertext %d degree %d, want the batch degree %d", i, c.S, s)
+		}
+	}
+	return nil
+}
+
+// encryptBatch encrypts ms under ε_s with factors from encFactors,
+// returning the ciphertexts and how many factors came from pre.
+func (pk *PublicKey) encryptBatch(ctx context.Context, pl *parallel.Pool, random io.Reader, pre *Precomputer, ms []*big.Int, s int) ([]*Ciphertext, int, error) {
+	if err := pk.checkPlaintexts(ms, s); err != nil {
+		return nil, 0, err
+	}
+	factor, pooled, err := pk.encFactors(pre, random, len(ms), s)
+	if err != nil {
+		return nil, 0, err
+	}
+	out := make([]*Ciphertext, len(ms))
+	err = pl.ForEach(ctx, len(ms), func(i int) error {
+		out[i] = pk.encryptWith(ms[i], factor(i), s)
+		return nil
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	return out, pooled, nil
+}
+
+// rerandomizeBatch multiplies every degree-s ciphertext by a fresh factor
+// from encFactors — an encryption of zero, so each output encrypts the
+// same plaintext under fresh randomness.
+func (pk *PublicKey) rerandomizeBatch(ctx context.Context, pl *parallel.Pool, random io.Reader, pre *Precomputer, cs []*Ciphertext, s int) ([]*Ciphertext, int, error) {
+	if err := checkDegree(cs, s); err != nil {
+		return nil, 0, err
+	}
+	factor, pooled, err := pk.encFactors(pre, random, len(cs), s)
+	if err != nil {
+		return nil, 0, err
+	}
+	out := make([]*Ciphertext, len(cs))
+	err = pl.ForEach(ctx, len(cs), func(i int) error {
+		out[i] = pk.mulFactor(cs[i].C, factor(i), s)
+		mRerandomize.Inc()
+		mAdd.Inc()
+		return nil
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	return out, pooled, nil
+}
+
 // EncryptBatch encrypts every plaintext of ms under ε_s in parallel,
 // returning ciphertexts in input order. Equivalent to calling Encrypt in
 // a loop (including reader consumption order); see the package notes
 // above for the determinism contract.
 func (pk *PublicKey) EncryptBatch(ctx context.Context, pl *parallel.Pool, random io.Reader, ms []*big.Int, s int) ([]*Ciphertext, error) {
-	if s < 1 || s > MaxS {
-		return nil, fmt.Errorf("paillier: degree s=%d out of range [1,%d]", s, MaxS)
-	}
-	ns := pk.NS(s)
-	for i, m := range ms {
-		if m == nil {
-			return nil, fmt.Errorf("paillier: plaintext %d: %w", i, errNilElement)
-		}
-		if m.Sign() < 0 || m.Cmp(ns) >= 0 {
-			return nil, fmt.Errorf("paillier: plaintext %d out of range [0, N^%d)", i, s)
-		}
-	}
-	// Serial randomness, then parallel exponentiation. The mode is
-	// loaded once so every draw and factor of this batch agrees.
-	sr := pk.shortRand.Load()
-	rs := make([]*big.Int, len(ms))
-	for i := range ms {
-		r, err := pk.drawEncRand(random, sr)
-		if err != nil {
-			return nil, fmt.Errorf("paillier: drawing randomness: %w", err)
-		}
-		rs[i] = r
-	}
-	pk.warmEnc(s)
-	out := make([]*Ciphertext, len(ms))
-	err := pl.ForEach(ctx, len(ms), func(i int) error {
-		out[i] = pk.encryptWith(ms[i], rs[i], sr, s)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// warmEnc materializes the caches an ε_s encryption reads (the kernel
-// contexts for N^i, the inverse factorials, the key holder's CRT context,
-// and the short-rand fixed-base table when that mode is on), so
-// fanned-out workers hit lock-free read paths instead of serializing on
-// first-use population.
-func (pk *PublicKey) warmEnc(s int) {
-	pk.NS(s + 1)
-	pk.invFactorial(s)
-	if sr := pk.shortRand.Load(); sr != nil {
-		sr.table(pk, s)
-	} else if pk.sk != nil {
-		pk.sk.crt(s)
-	}
+	out, _, err := pk.encryptBatch(ctx, pl, random, nil, ms, s)
+	return out, err
 }
 
 // RerandomizeBatch re-randomizes every ciphertext in parallel, consuming
-// the reader exactly like a serial Rerandomize loop.
+// the reader exactly like a serial Rerandomize loop. All ciphertexts must
+// share one degree; a mixed batch is rejected before any randomness is
+// drawn.
 func (pk *PublicKey) RerandomizeBatch(ctx context.Context, pl *parallel.Pool, random io.Reader, cs []*Ciphertext) ([]*Ciphertext, error) {
-	var degrees [MaxS + 1]bool
-	for i, c := range cs {
-		if c == nil {
-			return nil, fmt.Errorf("paillier: ciphertext %d: %w", i, errNilElement)
-		}
-		if c.S < 1 || c.S > MaxS {
-			return nil, fmt.Errorf("paillier: ciphertext %d degree %d out of range", i, c.S)
-		}
-		degrees[c.S] = true
+	s := 1 // an empty batch has no degree; any valid one will do
+	if len(cs) > 0 && cs[0] != nil {
+		s = cs[0].S
 	}
-	sr := pk.shortRand.Load()
-	rs := make([]*big.Int, len(cs))
-	for i := range cs {
-		r, err := pk.drawEncRand(random, sr)
-		if err != nil {
-			return nil, fmt.Errorf("paillier: drawing randomness: %w", err)
-		}
-		rs[i] = r
-	}
-	for s, present := range degrees {
-		if present {
-			pk.warmEnc(s)
-		}
-	}
-	zero := new(big.Int)
-	out := make([]*Ciphertext, len(cs))
-	err := pl.ForEach(ctx, len(cs), func(i int) error {
-		z := pk.encryptWith(zero, rs[i], sr, cs[i].S)
-		mRerandomize.Inc()
-		ct, err := pk.Add(cs[i], z)
-		if err != nil {
-			return fmt.Errorf("paillier: rerandomizing %d: %w", i, err)
-		}
-		out[i] = ct
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	out, _, err := pk.rerandomizeBatch(ctx, pl, random, nil, cs, s)
+	return out, err
 }
 
 // DecryptBatch decrypts every ciphertext in parallel (each one on the CRT
@@ -376,48 +422,7 @@ func (p *Precomputer) takeN(n int) []*big.Int {
 // (the cost meters' pool/online split). Output bytes match a serial loop
 // of Precomputer.Encrypt calls for the same pool state and reader seed.
 func (p *Precomputer) EncryptBatch(ctx context.Context, pl *parallel.Pool, random io.Reader, ms []*big.Int) ([]*Ciphertext, int, error) {
-	ns := p.pk.NS(p.s)
-	for i, m := range ms {
-		if m == nil {
-			return nil, 0, fmt.Errorf("paillier: plaintext %d: %w", i, errNilElement)
-		}
-		if m.Sign() < 0 || m.Cmp(ns) >= 0 {
-			return nil, 0, fmt.Errorf("paillier: plaintext %d out of range [0, N^%d)", i, p.s)
-		}
-	}
-	pooled := p.takeN(len(ms))
-	sr := p.pk.shortRand.Load()
-	online := make([]*big.Int, 0, len(ms)-len(pooled))
-	for range ms[len(pooled):] {
-		r, err := p.pk.drawEncRand(random, sr)
-		if err != nil {
-			// The popped factors are dropped, never reused: losing pooled
-			// randomness is safe, reusing it would break semantic security.
-			return nil, 0, fmt.Errorf("paillier: drawing randomness: %w", err)
-		}
-		online = append(online, r)
-	}
-	p.pk.warmEnc(p.s)
-	mod := p.pk.NS(p.s + 1)
-	out := make([]*Ciphertext, len(ms))
-	err := pl.ForEach(ctx, len(ms), func(i int) error {
-		if i < len(pooled) {
-			c := p.pk.onePlusNExp(ms[i], p.s)
-			c.Mul(c, pooled[i])
-			c.Mod(c, mod)
-			mEncPooled.Inc()
-			countEnc(p.s)
-			out[i] = &Ciphertext{C: c, S: p.s}
-			return nil
-		}
-		mEncOnline.Inc()
-		out[i] = p.pk.encryptWith(ms[i], online[i-len(pooled)], sr, p.s)
-		return nil
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	return out, len(pooled), nil
+	return p.pk.encryptBatch(ctx, pl, random, p, ms, p.s)
 }
 
 // RerandomizeBatch re-randomizes every ciphertext using pooled factors
@@ -429,80 +434,26 @@ func (p *Precomputer) EncryptBatch(ctx context.Context, pl *parallel.Pool, rando
 // lets a refilled per-tenant pool keep server-side rerandomization off
 // the online critical path (DESIGN.md §15).
 func (p *Precomputer) RerandomizeBatch(ctx context.Context, pl *parallel.Pool, random io.Reader, cs []*Ciphertext) ([]*Ciphertext, int, error) {
-	for i, c := range cs {
-		if c == nil {
-			return nil, 0, fmt.Errorf("paillier: ciphertext %d: %w", i, errNilElement)
-		}
-		if c.S != p.s {
-			return nil, 0, fmt.Errorf("paillier: ciphertext %d degree %d does not match pool degree %d", i, c.S, p.s)
-		}
-	}
-	pooled := p.takeN(len(cs))
-	sr := p.pk.shortRand.Load()
-	online := make([]*big.Int, 0, len(cs)-len(pooled))
-	for range cs[len(pooled):] {
-		r, err := p.pk.drawEncRand(random, sr)
-		if err != nil {
-			return nil, 0, fmt.Errorf("paillier: drawing randomness: %w", err)
-		}
-		online = append(online, r)
-	}
-	p.pk.warmEnc(p.s)
-	mod := p.pk.NS(p.s + 1)
-	zero := new(big.Int)
-	out := make([]*Ciphertext, len(cs))
-	err := pl.ForEach(ctx, len(cs), func(i int) error {
-		mRerandomize.Inc()
-		if i < len(pooled) {
-			c := new(big.Int).Mul(cs[i].C, pooled[i])
-			c.Mod(c, mod)
-			mEncPooled.Inc()
-			countEnc(p.s)
-			mAdd.Inc()
-			out[i] = &Ciphertext{C: c, S: p.s}
-			return nil
-		}
-		mEncOnline.Inc()
-		z := p.pk.encryptWith(zero, online[i-len(pooled)], sr, p.s)
-		ct, err := p.pk.Add(cs[i], z)
-		if err != nil {
-			return fmt.Errorf("paillier: rerandomizing %d: %w", i, err)
-		}
-		out[i] = ct
-		return nil
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	return out, len(pooled), nil
+	return p.pk.rerandomizeBatch(ctx, pl, random, p, cs, p.s)
 }
 
 // FillCtx adds n randomness factors to the pool, fanning the factor
 // exponentiations — the entire cost of the offline phase — across the
 // pool's workers. Draws stay serial, so the pool contents for a seeded
 // reader are independent of the worker count. The factors come from
-// encFactor, so they are CRT-computed for the key holder and table-backed
-// (h^{N^s})^x values in short-rand mode; either way the pooled value is a
-// complete N^s-th residue mod N^{s+1}.
+// encFactors, so they are CRT-computed for the key holder; either way the
+// pooled value is a complete N^s-th residue mod N^{s+1}.
 func (p *Precomputer) FillCtx(ctx context.Context, pl *parallel.Pool, random io.Reader, n int) error {
 	if n <= 0 {
 		return nil
 	}
-	sr := p.pk.shortRand.Load()
-	rs := make([]*big.Int, n)
-	for i := range rs {
-		r, err := p.pk.drawEncRand(random, sr)
-		if err != nil {
-			return fmt.Errorf("paillier: precomputing randomness: %w", err)
-		}
-		rs[i] = r
+	factor, _, err := p.pk.encFactors(nil, random, n, p.s)
+	if err != nil {
+		return err
 	}
-	p.pk.warmEnc(p.s)
 	fresh := make([]*big.Int, n)
-	err := pl.MapChunked(ctx, n, 1, func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			fresh[i] = p.pk.encFactor(rs[i], sr, p.s)
-		}
+	err = pl.ForEach(ctx, n, func(i int) error {
+		fresh[i] = factor(i)
 		return nil
 	})
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"math/big"
 	mrand "math/rand"
 	"runtime"
@@ -11,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"ppgnn/internal/obs"
 	"ppgnn/internal/parallel"
 )
 
@@ -177,6 +179,207 @@ func TestPrecomputerBatchMatchesSerial(t *testing.T) {
 	for i := range ms {
 		if !bytes.Equal(serial[i].Bytes(&k.PublicKey), batch[i].Bytes(&k.PublicKey)) {
 			t.Fatalf("element %d: batch ciphertext differs from serial", i)
+		}
+	}
+}
+
+// factorCounters reads the counters a factor-drawing batch moves: ε_s
+// encryptions, rerandomizations, ⊕, and the pooled/online factor split.
+func factorCounters(s int) [5]int64 {
+	snap := obs.Default().Snapshot()
+	return [5]int64{
+		snap.Counter("paillier_ops_total", obs.L("op", "enc"), obs.L("degree", degreeLabel(s))),
+		snap.Counter("paillier_ops_total", obs.L("op", "rerandomize")),
+		snap.Counter("paillier_ops_total", obs.L("op", "add")),
+		snap.Counter("paillier_precompute_encrypt_total", obs.L("source", "pool")),
+		snap.Counter("paillier_precompute_encrypt_total", obs.L("source", "online")),
+	}
+}
+
+// countingReader counts the bytes drawn through it.
+type countingReader struct {
+	r io.Reader
+	n int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += n
+	return n, err
+}
+
+// TestBatchFactorPathsMatchSerial pins the five batch forms that draw
+// encryption factors — PublicKey.EncryptBatch, Precomputer.EncryptBatch,
+// an EncCache miss, PublicKey.RerandomizeBatch and
+// Precomputer.RerandomizeBatch — to their serial reference loops, for
+// the key holder's key and the bare modulus at s = 1 and 2, with a pool
+// holding fewer factors than the batch. At every worker width the
+// ciphertexts are byte-equal for the same pool state and reader seed,
+// the pooled/online split matches, and the counters move alike: a pool's
+// source split is counted only when a pool was handed in.
+func TestBatchFactorPathsMatchSerial(t *testing.T) {
+	k := key(t)
+	ctx := context.Background()
+	const n, fill = 7, 3
+	seeded := func() io.Reader { return mrand.New(mrand.NewSource(17)) }
+	widths := []int{1, 4, runtime.GOMAXPROCS(0)}
+	zero := new(big.Int)
+	for name, pk := range encKeys(k) {
+		for s := 1; s <= 2; s++ {
+			ms := batchPlaintexts(k, s, n)
+			cs, err := pk.EncryptBatch(ctx, nil, nil, ms, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			newPre := func() *Precomputer {
+				pre, err := pk.NewPrecomputer(s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := pre.Fill(mrand.New(mrand.NewSource(19)), fill); err != nil {
+					t.Fatal(err)
+				}
+				return pre
+			}
+
+			// The serial references: Encrypt, Precomputer.Encrypt, and
+			// Rerandomize or a pooled encryption of zero added on.
+			encSerial := func(pre *Precomputer) ([]*Ciphertext, int, error) {
+				rng := seeded()
+				out, pooled := make([]*Ciphertext, n), 0
+				for i, m := range ms {
+					var err error
+					fromPool := false
+					if pre == nil {
+						out[i], err = pk.Encrypt(rng, m, s)
+					} else {
+						out[i], fromPool, err = pre.Encrypt(rng, m)
+					}
+					if err != nil {
+						return nil, 0, err
+					}
+					if fromPool {
+						pooled++
+					}
+				}
+				return out, pooled, nil
+			}
+			rerandSerial := func(pre *Precomputer) ([]*Ciphertext, int, error) {
+				rng := seeded()
+				out, pooled := make([]*Ciphertext, n), 0
+				for i, c := range cs {
+					if pre == nil {
+						ct, err := pk.Rerandomize(rng, c)
+						if err != nil {
+							return nil, 0, err
+						}
+						out[i] = ct
+						continue
+					}
+					z, fromPool, err := pre.Encrypt(rng, zero)
+					if err != nil {
+						return nil, 0, err
+					}
+					if fromPool {
+						pooled++
+					}
+					if out[i], err = pk.Add(c, z); err != nil {
+						return nil, 0, err
+					}
+				}
+				return out, pooled, nil
+			}
+
+			for _, e := range []struct {
+				name           string
+				pooled, rerand bool
+				batch          func(pl *parallel.Pool, pre *Precomputer) ([]*Ciphertext, int, error)
+				serial         func(pre *Precomputer) ([]*Ciphertext, int, error)
+			}{
+				{"PublicKey.EncryptBatch", false, false, func(pl *parallel.Pool, _ *Precomputer) ([]*Ciphertext, int, error) {
+					out, err := pk.EncryptBatch(ctx, pl, seeded(), ms, s)
+					return out, 0, err
+				}, encSerial},
+				{"Precomputer.EncryptBatch", true, false, func(pl *parallel.Pool, pre *Precomputer) ([]*Ciphertext, int, error) {
+					return pre.EncryptBatch(ctx, pl, seeded(), ms)
+				}, encSerial},
+				{"EncCache miss", true, false, func(pl *parallel.Pool, pre *Precomputer) ([]*Ciphertext, int, error) {
+					return NewEncCache(64).EncryptBatch(ctx, pl, seeded(), pk, pre, ms, s)
+				}, encSerial},
+				{"EncCache miss without a pool", false, false, func(pl *parallel.Pool, pre *Precomputer) ([]*Ciphertext, int, error) {
+					return NewEncCache(64).EncryptBatch(ctx, pl, seeded(), pk, pre, ms, s)
+				}, encSerial},
+				{"PublicKey.RerandomizeBatch", false, true, func(pl *parallel.Pool, _ *Precomputer) ([]*Ciphertext, int, error) {
+					out, err := pk.RerandomizeBatch(ctx, pl, seeded(), cs)
+					return out, 0, err
+				}, rerandSerial},
+				{"Precomputer.RerandomizeBatch", true, true, func(pl *parallel.Pool, pre *Precomputer) ([]*Ciphertext, int, error) {
+					return pre.RerandomizeBatch(ctx, pl, seeded(), cs)
+				}, rerandSerial},
+			} {
+				var want [5]int64
+				want[0] = n
+				if e.rerand {
+					want[1], want[2] = n, n
+				}
+				wantPooled := 0
+				if e.pooled {
+					wantPooled = fill
+					want[3], want[4] = fill, n-fill
+				}
+				pre := func() *Precomputer {
+					if e.pooled {
+						return newPre()
+					}
+					return nil
+				}
+				ref, refPooled, err := e.serial(pre())
+				if err != nil {
+					t.Fatalf("%s %s s=%d serial reference: %v", name, e.name, s, err)
+				}
+				if refPooled != wantPooled {
+					t.Fatalf("%s %s s=%d serial reference pooled %d, want %d", name, e.name, s, refPooled, wantPooled)
+				}
+				for _, w := range widths {
+					p := pre()
+					before := factorCounters(s)
+					got, pooled, err := e.batch(parallel.New(w), p)
+					if err != nil {
+						t.Fatalf("%s %s s=%d width %d: %v", name, e.name, s, w, err)
+					}
+					d := factorCounters(s)
+					for j := range d {
+						d[j] -= before[j]
+					}
+					if pooled != wantPooled || d != want {
+						t.Fatalf("%s %s s=%d width %d: pooled %d, counters %v; want %d, %v",
+							name, e.name, s, w, pooled, d, wantPooled, want)
+					}
+					for i := range ref {
+						if !bytes.Equal(got[i].Bytes(pk), ref[i].Bytes(pk)) {
+							t.Fatalf("%s %s s=%d width %d: ciphertext %d differs from the serial loop",
+								name, e.name, s, w, i)
+						}
+					}
+				}
+			}
+		}
+
+		// A mixed-degree rerandomization fails before drawing randomness.
+		c1, err := pk.EncryptBatch(ctx, nil, nil, batchPlaintexts(k, 1, 1), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c2, err := pk.EncryptBatch(ctx, nil, nil, batchPlaintexts(k, 2, 1), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cr := &countingReader{r: seeded()}
+		if _, err := pk.RerandomizeBatch(ctx, nil, cr, []*Ciphertext{c1[0], c2[0]}); err == nil {
+			t.Fatalf("%s: mixed-degree RerandomizeBatch accepted", name)
+		}
+		if cr.n != 0 {
+			t.Fatalf("%s: rejected RerandomizeBatch drew %d bytes of randomness", name, cr.n)
 		}
 	}
 }

@@ -59,44 +59,26 @@ func (ec *EncCache) Len() int {
 
 // EncryptBatch encrypts every plaintext of ms under ε_s through the
 // cache, returning ciphertexts in input order plus how many randomness
-// factors came from pre's pool. Factor handling matches the other batch
-// forms: pooled factors are taken LIFO in index order while they last,
-// then online randomness is drawn serially from random — so the call
-// composes with the batch determinism contract. pre may be nil (all
-// factors online); when set it must belong to pk at degree s.
+// factors came from pre's pool. Factors come from encFactors, like every
+// other batch form: pooled factors are taken LIFO in index order while
+// they last, then online randomness is drawn serially from random — so
+// the call composes with the batch determinism contract. pre may be nil
+// (all factors online, none counted by source); when set it must belong
+// to pk at degree s.
 //
 // Cache hits cost one modular multiplication (stored ciphertext × fresh
 // factor — a fused rerandomization); misses pay the normal encryption
 // and populate the cache.
 func (ec *EncCache) EncryptBatch(ctx context.Context, pl *parallel.Pool, random io.Reader, pk *PublicKey, pre *Precomputer, ms []*big.Int, s int) ([]*Ciphertext, int, error) {
-	if s < 1 || s > MaxS {
-		return nil, 0, fmt.Errorf("paillier: degree s=%d out of range [1,%d]", s, MaxS)
+	if err := pk.checkPlaintexts(ms, s); err != nil {
+		return nil, 0, err
 	}
 	if pre != nil && (pre.pk != pk || pre.s != s) {
 		return nil, 0, fmt.Errorf("paillier: precomputer does not match key/degree s=%d", s)
 	}
-	ns := pk.NS(s)
-	for i, m := range ms {
-		if m == nil {
-			return nil, 0, fmt.Errorf("paillier: plaintext %d: %w", i, errNilElement)
-		}
-		if m.Sign() < 0 || m.Cmp(ns) >= 0 {
-			return nil, 0, fmt.Errorf("paillier: plaintext %d out of range [0, N^%d)", i, s)
-		}
-	}
-
-	var pooled []*big.Int
-	if pre != nil {
-		pooled = pre.takeN(len(ms))
-	}
-	sr := pk.shortRand.Load()
-	online := make([]*big.Int, 0, len(ms)-len(pooled))
-	for range ms[len(pooled):] {
-		r, err := pk.drawEncRand(random, sr)
-		if err != nil {
-			return nil, 0, fmt.Errorf("paillier: drawing randomness: %w", err)
-		}
-		online = append(online, r)
+	factor, pooled, err := pk.encFactors(pre, random, len(ms), s)
+	if err != nil {
+		return nil, 0, err
 	}
 
 	// Serial lookup pass: bases[i] is the stored ciphertext for ms[i],
@@ -116,37 +98,20 @@ func (ec *EncCache) EncryptBatch(ctx context.Context, pl *parallel.Pool, random 
 	}
 	ec.mu.Unlock()
 
-	pk.warmEnc(s)
-	mod := pk.NS(s + 1)
 	out := make([]*Ciphertext, len(ms))
-	err := pl.ForEach(ctx, len(ms), func(i int) error {
-		factor := func() *big.Int {
-			if i < len(pooled) {
-				mEncPooled.Inc()
-				return pooled[i]
-			}
-			mEncOnline.Inc()
-			return pk.encFactor(online[i-len(pooled)], sr, s)
-		}()
+	err = pl.ForEach(ctx, len(ms), func(i int) error {
 		if base := bases[i]; base != nil {
 			// Fused rerandomization of the stored ciphertext: the fresh
 			// factor is an enc(0), so the product encrypts the same
 			// plaintext under fresh uniform randomness.
-			c := new(big.Int).Mul(base, factor)
-			c.Mod(c, mod)
+			out[i] = pk.mulFactor(base, factor(i), s)
 			mCacheHit.Inc()
 			mRerandomize.Inc()
 			mAdd.Inc()
-			countEnc(s)
-			out[i] = &Ciphertext{C: c, S: s}
 			return nil
 		}
-		c := pk.onePlusNExp(ms[i], s)
-		c.Mul(c, factor)
-		c.Mod(c, mod)
+		out[i] = pk.encryptWith(ms[i], factor(i), s)
 		mCacheMiss.Inc()
-		countEnc(s)
-		out[i] = &Ciphertext{C: c, S: s}
 		return nil
 	})
 	if err != nil {
@@ -178,5 +143,5 @@ func (ec *EncCache) EncryptBatch(ctx context.Context, pl *parallel.Pool, random 
 		delete(ec.entries, oldK)
 	}
 	ec.mu.Unlock()
-	return out, len(pooled), nil
+	return out, pooled, nil
 }

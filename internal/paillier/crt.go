@@ -27,7 +27,7 @@ import (
 // uniform draw x ∈ [0, (p−1)(q−1)) splits into independent uniform
 // a = x mod (p−1) and b = ⌊x/(p−1)⌋ < q−1, so CRT(G_p^a, G_q^b) is
 // uniform on H — the distribution of r^{N^s}, with the same DCRA
-// assumption, unlike the short-exponent mode.
+// assumption.
 
 // crtCtx caches the per-degree CRT moduli (as kernel contexts, so the
 // half-width exponentiations share the same cached-modulus machinery as
@@ -107,11 +107,5 @@ func (sk *PrivateKey) expLambdaCRT(c *big.Int, s int) *big.Int {
 func (sk *PrivateKey) combFactor(x *big.Int, s int) *big.Int {
 	ctx := sk.crt(s)
 	b, a := new(big.Int).QuoRem(x, sk.pm1, new(big.Int))
-	fp, errP := ctx.gp.Exp(a)
-	fq, errQ := ctx.gq.Exp(b)
-	if errP != nil || errQ != nil {
-		// Unreachable: drawEncRand only returns x ≥ 0.
-		panic("paillier: negative CRT factor exponent")
-	}
-	return ctx.combine(fp, fq)
+	return ctx.combine(ctx.gp.Exp(a), ctx.gq.Exp(b))
 }

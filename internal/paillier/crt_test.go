@@ -69,7 +69,7 @@ func TestCombFactorInH(t *testing.T) {
 		for s := 1; s <= 3; s++ {
 			mod := k.NS(s + 1)
 			for trial := 0; trial < 4; trial++ {
-				x, err := k.drawEncRand(rng, nil)
+				x, err := k.drawEncRand(rng)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -105,11 +105,11 @@ func TestCombFactorCoversH(t *testing.T) {
 	rng := mrand.New(mrand.NewSource(45))
 	seenP, seenQ := map[int64]bool{}, map[int64]bool{}
 	for i := 0; i < 4000; i++ {
-		x, err := k.drawEncRand(rng, nil)
+		x, err := k.drawEncRand(rng)
 		if err != nil {
 			t.Fatal(err)
 		}
-		f := k.encFactor(x, nil, 1)
+		f := k.encFactor(x, 1)
 		seenP[new(big.Int).Mod(f, k.P).Int64()] = true
 		seenQ[new(big.Int).Mod(f, k.Q).Int64()] = true
 	}
@@ -120,10 +120,9 @@ func TestCombFactorCoversH(t *testing.T) {
 }
 
 // TestEncFactorPaths is the in-package assertion of which keys take the
-// fixed-base CRT path: only a key from GenerateKey with full-width
-// randomness, whose factor is CRT(G_p^a mod p^{s+1}, G_q^b mod q^{s+1})
-// recomputed here with big.Int.Exp. A NewPublicKey, a threshold key and a
-// short-rand key keep their old factors exactly.
+// fixed-base CRT path: only a key from GenerateKey, whose factor is
+// CRT(G_p^a mod p^{s+1}, G_q^b mod q^{s+1}) recomputed here with
+// big.Int.Exp. A NewPublicKey and a threshold key keep r^{N^s} exactly.
 func TestEncFactorPaths(t *testing.T) {
 	k := key(t)
 	pub := NewPublicKey(k.N)
@@ -140,12 +139,12 @@ func TestEncFactorPaths(t *testing.T) {
 		gP := new(big.Int).Exp(k.gp, new(big.Int).Exp(k.P, sBig, nil), pPow)
 		gQ := new(big.Int).Exp(k.gq, new(big.Int).Exp(k.Q, sBig, nil), qPow)
 		comb := func(x *big.Int) bool {
-			f := k.encFactor(x, nil, s)
+			f := k.encFactor(x, s)
 			b, a := new(big.Int).QuoRem(x, k.pm1, new(big.Int))
 			return new(big.Int).Mod(f, pPow).Cmp(new(big.Int).Exp(gP, a, pPow)) == 0 &&
 				new(big.Int).Mod(f, qPow).Cmp(new(big.Int).Exp(gQ, b, qPow)) == 0
 		}
-		x, err := k.drawEncRand(rng, nil)
+		x, err := k.drawEncRand(rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,38 +155,16 @@ func TestEncFactorPaths(t *testing.T) {
 			name string
 			pk   *PublicKey
 		}{{"NewPublicKey", pub}, {"threshold", &tk.PublicKey}} {
-			r, err := c.pk.drawEncRand(rng, nil)
+			r, err := c.pk.drawEncRand(rng)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if new(big.Int).GCD(nil, nil, r, c.pk.N).Cmp(one) != 0 {
 				t.Fatalf("%s: draw is not a unit of Z_N", c.name)
 			}
-			if c.pk.encFactor(r, nil, s).Cmp(c.pk.Ctx(s+1).Exp(r, c.pk.NS(s))) != 0 {
+			if c.pk.encFactor(r, s).Cmp(c.pk.Ctx(s+1).Exp(r, c.pk.NS(s))) != 0 {
 				t.Fatalf("%s s=%d: factor left r^{N^s}", c.name, s)
 			}
-		}
-	}
-
-	short := freshKey(t)
-	if err := short.SetOptions(Options{ShortRandBits: 64}); err != nil {
-		t.Fatal(err)
-	}
-	sr := short.shortRand.Load()
-	for s := 1; s <= 2; s++ {
-		x, err := short.drawEncRand(rng, sr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if x.BitLen() > 64 {
-			t.Fatalf("short-rand draw of %d bits, want ≤ 64", x.BitLen())
-		}
-		want, err := sr.table(&short.PublicKey, s).Exp(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if short.encFactor(x, sr, s).Cmp(want) != 0 {
-			t.Fatalf("short-rand s=%d: factor left the fixed-base path", s)
 		}
 	}
 }
@@ -322,14 +299,14 @@ func BenchmarkEncFactor(b *testing.B) {
 				pk   *PublicKey
 			}{{"public", NewPublicKey(k.N)}, {"crt", &k.PublicKey}} {
 				b.Run(fmt.Sprintf("%d/s=%d/%s", bits, s, c.name), func(b *testing.B) {
-					r, err := c.pk.drawEncRand(nil, nil)
+					r, err := c.pk.drawEncRand(nil)
 					if err != nil {
 						b.Fatal(err)
 					}
 					c.pk.warmEnc(s)
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						factorSink = c.pk.encFactor(r, nil, s)
+						factorSink = c.pk.encFactor(r, s)
 					}
 				})
 			}

@@ -1,27 +1,13 @@
 package paillier
 
 import (
-	"bytes"
-	"context"
 	"math/big"
 	mrand "math/rand"
 	"testing"
 )
 
-// Tests for the modmath kernel integration: NS/Ctx cache behavior, the
-// kernel-on/kernel-off byte-equality contract on ⊙/⨂/combine, and the
-// opt-in short-exponent randomness mode (Options.ShortRandBits).
-
-// freshKey generates a key private to one test, so mode switches
-// (SetOptions, SetKernel) never leak into the shared cached key.
-func freshKey(t testing.TB) *PrivateKey {
-	t.Helper()
-	k, err := GenerateKey(nil, testKeyBits)
-	if err != nil {
-		t.Fatalf("GenerateKey: %v", err)
-	}
-	return k
-}
+// Tests for the modmath kernel integration: NS/Ctx cache behavior and the
+// kernel-on/kernel-off byte-equality contract on ⊙/⨂/combine.
 
 // TestNSLookupZeroAllocs pins the satellite contract that after first use,
 // NS is one atomic load: no locks, no allocations.
@@ -210,143 +196,6 @@ func TestExpLambdaCRTDegree2(t *testing.T) {
 			if got.Cmp(want) != 0 {
 				t.Fatalf("s=%d: expLambdaCRT != direct Exp", s)
 			}
-		}
-	}
-}
-
-func TestSetOptionsValidation(t *testing.T) {
-	k := freshKey(t)
-	if err := k.SetOptions(Options{ShortRandBits: 8}); err == nil {
-		t.Error("ShortRandBits=8 accepted")
-	}
-	if err := k.SetOptions(Options{ShortRandBits: k.N.BitLen()}); err == nil {
-		t.Error("full-width ShortRandBits accepted")
-	}
-	if k.ShortRandBits() != 0 {
-		t.Errorf("failed SetOptions left ShortRandBits=%d", k.ShortRandBits())
-	}
-	if err := k.SetOptions(Options{ShortRandBits: 64}); err != nil {
-		t.Fatalf("SetOptions(64): %v", err)
-	}
-	if k.ShortRandBits() != 64 {
-		t.Errorf("ShortRandBits() = %d, want 64", k.ShortRandBits())
-	}
-	if err := k.SetOptions(Options{}); err != nil {
-		t.Fatalf("disabling: %v", err)
-	}
-	if k.ShortRandBits() != 0 {
-		t.Errorf("ShortRandBits() = %d after disable, want 0", k.ShortRandBits())
-	}
-}
-
-// TestShortRandRoundTrip: with short-exponent randomness on, every
-// homomorphic identity still yields the exact plaintext — the mode changes
-// the assumption, never the answer.
-func TestShortRandRoundTrip(t *testing.T) {
-	k := freshKey(t)
-	if err := k.SetOptions(Options{ShortRandBits: 64}); err != nil {
-		t.Fatal(err)
-	}
-	rng := mrand.New(mrand.NewSource(31))
-	for s := 1; s <= 2; s++ {
-		ns := k.NS(s)
-		for _, m := range []*big.Int{
-			new(big.Int),
-			big.NewInt(424242),
-			new(big.Int).Sub(ns, one),
-		} {
-			ct, err := k.Encrypt(rng, m, s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := k.Decrypt(ct)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Cmp(m) != 0 {
-				t.Fatalf("s=%d: short-rand roundtrip = %v, want %v", s, got, m)
-			}
-			// Homomorphic ops on short-rand ciphertexts.
-			ct2, err := k.Rerandomize(rng, ct)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err = k.Decrypt(ct2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Cmp(m) != 0 {
-				t.Fatalf("s=%d: short-rand rerandomize = %v, want %v", s, got, m)
-			}
-		}
-	}
-}
-
-// TestShortRandBatchDeterminism: batch encryption in short-rand mode
-// consumes a seeded reader exactly like the serial loop (DESIGN.md §10's
-// determinism contract extends to the new randomness mode).
-func TestShortRandBatchDeterminism(t *testing.T) {
-	k := freshKey(t)
-	if err := k.SetOptions(Options{ShortRandBits: 64}); err != nil {
-		t.Fatal(err)
-	}
-	const n = 9
-	rng := mrand.New(mrand.NewSource(5))
-	ms := make([]*big.Int, n)
-	for i := range ms {
-		ms[i] = new(big.Int).Rand(rng, k.NS(1))
-	}
-	serial := make([]*Ciphertext, n)
-	sRand := mrand.New(mrand.NewSource(6))
-	for i := range ms {
-		ct, err := k.Encrypt(sRand, ms[i], 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		serial[i] = ct
-	}
-	batch, err := k.EncryptBatch(context.Background(), batchPool(), mrand.New(mrand.NewSource(6)), ms, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range serial {
-		if !bytes.Equal(serial[i].Bytes(&k.PublicKey), batch[i].Bytes(&k.PublicKey)) {
-			t.Fatalf("short-rand batch ciphertext %d differs from serial", i)
-		}
-	}
-}
-
-// TestShortRandPrecompute: the offline pool draws and applies short
-// exponents when the mode is on, and pooled vs online ciphertexts both
-// decrypt to the exact plaintext.
-func TestShortRandPrecompute(t *testing.T) {
-	k := freshKey(t)
-	if err := k.SetOptions(Options{ShortRandBits: 64}); err != nil {
-		t.Fatal(err)
-	}
-	pre, err := k.NewPrecomputer(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := pre.Fill(mrand.New(mrand.NewSource(9)), 3); err != nil {
-		t.Fatal(err)
-	}
-	rng := mrand.New(mrand.NewSource(10))
-	for i := 0; i < 5; i++ { // 3 pooled, then 2 online
-		m := big.NewInt(int64(1000 + i))
-		ct, fromPool, err := pre.Encrypt(rng, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if wantPool := i < 3; fromPool != wantPool {
-			t.Errorf("encryption %d fromPool=%v, want %v", i, fromPool, wantPool)
-		}
-		got, err := k.Decrypt(ct)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Cmp(m) != 0 {
-			t.Fatalf("pooled short-rand roundtrip %d = %v, want %v", i, got, m)
 		}
 	}
 }

@@ -40,7 +40,8 @@ var (
 	// coordinator's s=1/s=2 pools and any per-tenant refilled pools stay
 	// separately observable (one process aggregate is meaningless under
 	// multi-pool traffic). The pool/online split is the hit/miss ratio —
-	// the signal that sizes offline randomness generation.
+	// the signal that sizes offline randomness generation — so it counts
+	// only the factors of calls that were handed a pool.
 	mPoolFilled = obs.Default().Counter("paillier_precompute_filled_total")
 	mEncPooled  = obs.Default().Counter("paillier_precompute_encrypt_total", obs.L("source", "pool"))
 	mEncOnline  = obs.Default().Counter("paillier_precompute_encrypt_total", obs.L("source", "online"))

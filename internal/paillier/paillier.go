@@ -70,9 +70,6 @@ type PublicKey struct {
 	// ctxs[s] is the kernel context for modulus N^s, built once per key
 	// and read lock-free on every operation (NS and Ctx fast paths).
 	ctxs [MaxS + 2]atomic.Pointer[modmath.Ctx]
-	// shortRand, when non-nil, holds the Options.ShortRandBits state:
-	// the fixed base h and its per-degree power tables.
-	shortRand atomic.Pointer[shortRandState]
 	// sk links the key to its factorization. Only GenerateKey sets it, so
 	// only the key holder's encryption factors take the CRT path (crt.go);
 	// NewPublicKey and threshold keys leave it nil.
@@ -268,133 +265,26 @@ func (pk *PublicKey) randomUnit(random io.Reader) (*big.Int, error) {
 	}
 }
 
-// Options tunes performance/assumption trade-offs of a public key.
-// The zero value is the paper-faithful configuration.
-type Options struct {
-	// ShortRandBits, when > 0, switches encryption randomness from a
-	// full-width unit r ∈ Z*_N to r = h^x for a per-key fixed base h
-	// and a uniform short exponent x of this many bits, in the style of
-	// Damgård–Jurik–Nielsen: h = −u² mod N for a random unit u, and the
-	// ciphertext randomness factor (h^{N^s})^x is computed from a
-	// precomputed fixed-base table instead of a full-width
-	// exponentiation. Decryption is unchanged and yields the identical
-	// plaintext; what changes is the *assumption* — semantic security
-	// now additionally rests on the indistinguishability of h^x with
-	// short x from a uniform 2N-th residue (a short-exponent
-	// discrete-log assumption). That is why it ships default-off; see
-	// SECURITY.md. Use at least twice the target security level
-	// (≥ 224 bits) in deployment.
-	ShortRandBits int
-	// Rand is the entropy source for deriving the fixed base h
-	// (nil = crypto/rand.Reader). Only used when ShortRandBits > 0.
-	Rand io.Reader
-}
-
-// shortRandState is the realized ShortRandBits configuration: the fixed
-// base h and lazily built per-degree fixed-base tables for h^{N^s}.
-type shortRandState struct {
-	bits  int
-	bound *big.Int // 2^bits, the exclusive upper bound for x
-	h     *big.Int // −u² mod N
-
-	mu  sync.Mutex
-	fbs [MaxS + 1]atomic.Pointer[modmath.FixedBase]
-}
-
-// SetOptions applies o to the key. ShortRandBits > 0 enables the
-// short-exponent randomness mode for every later encryption under this
-// key; 0 restores the default full-width randomness. Do not call
-// concurrently with encryptions whose randomness mode must match a
-// replay — the switch is atomic but un-ordered relative to in-flight
-// operations.
-func (pk *PublicKey) SetOptions(o Options) error {
-	if o.ShortRandBits == 0 {
-		pk.shortRand.Store(nil)
-		return nil
-	}
-	if o.ShortRandBits < 16 {
-		return fmt.Errorf("paillier: ShortRandBits=%d too small (minimum 16; ≥224 recommended)", o.ShortRandBits)
-	}
-	if o.ShortRandBits >= pk.N.BitLen() {
-		return fmt.Errorf("paillier: ShortRandBits=%d is not short for a %d-bit modulus", o.ShortRandBits, pk.N.BitLen())
-	}
-	u, err := pk.randomUnit(o.Rand)
-	if err != nil {
-		return fmt.Errorf("paillier: deriving short-rand base: %w", err)
-	}
-	h := new(big.Int).Mul(u, u)
-	h.Mod(h, pk.N)
-	h.Sub(pk.N, h) // −u² mod N
-	sr := &shortRandState{
-		bits:  o.ShortRandBits,
-		bound: new(big.Int).Lsh(one, uint(o.ShortRandBits)),
-		h:     h,
-	}
-	pk.shortRand.Store(sr)
-	return nil
-}
-
-// ShortRandBits reports the active short-exponent width (0 = full-width
-// randomness).
-func (pk *PublicKey) ShortRandBits() int {
-	if sr := pk.shortRand.Load(); sr != nil {
-		return sr.bits
-	}
-	return 0
-}
-
-// table returns the fixed-base table for h^{N^s} mod N^{s+1}, built on
-// first use per degree (a kernel table-build in the obs metrics) and
-// lock-free afterwards.
-func (sr *shortRandState) table(pk *PublicKey, s int) *modmath.FixedBase {
-	if f := sr.fbs[s].Load(); f != nil {
-		return f
-	}
-	sr.mu.Lock()
-	defer sr.mu.Unlock()
-	if f := sr.fbs[s].Load(); f != nil {
-		return f
-	}
-	ctx := pk.Ctx(s + 1)
-	f := fixedBase(ctx, ctx.Exp(sr.h, pk.NS(s)), sr.bits)
-	sr.fbs[s].Store(f)
-	return f
-}
-
-// drawEncRand draws one encryption-randomness value for the mode sr
-// (nil = full-width): a short exponent x < 2^bits in short-rand mode,
-// else x < (p−1)(q−1) for the key holder's CRT factor, else a unit
-// r ∈ Z*_N. Batch paths draw serially in index order with the mode
-// loaded once, so seeded readers are consumed exactly like the serial
-// loop.
-func (pk *PublicKey) drawEncRand(random io.Reader, sr *shortRandState) (*big.Int, error) {
-	if sr == nil && pk.sk == nil {
+// drawEncRand draws one encryption-randomness value: x < (p−1)(q−1) for
+// the key holder's CRT factor, else a unit r ∈ Z*_N. Batch paths draw
+// serially in index order (encFactors), so seeded readers are consumed
+// exactly like the serial loop.
+func (pk *PublicKey) drawEncRand(random io.Reader) (*big.Int, error) {
+	if pk.sk == nil {
 		return pk.randomUnit(random)
 	}
 	if random == nil {
 		random = rand.Reader
 	}
-	if sr == nil {
-		return rand.Int(random, pk.sk.phi)
-	}
-	return rand.Int(random, sr.bound)
+	return rand.Int(random, pk.sk.phi)
 }
 
 // encFactor turns a drawn randomness value into the ciphertext factor:
-// r^{N^s} mod N^{s+1} full-width, the same-distribution fixed-base CRT
-// factor when the key holder encrypts (crt.go), or the table-backed
-// (h^{N^s})^x in short-rand mode. Safe for concurrent use once warmEnc
-// has built the needed tables.
-func (pk *PublicKey) encFactor(rv *big.Int, sr *shortRandState, s int) *big.Int {
-	switch {
-	case sr != nil:
-		f, err := sr.table(pk, s).Exp(rv)
-		if err != nil {
-			// Unreachable: drawEncRand only returns values in [0, 2^bits).
-			panic(fmt.Sprintf("paillier: short-rand factor: %v", err))
-		}
-		return f
-	case pk.sk != nil:
+// the same-distribution fixed-base CRT factor when the key holder
+// encrypts (crt.go), else r^{N^s} mod N^{s+1}. Safe for concurrent use
+// once warmEnc has built the needed tables.
+func (pk *PublicKey) encFactor(rv *big.Int, s int) *big.Int {
+	if pk.sk != nil {
 		return pk.sk.combFactor(rv, s)
 	}
 	return pk.Ctx(s+1).Exp(rv, pk.NS(s))
@@ -409,21 +299,24 @@ func (pk *PublicKey) Encrypt(random io.Reader, m *big.Int, s int) (*Ciphertext, 
 	if m.Sign() < 0 || m.Cmp(pk.NS(s)) >= 0 {
 		return nil, fmt.Errorf("paillier: plaintext out of range [0, N^%d)", s)
 	}
-	sr := pk.shortRand.Load()
-	rv, err := pk.drawEncRand(random, sr)
+	rv, err := pk.drawEncRand(random)
 	if err != nil {
 		return nil, fmt.Errorf("paillier: drawing randomness: %w", err)
 	}
-	return pk.encryptWith(m, rv, sr, s), nil
+	return pk.encryptWith(m, pk.encFactor(rv, s), s), nil
 }
 
-// encryptWith assembles (1+N)^m · factor(rv) mod N^{s+1} with the
-// randomness already drawn.
-func (pk *PublicKey) encryptWith(m, rv *big.Int, sr *shortRandState, s int) *Ciphertext {
-	mod := pk.NS(s + 1)
+// encryptWith assembles (1+N)^m · f mod N^{s+1} for a ready factor f.
+func (pk *PublicKey) encryptWith(m, f *big.Int, s int) *Ciphertext {
 	c := pk.onePlusNExp(m, s)
-	c.Mul(c, pk.encFactor(rv, sr, s))
-	c.Mod(c, mod)
+	return pk.mulFactor(c, f, s)
+}
+
+// mulFactor returns the degree-s ciphertext c·f mod N^{s+1}: with f an
+// encryption of zero, a rerandomization of c.
+func (pk *PublicKey) mulFactor(c, f *big.Int, s int) *Ciphertext {
+	c = new(big.Int).Mul(c, f)
+	c.Mod(c, pk.NS(s+1))
 	countEnc(s)
 	return &Ciphertext{C: c, S: s}
 }

@@ -15,7 +15,7 @@ import (
 // pool's Precomputer stays valid for any session still holding it — it
 // just stops being refilled.
 type PoolSet struct {
-	opts PoolSetOptions
+	opts PoolSetConfig
 
 	mu      sync.Mutex
 	gen     uint64
@@ -23,9 +23,9 @@ type PoolSet struct {
 	closed  bool
 }
 
-// PoolSetOptions configure a PoolSet; zero values take the defaults
+// PoolSetConfig configures a PoolSet; zero values take the defaults
 // documented on each field.
-type PoolSetOptions struct {
+type PoolSetConfig struct {
 	// MaxPools bounds the number of live (key, degree) pools
 	// (default 8). Evictions are least-recently-used.
 	MaxPools int
@@ -58,7 +58,7 @@ func keyFingerprint(pk *PublicKey) [sha256.Size]byte {
 
 // NewPoolSet creates an empty set. The caller must Close it to stop the
 // refillers it starts.
-func NewPoolSet(opts PoolSetOptions) *PoolSet {
+func NewPoolSet(opts PoolSetConfig) *PoolSet {
 	if opts.MaxPools <= 0 {
 		opts.MaxPools = 8
 	}

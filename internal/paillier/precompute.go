@@ -26,7 +26,7 @@ type Precomputer struct {
 	taken atomic.Int64
 
 	mu    sync.Mutex
-	pool  []*big.Int // ready N^s-th residue factors mod N^{s+1} (encFactor)
+	pool  []*big.Int // ready N^s-th residue factors mod N^{s+1} (encFactors)
 	depth *obs.Gauge // this pool's depth gauge (degree × tenant slot)
 }
 
@@ -103,11 +103,6 @@ func (p *Precomputer) Encrypt(random io.Reader, m *big.Int) (ct *Ciphertext, fro
 		ct, err := p.pk.Encrypt(random, m, p.s)
 		return ct, false, err
 	}
-	mod := p.pk.NS(p.s + 1)
-	c := p.pk.onePlusNExp(m, p.s)
-	c.Mul(c, rs)
-	c.Mod(c, mod)
 	mEncPooled.Inc()
-	countEnc(p.s)
-	return &Ciphertext{C: c, S: p.s}, true, nil
+	return p.pk.encryptWith(m, rs, p.s), true, nil
 }

@@ -300,7 +300,7 @@ func TestPoolSetLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps := NewPoolSet(PoolSetOptions{
+	ps := NewPoolSet(PoolSetConfig{
 		MaxPools: 2,
 		Refill:   RefillerOptions{Interval: time.Millisecond, Min: 2, MaxChunk: 4},
 	})

@@ -222,7 +222,7 @@ func (s *Service) poolSetFor(id, slot string) *paillier.PoolSet {
 		ps.SetTenant(slot)
 		return ps
 	}
-	ps := paillier.NewPoolSet(paillier.PoolSetOptions{
+	ps := paillier.NewPoolSet(paillier.PoolSetConfig{
 		Tenant: slot,
 		Refill: paillier.RefillerOptions{Target: s.poolTargetHint},
 	})
