@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test bench-test race fuzz bench-snapshot bench-load load-smoke chaos-gate remote-load-smoke svc-smoke metrics-smoke driver-smoke flag-budget clean
+.PHONY: all build vet test bench-test race fuzz bench-snapshot bench-load load-smoke chaos-gate remote-load-smoke svc-smoke metrics-smoke driver-smoke examples-smoke flag-budget clean
 
 all: vet build test
 
@@ -79,6 +79,11 @@ metrics-smoke:
 # same answer (the CI test job runs it).
 driver-smoke:
 	./scripts/driver-smoke.sh
+
+# Run every examples/*/ main: each must exit 0 and print to stdout (the
+# CI test job runs it).
+examples-smoke:
+	./scripts/examples-smoke.sh
 
 # The five binaries together expose at most 70 flags (ROADMAP item 10).
 flag-budget:

@@ -6,7 +6,7 @@
 //
 //	ppgnn-experiments [flags]
 //
-//	-exp all|fig5|fig6|fig7|fig8|table2|table3|table4|mobile
+//	-exp all|fig5|fig6|fig7|fig8|table2|table3|table4
 //	     which experiment to run (default all)
 //	-queries N   queries averaged per data point (default 3; paper: 500)
 //	-keybits N   Paillier modulus size (default 0: 1024 bits, as in the
@@ -59,7 +59,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: all|fig5|fig6|fig7|fig8|table2|table3|table4|mobile")
+	exp := flag.String("exp", "all", "experiment: all|fig5|fig6|fig7|fig8|table2|table3|table4")
 	queries := flag.Int("queries", 3, "queries averaged per data point")
 	keybits := flag.Int("keybits", 0, "Paillier modulus size in bits (0 = 1024 for the experiments, 256 for -gate)")
 	quick := flag.Bool("quick", false, "endpoint-only sweeps (smoke test)")
@@ -115,14 +115,6 @@ func main() {
 		{"table4", func() error { fmt.Println(experiments.Table4()); return nil }},
 		{"table2", func() error {
 			out, err := cfg.Table2()
-			if err != nil {
-				return err
-			}
-			fmt.Println(out)
-			return nil
-		}},
-		{"mobile", func() error {
-			out, err := cfg.Mobile()
 			if err != nil {
 				return err
 			}

@@ -3,10 +3,12 @@ package ppgnn_test
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 
 	"ppgnn"
 	"ppgnn/internal/geo"
 	"ppgnn/internal/gnn"
+	"ppgnn/internal/rtree"
 )
 
 // exampleParams keeps the documentation examples fast; production callers
@@ -73,9 +75,19 @@ func ExampleMeter() {
 func ExampleServer_blackBox() {
 	pois := ppgnn.SyntheticDataset(3, 2000)
 	server := ppgnn.NewServer(pois, ppgnn.UnitSpace)
-	weighted := &gnn.Weighted{Tree: server.Tree(), Weights: []float64{1, 3}} // walker counts 3×
+	weights := []float64{1, 3} // walker counts 3×
 	server.Search = func(query []geo.Point, k int, _ gnn.Aggregate) []gnn.Result {
-		return weighted.Search(query, k)
+		var all []gnn.Result
+		server.Tree().All(func(it rtree.Item) bool {
+			c := 0.0
+			for i, l := range query {
+				c += weights[i] * it.P.Dist(l)
+			}
+			all = append(all, gnn.Result{Item: it, Cost: c})
+			return true
+		})
+		sort.Slice(all, func(i, j int) bool { return all[i].Cost < all[j].Cost })
+		return all[:min(k, len(all))]
 	}
 	group, err := ppgnn.NewGroup(exampleParams(2), []ppgnn.Point{
 		{X: 0.2, Y: 0.2}, // driver

@@ -150,38 +150,3 @@ func TestChannelPartyStrings(t *testing.T) {
 		t.Fatal("unknown values should still render")
 	}
 }
-
-func TestNetworkModelTransferTime(t *testing.T) {
-	s := Snapshot{UserToLSPBytes: 250_000, LSPToUserBytes: 1_000_000, IntraGroupBytes: 0}
-	// 3G: 1s up + 1s down + 200ms RTT.
-	got := ThreeG.TransferTime(s)
-	want := 2*time.Second + 200*time.Millisecond
-	if got < want-50*time.Millisecond || got > want+50*time.Millisecond {
-		t.Fatalf("3G transfer = %v, want ≈%v", got, want)
-	}
-	// Faster links are strictly faster.
-	if !(WiFi.TransferTime(s) < FourG.TransferTime(s) && FourG.TransferTime(s) < ThreeG.TransferTime(s)) {
-		t.Fatal("link ordering violated")
-	}
-}
-
-func TestNetworkModelEndToEnd(t *testing.T) {
-	s := Snapshot{UserToLSPBytes: 1000, UserTime: 100 * time.Millisecond, LSPTime: 200 * time.Millisecond}
-	e2e := WiFi.EndToEnd(s)
-	if e2e < 300*time.Millisecond {
-		t.Fatalf("end-to-end %v below the pure compute time", e2e)
-	}
-}
-
-func TestNetworkModelValidate(t *testing.T) {
-	bad := NetworkModel{Name: "broken", Up: 0, Down: 1, Local: 1}
-	if bad.Validate() == nil {
-		t.Fatal("zero uplink accepted")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("TransferTime did not panic on invalid model")
-		}
-	}()
-	bad.TransferTime(Snapshot{})
-}

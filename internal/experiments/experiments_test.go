@@ -179,15 +179,3 @@ func TestKeygenCost(t *testing.T) {
 		t.Fatal("keygen cost not recorded")
 	}
 }
-
-func TestMobileQuick(t *testing.T) {
-	out, err := quickConfig().Mobile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"3G", "4G", "WiFi", "PPGNN-OPT"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("Mobile output missing %q:\n%s", want, out)
-		}
-	}
-}

@@ -113,43 +113,4 @@ func (c Config) KeygenCost() (time.Duration, error) {
 	return g.KeygenTime, nil
 }
 
-// Mobile translates the default-setting costs of the three variants into
-// user-perceived latency on 3G/4G/WiFi links — the mobile-scenario
-// motivation of the paper made concrete (communication is the scarce
-// resource, so PPGNN-OPT's O(√δ') indicator pays off most on slow links).
-func (c Config) Mobile() (string, error) {
-	c = c.Defaults()
-	lsp := c.newLSP()
-	var b strings.Builder
-	b.WriteString("Mobile latency estimates at the Table 3 defaults (n=8, δ=100, k=8)\n")
-	fmt.Fprintf(&b, "%-10s %14s %14s %14s %14s\n", "variant", "comm", "3G", "4G", "WiFi")
-	for _, variant := range []core.Variant{core.VariantPPGNN, core.VariantOPT, core.VariantNaive} {
-		p := c.params(c.defaultN(), variant)
-		meas, err := c.runProtocol(p, lsp, c.Seed+int64(variant))
-		if err != nil {
-			return "", err
-		}
-		snap := measurementSnapshot(meas)
-		fmt.Fprintf(&b, "%-10v %14s %14v %14v %14v\n",
-			variant,
-			fmtBytes(int64(meas.CommBytes)),
-			cost.ThreeG.EndToEnd(snap).Round(time.Millisecond),
-			cost.FourG.EndToEnd(snap).Round(time.Millisecond),
-			cost.WiFi.EndToEnd(snap).Round(time.Millisecond))
-	}
-	b.WriteString("\n(link presets: 3G 250KB/s up / 200ms RTT; 4G 2MB/s / 60ms; WiFi 10MB/s / 10ms)\n")
-	return b.String(), nil
-}
-
-// measurementSnapshot reconstitutes a cost.Snapshot from an averaged
-// measurement for the latency model (all communication charged to the
-// uplink-dominant user→LSP channel except the answer, which is small).
-func measurementSnapshot(m measurement) cost.Snapshot {
-	return cost.Snapshot{
-		UserToLSPBytes: int64(m.CommBytes),
-		UserTime:       time.Duration(m.UserMS * float64(time.Millisecond)),
-		LSPTime:        time.Duration(m.LSPMS * float64(time.Millisecond)),
-	}
-}
-
 func fmtBytes(n int64) string { return cost.FormatBytes(n) }

@@ -23,13 +23,6 @@ func (p Point) Dist(q Point) float64 {
 	return math.Hypot(p.X-q.X, p.Y-q.Y)
 }
 
-// Dist2 returns the squared Euclidean distance between p and q. It avoids
-// the square root and is safe for comparisons because squaring is monotone.
-func (p Point) Dist2(q Point) float64 {
-	dx, dy := p.X-q.X, p.Y-q.Y
-	return dx*dx + dy*dy
-}
-
 // Add returns the component-wise sum p+q.
 func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
 
@@ -84,9 +77,6 @@ func (r Rect) Height() float64 { return r.Max.Y - r.Min.Y }
 // Area returns the area of r.
 func (r Rect) Area() float64 { return r.Width() * r.Height() }
 
-// Margin returns half the perimeter of r (the R*-tree "margin" measure).
-func (r Rect) Margin() float64 { return r.Width() + r.Height() }
-
 // Center returns the center point of r.
 func (r Rect) Center() Point {
 	return Point{(r.Min.X + r.Max.X) / 2, (r.Min.Y + r.Max.Y) / 2}
@@ -124,11 +114,6 @@ func (r Rect) ExtendPoint(p Point) Rect {
 	}
 }
 
-// EnlargeArea returns the area increase of r needed to also cover s.
-func (r Rect) EnlargeArea(s Rect) float64 {
-	return r.Extend(s).Area() - r.Area()
-}
-
 // MinDist returns the minimum Euclidean distance from the point p to any
 // point of r. It is zero when p lies inside r. This is the classic MINDIST
 // lower bound used for R-tree pruning.
@@ -142,13 +127,6 @@ func (r Rect) EnlargeArea(s Rect) float64 {
 // (gnn.MBM.SearchBounded) rely on that.
 func (r Rect) MinDist(p Point) float64 {
 	return math.Hypot(axisDist(p.X, r.Min.X, r.Max.X), axisDist(p.Y, r.Min.Y, r.Max.Y))
-}
-
-// MinDist2 returns the squared MinDist.
-func (r Rect) MinDist2(p Point) float64 {
-	dx := axisDist(p.X, r.Min.X, r.Max.X)
-	dy := axisDist(p.Y, r.Min.Y, r.Max.Y)
-	return dx*dx + dy*dy
 }
 
 // MaxDist returns the maximum Euclidean distance from the point p to any

@@ -25,9 +25,6 @@ func TestDist(t *testing.T) {
 		if got := c.p.Dist(c.q); !almostEq(got, c.want) {
 			t.Errorf("Dist(%v,%v) = %v, want %v", c.p, c.q, got, c.want)
 		}
-		if got := c.p.Dist2(c.q); !almostEq(got, c.want*c.want) {
-			t.Errorf("Dist2(%v,%v) = %v, want %v", c.p, c.q, got, c.want*c.want)
-		}
 	}
 }
 
@@ -94,9 +91,6 @@ func TestRectBasics(t *testing.T) {
 	if got := r.Area(); !almostEq(got, 2) {
 		t.Errorf("Area = %v, want 2", got)
 	}
-	if got := r.Margin(); !almostEq(got, 3) {
-		t.Errorf("Margin = %v, want 3", got)
-	}
 	if got := r.Center(); got != (Point{1, 0.5}) {
 		t.Errorf("Center = %v, want (1,0.5)", got)
 	}
@@ -140,16 +134,6 @@ func TestExtend(t *testing.T) {
 	}
 	if !e.ContainsRect(a) || !e.ContainsRect(b) {
 		t.Fatal("Extend result does not contain inputs")
-	}
-}
-
-func TestEnlargeArea(t *testing.T) {
-	a := Rect{Point{0, 0}, Point{1, 1}}
-	if got := a.EnlargeArea(Rect{Point{0.2, 0.2}, Point{0.8, 0.8}}); !almostEq(got, 0) {
-		t.Errorf("EnlargeArea for contained rect = %v, want 0", got)
-	}
-	if got := a.EnlargeArea(Rect{Point{0, 0}, Point{2, 1}}); !almostEq(got, 1) {
-		t.Errorf("EnlargeArea = %v, want 1", got)
 	}
 }
 
@@ -233,18 +217,5 @@ func TestCentroid(t *testing.T) {
 	one := []Point{{0.3, 0.7}}
 	if got := Centroid(one); got != one[0] {
 		t.Fatalf("Centroid of single point = %v, want %v", got, one[0])
-	}
-}
-
-// Property: MinDist2 is the square of MinDist.
-func TestMinDist2Consistent(t *testing.T) {
-	f := func(ax, ay, bx, by, px, py float64) bool {
-		r := NewRect(Point{ax, ay}, Point{bx, by})
-		p := Point{px, py}
-		return almostEq(r.MinDist(p)*r.MinDist(p), r.MinDist2(p))
-	}
-	cfg := &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(3))}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
 	}
 }

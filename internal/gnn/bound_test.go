@@ -9,26 +9,15 @@ import (
 	"ppgnn/internal/rtree"
 )
 
-// checkSumBound fails unless sumBound over rect, with unit weights and
-// with weights (when non-nil), is at most the computed cost at every probe
-// point — the exact comparison bestFirst's cut relies on, with no
-// tolerance.
-func checkSumBound(t testing.TB, rect geo.Rect, query []geo.Point, weights []float64, probes []geo.Point) {
+// checkSumBound fails unless the Sum node bound over rect is at most the
+// computed cost at every probe point — the exact comparison bestFirst's
+// cut relies on, with no tolerance.
+func checkSumBound(t testing.TB, rect geo.Rect, query []geo.Point, probes []geo.Point) {
 	t.Helper()
-	unit := Sum.nodeLowerBound(rect, query)
-	var weighted float64
-	if weights != nil {
-		weighted = sumBound(rect, query, weights)
-	}
+	bound := Sum.nodeLowerBound(rect, query)
 	for _, p := range probes {
-		if c := Sum.Cost(p, query); unit > c {
-			t.Fatalf("rect %v query %v: sum bound %v above cost %v at %v", rect, query, unit, c, p)
-		}
-		if weights == nil {
-			continue
-		}
-		if c := (&Weighted{Weights: weights}).Cost(p, query); weighted > c {
-			t.Fatalf("rect %v query %v weights %v: weighted bound %v above cost %v at %v", rect, query, weights, weighted, c, p)
+		if c := Sum.Cost(p, query); bound > c {
+			t.Fatalf("rect %v query %v: sum bound %v above cost %v at %v", rect, query, bound, c, p)
 		}
 	}
 }
@@ -85,19 +74,6 @@ func boundQuery(rng *rand.Rand, rect, space geo.Rect, n int) []geo.Point {
 	return q
 }
 
-// boundWeights draws weights w_u >= 0 with at least one positive, some
-// exactly zero.
-func boundWeights(rng *rand.Rand, n int) []float64 {
-	w := make([]float64, n)
-	for i := range w {
-		if rng.Intn(4) > 0 {
-			w[i] = rng.Float64() * 5
-		}
-	}
-	w[rng.Intn(n)] = 1
-	return w
-}
-
 // itemsUnder returns the POIs in n's subtree.
 func itemsUnder(n *rtree.Node) []rtree.Item {
 	if n.IsLeaf() {
@@ -131,12 +107,12 @@ var boundSpaces = []geo.Rect{
 	{Min: geo.Point{X: -1e308, Y: -1e308}, Max: geo.Point{X: 1e308, Y: 1e308}},
 }
 
-// TestTangentBoundAdmissible checks that the Sum and weighted node bound
-// never exceeds the computed cost of a point the node can hold: at the
-// corners, centre and random interior points of random and degenerate
-// single-point rects, and at every POI under every node of real trees
-// with duplicated locations, for queries on the rect's centre and
-// corners, repeated points and spread points, in every boundSpaces space.
+// TestTangentBoundAdmissible checks that the Sum node bound never exceeds
+// the computed cost of a point the node can hold: at the corners, centre
+// and random interior points of random and degenerate single-point rects,
+// and at every POI under every node of real trees with duplicated
+// locations, for queries on the rect's centre and corners, repeated points
+// and spread points, in every boundSpaces space.
 // On the same trees MBM's Sum answers equal BruteForce's exactly, also
 // with the cutoff at the exact k-th cost.
 func TestTangentBoundAdmissible(t *testing.T) {
@@ -148,7 +124,7 @@ func TestTangentBoundAdmissible(t *testing.T) {
 				rect = geo.NewRect(rect.Min, rect.Min)
 			}
 			n := 1 + rng.Intn(10)
-			checkSumBound(t, rect, boundQuery(rng, rect, space, n), boundWeights(rng, n), rectProbes(rng, rect, 16))
+			checkSumBound(t, rect, boundQuery(rng, rect, space, n), rectProbes(rng, rect, 16))
 		}
 
 		items := make([]rtree.Item, 1200)
@@ -163,13 +139,12 @@ func TestTangentBoundAdmissible(t *testing.T) {
 				at := nodes[rng.Intn(len(nodes))].Rect()
 				n := 1 + rng.Intn(8)
 				q := boundQuery(rng, at, space, n)
-				w := boundWeights(rng, n)
 				for _, node := range nodes {
 					var probes []geo.Point
 					for _, it := range itemsUnder(node) {
 						probes = append(probes, it.P)
 					}
-					checkSumBound(t, node.Rect(), q, w, probes)
+					checkSumBound(t, node.Rect(), q, probes)
 				}
 				k := 1 + rng.Intn(12)
 				want := (&BruteForce{Items: items, Agg: Sum}).Search(q, k)
@@ -190,9 +165,9 @@ func TestTangentBoundAdmissible(t *testing.T) {
 	}
 }
 
-// FuzzTangentBound checks the Sum and weighted node bound against the
-// computed cost at the corners, centre and random interior points of an
-// arbitrary finite rect, for queries built around it by boundQuery.
+// FuzzTangentBound checks the Sum node bound against the computed cost at
+// the corners, centre and random interior points of an arbitrary finite
+// rect, for queries built around it by boundQuery.
 func FuzzTangentBound(f *testing.F) {
 	for _, s := range boundSpaces {
 		f.Add(s.Min.X, s.Min.Y, s.Max.X, s.Max.Y, int64(1), uint8(8))
@@ -209,6 +184,6 @@ func FuzzTangentBound(f *testing.F) {
 		rect := geo.NewRect(geo.Point{X: x0, Y: y0}, geo.Point{X: x1, Y: y1})
 		users := 1 + int(n)%16
 		q := boundQuery(rng, rect, rect, users)
-		checkSumBound(t, rect, q, boundWeights(rng, users), rectProbes(rng, rect, 16))
+		checkSumBound(t, rect, q, rectProbes(rng, rect, 16))
 	})
 }

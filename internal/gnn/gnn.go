@@ -125,7 +125,7 @@ func (a Aggregate) Cost(p geo.Point, query []geo.Point) float64 {
 
 // nodeLowerBound returns an admissible lower bound on the aggregate cost of
 // any point inside rect. For Max and Min it is F applied to the
-// per-query-point MINDISTs; for Sum it is sumBound with unit weights.
+// per-query-point MINDISTs; for Sum it is sumBound.
 //
 // MBM's other classic bound, the MINDIST between rect and the query
 // points' MBR (times n for Sum), is dominated and not computed: every l_u
@@ -135,7 +135,7 @@ func (a Aggregate) Cost(p geo.Point, query []geo.Point) float64 {
 func (a Aggregate) nodeLowerBound(rect geo.Rect, query []geo.Point) float64 {
 	switch a {
 	case Sum:
-		return sumBound(rect, query, nil)
+		return sumBound(rect, query)
 	case Max:
 		m := 0.0
 		for _, q := range query {
@@ -161,15 +161,14 @@ func (a Aggregate) nodeLowerBound(rect geo.Rect, query []geo.Point) float64 {
 // bound; see the rounding argument there.
 const tangentSlack = 1e-9
 
-// sumBound returns an admissible lower bound on f(p) = Σ_u w_u·‖p − l_u‖
-// over p in rect, for weights w_u >= 0 (nil weights mean every w_u = 1,
-// the Sum aggregate). It is the larger of two bounds:
+// sumBound returns an admissible lower bound on the Sum cost
+// f(p) = Σ_u ‖p − l_u‖ over p in rect. It is the larger of two bounds:
 //
-//   - the per-point bound Σ_u w_u·MINDIST(rect, l_u), computed with the
+//   - the per-point bound Σ_u MINDIST(rect, l_u), computed with the
 //     same expression as the cost, so on a single-POI rect it equals the
 //     computed cost exactly;
 //   - the tangent-plane bound. f is convex, so with c the rect's centre
-//     and g = Σ_u w_u·(c − l_u)/‖c − l_u‖ a subgradient at c (a term with
+//     and g = Σ_u (c − l_u)/‖c − l_u‖ a subgradient at c (a term with
 //     c = l_u contributes 0), f(p) >= f(c) + g·(p − c), which over the
 //     rect is smallest at f(c) − |g_x|·h_x − |g_y|·h_y with h the largest
 //     offset of the rect from c on each axis.
@@ -179,37 +178,33 @@ const tangentSlack = 1e-9
 // nearly vanishes and the tangent bound's slack is second order, which is
 // what prunes the leaves around a group query's answers.
 //
-// Rounding. With W = Σ w_u and ε the unit roundoff, the computed f(c) is
-// within (n+2)ε·f(c) of the exact one; each computed g component is within
-// (n+3)ε·W of the exact subgradient, which costs at most (n+3)ε·W·(h_x+h_y)
+// Rounding. With ε the unit roundoff, the computed f(c) is within
+// (n+2)ε·f(c) of the exact one; each computed g component is within
+// (n+3)ε·n of the exact subgradient, which costs at most (n+3)ε·n·(h_x+h_y)
 // in the plane; the final products and differences add a few ε of
-// f(c) + W·(h_x+h_y). A POI's computed cost is within (n+2)ε·f(p) of its
-// exact cost, and f(p) <= f(c) + W·(h_x+h_y). The total is below
-// (3n+10)ε·(f(c) + W·(h_x+h_y)), so subtracting tangentSlack times that
+// f(c) + n·(h_x+h_y). A POI's computed cost is within (n+2)ε·f(p) of its
+// exact cost, and f(p) <= f(c) + n·(h_x+h_y). The total is below
+// (3n+10)ε·(f(c) + n·(h_x+h_y)), so subtracting tangentSlack times that
 // scale keeps the computed bound at or below every computed cost in the
 // rect for any query under a million points. An overflow shows up as an
 // infinity or NaN, and then the tangent bound contributes nothing.
-func sumBound(rect geo.Rect, query []geo.Point, weights []float64) float64 {
+func sumBound(rect geo.Rect, query []geo.Point) float64 {
 	c := rect.Center()
-	var pt, fc, gx, gy, wsum float64
-	for u, q := range query {
-		w := 1.0
-		if weights != nil {
-			w = weights[u]
-		}
+	var pt, fc, gx, gy float64
+	for _, q := range query {
 		dx, dy := c.X-q.X, c.Y-q.Y
 		d := math.Hypot(dx, dy)
-		pt += w * rect.MinDist(q)
-		fc += w * d
+		pt += rect.MinDist(q)
+		fc += d
 		if d > 0 {
-			gx += w * dx / d
-			gy += w * dy / d
+			gx += dx / d
+			gy += dy / d
 		}
-		wsum += w
 	}
+	n := float64(len(query))
 	hx := max(c.X-rect.Min.X, rect.Max.X-c.X)
 	hy := max(c.Y-rect.Min.Y, rect.Max.Y-c.Y)
-	tangent := fc - math.Abs(gx)*hx - math.Abs(gy)*hy - tangentSlack*(fc+wsum*(hx+hy))
+	tangent := fc - math.Abs(gx)*hx - math.Abs(gy)*hy - tangentSlack*(fc+n*(hx+hy))
 	if tangent > pt && !math.IsInf(tangent, 0) {
 		return tangent
 	}

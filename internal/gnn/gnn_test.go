@@ -2,6 +2,7 @@ package gnn
 
 import (
 	"container/heap"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -76,34 +77,67 @@ func TestCostMatchesCombine(t *testing.T) {
 
 // TestMBMMatchesBruteForce is the core correctness property: the
 // branch-and-bound must return exactly the brute-force ranking for every
-// aggregate.
+// aggregate, on uniform and on clustered POIs, for random queries and for
+// a query spread to the four corners of the space.
 func TestMBMMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	items := randomItems(rng, 3000)
-	tree := rtree.Bulk(items, 16)
-	for _, agg := range []Aggregate{Sum, Max, Min} {
-		mbm := &MBM{Tree: tree, Agg: agg}
-		bf := &BruteForce{Items: items, Agg: agg}
-		for trial := 0; trial < 30; trial++ {
-			n := 1 + rng.Intn(10)
-			k := 1 + rng.Intn(16)
-			q := randomQuery(rng, n)
-			got := mbm.Search(q, k)
-			want := bf.Search(q, k)
-			if len(got) != len(want) {
-				t.Fatalf("%v: got %d results, want %d", agg, len(got), len(want))
-			}
-			for i := range got {
-				if got[i].Item.ID != want[i].Item.ID {
-					t.Fatalf("%v trial %d: rank %d got id %d (cost %v) want id %d (cost %v)",
-						agg, trial, i, got[i].Item.ID, got[i].Cost, want[i].Item.ID, want[i].Cost)
+	dbs := []struct {
+		name  string
+		items []rtree.Item
+	}{
+		{"uniform", randomItems(rng, 3000)},
+		{"clustered", clusteredItems(rand.New(rand.NewSource(47)), 10, 200)},
+	}
+	spread := []geo.Point{{X: 0.01, Y: 0.01}, {X: 0.99, Y: 0.99}, {X: 0.01, Y: 0.99}, {X: 0.99, Y: 0.01}}
+	for _, db := range dbs {
+		tree := rtree.Bulk(db.items, 16)
+		for _, agg := range []Aggregate{Sum, Max, Min} {
+			mbm := &MBM{Tree: tree, Agg: agg}
+			bf := &BruteForce{Items: db.items, Agg: agg}
+			check := func(q []geo.Point, k int, trial string) {
+				got := mbm.Search(q, k)
+				want := bf.Search(q, k)
+				if len(got) != len(want) {
+					t.Fatalf("%s %v: got %d results, want %d", db.name, agg, len(got), len(want))
 				}
-				if math.Abs(got[i].Cost-want[i].Cost) > 1e-9 {
-					t.Fatalf("%v: cost mismatch at rank %d", agg, i)
+				for i := range got {
+					if got[i].Item.ID != want[i].Item.ID {
+						t.Fatalf("%s %v trial %s: rank %d got id %d (cost %v) want id %d (cost %v)",
+							db.name, agg, trial, i, got[i].Item.ID, got[i].Cost, want[i].Item.ID, want[i].Cost)
+					}
+					if math.Abs(got[i].Cost-want[i].Cost) > 1e-9 {
+						t.Fatalf("%s %v: cost mismatch at rank %d", db.name, agg, i)
+					}
 				}
 			}
+			for trial := 0; trial < 30; trial++ {
+				n := 1 + rng.Intn(10)
+				k := 1 + rng.Intn(16)
+				check(randomQuery(rng, n), k, fmt.Sprint(trial))
+			}
+			check(spread, 5, "spread")
 		}
 	}
+}
+
+// clusteredItems draws clusters*per POIs in Gaussian clusters of standard
+// deviation 0.02 around uniform centres, clamped to the unit square —
+// non-uniform data that stresses the pruning bounds differently.
+func clusteredItems(rng *rand.Rand, clusters, per int) []rtree.Item {
+	var items []rtree.Item
+	for c := 0; c < clusters; c++ {
+		cx, cy := rng.Float64(), rng.Float64()
+		for i := 0; i < per; i++ {
+			items = append(items, rtree.Item{
+				ID: int64(len(items)),
+				P: geo.UnitRect.Clamp(geo.Point{
+					X: cx + rng.NormFloat64()*0.02,
+					Y: cy + rng.NormFloat64()*0.02,
+				}),
+			})
+		}
+	}
+	return items
 }
 
 // TestSearchBoundedAtKthCost pins the cutoff contract of SearchBounded:
@@ -314,9 +348,8 @@ func groupCandidates(rng *rand.Rand, n, d, delta int) [][]geo.Point {
 // referenceSearch is the single-queue best-first search the typed kernel
 // replaced: nodes and POIs share one container/heap queue ordered by
 // (bound, node-before-POI, ID), and the k-th POI popped ends the search.
-// With refBound or refWeightedBound it is the frozen pre-tangent-bound
-// MBM, kept as the differential oracle for SearchBounded's results and
-// scanned count.
+// With refBound it is the frozen pre-tangent-bound MBM, kept as the
+// differential oracle for SearchBounded's results and scanned count.
 func referenceSearch(tree *rtree.Tree, k int, maxCost float64,
 	bound func(geo.Rect) float64, cost func(geo.Point) float64) ([]Result, int) {
 	if k <= 0 || tree.Len() == 0 {
@@ -358,17 +391,6 @@ func refBound(agg Aggregate, query []geo.Point) func(geo.Rect) float64 {
 			d[i] = rect.MinDist(q)
 		}
 		return agg.Combine(d)
-	}
-}
-
-// refWeightedBound is Weighted's node bound before the tangent plane.
-func refWeightedBound(weights []float64, query []geo.Point) func(geo.Rect) float64 {
-	return func(rect geo.Rect) float64 {
-		s := 0.0
-		for i, q := range query {
-			s += weights[i] * rect.MinDist(q)
-		}
-		return s
 	}
 }
 
@@ -451,11 +473,10 @@ func withDuplicates(items []rtree.Item) []rtree.Item {
 // for every aggregate, k from 1 past the database size, and unbounded and
 // finite cutoffs, SearchBounded returns exactly the frozen reference's
 // results and exactly BruteForce's results. Max and Min keep the
-// reference's bound, so they scan exactly its POIs; Sum and Weighted add
-// the tangent-plane bound, so they may only scan fewer.
+// reference's bound, so they scan exactly its POIs; Sum adds the
+// tangent-plane bound, so it may only scan fewer.
 func TestSearchBoundedMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	wrng := rand.New(rand.NewSource(43))
 	type db struct {
 		name  string
 		tree  *rtree.Tree
@@ -505,34 +526,6 @@ func TestSearchBoundedMatchesReference(t *testing.T) {
 								t.Fatalf("%s %v k=%d cutoff=%v rank %d: got %+v, reference %+v, brute force %+v", d.name, agg, k, maxCost, i, got[i], ref[i], want[i])
 							}
 						}
-					}
-				}
-			}
-		}
-		for trial := 0; trial < 6; trial++ {
-			q := randomQuery(wrng, 1+wrng.Intn(8))
-			weights := make([]float64, len(q))
-			for i := range weights {
-				if wrng.Intn(4) > 0 {
-					weights[i] = wrng.Float64() * 5
-				}
-			}
-			weights[wrng.Intn(len(q))] = 1
-			w := &Weighted{Tree: d.tree, Weights: weights}
-			for _, k := range []int{1, 1 + wrng.Intn(20), d.tree.Len(), d.tree.Len() + 7} {
-				got, scanned := w.search(q, k)
-				ref, refScanned := referenceSearch(d.tree, k, math.Inf(1), refWeightedBound(weights, q),
-					func(p geo.Point) float64 { return w.Cost(p, q) })
-				want := weightedBrute(d.items, q, weights, k)
-				if scanned > refScanned {
-					t.Fatalf("%s weighted k=%d: scanned %d POIs, reference %d", d.name, k, scanned, refScanned)
-				}
-				if len(got) != len(ref) || len(got) != len(want) {
-					t.Fatalf("%s weighted k=%d: %d results, reference %d, brute force %d", d.name, k, len(got), len(ref), len(want))
-				}
-				for i := range got {
-					if got[i] != ref[i] || got[i] != want[i] {
-						t.Fatalf("%s weighted k=%d rank %d: got %+v, reference %+v, brute force %+v", d.name, k, i, got[i], ref[i], want[i])
 					}
 				}
 			}

@@ -5,13 +5,13 @@ import (
 	"ppgnn/internal/rtree"
 )
 
-// bestFirst is the branch and bound shared by MBM and Weighted: a
-// best-first walk of tree that returns the k POIs of smallest cost with
-// cost <= maxCost, ascending by (cost, ID), and the number of POIs whose
-// exact cost it evaluated. bound must be an admissible lower bound on cost
-// over a rectangle. A child is queued under the larger of its own bound and
-// its parent's — both bound every point of the child — so queued bounds
-// never decrease from a node to its children.
+// bestFirst is MBM's branch and bound: a best-first walk of tree that
+// returns the k POIs of smallest cost with cost <= maxCost, ascending by
+// (cost, ID), and the number of POIs whose exact cost it evaluated. bound
+// must be an admissible lower bound on cost over a rectangle. A child is
+// queued under the larger of its own bound and its parent's — both bound
+// every point of the child — so queued bounds never decrease from a node
+// to its children.
 //
 // Only nodes enter the queue. The k best POIs seen so far sit in a k-slot
 // max-heap, and the pruning cut is min(maxCost, current k-th cost): a child

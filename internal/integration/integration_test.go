@@ -15,7 +15,6 @@ import (
 	"ppgnn/internal/dataset"
 	"ppgnn/internal/geo"
 	"ppgnn/internal/gnn"
-	"ppgnn/internal/roadnet"
 	"ppgnn/internal/rtree"
 	"ppgnn/internal/transport"
 	"ppgnn/internal/wire"
@@ -42,17 +41,20 @@ func randomLocations(rng *rand.Rand, n int) []geo.Point {
 	return out
 }
 
-// The kitchen sink: a road-network LSP served over TCP, queried by a
-// caching group with precomputed randomness, answers rerandomized — every
-// extension at once, still returning the engine's exact ranking.
+// The kitchen sink: an LSP with a swapped-in group-query engine served
+// over TCP, queried by a caching group with precomputed randomness,
+// answers rerandomized — every extension at once, still returning the
+// engine's exact ranking.
 func TestFullStackCombined(t *testing.T) {
 	pois := dataset.Synthetic(11, 4000)
 	lsp := core.NewLSP(pois, geo.UnitRect)
 	lsp.Rerandomize = true
-	city := roadnet.NewGrid(3, 12, 12, 0.3)
-	engine := roadnet.NewSearcher(city, pois, gnn.Sum)
+	// The black box: rank POIs by distance to the group's centroid.
+	centroid := func(query []geo.Point, k int) []gnn.Result {
+		return (&gnn.MBM{Tree: lsp.Tree(), Agg: gnn.Sum}).Search([]geo.Point{geo.Centroid(query)}, k)
+	}
 	lsp.Search = func(query []geo.Point, k int, _ gnn.Aggregate) []gnn.Result {
-		return engine.Search(query, k)
+		return centroid(query, k)
 	}
 	srv := transport.NewServer(lsp)
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -82,7 +84,17 @@ func TestFullStackCombined(t *testing.T) {
 	var meter cost.Meter
 	cli.Meter = &meter
 
-	want := engine.Search(locs, p.K)
+	want := centroid(locs, p.K)
+	// An LSP that ignored the override would answer with the default
+	// engine; the test only proves the override reached it if the two
+	// rankings differ here.
+	sameAsDefault := true
+	for i, r := range (&gnn.MBM{Tree: lsp.Tree(), Agg: gnn.Sum}).Search(locs, p.K) {
+		sameAsDefault = sameAsDefault && r.Item.ID == want[i].Item.ID
+	}
+	if sameAsDefault {
+		t.Fatal("the centroid engine ranks like the default engine for these locations; the test cannot tell them apart")
+	}
 	for round := 0; round < 3; round++ {
 		res, err := g.Run(cli, &meter)
 		if err != nil {
@@ -93,7 +105,7 @@ func TestFullStackCombined(t *testing.T) {
 		}
 		for i := range want {
 			if res.Points[i].Dist(want[i].Item.P) > 1e-6 {
-				t.Fatalf("round %d rank %d: answer does not match the road-network engine", round, i)
+				t.Fatalf("round %d rank %d: answer does not match the centroid engine", round, i)
 			}
 		}
 	}

@@ -286,29 +286,6 @@ func TestCoalesceDeadlineTriggerFlushesLoneSession(t *testing.T) {
 	}
 }
 
-// TestCoalesceMapChunked routes the chunked API through the coalescer and
-// checks exact tiling, as in the plain-pool test.
-func TestCoalesceMapChunked(t *testing.T) {
-	c := NewCoalescer(4, CoalesceOptions{})
-	defer c.Close()
-	p := c.Pool()
-	const n = 1001
-	seen := make([]int32, n)
-	if err := p.MapChunked(context.Background(), n, 7, func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			atomic.AddInt32(&seen[i], 1)
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range seen {
-		if v != 1 {
-			t.Fatalf("index %d visited %d times", i, v)
-		}
-	}
-}
-
 // TestCoalesceNoGoroutineLeak closes a busy coalescer and requires the
 // dispatcher and all dispatch-fleet goroutines to retire.
 func TestCoalesceNoGoroutineLeak(t *testing.T) {

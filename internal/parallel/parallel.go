@@ -97,10 +97,11 @@ func (p *Pool) ForEach(ctx context.Context, n int, fn func(i int) error) error {
 	return p.run(ctx, n, fn)
 }
 
-// run is ForEach without the batch-size observation (MapChunked records
-// the item count, not the chunk count). A coalescing pool hands the
-// whole batch to the coalescer, which merges it with other sessions'
-// pending batches; error, panic, and ordering semantics are identical.
+// run is ForEach without the batch-size observation, which the
+// coalescer's inline fallback must not record twice. A coalescing pool
+// hands the whole batch to the coalescer, which merges it with other
+// sessions' pending batches; error, panic, and ordering semantics are
+// identical.
 func (p *Pool) run(ctx context.Context, n int, fn func(i int) error) error {
 	if p.co != nil {
 		return p.co.submit(ctx, n, fn)
@@ -167,38 +168,4 @@ func runTask(i int, fn func(i int) error) error {
 	mTaskSecs.Observe(time.Since(start).Seconds())
 	mDepth.Add(-1)
 	return err
-}
-
-// chunksPerWorker oversubscribes MapChunked so a slow chunk cannot leave
-// the other workers idle for the whole tail of the batch.
-const chunksPerWorker = 4
-
-// MapChunked runs fn(lo, hi) over contiguous chunks covering [0, n), each
-// at least minChunk wide (minChunk <= 0 means 1). Chunking amortizes the
-// per-task accounting when individual items are cheap relative to a full
-// modular exponentiation — the Precomputer's randomness refill is the
-// main consumer. Ordering, cancellation, and goroutine-join semantics are
-// those of ForEach.
-func (p *Pool) MapChunked(ctx context.Context, n, minChunk int, fn func(lo, hi int) error) error {
-	p = p.orDefault()
-	if n <= 0 {
-		return nil
-	}
-	if minChunk < 1 {
-		minChunk = 1
-	}
-	mBatchSize.Observe(float64(n))
-	chunk := (n + p.workers*chunksPerWorker - 1) / (p.workers * chunksPerWorker)
-	if chunk < minChunk {
-		chunk = minChunk
-	}
-	chunks := (n + chunk - 1) / chunk
-	return p.run(ctx, chunks, func(ci int) error {
-		lo := ci * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		return fn(lo, hi)
-	})
 }

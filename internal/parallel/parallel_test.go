@@ -164,56 +164,6 @@ func TestForEachPreCanceledContext(t *testing.T) {
 	}
 }
 
-// TestMapChunkedCoversRange checks chunks tile [0, n) exactly and respect
-// the minimum chunk width.
-func TestMapChunkedCoversRange(t *testing.T) {
-	for _, workers := range []int{1, 3, 8} {
-		for _, n := range []int{1, 5, 64, 1001} {
-			for _, minChunk := range []int{0, 1, 7, 50} {
-				p := New(workers)
-				seen := make([]int32, n)
-				var mu sync.Mutex
-				var widths []int
-				err := p.MapChunked(context.Background(), n, minChunk, func(lo, hi int) error {
-					if lo < 0 || hi > n || lo >= hi {
-						return fmt.Errorf("bad chunk [%d, %d)", lo, hi)
-					}
-					mu.Lock()
-					widths = append(widths, hi-lo)
-					mu.Unlock()
-					for i := lo; i < hi; i++ {
-						atomic.AddInt32(&seen[i], 1)
-					}
-					return nil
-				})
-				if err != nil {
-					t.Fatalf("workers=%d n=%d minChunk=%d: %v", workers, n, minChunk, err)
-				}
-				for i, c := range seen {
-					if c != 1 {
-						t.Fatalf("workers=%d n=%d minChunk=%d: index %d visited %d times", workers, n, minChunk, i, c)
-					}
-				}
-				want := minChunk
-				if want < 1 {
-					want = 1
-				}
-				for _, w := range widths {
-					// Every chunk except possibly the last is >= minChunk;
-					// the tail may be shorter only when n itself isn't a
-					// multiple. Just require no chunk exceeds n.
-					if w > n {
-						t.Fatalf("chunk width %d exceeds n=%d", w, n)
-					}
-				}
-				if want > 1 && n >= want && len(widths) > (n+want-1)/want {
-					t.Fatalf("minChunk=%d n=%d produced %d chunks", minChunk, n, len(widths))
-				}
-			}
-		}
-	}
-}
-
 // TestNilPoolUsesDefault exercises the nil-receiver path batch APIs rely
 // on, and SetDefaultWorkers' effect on it.
 func TestNilPoolUsesDefault(t *testing.T) {
