@@ -64,6 +64,7 @@ import (
 	"ppgnn"
 	"ppgnn/internal/obs"
 	"ppgnn/internal/parallel"
+	"ppgnn/internal/transport"
 )
 
 func main() {
@@ -178,21 +179,16 @@ func main() {
 				// Each member behind a real loopback MemberServer: the
 				// wire path the phones would use, accept-loop health
 				// surfaced instead of dying silently.
-				srv, err := ppgnn.ServeMember(m, "127.0.0.1:0")
+				srv := transport.NewMemberServer(m)
+				member := i + 1
+				srv.Logf = func(format string, args ...interface{}) {
+					fmt.Fprintf(os.Stderr, "member %d: "+format+"\n", append([]interface{}{member}, args...)...)
+				}
+				maddr, err := srv.Listen("127.0.0.1:0")
 				if err != nil {
 					fatal(err)
-				}
-				member := i + 1
-				srv.OnAcceptExit = func(err error) {
-					if err != nil {
-						fmt.Fprintf(os.Stderr, "member %d: accept loop died: %v\n", member, err)
-					}
 				}
 				defer srv.Close()
-				maddr, err := srv.Addr()
-				if err != nil {
-					fatal(err)
-				}
 				links[i] = ppgnn.DialGroupMember(maddr.String())
 			} else {
 				links[i] = ppgnn.InProcessMember(m)
@@ -238,7 +234,6 @@ func main() {
 		pool.MaxRetries = *retries
 		pool.QueryTimeout = *queryTimeout
 		pool.Tenant = *tenant
-		pool.Meter = &meter
 		defer pool.Close()
 		svc = pool
 	} else {

@@ -1,6 +1,7 @@
 // Network deployment: an LSP served over TCP (the base-station channel of
-// the system model) and a group querying it remotely, with real wire-level
-// byte accounting.
+// the system model) and a group querying it remotely through the
+// fault-tolerant connection pool, with the paper's per-query byte
+// accounting.
 //
 //	go run ./examples/network
 package main
@@ -28,14 +29,12 @@ func main() {
 	}
 	fmt.Printf("LSP listening on %s\n", addr)
 
-	// The group connects through the framed TCP transport.
-	cli, err := ppgnn.Dial(addr.String())
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer cli.Close()
+	// The group connects through the framed TCP transport: one pooled
+	// connection, reused by both queries.
+	pool := ppgnn.NewPool(addr.String())
+	pool.Size = 1
+	defer pool.Close()
 	var meter ppgnn.Meter
-	cli.Meter = &meter
 
 	p := ppgnn.DefaultParams(4)
 	p.KeyBits = 512
@@ -48,7 +47,7 @@ func main() {
 	}
 
 	for round := 1; round <= 2; round++ {
-		res, err := group.Run(cli, &meter)
+		res, err := group.Run(pool, &meter)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -57,5 +56,5 @@ func main() {
 			fmt.Printf("  %d. (%.4f, %.4f)\n", i+1, pt.X, pt.Y)
 		}
 	}
-	fmt.Printf("\nwire-level costs over both queries: %v\n", meter.Snapshot())
+	fmt.Printf("\ncosts over both queries: %v\n", meter.Snapshot())
 }

@@ -15,8 +15,8 @@ import (
 )
 
 // Service abstracts the LSP from the client's point of view; LocalService
-// calls an in-process LSP, and transport.Client or the retrying
-// transport.Pool (internal/transport) talk to a remote one over TCP.
+// calls an in-process LSP, and the retrying transport.Pool
+// (internal/transport) talks to a remote one over TCP.
 type Service interface {
 	Process(q *QueryMsg, locs []*LocationMsg) (*AnswerMsg, error)
 }
@@ -201,7 +201,10 @@ func (g *Group) Run(svc Service, meter *cost.Meter) (*Result, error) {
 }
 
 // RoundTrip sends the query and its location sets to the LSP and returns
-// the answer, charging both directions to the meter. A traced context is
+// the answer, charging both directions to the meter: the one place the
+// user↔LSP bytes of a query are counted, the same for an in-process and a
+// remote LSP (retried attempts are counted by the transport's own
+// telemetry, not here). A traced context is
 // handed across the Service boundary when svc can carry it (transport
 // clients propagate the id on the wire, LocalService annotates the LSP
 // attributes directly); otherwise it is plain Process. The messages are

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"strings"
 	"time"
 )
@@ -189,4 +191,31 @@ func IsRetryable(err error) bool {
 		return re.transient()
 	}
 	return false
+}
+
+// RetryDelay is the one backoff schedule of both retry loops
+// (transport.Pool's sessions, group.Session's member exchanges): base
+// doubling per retry up to max, then full jitter in [½d, d], which
+// desynchronizes clients that failed together (a cell handover drops a
+// whole neighborhood at once) while staying deterministic under a seeded
+// rng. attempt counts from 1; the caller serializes access to rng.
+func RetryDelay(rng *rand.Rand, base, max time.Duration, attempt int) time.Duration {
+	d := base << (attempt - 1)
+	if d > max || d <= 0 {
+		d = max
+	}
+	return d/2 + time.Duration(rng.Int63n(int64(d/2)+1))
+}
+
+// SleepRetry waits d before a retry, or returns the context's error,
+// marked retryable, when ctx ends first.
+func SleepRetry(ctx context.Context, d time.Duration) error {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-ctx.Done():
+		return Retryable(ctx.Err())
+	case <-t.C:
+		return nil
+	}
 }

@@ -678,22 +678,11 @@ func (s *Session) exchange(ctx context.Context, m *memberState, round int, reqTy
 	}
 }
 
-// backoff sleeps the attempt's jittered exponential delay (the
-// transport.Pool schedule), or fails when the context expires first.
+// backoff sleeps the attempt's core.RetryDelay (the transport.Pool
+// schedule), or fails when the context expires first.
 func (s *Session) backoff(ctx context.Context, attempt int) error {
-	d := s.cfg.RetryBase << (attempt - 1)
-	if d > s.cfg.RetryMax || d <= 0 {
-		d = s.cfg.RetryMax
-	}
 	s.rngMu.Lock()
-	d = d/2 + time.Duration(s.rng.Int63n(int64(d/2)+1))
+	d := core.RetryDelay(s.rng, s.cfg.RetryBase, s.cfg.RetryMax, attempt)
 	s.rngMu.Unlock()
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return core.Retryable(ctx.Err())
-	case <-t.C:
-		return nil
-	}
+	return core.SleepRetry(ctx, d)
 }

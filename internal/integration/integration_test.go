@@ -33,6 +33,17 @@ func testParams(n int, variant core.Variant) core.Params {
 	return p
 }
 
+// dialOne is the single-connection client: a Pool of one connection that
+// never retries, so a failure surfaces as the server or network produced
+// it. It closes with the test.
+func dialOne(t *testing.T, addr string) *transport.Pool {
+	p := transport.NewPool(addr)
+	p.Size = 1
+	p.MaxRetries = -1
+	t.Cleanup(func() { p.Close() })
+	return p
+}
+
 func randomLocations(rng *rand.Rand, n int) []geo.Point {
 	out := make([]geo.Point, n)
 	for i := range out {
@@ -76,13 +87,7 @@ func TestFullStackCombined(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cli, err := transport.Dial(addr.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-	var meter cost.Meter
-	cli.Meter = &meter
+	cli := dialOne(t, addr.String())
 
 	want := centroid(locs, p.K)
 	// An LSP that ignored the override would answer with the default
@@ -96,7 +101,7 @@ func TestFullStackCombined(t *testing.T) {
 		t.Fatal("the centroid engine ranks like the default engine for these locations; the test cannot tell them apart")
 	}
 	for round := 0; round < 3; round++ {
-		res, err := g.Run(cli, &meter)
+		res, err := g.Run(cli, nil)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
@@ -109,8 +114,45 @@ func TestFullStackCombined(t *testing.T) {
 			}
 		}
 	}
-	if meter.Snapshot().TotalBytes() == 0 {
-		t.Fatal("no wire traffic recorded")
+}
+
+// The meter passed to Group.Run charges the paper's per-query message
+// bytes once, whether the LSP is in process or behind a Pool: the
+// transport adds no second count of its own.
+func TestPoolAndLocalChargeEqualBytes(t *testing.T) {
+	pois := dataset.Synthetic(23, 2000)
+	srv := transport.NewServer(core.NewLSP(pois, geo.UnitRect))
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	pool := transport.NewPool(addr.String())
+	defer pool.Close()
+	local := core.LocalService{LSP: core.NewLSP(pois, geo.UnitRect)}
+	for _, variant := range []core.Variant{core.VariantPPGNN, core.VariantOPT, core.VariantNaive} {
+		p := testParams(4, variant)
+		p.NoSanitize = true
+		run := func(svc core.Service) cost.Snapshot {
+			rng := rand.New(rand.NewSource(5))
+			g, err := core.NewGroup(p, randomLocations(rng, p.N), rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var m cost.Meter
+			if _, err := g.Run(svc, &m); err != nil {
+				t.Fatalf("%v: %v", variant, err)
+			}
+			return m.Snapshot()
+		}
+		remote, inProc := run(pool), run(local)
+		if remote.UserToLSPBytes != inProc.UserToLSPBytes || remote.LSPToUserBytes != inProc.LSPToUserBytes {
+			t.Fatalf("%v: pool charged u→l %d, l→u %d; in process %d, %d", variant,
+				remote.UserToLSPBytes, remote.LSPToUserBytes, inProc.UserToLSPBytes, inProc.LSPToUserBytes)
+		}
+		if inProc.UserToLSPBytes == 0 || inProc.LSPToUserBytes == 0 {
+			t.Fatalf("%v: no user↔LSP bytes charged: %+v", variant, inProc)
+		}
 	}
 }
 
@@ -133,11 +175,7 @@ func TestThresholdOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli, err := transport.Dial(addr.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
+	cli := dialOne(t, addr.String())
 	res, err := tg.Run(cli, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -164,11 +202,7 @@ func TestServerDiesMidQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli, err := transport.Dial(addr.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
+	cli := dialOne(t, addr.String())
 	// First query succeeds.
 	if _, err := g.Run(cli, nil); err != nil {
 		t.Fatalf("first query: %v", err)
@@ -233,11 +267,7 @@ func TestServerSurvivesGarbage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli, err := transport.Dial(addr.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
+	cli := dialOne(t, addr.String())
 	if _, err := g.Run(cli, nil); err != nil {
 		t.Fatalf("honest client failed after hostile traffic: %v", err)
 	}
@@ -270,12 +300,7 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 				errs <- err
 				return
 			}
-			cli, err := transport.Dial(addr.String())
-			if err != nil {
-				errs <- err
-				return
-			}
-			defer cli.Close()
+			cli := dialOne(t, addr.String())
 			for q := 0; q < 2; q++ {
 				if _, err := g.Run(cli, nil); err != nil {
 					errs <- err
@@ -310,11 +335,7 @@ func TestDynamicDatabaseOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli, err := transport.Dial(addr.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
+	cli := dialOne(t, addr.String())
 
 	// Insert a POI at the query location; it must be served remotely.
 	lsp.Insert(rtree.Item{ID: 999999, P: loc})

@@ -41,23 +41,6 @@ var one = big.NewInt(1)
 // more are supported so the generalized scheme is usable on its own.
 const MaxS = 8
 
-// kernelDisabled gates the modmath fast paths (MultiExp in ⊙/⨂ and the
-// threshold combine). It exists for the kernel-equivalence tests, which
-// pin the kernel against the reference loops; production code never
-// flips it. Both paths return byte-identical results.
-var kernelDisabled atomic.Bool
-
-// SetKernel enables (true, the default) or disables the modmath
-// multi-exponentiation fast paths, returning the previous setting. Only
-// benchmarks and equivalence tests should call this; flipping it while
-// operations are in flight is safe (it is one atomic) but makes timings
-// meaningless.
-func SetKernel(on bool) (prev bool) {
-	return !kernelDisabled.Swap(!on)
-}
-
-func kernelOn() bool { return !kernelDisabled.Load() }
-
 // PublicKey holds the public modulus N and cached powers of N used by the
 // homomorphic operations.
 type PublicKey struct {
@@ -394,15 +377,7 @@ func (pk *PublicKey) DotProduct(xs []*big.Int, cs []*Ciphertext) (*Ciphertext, e
 		bases = append(bases, c.C)
 		exps = append(exps, e)
 	}
-	var (
-		acc *big.Int
-		err error
-	)
-	if kernelOn() {
-		acc, err = ctx.MultiExp(bases, exps)
-	} else {
-		acc, err = ctx.MultiExpRef(bases, exps)
-	}
+	acc, err := ctx.MultiExp(bases, exps)
 	if err != nil {
 		return nil, fmt.Errorf("paillier: dot product: %w", err)
 	}

@@ -3,7 +3,6 @@ package paillier
 import (
 	"context"
 	"crypto/rand"
-	"io"
 	"sync"
 	"time"
 
@@ -25,11 +24,6 @@ import (
 type RefillerOptions struct {
 	// Pool fans the factor exponentiations (nil = process default).
 	Pool *parallel.Pool
-	// Random is the randomness source (nil = crypto/rand.Reader). A
-	// refilled pool's consumers no longer see deterministic pool
-	// contents — seeded-reader byte-identity tests must pause the
-	// refiller (the batch.go ordering contract).
-	Random io.Reader
 	// Interval is the tick period (default 5ms).
 	Interval time.Duration
 	// MaxChunk caps factors produced per tick (default 64), keeping
@@ -48,7 +42,10 @@ type RefillerOptions struct {
 }
 
 // StartRefiller starts the background loop and returns its stop
-// function. Stop cancels any in-flight fill, waits for the loop to
+// function. The loop draws from crypto/rand, so a refilled pool's
+// consumers no longer see deterministic pool contents: seeded-reader
+// byte-identity tests must pause the refiller (the batch.go ordering
+// contract). Stop cancels any in-flight fill, waits for the loop to
 // exit, and is idempotent. The Precomputer remains fully usable after
 // stop — it just stops being refilled.
 func (p *Precomputer) StartRefiller(o RefillerOptions) (stop func()) {
@@ -66,10 +63,6 @@ func (p *Precomputer) StartRefiller(o RefillerOptions) (stop func()) {
 	}
 	if o.Min > o.Max {
 		o.Min = o.Max
-	}
-	random := o.Random
-	if random == nil {
-		random = rand.Reader
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
@@ -113,7 +106,7 @@ func (p *Precomputer) StartRefiller(o RefillerOptions) (stop func()) {
 			if n > o.MaxChunk {
 				n = o.MaxChunk
 			}
-			if err := p.FillCtx(ctx, o.Pool, random, n); err != nil {
+			if err := p.FillCtx(ctx, o.Pool, rand.Reader, n); err != nil {
 				if ctx.Err() != nil {
 					return
 				}

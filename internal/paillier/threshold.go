@@ -219,15 +219,7 @@ func (tk *ThresholdKey) Combine(shares []*DecryptionShare) (*big.Int, error) {
 		bases = append(bases, base)
 		exps = append(exps, e)
 	}
-	var (
-		acc *big.Int
-		err error
-	)
-	if kernelOn() {
-		acc, err = ctx.MultiExp(bases, exps)
-	} else {
-		acc, err = ctx.MultiExpRef(bases, exps)
-	}
+	acc, err := ctx.MultiExp(bases, exps)
 	if err != nil {
 		return nil, fmt.Errorf("paillier: combining shares: %w", err)
 	}

@@ -6,10 +6,11 @@ import (
 	"ppgnn/internal/geo"
 )
 
-// TestLayoutMatchesDirectConstruction pins the memoized layout path
-// against the direct per-candidate construction (CandidateAt +
-// candidate) for several shapes: same candidates, same order, and a
-// second call for the same shape hits the memo.
+// TestLayoutMatchesDirectConstruction pins Candidates' ordering against
+// an independent enumeration of Section 4.1's list: segments in order,
+// then the cartesian product of the subgroups' positions in that segment
+// in lexicographic order of (x_1, …, x_α), every user of subgroup j
+// taking position x_j.
 func TestLayoutMatchesDirectConstruction(t *testing.T) {
 	shapes := []struct{ n, d, delta int }{
 		{1, 4, 4},
@@ -29,49 +30,47 @@ func TestLayoutMatchesDirectConstruction(t *testing.T) {
 				locSets[u][i] = geo.Point{X: float64(u*100 + i), Y: float64(i)}
 			}
 		}
+		var want [][]geo.Point
+		off := 0
+		for _, di := range p.DBar {
+			x := make([]int, p.Alpha)
+			for {
+				q := make([]geo.Point, 0, p.N)
+				for j, size := range p.NBar {
+					for k := 0; k < size; k++ {
+						u := len(q)
+						q = append(q, locSets[u][off+x[j]])
+					}
+				}
+				want = append(want, q)
+				// Odometer step, x_α fastest.
+				j := p.Alpha - 1
+				for ; j >= 0; j-- {
+					if x[j]++; x[j] < di {
+						break
+					}
+					x[j] = 0
+				}
+				if j < 0 {
+					break
+				}
+			}
+			off += di
+		}
 		got, err := p.Candidates(locSets)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got) != p.DeltaPrime {
-			t.Fatalf("shape %+v: %d candidates, want δ'=%d", sh, len(got), p.DeltaPrime)
+		if len(got) != p.DeltaPrime || len(want) != p.DeltaPrime {
+			t.Fatalf("shape %+v: %d candidates, enumeration %d, want δ'=%d", sh, len(got), len(want), p.DeltaPrime)
 		}
-		for ct := 0; ct < p.DeltaPrime; ct++ {
-			seg, x := p.CandidateAt(ct)
-			want := p.candidate(locSets, seg, x)
-			for u := range want {
-				if got[ct][u] != want[u] {
-					t.Fatalf("shape %+v candidate %d user %d: layout %v != direct %v",
-						sh, ct, u, got[ct][u], want[u])
+		for ct := range want {
+			for u := range want[ct] {
+				if got[ct][u] != want[ct][u] {
+					t.Fatalf("shape %+v candidate %d user %d: got %v, want %v",
+						sh, ct, u, got[ct][u], want[ct][u])
 				}
 			}
 		}
-		// Second call must reuse the memoized table (same backing array).
-		first := p.layout()
-		second := p.layout()
-		if &first[0] != &second[0] {
-			t.Fatalf("shape %+v: layout rebuilt instead of memoized", sh)
-		}
-	}
-}
-
-// TestLayoutCacheBounded drives more shapes than maxLayouts through the
-// memo and checks the cache stays bounded while results stay correct.
-func TestLayoutCacheBounded(t *testing.T) {
-	for d := 2; d < 2+maxLayouts+5; d++ {
-		p, err := Solve(2, d, d)
-		if err != nil {
-			t.Fatalf("Solve(2,%d,%d): %v", d, d, err)
-		}
-		pos := p.layout()
-		if len(pos) != p.DeltaPrime {
-			t.Fatalf("d=%d: layout rows %d, want %d", d, len(pos), p.DeltaPrime)
-		}
-	}
-	layoutMu.Lock()
-	n := len(layoutCache)
-	layoutMu.Unlock()
-	if n > maxLayouts {
-		t.Fatalf("layout cache holds %d entries, bound is %d", n, maxLayouts)
 	}
 }

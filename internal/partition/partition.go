@@ -330,96 +330,12 @@ func (p Params) CandidateAt(t int) (seg int, x []int) {
 	panic("partition: unreachable")
 }
 
-// The candidate layout — for each candidate index t, the absolute
-// location-set position every user reads — depends only on the
-// partition shape (δ', n̄, d̄), never on the location sets themselves.
-// Server traffic repeats a handful of shapes (every group of the same
-// size and privacy parameters solves to the same Params), so the layout
-// is memoized per shape (DESIGN.md §15): repeated queries skip the
-// per-candidate div/mod decomposition and subgroup walk entirely.
-// The table is bounded; eviction is least-recently-used.
-type layoutEntry struct {
-	pos [][]int32 // pos[t][u]: user u's absolute position in candidate t
-	gen uint64
-}
-
-const maxLayouts = 32
-
-var (
-	layoutMu    sync.Mutex
-	layoutGen   uint64
-	layoutCache = map[string]*layoutEntry{}
-)
-
-// layoutKey identifies the shape a layout depends on. DeltaPrime is
-// included even though a consistent Params derives it from (α, d̄):
-// Params arrive from untrusted coordinators, and an inconsistent
-// DeltaPrime must not poison the entry an honest shape maps to.
-func (p Params) layoutKey() string {
-	return fmt.Sprintf("%d|%v|%v", p.DeltaPrime, p.NBar, p.DBar)
-}
-
-// layout returns the memoized per-candidate position table for p's
-// shape, building it on first use.
-func (p Params) layout() [][]int32 {
-	key := p.layoutKey()
-	layoutMu.Lock()
-	if e, ok := layoutCache[key]; ok {
-		layoutGen++
-		e.gen = layoutGen
-		layoutMu.Unlock()
-		return e.pos
-	}
-	layoutMu.Unlock()
-
-	// Built outside the lock: a racing query for the same shape may
-	// duplicate the build, but never blocks behind it.
-	pos := make([][]int32, p.DeltaPrime)
-	for t := range pos {
-		seg, x := p.CandidateAt(t)
-		off := p.SegmentOffset(seg)
-		row := make([]int32, p.N)
-		user := 0
-		for j, size := range p.NBar {
-			ap := int32(off + x[j])
-			for u := 0; u < size; u++ {
-				row[user] = ap
-				user++
-			}
-		}
-		pos[t] = row
-	}
-
-	layoutMu.Lock()
-	if e, ok := layoutCache[key]; ok {
-		layoutGen++
-		e.gen = layoutGen
-		layoutMu.Unlock()
-		return e.pos
-	}
-	layoutGen++
-	layoutCache[key] = &layoutEntry{pos: pos, gen: layoutGen}
-	for len(layoutCache) > maxLayouts {
-		var oldK string
-		var old *layoutEntry
-		for k, e := range layoutCache {
-			if old == nil || e.gen < old.gen {
-				old, oldK = e, k
-			}
-		}
-		delete(layoutCache, oldK)
-	}
-	layoutMu.Unlock()
-	return pos
-}
-
 // Candidates materializes the full candidate query list from the users'
 // location sets (Section 4.1): for each segment the cartesian product over
 // subgroups of the positions in that segment, listed in lexicographic
 // order of (segment, x_1, …, x_α). locSets[i] is user i's location set of
-// length d. Each returned candidate is a query of n locations in user order.
-// The candidate ordering is exactly CandidateAt's; the shape's memoized
-// layout only skips recomputing it.
+// length d. Each returned candidate is a query of n locations in user order,
+// candidate t being the one CandidateAt(t) identifies.
 func (p Params) Candidates(locSets [][]geo.Point) ([][]geo.Point, error) {
 	if len(locSets) != p.N {
 		return nil, fmt.Errorf("partition: %d location sets, want n=%d", len(locSets), p.N)
@@ -430,12 +346,9 @@ func (p Params) Candidates(locSets [][]geo.Point) ([][]geo.Point, error) {
 		}
 	}
 	out := make([][]geo.Point, p.DeltaPrime)
-	for t, row := range p.layout() {
-		q := make([]geo.Point, p.N)
-		for u, ap := range row {
-			q[u] = locSets[u][ap]
-		}
-		out[t] = q
+	for t := range out {
+		seg, x := p.CandidateAt(t)
+		out[t] = p.candidate(locSets, seg, x)
 	}
 	return out, nil
 }

@@ -75,10 +75,9 @@ func TestServiceServesTenantsEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cli, err := transport.Dial(addr.String())
-		if err != nil {
-			t.Fatal(err)
-		}
+		cli := transport.NewPool(addr.String())
+		cli.Size = 1
+		cli.MaxRetries = -1
 		cli.Tenant = tenant
 		res, err := g.Run(cli, nil)
 		cli.Close()

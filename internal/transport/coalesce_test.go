@@ -40,12 +40,7 @@ func TestCoalescedServerSessions(t *testing.T) {
 				return
 			}
 			g.CacheSets = true
-			cli, err := Dial(addr)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			defer cli.Close()
+			cli := dialOne(t, addr)
 			res, err := g.Run(cli, nil)
 			if err != nil {
 				errs[i] = err

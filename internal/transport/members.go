@@ -4,44 +4,32 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sync"
 	"time"
 
 	"ppgnn/internal/group"
 )
+
+// memberReadTimeout bounds the wait for each request frame on a member
+// connection, so a dead coordinator cannot pin a goroutine forever.
+const memberReadTimeout = 30 * time.Second
 
 // MemberServer exposes one group member over TCP: each accepted
 // connection runs the request/reply loop of group.ServeConn against the
 // member's Handler. It is the member-phone side of a distributed group
 // session — the coordinator dials it with a group.NetLink.
 //
-// The server shares the transport package's robustness posture: transient
-// accept failures are retried, a panic while serving one connection is
-// recovered and ends only that connection, and reads are bounded so a
-// dead coordinator cannot pin a goroutine forever.
+// It accepts and logs exactly as Server does (Logf receives its
+// diagnostics and the accept loop's terminal exit); a panic while serving
+// one connection is recovered and ends only that connection, and each
+// request frame's wait is bounded.
 type MemberServer struct {
+	serving
 	Handler group.Handler
-	// Logf, when set, receives connection-level diagnostics.
-	Logf func(format string, args ...interface{})
-	// ReadTimeout bounds the wait for each request frame (default 30s).
-	ReadTimeout time.Duration
-	// OnAcceptExit, when set, receives the accept loop's exit exactly
-	// once: nil after a deliberate Close, the listener's terminal error
-	// otherwise. Before this hook existed the loop could only end
-	// silently — a member whose listener died externally just stopped
-	// serving and nobody learned why. Set it before Listen/Serve.
-	OnAcceptExit func(err error)
-
-	mu       sync.Mutex
-	listener net.Listener
-	conns    map[net.Conn]struct{}
-	closed   bool
-	exitOnce sync.Once
 }
 
 // NewMemberServer wraps a member handler.
 func NewMemberServer(h group.Handler) *MemberServer {
-	return &MemberServer{Handler: h, conns: make(map[net.Conn]struct{})}
+	return &MemberServer{Handler: h}
 }
 
 // Listen starts accepting on addr and returns the bound address.
@@ -56,83 +44,7 @@ func (s *MemberServer) Listen(addr string) (net.Addr, error) {
 // Serve starts accepting on an existing listener (tests wrap one in
 // faultnet) and returns its address.
 func (s *MemberServer) Serve(ln net.Listener) net.Addr {
-	s.mu.Lock()
-	s.listener = ln
-	s.mu.Unlock()
-	go s.acceptLoop(ln)
-	return ln.Addr()
-}
-
-// Addr returns the bound address, or an error before Listen/Serve.
-func (s *MemberServer) Addr() (net.Addr, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.listener == nil {
-		return nil, errors.New("transport: member server is not listening")
-	}
-	return s.listener.Addr(), nil
-}
-
-// isTemporary reports whether err advertises itself as a transient
-// condition. net.Error.Temporary is deprecated for general use, but for
-// accept-loop errors specifically it still means exactly what we need:
-// ECONNABORTED-class failures that the next Accept may not see.
-func isTemporary(err error) bool {
-	t, ok := err.(interface{ Temporary() bool })
-	return ok && t.Temporary()
-}
-
-// reportAcceptExit delivers the accept loop's terminal condition to the
-// OnAcceptExit hook, at most once.
-func (s *MemberServer) reportAcceptExit(err error) {
-	s.exitOnce.Do(func() {
-		if s.OnAcceptExit != nil {
-			s.OnAcceptExit(err)
-		}
-	})
-}
-
-func (s *MemberServer) acceptLoop(ln net.Listener) {
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if closed {
-				s.reportAcceptExit(nil)
-				return
-			}
-			if errors.Is(err, net.ErrClosed) {
-				// Closed out from under us — not by Close. The member is
-				// no longer reachable; that must surface, not vanish.
-				s.logf("member accept: listener closed externally")
-				s.reportAcceptExit(err)
-				return
-			}
-			// Kernel-transient accept failures (ECONNABORTED, fd
-			// pressure, injected faults) must not kill the accept loop;
-			// anything else is a dead listener and ends it loudly.
-			var ne net.Error
-			if errors.As(err, &ne) && (ne.Timeout() || isTemporary(ne)) {
-				s.logf("member accept: %v (retrying)", err)
-				time.Sleep(10 * time.Millisecond)
-				continue
-			}
-			s.logf("member accept: %v (terminal)", err)
-			s.reportAcceptExit(err)
-			return
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		go s.serveConn(conn)
-	}
+	return s.serve(ln, 0, s.serveConn, nil)
 }
 
 func (s *MemberServer) serveConn(conn net.Conn) {
@@ -140,59 +52,28 @@ func (s *MemberServer) serveConn(conn net.Conn) {
 		if r := recover(); r != nil {
 			s.logf("member conn %s: panic: %v", conn.RemoteAddr(), r)
 		}
-		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
 	}()
-	err := group.ServeConn(timeoutConn{conn, s.readTimeout()}, s.Handler)
+	err := group.ServeConn(timeoutConn{conn}, s.Handler)
 	if err != nil && !errors.Is(err, net.ErrClosed) {
 		s.logf("member conn %s: %v", conn.RemoteAddr(), err)
-	}
-}
-
-func (s *MemberServer) readTimeout() time.Duration {
-	if s.ReadTimeout > 0 {
-		return s.ReadTimeout
-	}
-	return 30 * time.Second
-}
-
-func (s *MemberServer) logf(format string, args ...interface{}) {
-	if s.Logf != nil {
-		s.Logf(format, args...)
 	}
 }
 
 // Close stops the listener and closes every open connection. Members
 // hold no session-critical state a drain would protect — a coordinator
 // retry against a restarted member gets a byte-identical reply — so
-// unlike Server.Close this does not wait.
+// unlike Server.Close this does not wait for sessions.
 func (s *MemberServer) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil
-	}
-	s.closed = true
-	if s.listener != nil {
-		s.listener.Close()
-	}
-	for c := range s.conns {
-		c.Close()
-	}
-	return nil
+	_, err := s.stop(nil)
+	return err
 }
 
-// timeoutConn arms a fresh read deadline before every read, bounding the
-// per-frame wait of the member's serve loop.
-type timeoutConn struct {
-	net.Conn
-	d time.Duration
-}
+// timeoutConn arms a fresh memberReadTimeout deadline before every read,
+// bounding the per-frame wait of the member's serve loop.
+type timeoutConn struct{ net.Conn }
 
 func (c timeoutConn) Read(p []byte) (int, error) {
-	if err := c.Conn.SetReadDeadline(time.Now().Add(c.d)); err != nil {
+	if err := c.Conn.SetReadDeadline(time.Now().Add(memberReadTimeout)); err != nil {
 		return 0, err
 	}
 	return c.Conn.Read(p)

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"context"
-	"net"
 	"testing"
 	"time"
 
@@ -70,59 +69,6 @@ func TestMemberServerSurvivesHandlerPanic(t *testing.T) {
 			t.Fatalf("dial %d: got a reply from a panicking handler", i)
 		}
 		link.Close()
-	}
-}
-
-// TestMemberServerAcceptExitOnClose: a deliberate Close reports a nil
-// accept-loop exit, exactly once.
-func TestMemberServerAcceptExitOnClose(t *testing.T) {
-	srv := NewMemberServer(echoHandler{})
-	exits := make(chan error, 2)
-	srv.OnAcceptExit = func(err error) { exits <- err }
-	if _, err := srv.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-exits:
-		if err != nil {
-			t.Fatalf("deliberate Close reported %v, want nil", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("accept-loop exit never reported after Close")
-	}
-	// Close again: the exit must not be reported twice.
-	srv.Close()
-	select {
-	case err := <-exits:
-		t.Fatalf("accept exit reported twice (second: %v)", err)
-	case <-time.After(100 * time.Millisecond):
-	}
-}
-
-// TestMemberServerAcceptExitOnListenerDeath: the listener dying out from
-// under the server (not via Close) surfaces a non-nil exit error instead
-// of the loop vanishing silently.
-func TestMemberServerAcceptExitOnListenerDeath(t *testing.T) {
-	srv := NewMemberServer(echoHandler{})
-	exits := make(chan error, 1)
-	srv.OnAcceptExit = func(err error) { exits <- err }
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.Serve(ln)
-	defer srv.Close()
-	ln.Close() // external death: srv.closed is still false
-	select {
-	case err := <-exits:
-		if err == nil {
-			t.Fatal("external listener death reported as a clean exit")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("listener death never reported")
 	}
 }
 

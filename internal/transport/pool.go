@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"ppgnn/internal/core"
-	"ppgnn/internal/cost"
 	"ppgnn/internal/obs"
 )
 
@@ -38,7 +37,7 @@ const (
 // reliability". Server rejections of the query itself are returned
 // immediately — the same ciphertexts would only be rejected again.
 type Pool struct {
-	// Addr is the server address, as for Dial.
+	// Addr is the server address.
 	Addr string
 	// Size bounds concurrent sessions and pooled idle connections
 	// (default DefaultPoolSize).
@@ -58,9 +57,6 @@ type Pool struct {
 	// multi-tenant server ("" or DefaultTenant = the default tenant, no
 	// extra frame on the wire).
 	Tenant string
-	// Meter, when set, counts the bytes of every attempt — retried
-	// sessions cost real cellular traffic, so resends are not netted out.
-	Meter *cost.Meter
 	// DialFunc replaces net.Dial (tests inject faultnet dialers).
 	DialFunc func(addr string) (net.Conn, error)
 	// Seed makes the backoff jitter deterministic (0 = seed 1).
@@ -199,9 +195,9 @@ func (p *Pool) processTraced(tc obs.TraceContext, q *core.QueryMsg, locs []*core
 			attemptErrs = append(attemptErrs, fmt.Errorf("attempt %d: %w", attempts, aerr))
 			continue
 		}
-		ans, serr := runSession(ctx, conn, p.Tenant, tc, q, locs, p.Meter)
+		ans, serr := runSession(ctx, conn, p.Tenant, tc, q, locs)
 		if serr == nil {
-			p.release(conn)
+			p.put(conn)
 			return ans, nil
 		}
 		// The session died partway through: the connection's framing is
@@ -249,21 +245,15 @@ func causeLabel(err error) string {
 	return obs.Cause(err)
 }
 
-// retryDelay computes one attempt's backoff: the jittered exponential
-// delay, raised to the server-suggested floor (clamped to RetryMax) when
-// the previous rejection carried a retry-after hint. The floor only ever
-// lengthens the wait — a hinted server is a server that measured its own
-// overload, and returning earlier than it asked just earns another shed.
+// retryDelay computes one attempt's backoff: core.RetryDelay's jittered
+// exponential delay, raised to the server-suggested floor (clamped to
+// RetryMax) when the previous rejection carried a retry-after hint. The
+// floor only ever lengthens the wait — a hinted server is a server that
+// measured its own overload, and returning earlier than it asked just
+// earns another shed.
 func (p *Pool) retryDelay(attempt int, floor time.Duration) time.Duration {
-	d := p.RetryBase << (attempt - 1)
-	if d > p.RetryMax || d <= 0 {
-		d = p.RetryMax
-	}
 	p.mu.Lock()
-	// Full jitter in [½d, d): desynchronizes clients that failed together
-	// (a cell handover drops a whole neighborhood at once) while keeping
-	// the sequence deterministic under Seed.
-	d = d/2 + time.Duration(p.rng.Int63n(int64(d/2)+1))
+	d := core.RetryDelay(p.rng, p.RetryBase, p.RetryMax, attempt)
 	p.mu.Unlock()
 	if floor > p.RetryMax {
 		floor = p.RetryMax
@@ -278,14 +268,7 @@ func (p *Pool) retryDelay(attempt int, floor time.Duration) time.Duration {
 // the context expires first.
 func (p *Pool) backoff(ctx context.Context, attempt int, floor time.Duration) error {
 	p.mBackoff.Inc()
-	t := time.NewTimer(p.retryDelay(attempt, floor))
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return core.Retryable(ctx.Err())
-	case <-t.C:
-		return nil
-	}
+	return core.SleepRetry(ctx, p.retryDelay(attempt, floor))
 }
 
 // acquire checks a connection out of the pool, dialing if no idle
@@ -352,9 +335,6 @@ func (p *Pool) acquire(ctx context.Context, fresh bool) (net.Conn, error) {
 		return nil, core.Retryable(fmt.Errorf("transport: dial %s: %w", p.Addr, ctx.Err()))
 	}
 }
-
-// release returns a healthy connection to the idle pool.
-func (p *Pool) release(conn net.Conn) { p.put(conn) }
 
 // put releases the checked-out slot; a non-nil conn goes back to the idle
 // pool unless the pool has closed meanwhile.

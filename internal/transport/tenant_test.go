@@ -71,11 +71,7 @@ func TestTenantRoutingWithAdmitter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
+	cli := dialOne(t, addr)
 	cli.Tenant = "alpha"
 	res, err := g.Run(cli, nil)
 	if err != nil {
@@ -118,11 +114,7 @@ func TestAdmitterBusyShedCarriesHint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
+	cli := dialOne(t, addr)
 	_, err = cli.Process(q, locs)
 	var re *core.RemoteError
 	if !errors.As(err, &re) || !core.IsBusyMessage(re.Msg) {
@@ -153,11 +145,7 @@ func TestAdmitterRejectionIsProtocolFatal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
+	cli := dialOne(t, addr)
 	cli.Tenant = "ghost"
 	_, err = cli.Process(q, locs)
 	var re *core.RemoteError
@@ -183,11 +171,7 @@ func TestUnknownTenantWithoutAdmitter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
+	cli := dialOne(t, addr)
 	cli.Tenant = "beta"
 	_, err = cli.Process(q, locs)
 	var re *core.RemoteError

@@ -1,8 +1,9 @@
 // Package transport runs the PPGNN protocol across a real TCP connection —
 // the base-station channel of the system model (Section 2). Server wraps an
-// LSP; Client and Pool implement core.Service for remote groups, Pool
-// adding the fault tolerance flaky cellular links demand (reconnect, retry
-// with backoff, per-query deadlines).
+// LSP and MemberServer one group member, both on one accept/serve/close
+// core; Pool implements core.Service for remote groups with the fault
+// tolerance flaky cellular links demand (reconnect, retry with backoff,
+// per-query deadlines).
 package transport
 
 import (
@@ -15,7 +16,6 @@ import (
 	"time"
 
 	"ppgnn/internal/core"
-	"ppgnn/internal/cost"
 	"ppgnn/internal/obs"
 	"ppgnn/internal/parallel"
 	"ppgnn/internal/wire"
@@ -82,7 +82,8 @@ func (e *BusyError) Error() string {
 // session the client sends one FrameQuery and n FrameLocation frames, then
 // the server replies with one FrameAnswer (or FrameError carrying a UTF-8
 // message). Connections are persistent; a client may run many query
-// sessions over one connection.
+// sessions over one connection. Logf, when set, receives connection-level
+// diagnostics and the accept loop's terminal exit.
 //
 // Close drains gracefully: the listener stops, idle connections close
 // immediately, and in-flight sessions get up to DrainTimeout to finish
@@ -90,14 +91,13 @@ func (e *BusyError) Error() string {
 // session is recovered, logged, and ends only that connection, so one
 // malformed query cannot kill the process.
 type Server struct {
-	LSP   *core.LSP
-	Meter *cost.Meter // optional: accumulates server-side costs
-	// Logf, when set, receives connection-level diagnostics.
-	Logf func(format string, args ...interface{})
+	serving
+	LSP *core.LSP
 	// ReadTimeout bounds the wait for each frame (default 30s).
 	ReadTimeout time.Duration
 	// MaxConns bounds concurrent connections; excess accepts are shed
-	// with a FrameError carrying core.BusyMessage (0 = unlimited).
+	// with a FrameError carrying core.BusyMessage (0 = unlimited). Set it
+	// before Listen.
 	MaxConns int
 	// MaxLocations bounds the location frames of one session (default
 	// DefaultMaxLocations).
@@ -127,21 +127,15 @@ type Server struct {
 	// "lsp" phase span around Algorithm 2. See DESIGN.md §9.
 	Obs *obs.Registry
 
-	mu        sync.Mutex
-	listener  net.Listener
-	conns     map[net.Conn]struct{}
+	// inSession holds the connections with a session in flight; guarded
+	// by the embedded serving's mu.
 	inSession map[net.Conn]struct{}
 	sessions  sync.WaitGroup
-	closed    bool
 }
 
 // NewServer wraps an LSP.
 func NewServer(lsp *core.LSP) *Server {
-	return &Server{
-		LSP:       lsp,
-		conns:     make(map[net.Conn]struct{}),
-		inSession: make(map[net.Conn]struct{}),
-	}
+	return &Server{LSP: lsp, inSession: make(map[net.Conn]struct{})}
 }
 
 // Listen starts accepting on addr (e.g. ":9042") and returns the bound
@@ -157,48 +151,11 @@ func (s *Server) Listen(addr string) (net.Addr, error) {
 // Serve starts accepting on an existing listener (tests wrap one in
 // faultnet) and returns its address.
 func (s *Server) Serve(ln net.Listener) net.Addr {
-	s.mu.Lock()
-	s.listener = ln
-	s.mu.Unlock()
 	// Pre-register the rare-event counters so a metrics snapshot shows
 	// them at zero instead of omitting them until the first incident.
 	s.reg().Counter("transport_server_shed_total")
 	s.reg().Counter("transport_server_panics_total")
-	go s.acceptLoop(ln)
-	return ln.Addr()
-}
-
-func (s *Server) acceptLoop(ln net.Listener) {
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if closed || errors.Is(err, net.ErrClosed) {
-				return
-			}
-			// Transient accept failures (ECONNABORTED, fd pressure,
-			// injected faults) must not kill the accept loop.
-			s.logf("accept: %v (retrying)", err)
-			time.Sleep(10 * time.Millisecond)
-			continue
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return
-		}
-		if s.MaxConns > 0 && len(s.conns) >= s.MaxConns {
-			s.mu.Unlock()
-			go s.shed(conn)
-			continue
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		go s.serveConn(conn)
-	}
+	return s.serve(ln, s.MaxConns, s.serveConn, s.shed)
 }
 
 // shed rejects a connection over the MaxConns limit with a retryable
@@ -213,46 +170,26 @@ func (s *Server) shed(conn net.Conn) {
 }
 
 // reject is the one way the server turns a session away unserved (over
-// MaxConns, draining, shed by admission): the typed FrameError reply,
-// then the discardClient drain, so the close that follows cannot reset
-// the reply away before the client has read it.
+// MaxConns, draining, shed by admission, malformed): the FrameError
+// reply, then the discardClient drain, so the close that follows cannot
+// reset the reply away before the client has read it.
 func (s *Server) reject(conn net.Conn, msg string) {
 	conn.SetWriteDeadline(time.Now().Add(5 * time.Second))
 	wire.WriteFrame(conn, core.FrameError, []byte(msg))
 	s.discardClient(conn)
 }
 
-// Addr returns the listening address; it errors before Listen.
-func (s *Server) Addr() (net.Addr, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.listener == nil {
-		return nil, fmt.Errorf("transport: server is not listening")
-	}
-	return s.listener.Addr(), nil
-}
-
 // Close stops the listener and drains: idle connections close
 // immediately, in-flight sessions get up to DrainTimeout to finish, then
 // any survivors are force-closed. It is idempotent.
 func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	first, err := s.stop(func(c net.Conn) bool {
+		_, busy := s.inSession[c]
+		return busy
+	})
+	if !first {
 		return nil
 	}
-	s.closed = true
-	var err error
-	if s.listener != nil {
-		err = s.listener.Close()
-	}
-	for c := range s.conns {
-		if _, busy := s.inSession[c]; !busy {
-			c.Close()
-		}
-	}
-	s.mu.Unlock()
-
 	done := make(chan struct{})
 	go func() {
 		s.sessions.Wait()
@@ -295,12 +232,6 @@ func (s *Server) endSession(conn net.Conn) {
 	s.sessions.Done()
 }
 
-func (s *Server) logf(format string, args ...interface{}) {
-	if s.Logf != nil {
-		s.Logf(format, args...)
-	}
-}
-
 // reg returns the server's telemetry registry.
 func (s *Server) reg() *obs.Registry {
 	if s.Obs != nil {
@@ -323,12 +254,6 @@ func (s *Server) countSession(outcome string) {
 }
 
 func (s *Server) serveConn(conn net.Conn) {
-	defer func() {
-		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
 	for {
 		if err := s.serveQuery(conn); err != nil {
 			if !errors.Is(err, io.EOF) {
@@ -385,32 +310,22 @@ func (s *Server) serveQuery(conn net.Conn) (err error) {
 	}
 	// The first frame may arrive arbitrarily late (idle connection): no
 	// deadline. Subsequent frames of the same session are bounded.
-	if err := conn.SetReadDeadline(time.Time{}); err != nil {
-		return err
-	}
-	typ, payload, err := wire.ReadFrame(conn)
+	typ, payload, err := s.readFrame(conn, 0)
 	if err != nil {
 		return err
 	}
-	s.observeFrame("rx", len(payload))
 	if typ == core.FrameTrace {
 		id, terr := core.UnmarshalTraceID(payload)
 		if terr != nil {
-			conn.SetWriteDeadline(time.Now().Add(5 * time.Second))
-			wire.WriteFrame(conn, core.FrameError, []byte(terr.Error()))
+			s.reject(conn, terr.Error())
 			return fmt.Errorf("transport: %w", terr)
 		}
 		// The client already made the sampling decision; the server-side
 		// tree roots at "session" and records how this end disposed of it.
 		tr = s.reg().Recorder().StartRemote(id, "session")
-		if err := conn.SetReadDeadline(time.Now().Add(timeout)); err != nil {
-			return err
-		}
-		typ, payload, err = wire.ReadFrame(conn)
-		if err != nil {
+		if typ, payload, err = s.readFrame(conn, timeout); err != nil {
 			return fmt.Errorf("reading session after trace frame: %w", err)
 		}
-		s.observeFrame("rx", len(payload))
 	}
 	if !s.beginSession(conn) {
 		s.reject(conn, core.DrainingMessage)
@@ -424,14 +339,9 @@ func (s *Server) serveQuery(conn net.Conn) (err error) {
 			return s.replyError(conn, fmt.Errorf("tenant frame of %d bytes (want 1..%d)", len(payload), core.MaxTenantIDLen))
 		}
 		tenant = string(payload)
-		if err := conn.SetReadDeadline(time.Now().Add(timeout)); err != nil {
-			return err
-		}
-		typ, payload, err = wire.ReadFrame(conn)
-		if err != nil {
+		if typ, payload, err = s.readFrame(conn, timeout); err != nil {
 			return fmt.Errorf("reading query after tenant frame: %w", err)
 		}
-		s.observeFrame("rx", len(payload))
 	}
 	if typ != core.FrameQuery {
 		return s.replyError(conn, fmt.Errorf("expected query frame, got %d", typ))
@@ -492,19 +402,7 @@ func (s *Server) serveQuery(conn net.Conn) (err error) {
 	if err != nil {
 		return s.replyError(conn, err)
 	}
-	// Location-set count: the query does not carry n explicitly; the client
-	// sends a location-count frame header via NBar when partitioned, but
-	// the robust contract is: clients send locations until the expected
-	// count derived from NBar (or 1 for single user / unknown) is reached.
-	n := 0
-	for _, v := range q.NBar {
-		n += v
-	}
-	if q.Variant == core.VariantNaive || n == 0 {
-		// Naive queries and n=1 queries carry no subgroup sizes; the client
-		// prefixes the location frames with a count frame instead.
-		n = -1
-	}
+	n := announcedLocations(q)
 	if maxLocs == 0 {
 		maxLocs = DefaultMaxLocations
 	}
@@ -512,23 +410,18 @@ func (s *Server) serveQuery(conn net.Conn) (err error) {
 		return s.replyError(conn, fmt.Errorf("query announces %d locations, limit %d", n, maxLocs))
 	}
 	var locs []*core.LocationMsg
-	expected := n
 	for {
-		if expected >= 0 && len(locs) == expected {
+		if n >= 0 && len(locs) == n {
 			break
 		}
 		if len(locs) >= maxLocs {
 			return s.replyError(conn, fmt.Errorf("session exceeds %d location frames", maxLocs))
 		}
-		if err := conn.SetReadDeadline(time.Now().Add(timeout)); err != nil {
-			return err
-		}
-		typ, payload, err := wire.ReadFrame(conn)
+		typ, payload, err := s.readFrame(conn, timeout)
 		if err != nil {
 			return fmt.Errorf("reading locations: %w", err)
 		}
-		s.observeFrame("rx", len(payload))
-		if typ == core.FrameAnswer && expected < 0 {
+		if typ == core.FrameAnswer && n < 0 {
 			// Sentinel: an empty answer frame marks end-of-locations for
 			// variants that do not pre-announce n.
 			break
@@ -548,7 +441,7 @@ func (s *Server) serveQuery(conn net.Conn) (err error) {
 	// annotated with the worker-width and candidate-count buckets.
 	node := tr.Root().Child("lsp")
 	sp := s.reg().StartSpan("lsp").Attach(node)
-	ans, err := lsp.ProcessTraced(obs.TraceContext{ID: tr.ID(), Span: node}, q, locs, s.Meter)
+	ans, err := lsp.ProcessTraced(obs.TraceContext{ID: tr.ID(), Span: node}, q, locs, nil)
 	sp.EndErr(err)
 	// The session holds nothing of the tenant from here on; releasing
 	// before the answer write means a client that has its answer never
@@ -565,11 +458,40 @@ func (s *Server) serveQuery(conn net.Conn) (err error) {
 	return wire.WriteFrame(conn, core.FrameAnswer, ab)
 }
 
-func (s *Server) replyError(conn net.Conn, cause error) error {
-	if err := wire.WriteFrame(conn, core.FrameError, []byte(cause.Error())); err != nil {
-		return err
+// readFrame reads the session's next frame, waiting at most timeout
+// (zero: unbounded), and records its size.
+func (s *Server) readFrame(conn net.Conn, timeout time.Duration) (byte, []byte, error) {
+	var deadline time.Time
+	if timeout > 0 {
+		deadline = time.Now().Add(timeout)
 	}
-	s.discardClient(conn)
+	if err := conn.SetReadDeadline(deadline); err != nil {
+		return 0, nil, err
+	}
+	typ, payload, err := wire.ReadFrame(conn)
+	if err == nil {
+		s.observeFrame("rx", len(payload))
+	}
+	return typ, payload, err
+}
+
+// announcedLocations is the number of location frames q announces
+// through its subgroup sizes, or -1 when it announces none (naive and
+// single-user queries): such a session ends its location stream with an
+// empty FrameAnswer sentinel instead.
+func announcedLocations(q *core.QueryMsg) int {
+	n := 0
+	for _, v := range q.NBar {
+		n += v
+	}
+	if q.Variant == core.VariantNaive || n == 0 {
+		return -1
+	}
+	return n
+}
+
+func (s *Server) replyError(conn net.Conn, cause error) error {
+	s.reject(conn, cause.Error())
 	// Protocol errors poison the session framing; drop the connection.
 	return fmt.Errorf("wire: rejected query: %w", cause)
 }
@@ -615,42 +537,29 @@ func (c *countingReader) Read(p []byte) (int, error) {
 // first reply byte is left unmarked (the extremely rare mid-answer cut),
 // and a FrameError reply becomes a *core.RemoteError, retryable only for
 // the transient busy/draining messages.
-func runSession(ctx context.Context, conn net.Conn, tenant string, tc obs.TraceContext, q *core.QueryMsg, locs []*core.LocationMsg, meter *cost.Meter) (*core.AnswerMsg, error) {
+func runSession(ctx context.Context, conn net.Conn, tenant string, tc obs.TraceContext, q *core.QueryMsg, locs []*core.LocationMsg) (*core.AnswerMsg, error) {
 	if tc.Traced() {
-		tb := core.MarshalTraceID(tc.ID)
-		if err := wire.WriteFrameCtx(ctx, conn, core.FrameTrace, tb); err != nil {
+		if err := wire.WriteFrameCtx(ctx, conn, core.FrameTrace, core.MarshalTraceID(tc.ID)); err != nil {
 			return nil, core.Retryable(err)
 		}
-		meter.AddBytes(cost.UserToLSP, len(tb)+wire.FrameHeaderSize)
 	}
 	if tenant != "" && tenant != DefaultTenant {
 		if err := wire.WriteFrameCtx(ctx, conn, core.FrameTenant, []byte(tenant)); err != nil {
 			return nil, core.Retryable(err)
 		}
-		meter.AddBytes(cost.UserToLSP, len(tenant)+wire.FrameHeaderSize)
 	}
-	qb := q.Marshal()
-	if err := wire.WriteFrameCtx(ctx, conn, core.FrameQuery, qb); err != nil {
+	if err := wire.WriteFrameCtx(ctx, conn, core.FrameQuery, q.Marshal()); err != nil {
 		return nil, core.Retryable(err)
 	}
-	meter.AddBytes(cost.UserToLSP, len(qb)+wire.FrameHeaderSize)
 	for _, lm := range locs {
-		lb := lm.Marshal()
-		if err := wire.WriteFrameCtx(ctx, conn, core.FrameLocation, lb); err != nil {
+		if err := wire.WriteFrameCtx(ctx, conn, core.FrameLocation, lm.Marshal()); err != nil {
 			return nil, core.Retryable(err)
 		}
-		meter.AddBytes(cost.UserToLSP, len(lb)+wire.FrameHeaderSize)
 	}
-	// End-of-locations sentinel for variants that don't announce n.
-	n := 0
-	for _, v := range q.NBar {
-		n += v
-	}
-	if q.Variant == core.VariantNaive || n == 0 {
+	if announcedLocations(q) < 0 {
 		if err := wire.WriteFrameCtx(ctx, conn, core.FrameAnswer, nil); err != nil {
 			return nil, core.Retryable(err)
 		}
-		meter.AddBytes(cost.UserToLSP, wire.FrameHeaderSize)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, core.Retryable(err)
@@ -671,7 +580,6 @@ func runSession(ctx context.Context, conn net.Conn, tenant string, tc obs.TraceC
 		}
 		return nil, fmt.Errorf("transport: connection lost mid-answer: %w", err)
 	}
-	meter.AddBytes(cost.LSPToUser, len(payload)+wire.FrameHeaderSize)
 	switch typ {
 	case core.FrameAnswer:
 		lspNode.End("ok")
@@ -685,41 +593,3 @@ func runSession(ctx context.Context, conn net.Conn, tenant string, tc obs.TraceC
 		return nil, fmt.Errorf("wire: unexpected frame type %d", typ)
 	}
 }
-
-// Client is a core.Service that talks to a remote Server over one
-// connection. It is safe for sequential use and performs no retries; use
-// Pool for concurrent queries and fault tolerance.
-type Client struct {
-	conn  net.Conn
-	Meter *cost.Meter // optional: counts bytes actually sent/received
-	// Tenant routes this client's sessions to a named tenant of a
-	// multi-tenant server ("" or DefaultTenant = the default tenant, no
-	// extra frame on the wire).
-	Tenant string
-}
-
-// Dial connects to a Server.
-func Dial(addr string) (*Client, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("wire: dial: %w", err)
-	}
-	return &Client{conn: conn}, nil
-}
-
-// Close closes the connection.
-func (c *Client) Close() error { return c.conn.Close() }
-
-// Process implements core.Service over the TCP connection.
-func (c *Client) Process(q *core.QueryMsg, locs []*core.LocationMsg) (*core.AnswerMsg, error) {
-	return runSession(context.Background(), c.conn, c.Tenant, obs.TraceContext{}, q, locs, c.Meter)
-}
-
-// ProcessTraced implements core.TracedService: the trace id precedes
-// the session on the wire, and the reply wait is recorded as an "lsp"
-// child of tc.Span.
-func (c *Client) ProcessTraced(tc obs.TraceContext, q *core.QueryMsg, locs []*core.LocationMsg) (*core.AnswerMsg, error) {
-	return runSession(context.Background(), c.conn, c.Tenant, tc, q, locs, c.Meter)
-}
-
-var _ core.TracedService = (*Client)(nil)

@@ -6,13 +6,12 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"ppgnn/internal/core"
-	"ppgnn/internal/cost"
 	"ppgnn/internal/dataset"
-	"ppgnn/internal/faultnet"
 	"ppgnn/internal/geo"
 	"ppgnn/internal/gnn"
 	"ppgnn/internal/wire"
@@ -39,6 +38,18 @@ func startServerWith(t *testing.T, nPOIs int, configure func(*Server)) (*Server,
 	return srv, addr.String()
 }
 
+// dialOne is the single-connection client: a Pool of one connection that
+// never retries, so sequential sessions share the connection and a
+// failure surfaces exactly as the server or the network produced it. It
+// closes with the test.
+func dialOne(t *testing.T, addr string) *Pool {
+	p := NewPool(addr)
+	p.Size = 1
+	p.MaxRetries = -1
+	t.Cleanup(func() { p.Close() })
+	return p
+}
+
 func testParams(n int, variant core.Variant) core.Params {
 	p := core.DefaultParams(n)
 	p.KeyBits = 256
@@ -63,14 +74,7 @@ func TestQueryOverTCP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cli, err := Dial(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var m cost.Meter
-		cli.Meter = &m
-		res, err := g.Run(cli, nil)
-		cli.Close()
+		res, err := g.Run(dialOne(t, addr), nil)
 		if err != nil {
 			t.Fatalf("%v: %v", variant, err)
 		}
@@ -95,9 +99,6 @@ func TestQueryOverTCP(t *testing.T) {
 				t.Fatalf("%v: remote/local answers differ at %d", variant, i)
 			}
 		}
-		if m.Snapshot().TotalBytes() == 0 {
-			t.Fatalf("%v: client meter recorded nothing", variant)
-		}
 	}
 }
 
@@ -108,11 +109,7 @@ func TestSingleUserOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
+	cli := dialOne(t, addr)
 	res, err := g.Run(cli, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -124,11 +121,9 @@ func TestSingleUserOverTCP(t *testing.T) {
 
 func TestMultipleQueriesOneConnection(t *testing.T) {
 	_, addr := startServer(t, 1000)
-	cli, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
+	cli := dialOne(t, addr)
+	dial, dials := countingDialer(func(a string) (net.Conn, error) { return net.Dial("tcp", a) })
+	cli.DialFunc = dial
 	p := testParams(2, core.VariantPPGNN)
 	g, err := core.NewGroup(p, []geo.Point{{X: 0.2, Y: 0.2}, {X: 0.3, Y: 0.3}}, rand.New(rand.NewSource(3)))
 	if err != nil {
@@ -139,15 +134,14 @@ func TestMultipleQueriesOneConnection(t *testing.T) {
 			t.Fatalf("query %d: %v", i, err)
 		}
 	}
+	if got := atomic.LoadInt32(dials); got != 1 {
+		t.Fatalf("3 queries dialed %d connections, want 1", got)
+	}
 }
 
 func TestServerRejectsBadQuery(t *testing.T) {
 	_, addr := startServer(t, 500)
-	cli, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
+	cli := dialOne(t, addr)
 	p := testParams(2, core.VariantPPGNN)
 	g, err := core.NewGroup(p, []geo.Point{{X: 0.2, Y: 0.2}, {X: 0.3, Y: 0.3}}, rand.New(rand.NewSource(4)))
 	if err != nil {
@@ -178,12 +172,7 @@ func TestConcurrentClients(t *testing.T) {
 				errs <- err
 				return
 			}
-			cli, err := Dial(addr)
-			if err != nil {
-				errs <- err
-				return
-			}
-			defer cli.Close()
+			cli := dialOne(t, addr)
 			if _, err := g.Run(cli, nil); err != nil {
 				errs <- err
 			}
@@ -203,12 +192,6 @@ func TestServerCloseIdempotent(t *testing.T) {
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestDialFailure(t *testing.T) {
-	if _, err := Dial("127.0.0.1:1"); err == nil {
-		t.Fatal("dial to closed port succeeded")
 	}
 }
 
@@ -268,11 +251,7 @@ func TestGracefulDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
+	cli := dialOne(t, addr)
 	type outcome struct {
 		res *core.Result
 		err error
@@ -314,11 +293,7 @@ func TestDrainTimeoutForceCloses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
+	cli := dialOne(t, addr)
 	errc := make(chan error, 1)
 	go func() {
 		_, err := g.Run(cli, nil)
@@ -365,11 +340,7 @@ func TestMaxConnsShedding(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	cli, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
+	cli := dialOne(t, addr)
 	g, err := core.NewGroup(testParams(2, core.VariantPPGNN),
 		[]geo.Point{{X: 0.2, Y: 0.5}, {X: 0.3, Y: 0.6}}, rand.New(rand.NewSource(22)))
 	if err != nil {
@@ -416,21 +387,12 @@ func TestSessionPanicRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cli := dialOne(t, addr)
 	if _, err := g.Run(cli, nil); err == nil {
 		t.Fatal("query served by a panicking LSP succeeded")
 	}
-	cli.Close()
 	// The process survived; a second session succeeds.
-	cli2, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli2.Close()
-	if _, err := g.Run(cli2, nil); err != nil {
+	if _, err := g.Run(cli, nil); err != nil {
 		t.Fatalf("server did not survive the session panic: %v", err)
 	}
 }
@@ -473,32 +435,6 @@ func TestMaxLocationsCap(t *testing.T) {
 	}
 }
 
-// TestAcceptFailureResilience: transient accept failures (injected via
-// faultnet) must not kill the accept loop.
-func TestAcceptFailureResilience(t *testing.T) {
-	lsp := core.NewLSP(dataset.Synthetic(5, 300), geo.UnitRect)
-	srv := NewServer(lsp)
-	inner, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := srv.Serve(faultnet.WrapListener(inner, 3)).String()
-	t.Cleanup(func() { srv.Close() })
-	g, err := core.NewGroup(testParams(2, core.VariantPPGNN),
-		[]geo.Point{{X: 0.3, Y: 0.7}, {X: 0.4, Y: 0.8}}, rand.New(rand.NewSource(25)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cli, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-	if _, err := g.Run(cli, nil); err != nil {
-		t.Fatalf("query after injected accept failures: %v", err)
-	}
-}
-
 func TestServerLogf(t *testing.T) {
 	srv, addr := startServer(t, 100)
 	logged := make(chan string, 8)
@@ -509,10 +445,7 @@ func TestServerLogf(t *testing.T) {
 		}
 	}
 	// A corrupted query triggers a logged session error.
-	cli, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cli := dialOne(t, addr)
 	p := testParams(2, core.VariantPPGNN)
 	g, err := core.NewGroup(p, []geo.Point{{X: 0.1, Y: 0.1}, {X: 0.2, Y: 0.2}}, rand.New(rand.NewSource(5)))
 	if err != nil {
@@ -526,7 +459,6 @@ func TestServerLogf(t *testing.T) {
 	if _, err := cli.Process(q, locs); err == nil {
 		t.Fatal("invalid query accepted")
 	}
-	cli.Close()
 	select {
 	case <-logged:
 	case <-time.After(5 * time.Second):

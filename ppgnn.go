@@ -161,11 +161,6 @@ func ListenAndServe(s *Server, addr string) (*transport.Server, error) {
 	return srv, nil
 }
 
-// Dial connects to a remote Server; the returned client implements
-// Service over a single connection with no retries. Use NewPool for
-// concurrent queries and fault tolerance.
-func Dial(addr string) (*transport.Client, error) { return transport.Dial(addr) }
-
 // Pool is a fault-tolerant Service over a bounded pool of connections to
 // a remote Server: automatic reconnect, retry with exponential backoff
 // and jitter for transient failures, and per-query deadlines. See

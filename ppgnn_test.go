@@ -91,10 +91,7 @@ func TestPublicAPIOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli, err := Dial(addr.String())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cli := NewPool(addr.String())
 	defer cli.Close()
 	p := fastParams(2)
 	p.NoSanitize = true
