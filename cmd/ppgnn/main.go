@@ -15,7 +15,8 @@
 //	-agg sum|max|min  aggregate function (default sum)
 //	-variant ppgnn|opt|naive  protocol variant (default opt)
 //	-keybits N   Paillier modulus size (default 1024)
-//	-seed N      RNG seed (default 0 = time-based)
+//	-seed N      RNG seed (default 0 = unseeded: privacy draws keyed from
+//	             OS entropy)
 //	-connect A   query a remote LSP at address A instead of in-process
 //	-tenant T    route -connect sessions to tenant T of a multi-tenant
 //	             LSP (default: the default tenant, no tenant frame)
@@ -83,7 +84,7 @@ func main() {
 	noSanitize := flag.Bool("no-sanitize", false, "disable answer sanitation (PPGNN-NAS)")
 	ids := flag.Bool("ids", false, "include POI IDs in the answer")
 	verbose := flag.Bool("v", false, "print cost accounting")
-	seed := flag.Int64("seed", 0, "RNG seed (0 = time-based)")
+	seed := flag.Int64("seed", 0, "RNG seed (0 = keyed from OS entropy)")
 	threshold := flag.Int("threshold", 0, "require t-of-n users for decryption (0 = coordinator key)")
 	quorumT := flag.Int("quorum-t", 0, "complete with any t-of-n users via a quorum group session (0 = require all)")
 	memberTimeout := flag.Duration("member-timeout", 5*time.Second, "per-member exchange deadline for -quorum-t")

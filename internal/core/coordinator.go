@@ -121,7 +121,7 @@ func newCoordinator(p Params, loc geo.Point, rng *rand.Rand) (*Coordinator, erro
 		return nil, fmt.Errorf("core: coordinator location %v outside space", loc)
 	}
 	if rng == nil {
-		rng = rand.New(rand.NewSource(time.Now().UnixNano()))
+		rng = dummy.NewRand()
 	}
 	// Fail early if the full-roster partition is infeasible; smaller
 	// rosters are checked per Plan (Solve memoizes, so this is cheap).

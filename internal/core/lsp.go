@@ -55,11 +55,12 @@ type LSP struct {
 	// output randomness is a deterministic function of the indicator
 	// ciphertexts and the plaintext matrix; rerandomizing makes the answer
 	// unlinkable to them (defense in depth — Privacy III needs only the
-	// selection itself).
+	// selection itself). The selection applies it: each online factor
+	// r^{N^s} is one more term of its answer row's last squaring chain.
 	Rerandomize bool
 	// Coalesce, when set, submits the homomorphic batch phases (the
-	// candidate fan-out, the private selection, and the answer
-	// rerandomization) to a server-shared cross-session
+	// candidate fan-out and the private selection, rerandomization
+	// included) to a server-shared cross-session
 	// Coalescer instead of a per-query pool (DESIGN.md §15), so work from
 	// concurrently admitted sessions merges into shared batches. Answers
 	// stay byte-identical to the uncoalesced path: the paillier batch
@@ -68,7 +69,7 @@ type LSP struct {
 	Coalesce *parallel.Coalescer
 	// RerandPools, when set, supplies pooled r^{N^s} rerandomization
 	// factors (shared across sessions, refilled in the background) for
-	// the Rerandomize pass, replacing its per-answer online modexps.
+	// the Rerandomize pass, used before any online factor.
 	RerandPools *paillier.PoolSet
 
 	tree *rtree.Tree
@@ -113,7 +114,7 @@ func (l *LSP) pool() *parallel.Pool {
 }
 
 // cryptoPool is the pool for the per-query batch phases — the candidate
-// fan-out and the homomorphic selection and rerandomization, all leaf
+// fan-out and the homomorphic selection, rerandomization included, all leaf
 // work with no nested pool submissions: the shared coalescer when
 // configured, the per-query Workers pool otherwise.
 func (l *LSP) cryptoPool() *parallel.Pool {
@@ -401,14 +402,19 @@ func (l *LSP) selectSinglePhase(pk *paillier.PublicKey, q *QueryMsg, encoded [][
 		}
 		rows[i] = row
 	}
-	cts, err := pk.MatSelectBatch(context.Background(), l.cryptoPool(), rows, v)
+	var cts []*paillier.Ciphertext
+	var err error
+	if l.Rerandomize {
+		pre, perr := l.rerandPool(pk, 1)
+		if perr != nil {
+			return nil, perr
+		}
+		cts, _, err = pk.MatSelectRerandomized(context.Background(), l.cryptoPool(), nil, pre, rows, v)
+	} else {
+		cts, err = pk.MatSelectBatch(context.Background(), l.cryptoPool(), rows, v)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("core: private selection: %w", err)
-	}
-	if l.Rerandomize {
-		if cts, err = l.rerandomize(pk, cts); err != nil {
-			return nil, fmt.Errorf("core: rerandomizing answer: %w", err)
-		}
 	}
 	out := make([]*big.Int, m)
 	for i, ct := range cts {
@@ -444,14 +450,19 @@ func (l *LSP) selectTwoPhase(pk *paillier.PublicKey, q *QueryMsg, encoded [][]*b
 		encoded = append(encoded, zero)
 	}
 
-	cts, err := pk.LayeredSelectBatch(context.Background(), l.cryptoPool(), encoded, v1, v2)
+	var cts []*paillier.Ciphertext
+	var err error
+	if l.Rerandomize {
+		pre, perr := l.rerandPool(pk, 2)
+		if perr != nil {
+			return nil, perr
+		}
+		cts, _, err = pk.LayeredSelectRerandomized(context.Background(), l.cryptoPool(), nil, pre, encoded, v1, v2)
+	} else {
+		cts, err = pk.LayeredSelectBatch(context.Background(), l.cryptoPool(), encoded, v1, v2)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("core: layered selection: %w", err)
-	}
-	if l.Rerandomize {
-		if cts, err = l.rerandomize(pk, cts); err != nil {
-			return nil, fmt.Errorf("core: rerandomizing answer: %w", err)
-		}
 	}
 	out := make([]*big.Int, m)
 	for i, ct := range cts {
@@ -461,24 +472,19 @@ func (l *LSP) selectTwoPhase(pk *paillier.PublicKey, q *QueryMsg, encoded [][]*b
 	return NewAnswerMsg(pk, 2, out), nil
 }
 
-// rerandomize refreshes every answer ciphertext with a homomorphic
-// zero, drawing pooled r^{N^s} factors from RerandPools when the LSP
-// has one (falling back to online randomness for any factors past the
-// pool's current depth) and paying the full online encryption
-// otherwise.
-func (l *LSP) rerandomize(pk *paillier.PublicKey, cts []*paillier.Ciphertext) ([]*paillier.Ciphertext, error) {
-	if len(cts) == 0 {
-		return cts, nil
+// rerandPool returns the pool of r^{N^s} factors the Rerandomize pass
+// draws from first, or nil when the LSP has no RerandPools: the
+// selection then pays its rerandomizers online, each riding its row's
+// chain.
+func (l *LSP) rerandPool(pk *paillier.PublicKey, s int) (*paillier.Precomputer, error) {
+	if l.RerandPools == nil {
+		return nil, nil
 	}
-	if l.RerandPools != nil {
-		pre, err := l.RerandPools.For(pk, cts[0].S)
-		if err != nil {
-			return nil, err
-		}
-		out, _, err := pre.RerandomizeBatch(context.Background(), l.cryptoPool(), nil, cts)
-		return out, err
+	pre, err := l.RerandPools.For(pk, s)
+	if err != nil {
+		return nil, fmt.Errorf("core: rerandomizing answer: %w", err)
 	}
-	return pk.RerandomizeBatch(context.Background(), l.cryptoPool(), nil, cts)
+	return pre, nil
 }
 
 // OptimalOmega returns the ω minimizing the OPT communication cost (Eqn

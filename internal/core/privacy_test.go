@@ -299,3 +299,34 @@ func TestIndicatorVectorShape(t *testing.T) {
 		}
 	}
 }
+
+// TestNilRngCoordinatorsDrawDifferentPlans builds two coordinators with no
+// rng back to back. Each must key its own stream from OS entropy, so
+// their plans — segment and hidden positions, the secrets of Privacy II —
+// differ; two clock-seeded streams started in the same tick would not.
+func TestNilRngCoordinatorsDrawDifferentPlans(t *testing.T) {
+	p := testParams(4, VariantPPGNN)
+	draw := func() []int {
+		c, err := newCoordinator(p, geo.Point{X: 0.5, Y: 0.5}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var seq []int
+		for i := 0; i < 16; i++ {
+			plan, err := c.Plan(p.N)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seq = append(seq, plan.seg)
+			seq = append(seq, plan.xs...)
+		}
+		return seq
+	}
+	a, b := draw(), draw()
+	for i := range a {
+		if a[i] != b[i] {
+			return
+		}
+	}
+	t.Fatalf("two nil-rng coordinators drew the same 16 plans: %v", a)
+}

@@ -10,16 +10,43 @@
 //     dummies cannot be filtered by spatial clustering (after [22]).
 //
 // Both are deterministic given the caller's *rand.Rand, which keeps the
-// protocol testable; production callers seed from crypto/rand.
+// protocol testable; callers without a seed of their own use NewRand.
 package dummy
 
 import (
+	crand "crypto/rand"
 	"fmt"
 	"math"
 	"math/rand"
+	randv2 "math/rand/v2"
 
 	"ppgnn/internal/geo"
 )
+
+// NewRand returns a *rand.Rand over a ChaCha8 stream (math/rand/v2) keyed
+// from the OS entropy source: the default for the privacy draws — hidden
+// positions, segments, dummies — of a coordinator or member built without
+// a seeded generator. A math/rand source seeded from the clock would let
+// anyone who can bound when a query started replay those draws. It panics
+// if the OS entropy source cannot be read: crypto/rand.Read itself ends
+// the program on that failure from Go 1.24 on, and no caller could draw
+// a safe plan without it.
+func NewRand() *rand.Rand {
+	var seed [32]byte
+	if _, err := crand.Read(seed[:]); err != nil {
+		panic("dummy: reading OS entropy: " + err.Error())
+	}
+	return rand.New(chachaSource{randv2.NewChaCha8(seed)})
+}
+
+// chachaSource serves a ChaCha8 stream as a math/rand Source64.
+type chachaSource struct{ *randv2.ChaCha8 }
+
+func (s chachaSource) Int63() int64 { return int64(s.Uint64() >> 1) }
+
+// Seed panics: the stream is keyed once, from entropy, and a reseed would
+// make it predictable.
+func (chachaSource) Seed(int64) { panic("dummy: an entropy-keyed source cannot be reseeded") }
 
 // Generator produces a location set of size d with the real location at
 // index pos (0-based) and dummies elsewhere.

@@ -140,3 +140,24 @@ func TestNonUnitSpace(t *testing.T) {
 		}
 	}
 }
+
+// TestNewRandIsKeyedPerCall checks that two entropy-keyed generators made
+// back to back produce different streams and refuse a reseed.
+func TestNewRandIsKeyedPerCall(t *testing.T) {
+	a, b := NewRand(), NewRand()
+	same := true
+	for i := 0; i < 4; i++ {
+		if a.Uint64() != b.Uint64() {
+			same = false
+		}
+	}
+	if same {
+		t.Fatal("two NewRand streams agree on their first four draws")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("reseeding an entropy-keyed generator did not panic")
+		}
+	}()
+	a.Seed(1)
+}

@@ -5,7 +5,6 @@ import (
 	"math/big"
 	"math/rand"
 	"sync"
-	"time"
 
 	"ppgnn/internal/core"
 	"ppgnn/internal/dummy"
@@ -85,13 +84,14 @@ type memberReplyKey struct {
 }
 
 // NewMember returns a member at loc drawing dummies with gen (uniform
-// when nil) and randomness from rng (time-seeded when nil).
+// when nil) and randomness from rng (dummy.NewRand, keyed from OS
+// entropy, when nil).
 func NewMember(loc geo.Point, gen dummy.Generator, rng *rand.Rand) *Member {
 	if gen == nil {
 		gen = dummy.Uniform{}
 	}
 	if rng == nil {
-		rng = rand.New(rand.NewSource(time.Now().UnixNano()))
+		rng = dummy.NewRand()
 	}
 	return &Member{
 		Loc: loc, Gen: gen, Rng: rng,

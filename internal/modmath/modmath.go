@@ -9,17 +9,20 @@
 //   - Ctx: a per-modulus context caching the odd modulus and its
 //     Montgomery constants so repeated operations share them (the
 //     paillier keys hold one Ctx per power of N, built once per key).
-//   - MultiExp: Straus/interleaved multi-exponentiation
-//     Π bases[i]^{exps[i]} mod M with one shared squaring chain across
-//     all terms — the ⊙/⨂/combine replacement for per-term Exp loops.
-//     Exp is the same chain with one term.
+//   - Tables: Straus/interleaved multi-exponentiation
+//     Π bases[i]^{exps[j][i]} mod M for many exponent vectors j over one
+//     list of bases: each base's odd-power table is built once, and each
+//     vector runs one squaring chain shared by all its terms — the ⨂
+//     selections, whose rows all raise the same indicator ciphertexts.
+//     MultiExp is its one-vector case and Exp its one-term case, so the
+//     package has a single chain.
 //   - FixedBase: a Lim–Lee comb with a precomputed table, for bases
 //     reused across many exponentiations: the key holder's encryption
 //     factors, one generator per CRT half. Every exponent costs the same
 //     number of products.
 //
-// All three multiply Montgomery residues and reduce with REDC over
-// math/big's assembly word primitives (montgomery.go,
+// The chain and the comb multiply Montgomery residues and reduce with
+// REDC over math/big's assembly word primitives (montgomery.go,
 // arith_linkname.go) instead of dividing by M.
 //
 // Exactness contract: every routine returns exactly the canonical
@@ -34,6 +37,7 @@ package modmath
 import (
 	"errors"
 	"math/big"
+	"math/bits"
 )
 
 var one = big.NewInt(1)
@@ -74,40 +78,66 @@ func MustCtx(m *big.Int) *Ctx {
 }
 
 // Exp returns base^e mod M for e ≥ 0; it panics on a negative exponent.
-// It is MultiExp's chain with one term, and returns the value
+// It is the one-term case of the Straus chain, and returns the value
 // big.Int.Exp would.
 func (c *Ctx) Exp(base, e *big.Int) *big.Int {
-	switch e.Sign() {
-	case -1:
+	if e.Sign() < 0 {
 		panic("modmath: negative exponent")
-	case 0:
-		return big.NewInt(1)
 	}
-	return c.straus([]term{{base: base, exp: e}}, e.BitLen())
+	s := c.newScratch()
+	t, err := c.newTables([]*big.Int{base}, [][]*big.Int{{e}}, 0, s)
+	if err != nil {
+		panic(err)
+	}
+	z, _ := t.product(0, s)
+	return z
 }
 
-// windowWidth picks the Straus window width for the given maximum
-// exponent bit length, clamped so the per-base odd-power tables
-// (2^{w-1} entries each) stay small for wide products.
-func windowWidth(maxBits, terms int) uint {
-	var w uint
-	switch {
-	case maxBits <= 8:
-		w = 2
-	case maxBits <= 64:
-		w = 3
-	case maxBits <= 256:
-		w = 4
-	case maxBits <= 1024:
-		w = 5
-	default:
-		w = 6
+// MultiExp computes Π bases[i]^{exps[i]} mod M via Straus' interleaved
+// sliding-window method: one shared squaring chain over the longest
+// exponent plus per-term window multiplications, instead of a full
+// square-and-multiply ladder per term. All exponents must be ≥ 0
+// (callers reduce negatives into [0, group order) first — paillier does,
+// mod N^s). Terms with a zero exponent contribute 1 and are skipped.
+// It is NewTables with a single exponent vector.
+//
+// The result is exactly the canonical product in [0, M): byte-identical
+// to multiplying the big.Int.Exp of every term.
+func (c *Ctx) MultiExp(bases, exps []*big.Int) (*big.Int, error) {
+	t, err := c.NewTables(bases, [][]*big.Int{exps})
+	if err != nil {
+		return nil, err
 	}
-	// Bound total table memory: terms · 2^{w-1} entries ≤ 4096.
-	for w > 2 && terms<<(w-1) > 4096 {
-		w--
+	return t.Product(0), nil
+}
+
+// windowTableBytes caps the odd-power tables of one table set. It allows
+// w = 8 for PPGNN-OPT's 15 phase-1 bases mod a 4096-bit N² and w = 6 for
+// PPGNN's 101 bases mod a 2048-bit N².
+const windowTableBytes = 1 << 20
+
+// maxWindow bounds the window search; the byte cap binds long before it
+// at protocol sizes.
+const maxWindow = 16
+
+// chooseWindow picks the Straus window width w that minimises the
+// products a table set will spend: terms·2^{w−1} to build the odd-power
+// tables of its live terms, plus totalBits/(w+1) window products, since a
+// sliding window of width w covers w+1 bits on average. The squarings do
+// not depend on w. The tables (terms·2^{w−1} entries of n words) stay
+// within windowTableBytes.
+func chooseWindow(terms, n, totalBits int) uint {
+	best, bestCost := uint(1), 0.0
+	for w := uint(1); w <= maxWindow; w++ {
+		if w > 1 && (terms<<(w-1))*n*bits.UintSize/8 > windowTableBytes {
+			break
+		}
+		cost := float64(terms<<(w-1)) + float64(totalBits)/float64(w+1)
+		if w == 1 || cost < bestCost {
+			best, bestCost = w, cost
+		}
 	}
-	return w
+	return best
 }
 
 // window is one sliding-window digit of an exponent: an odd value val
@@ -143,110 +173,172 @@ func slideWindows(e *big.Int, w uint, dst []window) []window {
 	return dst
 }
 
-// term is one live factor base^exp of a product, exp > 0.
-type term struct {
-	base *big.Int
-	exp  *big.Int
+// Tables is one set of Straus odd-power tables: each base's odd powers
+// b, b³, …, b^{2^w−1} as Montgomery residues, built once and shared by
+// every exponent vector the set was made for. Product(j) runs one
+// squaring chain for vector j and reads the tables without writing them,
+// so a Tables is safe for concurrent use: the paillier layer builds one
+// per ⨂ selection and fans its rows across a worker pool.
+type Tables struct {
+	c    *Ctx
+	exps [][]*big.Int
+	w    uint
+	half int // 2^{w−1}, the entries per table
+
+	// slot[i] is base i's table index, or −1 when its exponent is zero
+	// in every vector (no table is built for it). Table k's entry j is
+	// tbl[(k·half+j)·n:][:n]; zero[k] marks a base ≡ 0 (mod M), which
+	// zeroes every product it enters with a nonzero exponent.
+	slot []int
+	zero []bool
+	tbl  []big.Word
 }
 
-// MultiExp computes Π bases[i]^{exps[i]} mod M via Straus' interleaved
-// sliding-window method: one shared squaring chain over the longest
-// exponent plus per-term window multiplications, instead of a full
-// square-and-multiply ladder per term. All exponents must be ≥ 0
-// (callers reduce negatives into [0, group order) first — paillier does,
-// mod N^s). Terms with a zero exponent contribute 1 and are skipped.
-//
-// The result is exactly the canonical product in [0, M): byte-identical
-// to multiplying the big.Int.Exp of every term.
-func (c *Ctx) MultiExp(bases, exps []*big.Int) (*big.Int, error) {
-	if len(bases) != len(exps) {
-		return nil, errors.New("modmath: multiexp length mismatch")
-	}
-	// Collect live terms (nonzero exponent) and the squaring-chain length.
-	terms := make([]term, 0, len(bases))
-	maxBits := 0
-	for i := range bases {
-		e := exps[i]
-		if e == nil || bases[i] == nil {
+// NewTables validates bases and every exponent vector — each as long as
+// bases, all exponents ≥ 0 — and builds the tables of every base with a
+// nonzero exponent somewhere, at the window chooseWindow gives for all
+// the vectors together.
+func (c *Ctx) NewTables(bases []*big.Int, exps [][]*big.Int) (*Tables, error) {
+	return c.newTables(bases, exps, 0, nil)
+}
+
+// newTables is NewTables with the window forced when w > 0, and table
+// building counted in s when s is non-nil (the clock-free tests use
+// both).
+func (c *Ctx) newTables(bases []*big.Int, exps [][]*big.Int, w uint, s *montScratch) (*Tables, error) {
+	for _, b := range bases {
+		if b == nil {
 			return nil, errors.New("modmath: nil multiexp element")
 		}
-		if e.Sign() < 0 {
-			return nil, errors.New("modmath: negative multiexp exponent")
+	}
+	slot := make([]int, len(bases))
+	for i := range slot {
+		slot[i] = -1
+	}
+	live, totalBits := 0, 0
+	for _, vec := range exps {
+		if len(vec) != len(bases) {
+			return nil, errors.New("modmath: multiexp length mismatch")
 		}
+		for i, e := range vec {
+			if e == nil {
+				return nil, errors.New("modmath: nil multiexp element")
+			}
+			if e.Sign() < 0 {
+				return nil, errors.New("modmath: negative multiexp exponent")
+			}
+			if e.Sign() == 0 {
+				continue
+			}
+			if slot[i] < 0 {
+				slot[i] = live
+				live++
+			}
+			totalBits += e.BitLen()
+		}
+	}
+	n := len(c.mw)
+	if w == 0 {
+		w = chooseWindow(live, n, totalBits)
+	}
+	t := &Tables{
+		c: c, exps: exps, w: w, half: 1 << (w - 1),
+		slot: slot, zero: make([]bool, live),
+		tbl: make([]big.Word, live<<(w-1)*n),
+	}
+	if live == 0 {
+		return t, nil
+	}
+	if s == nil {
+		s = c.newScratch()
+	}
+	done := timeTableBuild(tableWindow, live)
+	b2 := make([]big.Word, n)
+	for i, k := range slot {
+		if k < 0 {
+			continue
+		}
+		if !s.enter(t.entry(k, 0), bases[i]) {
+			t.zero[k] = true
+			continue
+		}
+		if t.half > 1 {
+			s.mul(b2, t.entry(k, 0), t.entry(k, 0))
+			for j := 1; j < t.half; j++ {
+				s.mul(t.entry(k, j), t.entry(k, j-1), b2)
+			}
+		}
+	}
+	done()
+	return t, nil
+}
+
+// entry returns entry j, the residue of b^{2j+1}, of table k.
+func (t *Tables) entry(k, j int) []big.Word {
+	n := len(t.c.mw)
+	off := (k*t.half + j) * n
+	return t.tbl[off : off+n : off+n]
+}
+
+// Product returns Π bases[i]^{exps[j][i]} mod M for exponent vector j:
+// exactly the canonical value MultiExpRef returns.
+func (t *Tables) Product(j int) *big.Int {
+	z, width := t.product(j, t.c.newScratch())
+	observeMultiExp(width)
+	return z
+}
+
+// product runs vector j's chain on Montgomery residues (montgomery.go)
+// and returns the product with its live width (nonzero exponents). The
+// chain squares once per bit level of the longest exponent and
+// multiplies in every window whose low end sits at that level; the
+// result leaves the domain through one REDC.
+func (t *Tables) product(j int, s *montScratch) (*big.Int, int) {
+	type term struct {
+		k    int // table index
+		wins []window
+		next int // first unconsumed window (windows are MSB-first)
+	}
+	var terms []term
+	maxBits, zero := 0, false
+	for i, e := range t.exps[j] {
 		if e.Sign() == 0 {
 			continue
 		}
-		terms = append(terms, term{base: bases[i], exp: e})
+		k := t.slot[i]
+		zero = zero || t.zero[k]
+		terms = append(terms, term{k: k, wins: slideWindows(e, t.w, nil)})
 		if b := e.BitLen(); b > maxBits {
 			maxBits = b
 		}
 	}
-	observeMultiExp(len(terms))
-	if len(terms) == 0 {
-		return big.NewInt(1), nil
+	switch {
+	case len(terms) == 0:
+		return big.NewInt(1), 0
+	case zero:
+		return new(big.Int), len(terms)
 	}
-	return c.straus(terms, maxBits), nil
-}
-
-// straus is the chain under Exp and MultiExp, on Montgomery residues
-// (montgomery.go): every base enters the domain once, every table entry,
-// square and window product is a Montgomery product, and the result
-// leaves through one REDC. maxBits is the longest exponent's bit length.
-func (c *Ctx) straus(terms []term, maxBits int) *big.Int {
-	n := len(c.mw)
-	s := c.newScratch()
-	w := windowWidth(maxBits, len(terms))
-	halfTbl := 1 << (w - 1) // odd powers b^1, b^3, …, b^{2^w-1}
-
-	// Per-term odd-power tables, entry j of term t at
-	// tbl[(t·halfTbl+j)·n:][:n], and window decompositions. A base that
-	// reduces to zero zeroes the whole product (its exponent is > 0).
-	buildDone := timeTableBuild(tableWindow, len(terms))
-	tbl := make([]big.Word, len(terms)*halfTbl*n)
-	entry := func(t, j int) []big.Word {
-		off := (t*halfTbl + j) * n
-		return tbl[off : off+n : off+n]
-	}
-	wins := make([][]window, len(terms))
-	b2 := make([]big.Word, n)
-	for t, tm := range terms {
-		if !s.enter(entry(t, 0), tm.base) {
-			return new(big.Int)
-		}
-		if halfTbl > 1 {
-			s.mul(b2, entry(t, 0), entry(t, 0))
-			for j := 1; j < halfTbl; j++ {
-				s.mul(entry(t, j), entry(t, j-1), b2)
-			}
-		}
-		wins[t] = slideWindows(tm.exp, w, nil)
-	}
-	buildDone()
-
-	// Shared left-to-right chain: square once per bit level, multiply in
-	// every window whose low end sits at that level. next[t] tracks the
-	// first unconsumed window of term t (windows are MSB-first).
-	acc := make([]big.Word, n)
+	acc := make([]big.Word, len(t.c.mw))
 	live := false // acc holds a value (skip squarings of the implicit 1)
-	next := make([]int, len(terms))
 	for p := maxBits - 1; p >= 0; p-- {
 		if live {
 			s.mul(acc, acc, acc)
 		}
-		for t := range terms {
-			if next[t] < len(wins[t]) && wins[t][next[t]].pos == p {
-				v := entry(t, int(wins[t][next[t]].val>>1))
+		for x := range terms {
+			tm := &terms[x]
+			if tm.next < len(tm.wins) && tm.wins[tm.next].pos == p {
+				v := t.entry(tm.k, int(tm.wins[tm.next].val>>1))
 				if live {
 					s.mul(acc, acc, v)
 				} else {
 					copy(acc, v)
 					live = true
 				}
-				next[t]++
+				tm.next++
 			}
 		}
 	}
-	return s.leave(acc)
+	return s.leave(acc), len(terms)
 }
 
 // MultiExpRef is the reference implementation MultiExp is measured and

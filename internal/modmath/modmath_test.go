@@ -4,6 +4,7 @@ import (
 	"crypto/rand"
 	"math/big"
 	mrand "math/rand"
+	"sync"
 	"testing"
 )
 
@@ -323,4 +324,151 @@ func FuzzMultiExp(f *testing.F) {
 			t.Fatalf("MultiExp=%v want %v (m=%v bases=%v exps=%v)", got, want, m, bases, exps)
 		}
 	})
+}
+
+// TestTablesMatchReference drives one table set through many exponent
+// vectors — sparse ones, a base whose exponent is zero in every vector,
+// a base ≡ 0 (mod M) — and asserts every product is byte-identical to
+// the reference loop, from concurrent callers as well.
+func TestTablesMatchReference(t *testing.T) {
+	rng := mrand.New(mrand.NewSource(11))
+	for _, m := range []*big.Int{big.NewInt(35), testModulus(t, 256), testModulus(t, 1024)} {
+		ctx := MustCtx(m)
+		const k, vecs = 9, 12
+		bases := make([]*big.Int, k)
+		for i := range bases {
+			bases[i] = randBelow(rng, m)
+		}
+		bases[3] = new(big.Int).Set(m) // ≡ 0 (mod M)
+		exps := make([][]*big.Int, vecs)
+		for j := range exps {
+			exps[j] = make([]*big.Int, k)
+			for i := range exps[j] {
+				switch {
+				case i == 5 || rng.Intn(4) == 0:
+					exps[j][i] = new(big.Int) // base 5 is never raised
+				case i == 3 && j%2 == 0:
+					exps[j][i] = new(big.Int)
+				default:
+					exps[j][i] = randBelow(rng, m)
+				}
+			}
+		}
+		tb, err := ctx.NewTables(bases, exps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tb.slot[5] != -1 {
+			t.Fatalf("the never-raised base has table %d", tb.slot[5])
+		}
+		got := make([]*big.Int, vecs)
+		var wg sync.WaitGroup
+		for j := range got {
+			wg.Add(1)
+			go func(j int) {
+				defer wg.Done()
+				got[j] = tb.Product(j)
+			}(j)
+		}
+		wg.Wait()
+		for j := range got {
+			want, err := ctx.MultiExpRef(bases, exps[j])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got[j].Cmp(want) != 0 {
+				t.Fatalf("mod %v vector %d: Product=%v want %v", m, j, got[j], want)
+			}
+		}
+	}
+	ctx := MustCtx(big.NewInt(97))
+	if _, err := ctx.NewTables([]*big.Int{big.NewInt(2)}, [][]*big.Int{{big.NewInt(1)}, {}}); err == nil {
+		t.Error("short exponent vector accepted")
+	}
+}
+
+// countProducts builds one table set for vecs at window w (0 = the cost
+// model's choice) and runs every vector's chain, returning the Montgomery
+// products spent in all and the window used. TestTablesMatchReference
+// checks the values.
+func countProducts(t *testing.T, ctx *Ctx, bases []*big.Int, vecs [][]*big.Int, w uint) (int, uint) {
+	t.Helper()
+	s := ctx.newScratch()
+	tb, err := ctx.newTables(bases, vecs, w, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j := range vecs {
+		tb.product(j, s)
+	}
+	return s.products, tb.w
+}
+
+// selectionShape draws k bases below m and vecs vectors of expBits-bit
+// exponents (top bit set).
+func selectionShape(rng *mrand.Rand, m *big.Int, k, vecs, expBits int) ([]*big.Int, [][]*big.Int) {
+	bases := make([]*big.Int, k)
+	for i := range bases {
+		bases[i] = randBelow(rng, m)
+	}
+	bound := new(big.Int).Lsh(big.NewInt(1), uint(expBits))
+	exps := make([][]*big.Int, vecs)
+	for j := range exps {
+		exps[j] = make([]*big.Int, k)
+		for i := range exps[j] {
+			e := randBelow(rng, bound)
+			exps[j][i] = e.SetBit(e, expBits-1, 1)
+		}
+	}
+	return bases, exps
+}
+
+// TestSelectionProductCounts pins, without a clock, the Montgomery
+// products of the selection shapes the protocol runs at its gated key
+// sizes. The counts depend only on the exponents and the window, so a
+// random modulus of the right width stands in for N^{s+1}.
+func TestSelectionProductCounts(t *testing.T) {
+	rng := mrand.New(mrand.NewSource(12))
+	oddModulus := func(bits int) *big.Int {
+		m := randBelow(rng, new(big.Int).Lsh(big.NewInt(1), uint(bits)))
+		return m.SetBit(m.SetBit(m, bits-1, 1), 0, 1)
+	}
+
+	// PPGNN-OPT phase 1 at 2048-bit keys: ω = 7 outputs over 15 ε_1
+	// indicator ciphertexts mod N², 1100-bit answer exponents, against
+	// one table set (w = 8) instead of seven (w = 6).
+	ctx := MustCtx(oddModulus(4096))
+	bases, vecs := selectionShape(rng, ctx.M, 15, 7, 1100)
+	shared, w := countProducts(t, ctx, bases, vecs, 0)
+	separate := 0
+	for _, v := range vecs {
+		n, _ := countProducts(t, ctx, bases, [][]*big.Int{v}, 6)
+		separate += n
+	}
+	t.Logf("OPT phase 1: %d products at w=%d, per-output tables %d", shared, w, separate)
+	if shared > 22500 || w != 8 {
+		t.Errorf("OPT phase 1: %d products at w=%d (per-output tables: %d), want ≤ 22500 at w=8", shared, w, separate)
+	}
+
+	// Phase 2 with the rerandomizer riding the chain: 7 phase-1
+	// ciphertexts and (r, N²) as 8 terms of 4096-bit exponents mod N³.
+	ctx = MustCtx(oddModulus(6144))
+	bases, vecs = selectionShape(rng, ctx.M, 8, 1, 4096)
+	n, w := countProducts(t, ctx, bases, vecs, 0)
+	t.Logf("OPT phase 2 + rerandomization: %d products at w=%d", n, w)
+	if n > 9100 {
+		t.Errorf("OPT phase 2 + rerandomization: %d products at w=%d, want ≤ 9100", n, w)
+	}
+
+	// PPGNN's ⊙ at 1024-bit keys: 101 terms mod N², 1024-bit exponents.
+	// The cost model must not lose to the fixed w = 5 this shape ran at
+	// under the bit-length window rule.
+	ctx = MustCtx(oddModulus(2048))
+	bases, vecs = selectionShape(rng, ctx.M, 101, 1, 1024)
+	got, w := countProducts(t, ctx, bases, vecs, 0)
+	old, _ := countProducts(t, ctx, bases, vecs, 5)
+	t.Logf("PPGNN ⊙: %d products at w=%d, %d at w=5", got, w, old)
+	if got > old {
+		t.Errorf("PPGNN ⊙: %d products at w=%d, more than %d at w=5", got, w, old)
+	}
 }

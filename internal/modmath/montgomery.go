@@ -28,15 +28,16 @@ func negInv(m big.Word) big.Word {
 }
 
 // montScratch is the work area of one chain of Montgomery products under
-// one Ctx. Each Exp, MultiExp or FixedBase.Exp call owns one, so the
-// Ctx itself stays immutable and safe for concurrent use.
+// one Ctx. Each Exp, Tables.Product, table build or FixedBase.Exp call
+// owns one, so the Ctx itself stays immutable and safe for concurrent
+// use.
 type montScratch struct {
 	c    *Ctx
 	x, y big.Int    // views of the operands, for big.Int.Mul
 	prod big.Int    // product buffer; keeps its capacity across products
 	t    []big.Word // 2n-word REDC input
-	// products counts mul calls, for the constant-work test of the
-	// fixed-base comb.
+	// products counts mul calls, for the clock-free tests of the
+	// fixed-base comb and the selection shapes.
 	products int
 }
 

@@ -56,34 +56,65 @@ var errNilElement = errors.New("paillier: nil element in batch")
 // the one way every batch encryption, rerandomization and pool fill gets
 // its randomness. Pooled factors come first, popped from pre (nil = no
 // pool) in one LIFO takeN; the rest are drawn from random serially in
-// index order, before any fan-out. factor(i) returns the pooled factor or
-// the exponentiation of draw i, and is safe to call from the caller's
-// pl.ForEach workers, once per index. With a pool, every factor is
-// counted by source. pooled is how many factors came from pre.
-func (pk *PublicKey) encFactors(pre *Precomputer, random io.Reader, n, s int) (factor func(i int) *big.Int, pooled int, err error) {
-	var pool []*big.Int
+// index order, before any fan-out.
+func (pk *PublicKey) encFactors(pre *Precomputer, random io.Reader, n, s int) (*encDraws, error) {
+	d := &encDraws{pk: pk, s: s, counted: pre != nil}
 	if pre != nil {
-		pool = pre.takeN(n)
+		d.pool = pre.takeN(n)
 	}
-	drawn := make([]*big.Int, n-len(pool))
-	for i := range drawn {
-		if drawn[i], err = pk.drawEncRand(random); err != nil {
+	d.drawn = make([]*big.Int, n-len(d.pool))
+	for i := range d.drawn {
+		var err error
+		if d.drawn[i], err = pk.drawEncRand(random); err != nil {
 			// The popped factors are dropped, never reused: losing pooled
 			// randomness is safe, reusing it would break semantic security.
-			return nil, 0, fmt.Errorf("paillier: drawing randomness: %w", err)
+			return nil, fmt.Errorf("paillier: drawing randomness: %w", err)
 		}
 	}
 	pk.warmEnc(s)
-	return func(i int) *big.Int {
-		if i < len(pool) {
-			mEncPooled.Inc()
-			return pool[i]
-		}
-		if pre != nil {
-			mEncOnline.Inc()
-		}
-		return pk.encFactor(drawn[i-len(pool)], s)
-	}, len(pool), nil
+	return d, nil
+}
+
+// encDraws is one batch's encryption randomness from encFactors: pooled
+// factors for the indices below len(pool), online draws for the rest.
+// Its methods are safe to call from the caller's pl.ForEach workers, once
+// per index.
+type encDraws struct {
+	pk      *PublicKey
+	s       int
+	counted bool // a pool was consulted: count every factor by source
+	pool    []*big.Int
+	drawn   []*big.Int
+}
+
+// term returns factor i either ready, as f, or as the unit r whose power
+// r^{N^s} is the factor, so that a caller already running a chain of
+// N^s-bit exponents mod N^{s+1} can fold (r, N^s) into it. Only an online
+// draw under a public key comes back as r: the key holder's draws become
+// fixed-base CRT factors (crt.go), cheaper than any chain term.
+func (d *encDraws) term(i int) (f, r *big.Int) {
+	if i < len(d.pool) {
+		mEncPooled.Inc()
+		return d.pool[i], nil
+	}
+	if d.counted {
+		mEncOnline.Inc()
+	}
+	rv := d.drawn[i-len(d.pool)]
+	if d.pk.sk != nil {
+		return d.pk.encFactor(rv, d.s), nil
+	}
+	return nil, rv
+}
+
+// factor returns factor i ready: the pooled factor or the draw's
+// encryption factor.
+func (d *encDraws) factor(i int) *big.Int {
+	f, r := d.term(i)
+	if r != nil {
+		return d.pk.encFactor(r, d.s)
+	}
+	return f
 }
 
 // warmEnc materializes the caches an ε_s encryption reads (the kernel
@@ -137,19 +168,19 @@ func (pk *PublicKey) encryptBatch(ctx context.Context, pl *parallel.Pool, random
 	if err := pk.checkPlaintexts(ms, s); err != nil {
 		return nil, 0, err
 	}
-	factor, pooled, err := pk.encFactors(pre, random, len(ms), s)
+	d, err := pk.encFactors(pre, random, len(ms), s)
 	if err != nil {
 		return nil, 0, err
 	}
 	out := make([]*Ciphertext, len(ms))
 	err = pl.ForEach(ctx, len(ms), func(i int) error {
-		out[i] = pk.encryptWith(ms[i], factor(i), s)
+		out[i] = pk.encryptWith(ms[i], d.factor(i), s)
 		return nil
 	})
 	if err != nil {
 		return nil, 0, err
 	}
-	return out, pooled, nil
+	return out, len(d.pool), nil
 }
 
 // rerandomizeBatch multiplies every degree-s ciphertext by a fresh factor
@@ -159,21 +190,27 @@ func (pk *PublicKey) rerandomizeBatch(ctx context.Context, pl *parallel.Pool, ra
 	if err := checkDegree(cs, s); err != nil {
 		return nil, 0, err
 	}
-	factor, pooled, err := pk.encFactors(pre, random, len(cs), s)
+	d, err := pk.encFactors(pre, random, len(cs), s)
 	if err != nil {
 		return nil, 0, err
 	}
 	out := make([]*Ciphertext, len(cs))
 	err = pl.ForEach(ctx, len(cs), func(i int) error {
-		out[i] = pk.mulFactor(cs[i].C, factor(i), s)
-		mRerandomize.Inc()
-		mAdd.Inc()
+		out[i] = rerandomized(pk.mulFactor(cs[i].C, d.factor(i), s))
 		return nil
 	})
 	if err != nil {
 		return nil, 0, err
 	}
-	return out, pooled, nil
+	return out, len(d.pool), nil
+}
+
+// rerandomized counts ct as one rerandomized output — a ⊕ with a fresh
+// encryption of zero — and returns it.
+func rerandomized(ct *Ciphertext) *Ciphertext {
+	mRerandomize.Inc()
+	mAdd.Inc()
+	return ct
 }
 
 // EncryptBatch encrypts every plaintext of ms under ε_s in parallel,
@@ -254,36 +291,153 @@ func (sk *PrivateKey) DecryptLayeredBatch(ctx context.Context, pl *parallel.Pool
 	return out, nil
 }
 
-// warmDec materializes the locked per-degree caches decryption reads (CRT
-// context, λ^{-1}, N^i, inverse factorials).
+// warmDec materializes the per-degree caches decryption reads (the CRT
+// context and its decryption constants, N^i, inverse factorials).
 func (sk *PrivateKey) warmDec(s int) {
 	if s < 1 || s > MaxS {
 		return
 	}
-	sk.crt(s)
-	sk.invLambda(s)
+	sk.decConsts(sk.crt(s), s)
 	sk.warmEnc(s)
 }
 
-// DotProductBatch computes one ⊙ per coefficient row against the shared
-// encrypted vector v, in parallel, results in row order.
-func (pk *PublicKey) DotProductBatch(ctx context.Context, pl *parallel.Pool, rows [][]*big.Int, v []*Ciphertext) ([]*Ciphertext, error) {
-	if len(v) > 0 {
-		pk.warmEnc(v[0].S)
+// dotInputs validates the ⊙ of every coefficient row against the
+// encrypted vector v — v non-empty and of one degree s, each row as long
+// as v — and returns the kernel's bases and exponent vectors for them.
+// Negative coefficients are reduced mod N^s; zero ones are left for the
+// kernel to skip, which matters for PPGNN's sparse indicators.
+func (pk *PublicKey) dotInputs(rows [][]*big.Int, v []*Ciphertext) (s int, bases []*big.Int, exps [][]*big.Int, err error) {
+	if len(v) == 0 {
+		return 0, nil, nil, errors.New("paillier: dot product of empty vectors")
 	}
-	out := make([]*Ciphertext, len(rows))
-	err := pl.ForEach(ctx, len(rows), func(i int) error {
-		ct, err := pk.DotProduct(rows[i], v)
-		if err != nil {
-			return fmt.Errorf("paillier: row %d: %w", i, err)
+	s = v[0].S
+	bases = make([]*big.Int, len(v))
+	for i, c := range v {
+		if c == nil {
+			return 0, nil, nil, fmt.Errorf("paillier: ciphertext %d: %w", i, errNilElement)
 		}
-		out[i] = ct
+		if c.S != s {
+			return 0, nil, nil, errors.New("paillier: mixed ciphertext degrees in dot product")
+		}
+		bases[i] = c.C
+	}
+	ns := pk.NS(s)
+	exps = make([][]*big.Int, len(rows))
+	for j, row := range rows {
+		if len(row) != len(v) {
+			return 0, nil, nil, fmt.Errorf("paillier: row %d: dot product length mismatch %d vs %d", j, len(row), len(v))
+		}
+		exps[j] = make([]*big.Int, len(v))
+		for i, x := range row {
+			if x == nil {
+				return 0, nil, nil, fmt.Errorf("paillier: row %d coefficient %d: %w", j, i, errNilElement)
+			}
+			if x.Sign() < 0 {
+				x = new(big.Int).Mod(x, ns)
+			}
+			exps[j][i] = x
+		}
+	}
+	return s, bases, exps, nil
+}
+
+// rerandSrc is where a selection's rerandomizers come from: pooled
+// factors from pre (nil = none) while they last, then online draws from
+// random (nil = crypto/rand).
+type rerandSrc struct {
+	random io.Reader
+	pre    *Precomputer
+}
+
+// draws readies n degree-s rerandomizers exactly as rerandomizeBatch
+// would: through pre's key when pre is set, as pre.RerandomizeBatch
+// does, else through pk.
+func (rs *rerandSrc) draws(pk *PublicKey, n, s int) (*encDraws, error) {
+	if rs.pre == nil {
+		return pk.encFactors(nil, rs.random, n, s)
+	}
+	if rs.pre.s != s || rs.pre.pk.N.Cmp(pk.N) != 0 {
+		return nil, fmt.Errorf("paillier: precomputer does not match key/degree s=%d", s)
+	}
+	return rs.pre.pk.encFactors(rs.pre, rs.random, n, s)
+}
+
+// selectRows computes one ⊙ per coefficient row against v with one
+// kernel table set of v mod N^{s+1} for all the rows, fanned across pl:
+// every worker reads the shared tables and writes only its own slot.
+//
+// With rs, every output is also rerandomized, byte-identical to
+// selecting and then calling rerandomizeBatch on the same draws, which
+// are taken serially after validation and before the fan-out. The factor
+// r^{N^s} of an online draw under a public key rides its row's chain:
+// r is one more base, with exponent N^s in that row alone. Pooled and
+// key-holder factors are multiplied in after the chain. It returns how
+// many factors came from rs.pre.
+func (pk *PublicKey) selectRows(ctx context.Context, pl *parallel.Pool, rows [][]*big.Int, v []*Ciphertext, rs *rerandSrc) ([]*Ciphertext, int, error) {
+	out := make([]*Ciphertext, len(rows))
+	if len(rows) == 0 {
+		return out, 0, nil
+	}
+	s, bases, exps, err := pk.dotInputs(rows, v)
+	if err != nil {
+		return nil, 0, err
+	}
+	var factors []*big.Int // ready rerandomizers; nil entries ride the chain
+	pooled := 0
+	if rs != nil {
+		d, err := rs.draws(pk, len(rows), s)
+		if err != nil {
+			return nil, 0, err
+		}
+		pooled = len(d.pool)
+		factors = make([]*big.Int, len(rows))
+		zero, ns := new(big.Int), pk.NS(s)
+		for j := range rows {
+			f, r := d.term(j)
+			if r == nil {
+				factors[j] = f
+				continue
+			}
+			bases = append(bases, r)
+			for k := range exps {
+				e := zero
+				if k == j {
+					e = ns
+				}
+				exps[k] = append(exps[k], e)
+			}
+		}
+	}
+	tb, err := pk.Ctx(s+1).NewTables(bases, exps)
+	if err != nil {
+		return nil, 0, fmt.Errorf("paillier: dot product: %w", err)
+	}
+	err = pl.ForEach(ctx, len(rows), func(j int) error {
+		ct := &Ciphertext{C: tb.Product(j), S: s}
+		mDot.Inc()
+		if rs != nil {
+			if f := factors[j]; f != nil {
+				ct = pk.mulFactor(ct.C, f, s)
+			} else {
+				countEnc(s)
+			}
+			ct = rerandomized(ct)
+		}
+		out[j] = ct
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return out, nil
+	return out, pooled, nil
+}
+
+// DotProductBatch computes one ⊙ per coefficient row against the shared
+// encrypted vector v, in parallel, results in row order. Every row runs
+// against one kernel table set of v.
+func (pk *PublicKey) DotProductBatch(ctx context.Context, pl *parallel.Pool, rows [][]*big.Int, v []*Ciphertext) ([]*Ciphertext, error) {
+	out, _, err := pk.selectRows(ctx, pl, rows, v, nil)
+	return out, err
 }
 
 // MatSelectBatch is MatSelect (⨂, Theorem 3.1) with the independent row
@@ -293,6 +447,19 @@ func (pk *PublicKey) MatSelectBatch(ctx context.Context, pl *parallel.Pool, a []
 	return pk.DotProductBatch(ctx, pl, a, v)
 }
 
+// MatSelectRerandomized is MatSelectBatch with every output rerandomized:
+// pooled factors from pre (nil = none; it must match the key and v's
+// degree) while they last, then online randomness drawn serially from
+// random (nil = crypto/rand). An online factor r^{N^s} rides its row's
+// chain instead of costing an exponentiation of its own. With a seeded
+// reader the outputs are byte-identical to MatSelectBatch followed by
+// RerandomizeBatch, or pre.RerandomizeBatch. It also returns how many
+// factors came from pre.
+func (pk *PublicKey) MatSelectRerandomized(ctx context.Context, pl *parallel.Pool, random io.Reader, pre *Precomputer, a [][]*big.Int, v []*Ciphertext) ([]*Ciphertext, int, error) {
+	mMatSelect.Inc()
+	return pk.selectRows(ctx, pl, a, v, &rerandSrc{random: random, pre: pre})
+}
+
 // LayeredSelectBatch runs the two-phase ε1/ε2 private selection of PPGNN-OPT
 // (paper Section 6) over all m answer rows in parallel. cols is the padded
 // answer matrix given column-major — len(v1)·len(v2) columns of height m —
@@ -300,23 +467,40 @@ func (pk *PublicKey) MatSelectBatch(ctx context.Context, pl *parallel.Pool, a []
 // indicator over len(v2) blocks. For each row, phase 1 selects a column
 // inside every block with v1; phase 2 selects the block with v2, treating
 // the phase-1 ε_1 ciphertexts as ε_2 plaintexts. The result is m ε_2
-// ciphertexts, in row order.
+// ciphertexts, in row order. Phase 1's ω·m products share one table set
+// of v1 and fan out per (row, block); phase 2 fans out per row.
 func (pk *PublicKey) LayeredSelectBatch(ctx context.Context, pl *parallel.Pool, cols [][]*big.Int, v1, v2 []*Ciphertext) ([]*Ciphertext, error) {
+	out, _, err := pk.layeredSelect(ctx, pl, cols, v1, v2, nil)
+	return out, err
+}
+
+// LayeredSelectRerandomized is LayeredSelectBatch with every output
+// rerandomized, drawn as MatSelectRerandomized draws them: an online
+// factor r^{N²} is one more term of its row's phase-2 chain, whose
+// exponents — the phase-1 ciphertexts — are as wide as N². With a seeded
+// reader the outputs are byte-identical to LayeredSelectBatch followed
+// by RerandomizeBatch, or pre.RerandomizeBatch. It also returns how many
+// factors came from pre.
+func (pk *PublicKey) LayeredSelectRerandomized(ctx context.Context, pl *parallel.Pool, random io.Reader, pre *Precomputer, cols [][]*big.Int, v1, v2 []*Ciphertext) ([]*Ciphertext, int, error) {
+	return pk.layeredSelect(ctx, pl, cols, v1, v2, &rerandSrc{random: random, pre: pre})
+}
+
+func (pk *PublicKey) layeredSelect(ctx context.Context, pl *parallel.Pool, cols [][]*big.Int, v1, v2 []*Ciphertext, rs *rerandSrc) ([]*Ciphertext, int, error) {
 	omega, width := len(v2), len(v1)
 	if omega == 0 || width == 0 {
-		return nil, errors.New("paillier: empty selection indicator")
+		return nil, 0, errors.New("paillier: empty selection indicator")
 	}
 	if len(cols) != omega*width {
-		return nil, fmt.Errorf("paillier: %d columns for a %d×%d layered selection", len(cols), omega, width)
+		return nil, 0, fmt.Errorf("paillier: %d columns for a %d×%d layered selection", len(cols), omega, width)
 	}
 	for i, c := range v1 {
 		if c == nil || c.S != 1 {
-			return nil, fmt.Errorf("paillier: v1[%d] is not an ε_1 ciphertext", i)
+			return nil, 0, fmt.Errorf("paillier: v1[%d] is not an ε_1 ciphertext", i)
 		}
 	}
 	for i, c := range v2 {
 		if c == nil || c.S != 2 {
-			return nil, fmt.Errorf("paillier: v2[%d] is not an ε_2 ciphertext", i)
+			return nil, 0, fmt.Errorf("paillier: v2[%d] is not an ε_2 ciphertext", i)
 		}
 	}
 	m := 0
@@ -324,35 +508,37 @@ func (pk *PublicKey) LayeredSelectBatch(ctx context.Context, pl *parallel.Pool, 
 		if i == 0 {
 			m = len(col)
 		} else if len(col) != m {
-			return nil, fmt.Errorf("paillier: column %d height %d != %d", i, len(col), m)
+			return nil, 0, fmt.Errorf("paillier: column %d height %d != %d", i, len(col), m)
 		}
 	}
-	pk.warmEnc(2)
-	out := make([]*Ciphertext, m)
-	err := pl.ForEach(ctx, m, func(i int) error {
-		phase1 := make([]*big.Int, omega)
-		row := make([]*big.Int, width)
+	// Phase 1: output i·ω+b is row i's selection inside block b.
+	rows := make([][]*big.Int, m*omega)
+	for i := 0; i < m; i++ {
 		for b := 0; b < omega; b++ {
-			for c := 0; c < width; c++ {
+			row := make([]*big.Int, width)
+			for c := range row {
 				row[c] = cols[b*width+c][i]
 			}
-			ct, err := pk.DotProduct(row, v1)
-			if err != nil {
-				return fmt.Errorf("paillier: phase-1 selection row %d: %w", i, err)
-			}
-			phase1[b] = ct.C
+			rows[i*omega+b] = row
 		}
-		ct, err := pk.DotProduct(phase1, v2)
-		if err != nil {
-			return fmt.Errorf("paillier: phase-2 selection row %d: %w", i, err)
-		}
-		out[i] = ct
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	return out, nil
+	phase1, _, err := pk.selectRows(ctx, pl, rows, v1, nil)
+	if err != nil {
+		return nil, 0, fmt.Errorf("paillier: phase-1 selection: %w", err)
+	}
+	// Phase 2: row i raises v2 to its ω phase-1 ciphertexts.
+	rows = make([][]*big.Int, m)
+	for i := range rows {
+		rows[i] = make([]*big.Int, omega)
+		for b := range rows[i] {
+			rows[i][b] = phase1[i*omega+b].C
+		}
+	}
+	out, pooled, err := pk.selectRows(ctx, pl, rows, v2, rs)
+	if err != nil {
+		return nil, 0, fmt.Errorf("paillier: phase-2 selection: %w", err)
+	}
+	return out, pooled, nil
 }
 
 // PartialDecryptBatch produces this holder's decryption share for every
@@ -447,13 +633,13 @@ func (p *Precomputer) FillCtx(ctx context.Context, pl *parallel.Pool, random io.
 	if n <= 0 {
 		return nil
 	}
-	factor, _, err := p.pk.encFactors(nil, random, n, p.s)
+	d, err := p.pk.encFactors(nil, random, n, p.s)
 	if err != nil {
 		return err
 	}
 	fresh := make([]*big.Int, n)
 	err = pl.ForEach(ctx, n, func(i int) error {
-		fresh[i] = factor(i)
+		fresh[i] = d.factor(i)
 		return nil
 	})
 	if err != nil {

@@ -659,3 +659,122 @@ func TestBatchCancellation(t *testing.T) {
 		t.Fatalf("goroutines leaked: %d before, %d after", before, after)
 	}
 }
+
+// TestSelectRerandomizedMatchesSeparate pins the fused rerandomization:
+// for the layered and the single-phase selection, under a public key
+// (the online factor rides the chain), the key holder (its CRT factor is
+// multiplied in) and a pool shorter than the output (pooled factors
+// first), the fused call under a seeded reader is byte-identical to the
+// selection followed by RerandomizeBatch under the same seed, and counts
+// one rerandomization per output.
+func TestSelectRerandomizedMatchesSeparate(t *testing.T) {
+	k := key(t)
+	pub := NewPublicKey(k.N)
+	ctx := context.Background()
+	const omega, width, m = 2, 3, 4
+	rng := mrand.New(mrand.NewSource(31))
+	cols := make([][]*big.Int, omega*width)
+	for c := range cols {
+		cols[c] = make([]*big.Int, m)
+		for i := range cols[c] {
+			cols[c][i] = big.NewInt(rng.Int63n(1 << 40))
+		}
+	}
+	rows := make([][]*big.Int, m) // the single-phase matrix, row-major
+	for i := range rows {
+		rows[i] = make([]*big.Int, len(cols))
+		for c := range cols {
+			rows[i][c] = cols[c][i]
+		}
+	}
+	indicator := func(n, s int) []*Ciphertext {
+		ms := make([]*big.Int, n)
+		for i := range ms {
+			ms[i] = big.NewInt(int64(i % 2))
+		}
+		cts, err := k.EncryptBatch(ctx, nil, nil, ms, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cts
+	}
+	v, v1, v2 := indicator(len(cols), 1), indicator(width, 1), indicator(omega, 2)
+	// pool returns a fresh precomputer holding the same two factors on
+	// every call, or nil.
+	pool := func(with bool, s int) *Precomputer {
+		if !with {
+			return nil
+		}
+		pre, err := k.NewPrecomputer(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := pre.Fill(mrand.New(mrand.NewSource(int64(32+s))), 2); err != nil {
+			t.Fatal(err)
+		}
+		return pre
+	}
+	rerandomize := func(pk *PublicKey, pre *Precomputer, seed int64, cts []*Ciphertext) []*Ciphertext {
+		random := mrand.New(mrand.NewSource(seed))
+		var out []*Ciphertext
+		var err error
+		if pre != nil {
+			out, _, err = pre.RerandomizeBatch(ctx, nil, random, cts)
+		} else {
+			out, err = pk.RerandomizeBatch(ctx, nil, random, cts)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	for _, c := range []struct {
+		name   string
+		pk     *PublicKey
+		pooled bool
+	}{{"public", pub, false}, {"key holder", &k.PublicKey, false}, {"pooled", pub, true}} {
+		for _, workers := range []int{1, 4} {
+			pl := parallel.New(workers)
+			seed := int64(40 + workers)
+			sel, err := c.pk.LayeredSelectBatch(ctx, pl, cols, v1, v2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := rerandomize(c.pk, pool(c.pooled, 2), seed, sel)
+			r0 := mRerandomize.Value()
+			got, pooled, err := c.pk.LayeredSelectRerandomized(ctx, pl, mrand.New(mrand.NewSource(seed)), pool(c.pooled, 2), cols, v1, v2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := mRerandomize.Value() - r0; n != m {
+				t.Fatalf("%s layered: counted %d rerandomizations, want %d", c.name, n, m)
+			}
+			if c.pooled != (pooled == 2) {
+				t.Fatalf("%s layered: %d pooled factors", c.name, pooled)
+			}
+			for i := range want {
+				if got[i].S != 2 || got[i].C.Cmp(want[i].C) != 0 || got[i].C.Cmp(sel[i].C) == 0 {
+					t.Fatalf("%s layered workers=%d row %d: fused output differs from select-then-rerandomize", c.name, workers, i)
+				}
+			}
+
+			sel, err = c.pk.MatSelectBatch(ctx, pl, rows, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = rerandomize(c.pk, pool(c.pooled, 1), seed, sel)
+			got, _, err = c.pk.MatSelectRerandomized(ctx, pl, mrand.New(mrand.NewSource(seed)), pool(c.pooled, 1), rows, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				if got[i].S != 1 || got[i].C.Cmp(want[i].C) != 0 || got[i].C.Cmp(sel[i].C) == 0 {
+					t.Fatalf("%s single-phase workers=%d row %d: fused output differs from select-then-rerandomize", c.name, workers, i)
+				}
+			}
+		}
+	}
+	if _, _, err := pub.MatSelectRerandomized(ctx, nil, nil, pool(true, 2), rows, v); err == nil {
+		t.Fatal("a degree-2 pool rerandomized degree-1 outputs")
+	}
+}

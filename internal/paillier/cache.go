@@ -76,7 +76,7 @@ func (ec *EncCache) EncryptBatch(ctx context.Context, pl *parallel.Pool, random 
 	if pre != nil && (pre.pk != pk || pre.s != s) {
 		return nil, 0, fmt.Errorf("paillier: precomputer does not match key/degree s=%d", s)
 	}
-	factor, pooled, err := pk.encFactors(pre, random, len(ms), s)
+	d, err := pk.encFactors(pre, random, len(ms), s)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -104,13 +104,11 @@ func (ec *EncCache) EncryptBatch(ctx context.Context, pl *parallel.Pool, random 
 			// Fused rerandomization of the stored ciphertext: the fresh
 			// factor is an enc(0), so the product encrypts the same
 			// plaintext under fresh uniform randomness.
-			out[i] = pk.mulFactor(base, factor(i), s)
+			out[i] = rerandomized(pk.mulFactor(base, d.factor(i), s))
 			mCacheHit.Inc()
-			mRerandomize.Inc()
-			mAdd.Inc()
 			return nil
 		}
-		out[i] = pk.encryptWith(ms[i], factor(i), s)
+		out[i] = pk.encryptWith(ms[i], d.factor(i), s)
 		mCacheMiss.Inc()
 		return nil
 	})
@@ -143,5 +141,5 @@ func (ec *EncCache) EncryptBatch(ctx context.Context, pl *parallel.Pool, random 
 		delete(ec.entries, oldK)
 	}
 	ec.mu.Unlock()
-	return out, pooled, nil
+	return out, len(d.pool), nil
 }

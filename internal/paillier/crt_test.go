@@ -7,7 +7,105 @@ import (
 	"math/big"
 	mrand "math/rand"
 	"testing"
+
+	"ppgnn/internal/parallel"
 )
+
+// The λ-path decryption, kept as the oracle of the per-prime one:
+// c^λ = (1+N)^{λ·m} mod N^{s+1} (computed per CRT half), its log to base
+// 1+N, and λ⁻¹ mod N^s.
+func (sk *PrivateKey) decryptLambda(c *Ciphertext) (*big.Int, error) {
+	x, err := sk.logOnePlusN(sk.expLambdaCRT(c.C, c.S), c.S)
+	if err != nil {
+		return nil, err
+	}
+	x.Mul(x, sk.invLambda(c.S))
+	return x.Mod(x, sk.NS(c.S)), nil
+}
+
+// expLambdaCRT computes c^λ mod N^{s+1} via the factorization.
+func (sk *PrivateKey) expLambdaCRT(c *big.Int, s int) *big.Int {
+	ctx := sk.crt(s)
+	up := ctx.pCtx.Exp(new(big.Int).Mod(c, ctx.pCtx.M), sk.lambda)
+	uq := ctx.qCtx.Exp(new(big.Int).Mod(c, ctx.qCtx.M), sk.lambda)
+	return ctx.combine(up, uq)
+}
+
+// invLambda returns λ⁻¹ mod N^s.
+func (sk *PrivateKey) invLambda(s int) *big.Int {
+	return new(big.Int).ModInverse(sk.lambda, sk.NS(s))
+}
+
+// TestDecryptMatchesLambdaOracle decrypts random units of Z*_{N^{s+1}} —
+// every unit encrypts some plaintext — per prime and through the λ
+// oracle, for s = 1..3, and checks that a value sharing a factor with N
+// is rejected on both paths.
+func TestDecryptMatchesLambdaOracle(t *testing.T) {
+	k := key(t)
+	rng := mrand.New(mrand.NewSource(47))
+	for s := 1; s <= 3; s++ {
+		mod := k.NS(s + 1)
+		for trial := 0; trial < 8; trial++ {
+			c := new(big.Int).Rand(rng, mod)
+			if new(big.Int).GCD(nil, nil, c, k.N).Cmp(one) != 0 {
+				continue
+			}
+			ct := &Ciphertext{C: c, S: s}
+			got, err := k.Decrypt(ct)
+			if err != nil {
+				t.Fatalf("s=%d: %v", s, err)
+			}
+			want, err := k.decryptLambda(ct)
+			if err != nil {
+				t.Fatalf("s=%d oracle: %v", s, err)
+			}
+			if got.Cmp(want) != 0 {
+				t.Fatalf("s=%d: per-prime decryption %v, λ oracle %v", s, got, want)
+			}
+		}
+		for _, f := range []*big.Int{k.P, k.Q} {
+			ct := &Ciphertext{C: new(big.Int).Mul(f, big.NewInt(int64(2+rng.Intn(1000)))), S: s}
+			if _, err := k.Decrypt(ct); err == nil {
+				t.Fatalf("s=%d: a multiple of a prime factor decrypted", s)
+			}
+			if _, err := k.decryptLambda(ct); err == nil {
+				t.Fatalf("s=%d: the λ oracle decrypted a multiple of a prime factor", s)
+			}
+		}
+	}
+}
+
+// FuzzDecryptCRT cross-checks the per-prime decryption against the λ
+// oracle on fuzz-chosen units and degrees under one fixed key.
+func FuzzDecryptCRT(f *testing.F) {
+	k, err := GenerateKey(mrand.New(mrand.NewSource(48)), 128)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add([]byte{2}, uint8(1))
+	f.Add([]byte{0xff, 0x13, 0x77, 0x01}, uint8(2))
+	f.Add([]byte{1}, uint8(3))
+	f.Fuzz(func(t *testing.T, cBytes []byte, deg uint8) {
+		s := 1 + int(deg)%3
+		c := new(big.Int).SetBytes(cBytes)
+		c.Mod(c, k.NS(s+1))
+		if new(big.Int).GCD(nil, nil, c, k.N).Cmp(one) != 0 {
+			t.Skip()
+		}
+		ct := &Ciphertext{C: c, S: s}
+		got, err := k.Decrypt(ct)
+		if err != nil {
+			t.Fatalf("s=%d: %v", s, err)
+		}
+		want, err := k.decryptLambda(ct)
+		if err != nil {
+			t.Fatalf("s=%d oracle: %v", s, err)
+		}
+		if got.Cmp(want) != 0 {
+			t.Fatalf("s=%d c=%v: per-prime %v, λ oracle %v", s, c, got, want)
+		}
+	})
+}
 
 // The CRT-accelerated c^λ must agree with the direct exponentiation for
 // every degree.
@@ -366,4 +464,98 @@ func BenchmarkHomomorphicDot1024(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// optBenchKey is the 2048-bit key of the OPT benchmarks, generated once.
+var optBenchKey *PrivateKey
+
+func optKey(b *testing.B) *PrivateKey {
+	if optBenchKey == nil {
+		optBenchKey = benchKey(b, 2048)
+	}
+	return optBenchKey
+}
+
+// BenchmarkOPTSelect times the LSP's PPGNN-OPT selection at 2048-bit keys
+// and the opt_2048_nas shape — ω = 7 blocks of 15 candidates, one answer
+// row of 1100-bit integers — with the answer rerandomized: "fused" is
+// LayeredSelectRerandomized, "separate" the selection followed by
+// RerandomizeBatch. Both run under the LSP's public view of the key.
+func BenchmarkOPTSelect(b *testing.B) {
+	k := optKey(b)
+	pub := NewPublicKey(k.N)
+	ctx := context.Background()
+	const omega, width = 7, 15
+	rng := mrand.New(mrand.NewSource(49))
+	cols := make([][]*big.Int, omega*width)
+	for c := range cols {
+		cols[c] = []*big.Int{new(big.Int).Rand(rng, new(big.Int).Lsh(one, 1100))}
+	}
+	indicator := func(n, s int) []*Ciphertext {
+		ms := make([]*big.Int, n)
+		for i := range ms {
+			ms[i] = new(big.Int)
+		}
+		ms[n/2] = big.NewInt(1)
+		cts, err := k.EncryptBatch(ctx, nil, nil, ms, s)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return cts
+	}
+	v1, v2 := indicator(width, 1), indicator(omega, 2)
+	serial := parallel.New(1)
+	b.Run("fused", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, _, err := pub.LayeredSelectRerandomized(ctx, serial, nil, nil, cols, v1, v2); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("separate", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			cts, err := pub.LayeredSelectBatch(ctx, serial, cols, v1, v2)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := pub.RerandomizeBatch(ctx, serial, nil, cts); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkDecryptLayered times the key holder's unwrap of one OPT answer
+// integer, [[ [a] ]] at 2048-bit keys: per prime ("crt", what
+// DecryptLayered runs) against the λ oracle ("lambda").
+func BenchmarkDecryptLayered(b *testing.B) {
+	k := optKey(b)
+	inner, err := k.Encrypt(nil, big.NewInt(123456789), 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	outer, err := k.Encrypt(nil, inner.C, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	k.warmDec(2)
+	k.warmDec(1)
+	b.Run("crt", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := k.DecryptLayered(outer, 2); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("lambda", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			c, err := k.decryptLambda(outer)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := k.decryptLambda(&Ciphertext{C: c, S: 1}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -23,6 +23,7 @@
 package paillier
 
 import (
+	"context"
 	"crypto/rand"
 	"errors"
 	"fmt"
@@ -33,6 +34,7 @@ import (
 	"time"
 
 	"ppgnn/internal/modmath"
+	"ppgnn/internal/parallel"
 )
 
 var one = big.NewInt(1)
@@ -63,14 +65,12 @@ type PublicKey struct {
 type PrivateKey struct {
 	PublicKey
 	P, Q   *big.Int
-	lambda *big.Int // lcm(p-1, q-1)
+	lambda *big.Int // lcm(p-1, q-1); decryption runs per prime (crt.go)
 	// gp and gq generate Z*_p and Z*_q (prime.go); pm1 = p−1 and
 	// phi = (p−1)(q−1) split and bound the encryption draws (crt.go).
 	gp, gq   *big.Int
 	pm1, phi *big.Int
 
-	mu     sync.Mutex
-	invLam []*big.Int // invLam[s] = lambda^{-1} mod N^s
 	// crtCtxs[s] is the degree-s CRT context (crt.go), built once and
 	// read lock-free like PublicKey.ctxs.
 	crtCtxs [MaxS + 1]atomic.Pointer[crtCtx]
@@ -112,8 +112,8 @@ func GenerateKey(random io.Reader, bits int) (*PrivateKey, error) {
 		phi := new(big.Int).Mul(pm1, qm1)
 		gcd := new(big.Int).GCD(nil, nil, pm1, qm1)
 		lambda := new(big.Int).Div(phi, gcd)
-		// Decryption requires lambda invertible mod N^s, and the CRT
-		// factors' uniformity needs q ∤ p−1 and p ∤ q−1: both are
+		// Per-prime decryption of every unit and the CRT factors'
+		// uniformity (crt.go) need q ∤ p−1 and p ∤ q−1: both are
 		// gcd(lambda, N) = 1.
 		if new(big.Int).GCD(nil, nil, lambda, n).Cmp(one) != 0 {
 			continue
@@ -352,32 +352,11 @@ func (pk *PublicKey) MulPlain(x *big.Int, c *Ciphertext) *Ciphertext {
 // multi-exponentiation, sharing one squaring chain across all δ' terms;
 // the result is byte-identical to the reference per-term loop.
 func (pk *PublicKey) DotProduct(xs []*big.Int, cs []*Ciphertext) (*Ciphertext, error) {
-	if len(xs) != len(cs) {
-		return nil, fmt.Errorf("paillier: dot product length mismatch %d vs %d", len(xs), len(cs))
+	s, bases, exps, err := pk.dotInputs([][]*big.Int{xs}, cs)
+	if err != nil {
+		return nil, err
 	}
-	if len(cs) == 0 {
-		return nil, errors.New("paillier: dot product of empty vectors")
-	}
-	s := cs[0].S
-	ctx := pk.Ctx(s + 1)
-	ns := pk.NS(s)
-	bases := make([]*big.Int, 0, len(cs))
-	exps := make([]*big.Int, 0, len(cs))
-	for i, c := range cs {
-		if c.S != s {
-			return nil, fmt.Errorf("paillier: mixed ciphertext degrees in dot product")
-		}
-		if xs[i].Sign() == 0 {
-			continue
-		}
-		e := xs[i]
-		if e.Sign() < 0 {
-			e = new(big.Int).Mod(e, ns)
-		}
-		bases = append(bases, c.C)
-		exps = append(exps, e)
-	}
-	acc, err := ctx.MultiExp(bases, exps)
+	acc, err := pk.Ctx(s+1).MultiExp(bases, exps[0])
 	if err != nil {
 		return nil, fmt.Errorf("paillier: dot product: %w", err)
 	}
@@ -389,23 +368,17 @@ func (pk *PublicKey) DotProduct(xs []*big.Int, cs []*Ciphertext) (*Ciphertext, e
 // 3.1: A is an m×d plaintext matrix given row-major (A[i] is row i) and v an
 // encrypted column vector of length d; the result is the encrypted m-vector
 // A·v. When v is an indicator vector this privately selects a column of A.
+// It is MatSelectBatch on a one-wide pool: the rows share one table set
+// of v and run in order.
 func (pk *PublicKey) MatSelect(a [][]*big.Int, v []*Ciphertext) ([]*Ciphertext, error) {
-	mMatSelect.Inc()
-	out := make([]*Ciphertext, len(a))
-	for i, row := range a {
-		c, err := pk.DotProduct(row, v)
-		if err != nil {
-			return nil, fmt.Errorf("paillier: row %d: %w", i, err)
-		}
-		out[i] = c
-	}
-	return out, nil
+	return pk.MatSelectBatch(context.Background(), parallel.New(1), a, v)
 }
 
-// Decrypt recovers the plaintext of c. The Damgård–Jurik decryption first
-// removes the randomness with the Carmichael exponent λ — c^λ =
-// (1+N)^{λ·m} mod N^{s+1} — then extracts the discrete log of base 1+N and
-// divides by λ mod N^s.
+// Decrypt recovers the plaintext of c. The Damgård–Jurik decryption
+// removes the randomness with an exponent that kills its order and then
+// extracts a discrete log; the key holder does both per prime (crt.go):
+// c^{p−1} mod p^{s+1} and c^{q−1} mod q^{s+1}, logs to bases 1+p and
+// 1+q, and the CRT of m mod p^s and m mod q^s.
 func (sk *PrivateKey) Decrypt(c *Ciphertext) (*big.Int, error) {
 	if c.S < 1 || c.S > MaxS {
 		return nil, fmt.Errorf("paillier: ciphertext degree %d out of range", c.S)
@@ -416,15 +389,7 @@ func (sk *PrivateKey) Decrypt(c *Ciphertext) (*big.Int, error) {
 	}
 	defer observeDecrypt(mDecryptCRT, time.Now())
 	countDec(c.S)
-	// c^λ via CRT over the factorization — the expensive step.
-	u := sk.expLambdaCRT(c.C, c.S)
-	x, err := sk.logOnePlusN(u, c.S)
-	if err != nil {
-		return nil, err
-	}
-	x.Mul(x, sk.invLambda(c.S))
-	x.Mod(x, sk.NS(c.S))
-	return x, nil
+	return sk.decryptCRT(c.C, c.S)
 }
 
 // DecryptLayered peels off `layers` nested encryptions: the innermost
@@ -452,59 +417,11 @@ func (sk *PrivateKey) DecryptLayered(c *Ciphertext, layers int) (*big.Int, error
 	panic("unreachable")
 }
 
-// invLambda returns λ^{-1} mod N^s, cached per degree.
-func (sk *PrivateKey) invLambda(s int) *big.Int {
-	sk.mu.Lock()
-	defer sk.mu.Unlock()
-	for len(sk.invLam) <= s {
-		sk.invLam = append(sk.invLam, nil)
-	}
-	if sk.invLam[s] == nil {
-		inv := new(big.Int).ModInverse(sk.lambda, sk.NS(s))
-		if inv == nil {
-			panic("paillier: lambda not invertible mod N^s")
-		}
-		sk.invLam[s] = inv
-	}
-	return sk.invLam[s]
-}
-
-// logOnePlusN computes x such that u = (1+N)^x mod N^{s+1}, x in [0, N^s).
-// This is the iterative algorithm from Damgård–Jurik (PKC 2001, Section
-// 4.2). It needs only public information, which is what lets threshold
-// share combination (threshold.go) run without the private key.
+// logOnePlusN computes x such that u = (1+N)^x mod N^{s+1}, x in [0, N^s)
+// (dlog, crt.go). It needs only public information, which is what lets
+// threshold share combination (threshold.go) run without the private key.
 func (pk *PublicKey) logOnePlusN(u *big.Int, s int) (*big.Int, error) {
-	n := pk.N
-	x := new(big.Int)
-	t1 := new(big.Int)
-	t2 := new(big.Int)
-	tmp := new(big.Int)
-	for j := 1; j <= s; j++ {
-		nj := pk.NS(j)
-		// t1 = L(u mod N^{j+1}) where L(v) = (v-1)/N; exact by construction.
-		t1.Mod(u, pk.NS(j+1))
-		t1.Sub(t1, one)
-		if new(big.Int).Mod(t1, n).Sign() != 0 {
-			return nil, errors.New("paillier: decryption failed (invalid ciphertext)")
-		}
-		t1.Div(t1, n)
-		t2.Set(x)
-		xk := new(big.Int).Set(x) // running x - (k-1)
-		for k := 2; k <= j; k++ {
-			xk.Sub(xk, one)
-			t2.Mul(t2, xk)
-			t2.Mod(t2, nj)
-			// t1 -= t2 * N^{k-1} / k!  (mod N^j)
-			tmp.Mul(t2, pk.NS(k-1))
-			tmp.Mod(tmp, nj)
-			tmp.Mul(tmp, pk.invFactorial(k))
-			tmp.Mod(tmp, nj)
-			t1.Sub(t1, tmp)
-			t1.Mod(t1, nj)
-		}
-		x.Set(t1)
-	}
-	return x, nil
+	return dlog(u, s, pk.NS, pk.invFactorial)
 }
 
 // CiphertextByteLen returns the serialized size in bytes of a degree-s

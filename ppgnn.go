@@ -107,8 +107,8 @@ func NewServer(pois []POI, space Rect) *Server { return core.NewLSP(pois, space)
 type Group = core.Group
 
 // NewGroup validates parameters, solves the partition-parameter program
-// (Eqn 7–10), and generates the coordinator's key pair. A nil rng seeds
-// from the current time.
+// (Eqn 7–10), and generates the coordinator's key pair. A nil rng draws
+// from a ChaCha8 stream keyed from OS entropy.
 func NewGroup(p Params, locations []Point, rng *rand.Rand) (*Group, error) {
 	return core.NewGroup(p, locations, rng)
 }
@@ -258,13 +258,3 @@ var ErrBadContribution = core.ErrBadContribution
 
 // MemberServer exposes a GroupMember on a TCP address.
 type MemberServer = transport.MemberServer
-
-// ServeMember exposes a member on a TCP address; dial it with
-// DialGroupMember. Close it to stop serving.
-func ServeMember(m *GroupMember, addr string) (*MemberServer, error) {
-	srv := transport.NewMemberServer(m)
-	if _, err := srv.Listen(addr); err != nil {
-		return nil, err
-	}
-	return srv, nil
-}

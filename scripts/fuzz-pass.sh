@@ -10,7 +10,7 @@ cd "$(dirname "$0")/.."
 fuzztime=${FUZZTIME:-15s}
 pkgs=("$@")
 if [ ${#pkgs[@]} -eq 0 ]; then
-  pkgs=(./internal/core ./internal/wire ./internal/modmath ./internal/svc ./internal/parallel ./internal/sanitize ./internal/stats ./internal/encode ./internal/gnn)
+  pkgs=(./internal/core ./internal/wire ./internal/modmath ./internal/paillier ./internal/svc ./internal/parallel ./internal/sanitize ./internal/stats ./internal/encode ./internal/gnn)
 fi
 
 for pkg in "${pkgs[@]}"; do
