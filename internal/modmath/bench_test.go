@@ -106,36 +106,60 @@ func BenchmarkMultiExpShapes(b *testing.B) {
 	}
 }
 
-// BenchmarkFixedBaseExp times one comb exponentiation at the shapes the
-// key holder's CRT halves run: an exponent as wide as the prime, mod
-// p^{s+1}, at the 7, 6 and 5 rows fixedBaseTableBytes gives them.
+// BenchmarkFixedBaseExp times one CRT half of a key holder's batch of
+// encryption factors at the protocol's batch shapes: an exponent as wide
+// as the prime, mod p^{s+1}, B times per op. "key" runs them on the
+// long-lived comb of fixedBaseTableBytes; "batch" builds the comb the
+// cost model picks for B uses within windowTableBytes and runs them on
+// it, build included. Batch builds it only where it wins, so at ×7 the
+// production path is "key".
 func BenchmarkFixedBaseExp(b *testing.B) {
 	for _, c := range []struct {
 		name             string
 		modBits, expBits int
+		uses             int
 	}{
-		{"p2_1024/h=7", 1024, 512},
-		{"p2_2048/h=6", 2048, 1024},
-		{"p3_3072/h=5", 3072, 1024},
+		{"p2_1024/B=101", 1024, 512, 101},
+		{"p2_2048/B=15", 2048, 1024, 15},
+		{"p3_3072/B=7", 3072, 1024, 7},
 	} {
-		b.Run(c.name, func(b *testing.B) {
-			rng := mrand.New(mrand.NewSource(8))
-			m := randBelow(rng, new(big.Int).Lsh(big.NewInt(1), uint(c.modBits)))
-			m.SetBit(m, c.modBits-1, 1)
-			m.SetBit(m, 0, 1)
-			ctx := MustCtx(m)
-			f, err := ctx.NewFixedBase(randBelow(rng, m), c.expBits)
-			if err != nil {
-				b.Fatal(err)
-			}
-			e := randBelow(rng, new(big.Int).Lsh(big.NewInt(1), uint(c.expBits)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				f.Exp(e)
-			}
-		})
+		rng := mrand.New(mrand.NewSource(8))
+		m := randBelow(rng, new(big.Int).Lsh(big.NewInt(1), uint(c.modBits)))
+		m.SetBit(m, c.modBits-1, 1)
+		m.SetBit(m, 0, 1)
+		ctx := MustCtx(m)
+		f, err := ctx.NewFixedBase(randBelow(rng, m), c.expBits)
+		if err != nil {
+			b.Fatal(err)
+		}
+		exps := make([]*big.Int, c.uses)
+		for i := range exps {
+			exps[i] = randBelow(rng, new(big.Int).Lsh(big.NewInt(1), uint(c.expBits)))
+		}
+		for _, comb := range []struct {
+			name string
+			make func() *FixedBase
+		}{
+			{"key", func() *FixedBase { return f }},
+			{"batch", func() *FixedBase {
+				l := chooseComb(len(ctx.mw), c.expBits, c.uses, windowTableBytes)
+				return ctx.buildComb(ctx.newScratch(), f.entry(0, 1), c.expBits, l)
+			}},
+		} {
+			b.Run(c.name+"/"+comb.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					fb := comb.make()
+					for _, e := range exps {
+						fixedSink = fb.Exp(e)
+					}
+				}
+			})
+		}
 	}
 }
+
+// fixedSink keeps BenchmarkFixedBaseExp's results live.
+var fixedSink *big.Int
 
 func BenchmarkFixedBaseColdExp(b *testing.B) {
 	rng := mrand.New(mrand.NewSource(8))

@@ -28,7 +28,7 @@ type tableKind int
 
 const (
 	tableWindow    tableKind = iota // per-call Straus odd-power tables
-	tableFixedBase                  // long-lived fixed-base comb tables
+	tableFixedBase                  // fixed-base combs: a key's long-lived ones and per-batch ones (FixedBase.Batch)
 )
 
 // timeTableBuild counts one table build and returns a closure that

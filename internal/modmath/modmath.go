@@ -16,10 +16,12 @@
 //     selections, whose rows all raise the same indicator ciphertexts.
 //     MultiExp is its one-vector case and Exp its one-term case, so the
 //     package has a single chain.
-//   - FixedBase: a Lim–Lee comb with a precomputed table, for bases
-//     reused across many exponentiations: the key holder's encryption
-//     factors, one generator per CRT half. Every exponent costs the same
-//     number of products.
+//   - FixedBase: a Lim–Lee comb of h rows and v precomputed tables, for
+//     bases reused across many exponentiations: the key holder's
+//     encryption factors, one generator per CRT half. One cost model
+//     sizes the key's long-lived comb and, through Batch, a wider comb a
+//     batch builds for itself when that saves products. Every exponent
+//     costs the same number of products.
 //
 // The chain and the comb multiply Montgomery residues and reduce with
 // REDC over math/big's assembly word primitives (montgomery.go,

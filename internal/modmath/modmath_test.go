@@ -187,19 +187,20 @@ func TestFixedBaseMatchesExp(t *testing.T) {
 }
 
 // TestFixedBaseConstantWork pins the comb's clock-free promise: every
-// in-range exponent costs the same number of Montgomery products, 0 and
+// in-range exponent costs the same b(v+1)−2 Montgomery products, 0 and
 // all-ones alike, so the count reveals nothing of a secret exponent. It
-// also pins the row count that fixedBaseTableBytes gives each CRT half
-// of the protocol's keys.
+// also pins the layout the cost model gives the long-lived comb of each
+// CRT half of the protocol's keys, and checks the batch combs Batch
+// builds at their batch sizes.
 func TestFixedBaseConstantWork(t *testing.T) {
 	rng := mrand.New(mrand.NewSource(6))
 	for _, c := range []struct {
-		modBits, expBits, rows int
+		modBits, expBits, h, v, uses int
 	}{
-		{1024, 512, 7},  // p² for a 512-bit p: 1024-bit keys, s = 1
-		{2048, 1024, 6}, // p² for a 1024-bit p: 2048-bit keys, s = 1
-		{3072, 1024, 5}, // p³ for a 1024-bit p: 2048-bit keys, s = 2
-		{128, 61, 10},   // a small key's half: the comb covers few columns
+		{1024, 512, 6, 2, 101}, // p² for a 512-bit p: 1024-bit keys, s = 1
+		{2048, 1024, 5, 2, 15}, // p² for a 1024-bit p: 2048-bit keys, s = 1
+		{3072, 1024, 4, 2, 7},  // p³ for a 1024-bit p: 2048-bit keys, s = 2
+		{128, 61, 8, 4, 101},   // a small key's half: maxBits no multiple of h
 	} {
 		m := randBelow(rng, new(big.Int).Lsh(big.NewInt(1), uint(c.modBits)))
 		m.SetBit(m, c.modBits-1, 1)
@@ -210,9 +211,9 @@ func TestFixedBaseConstantWork(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if f.h != c.rows || f.h*f.cols < c.expBits {
-			t.Fatalf("%d-bit modulus: comb of %d rows × %d columns, want %d rows covering %d bits",
-				c.modBits, f.h, f.cols, c.rows, c.expBits)
+		if f.h != c.h || f.v != c.v || f.h*f.v*f.b < c.expBits {
+			t.Fatalf("%d-bit modulus: comb of %d rows × %d tables × %d columns, want %d × %d covering %d bits",
+				c.modBits, f.h, f.v, f.b, c.h, c.v, c.expBits)
 		}
 		bound := new(big.Int).Lsh(big.NewInt(1), uint(c.expBits))
 		exps := []*big.Int{
@@ -222,19 +223,90 @@ func TestFixedBaseConstantWork(t *testing.T) {
 			randBelow(rng, bound),
 			randBelow(rng, bound),
 		}
-		want := -1
-		for _, e := range exps {
-			s := ctx.newScratch()
-			got := s.leave(f.comb(s, e))
-			if ref := new(big.Int).Exp(g, e, m); got.Cmp(ref) != 0 {
-				t.Fatalf("%d-bit modulus: comb(%v) = %v, want %v", c.modBits, e, got, ref)
+		for _, fb := range []*FixedBase{f, f.Batch(c.uses)} {
+			want := fb.b*(fb.v+1) - 2
+			for _, e := range exps {
+				s := ctx.newScratch()
+				got := s.leave(fb.comb(s, e))
+				if ref := new(big.Int).Exp(g, e, m); got.Cmp(ref) != 0 {
+					t.Fatalf("%d-bit modulus, %+v: comb(%v) = %v, want %v", c.modBits, fb.combLayout, e, got, ref)
+				}
+				if s.products != want || want != fb.expProducts() {
+					t.Fatalf("%d-bit modulus, %+v: e=%x took %d products, want %d for every exponent",
+						c.modBits, fb.combLayout, e, s.products, want)
+				}
 			}
-			if want < 0 {
-				want = s.products
+		}
+	}
+}
+
+// TestFixedBaseBatchProducts counts, clock-free, the Montgomery products
+// one CRT half spends on a batch of B factors at the protocol's batch
+// shapes: the batch comb's build plus B exponentiations when Batch builds
+// one, else B exponentiations on the long-lived comb. The bounds are the
+// counts of the cost model's layouts; the one-table comb of
+// fixedBaseTableBytes spent 14,746, 5,100 and 2,856. Below each shape's
+// switch Batch must return the long-lived comb itself, and no batch size
+// may cost more than the long-lived comb would.
+func TestFixedBaseBatchProducts(t *testing.T) {
+	rng := mrand.New(mrand.NewSource(9))
+	for _, c := range []struct {
+		name              string
+		modBits, expBits  int
+		uses, maxProducts int
+		batchComb         bool
+		switchAt          int // least batch size Batch builds a comb for
+	}{
+		{"1024-bit key p² ×101", 1024, 512, 101, 9400, true, 29},
+		{"2048-bit key p² ×15", 2048, 1024, 15, 4250, true, 12},
+		{"2048-bit key p³ ×7", 3072, 1024, 7, 2700, false, 8},
+	} {
+		m := randBelow(rng, new(big.Int).Lsh(big.NewInt(1), uint(c.modBits)))
+		m.SetBit(m, c.modBits-1, 1)
+		m.SetBit(m, 0, 1)
+		ctx := MustCtx(m)
+		g := randBelow(rng, m)
+		f, err := ctx.NewFixedBase(g, c.expBits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := ctx.newScratch()
+		fb := f
+		if l, ok := f.batchLayout(c.uses); ok {
+			fb = ctx.buildComb(s, f.entry(0, 1), c.expBits, l)
+			if s.products != l.buildProducts() {
+				t.Fatalf("%s: build took %d products, the model says %d", c.name, s.products, l.buildProducts())
 			}
-			if s.products != want || want != 2*(f.cols-1) {
-				t.Fatalf("%d-bit modulus: e=%x took %d products, want %d for every exponent",
-					c.modBits, e, s.products, 2*(f.cols-1))
+		}
+		if (fb != f) != c.batchComb {
+			t.Fatalf("%s: batch comb built = %v, want %v", c.name, fb != f, c.batchComb)
+		}
+		bound := new(big.Int).Lsh(big.NewInt(1), uint(c.expBits))
+		for i := 0; i < c.uses; i++ {
+			e := randBelow(rng, bound)
+			got := s.leave(fb.comb(s, e))
+			if i < 3 {
+				if want := new(big.Int).Exp(g, e, m); got.Cmp(want) != 0 {
+					t.Fatalf("%s: factor %d = %v, want %v", c.name, i, got, want)
+				}
+			}
+		}
+		t.Logf("%s: %+v, %d products (long-lived comb %+v: %d)",
+			c.name, fb.combLayout, s.products, f.combLayout, c.uses*f.expProducts())
+		if s.products > c.maxProducts {
+			t.Fatalf("%s: %d products, want at most %d", c.name, s.products, c.maxProducts)
+		}
+		for uses := 1; uses <= 200; uses++ {
+			l, ok := f.batchLayout(uses)
+			if ok != (uses >= c.switchAt) {
+				t.Fatalf("%s: batch comb at B=%d is %v, want it from B=%d on", c.name, uses, ok, c.switchAt)
+			}
+			if ok && l.cost(uses) >= uses*f.expProducts() {
+				t.Fatalf("%s: B=%d batch comb costs %d products, the long-lived comb %d",
+					c.name, uses, l.cost(uses), uses*f.expProducts())
+			}
+			if !ok && f.Batch(uses) != f {
+				t.Fatalf("%s: B=%d built a batch comb below the switch", c.name, uses)
 			}
 		}
 	}
@@ -322,6 +394,44 @@ func FuzzMultiExp(f *testing.F) {
 		}
 		if got.Cmp(want) != 0 {
 			t.Fatalf("MultiExp=%v want %v (m=%v bases=%v exps=%v)", got, want, m, bases, exps)
+		}
+	})
+}
+
+// FuzzFixedBase cross-checks the comb against big.Int.Exp on a
+// fuzz-chosen odd modulus, base, maxBits and batch size: the long-lived
+// comb and the one Batch picks for uses exponentiations, at exponents 0,
+// 2^maxBits−1 and a fuzz-chosen one cut to maxBits bits. maxBits is
+// often no multiple of the comb's rows or row width.
+func FuzzFixedBase(f *testing.F) {
+	f.Add([]byte{0xc5, 0x3b}, []byte{7}, []byte{0xff, 0x01}, uint16(61), uint16(101))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xfb}, []byte{2}, []byte{}, uint16(512), uint16(7))
+	f.Add([]byte{35}, []byte{34}, []byte{0x12, 0x34, 0x56}, uint16(1), uint16(1))
+	f.Add([]byte{0x80, 0, 0, 0, 0, 0, 0, 0, 0, 1}, []byte{3, 1, 4, 1, 5}, []byte{0xaa}, uint16(77), uint16(300))
+	f.Fuzz(func(t *testing.T, modBytes, baseBytes, expBytes []byte, maxBits, uses uint16) {
+		m := new(big.Int).SetBytes(modBytes)
+		m.SetBit(m, 0, 1) // the kernel takes odd moduli only
+		if m.Cmp(big.NewInt(3)) < 0 || m.BitLen() > 1024 {
+			t.Skip()
+		}
+		bitsN := 1 + int(maxBits)%600
+		n := 1 + int(uses)%300
+		g := new(big.Int).SetBytes(baseBytes)
+		fb, err := MustCtx(m).NewFixedBase(g, bitsN)
+		if err != nil {
+			t.Fatal(err)
+		}
+		top := new(big.Int).Lsh(big.NewInt(1), uint(bitsN))
+		e := new(big.Int).SetBytes(expBytes)
+		e.Mod(e, top)
+		exps := []*big.Int{new(big.Int), top.Sub(top, big.NewInt(1)), e}
+		for _, comb := range []*FixedBase{fb, fb.Batch(n)} {
+			for _, e := range exps {
+				if got, want := comb.Exp(e), new(big.Int).Exp(g, e, m); got.Cmp(want) != 0 {
+					t.Fatalf("m=%v g=%v maxBits=%d comb %+v: Exp(%v) = %v, want %v",
+						m, g, bitsN, comb.combLayout, e, got, want)
+				}
+			}
 		}
 	})
 }

@@ -56,7 +56,9 @@ var errNilElement = errors.New("paillier: nil element in batch")
 // the one way every batch encryption, rerandomization and pool fill gets
 // its randomness. Pooled factors come first, popped from pre (nil = no
 // pool) in one LIFO takeN; the rest are drawn from random serially in
-// index order, before any fan-out.
+// index order, before any fan-out. For the key holder it then readies
+// the combs of the online draws (encCombs), so the fan-out only reads
+// them.
 func (pk *PublicKey) encFactors(pre *Precomputer, random io.Reader, n, s int) (*encDraws, error) {
 	d := &encDraws{pk: pk, s: s, counted: pre != nil}
 	if pre != nil {
@@ -72,6 +74,9 @@ func (pk *PublicKey) encFactors(pre *Precomputer, random io.Reader, n, s int) (*
 		}
 	}
 	pk.warmEnc(s)
+	if pk.sk != nil && len(d.drawn) > 0 {
+		d.combs = pk.sk.encCombs(s, len(d.drawn))
+	}
 	return d, nil
 }
 
@@ -85,6 +90,7 @@ type encDraws struct {
 	counted bool // a pool was consulted: count every factor by source
 	pool    []*big.Int
 	drawn   []*big.Int
+	combs   factorCombs // the key holder's combs for the online draws
 }
 
 // term returns factor i either ready, as f, or as the unit r whose power
@@ -102,7 +108,7 @@ func (d *encDraws) term(i int) (f, r *big.Int) {
 	}
 	rv := d.drawn[i-len(d.pool)]
 	if d.pk.sk != nil {
-		return d.pk.encFactor(rv, d.s), nil
+		return d.pk.sk.combFactor(d.combs, rv), nil
 	}
 	return nil, rv
 }

@@ -18,6 +18,11 @@ import (
 // to a twentieth of r^{N^s}: its moduli and exponents are half as wide,
 // and each half is a fixed-base comb (modmath.FixedBase) instead of a
 // variable-base exponentiation (see BenchmarkEncFactor in the tests).
+// The key keeps one comb per half and degree within 16 KB; a batch of
+// factors large enough to repay a wider comb (29 at 1024-bit keys and
+// s = 1, 12 at 2048-bit keys) builds one after its draws, up to 1 MiB,
+// and drops it when the batch returns (encCombs). Both read table
+// entries indexed by secret exponent bits (SECURITY.md).
 //
 // The encryption factor is not the same value as r^{N^s}, but it has the
 // same distribution (DESIGN.md §5). The N^s-th residues of Z*_{N^{s+1}}
@@ -243,11 +248,29 @@ func dlog(u *big.Int, s int, pow, invfac func(int) *big.Int) (*big.Int, error) {
 	return x, nil
 }
 
-// combFactor computes the encryption factor for a draw x ∈
-// [0, (p−1)(q−1)): CRT(G_p^{x mod (p−1)}, G_q^{⌊x/(p−1)⌋}), uniform on H
-// for uniform x. Both combs cost the same for every exponent.
-func (sk *PrivateKey) combFactor(x *big.Int, s int) *big.Int {
+// factorCombs is the pair of combs, of G_p and G_q at one degree, that a
+// set of encryption factors runs on: the key's cached pair, or a pair
+// built for one batch (encCombs).
+type factorCombs struct {
+	ctx    *crtCtx
+	gp, gq *modmath.FixedBase
+}
+
+// encCombs returns the combs n degree-s factors are cheapest on: in each
+// half the cached comb, or a wider comb built for the batch when its
+// build plus n exponentiations costs fewer products
+// (modmath.FixedBase.Batch). A batch comb lives as long as the returned
+// value; the key keeps only the cached pair.
+func (sk *PrivateKey) encCombs(s, n int) factorCombs {
 	ctx := sk.crt(s)
+	return factorCombs{ctx: ctx, gp: ctx.gp.Batch(n), gq: ctx.gq.Batch(n)}
+}
+
+// combFactor computes the encryption factor for a draw x ∈
+// [0, (p−1)(q−1)) on the combs c: CRT(G_p^{x mod (p−1)}, G_q^{⌊x/(p−1)⌋}),
+// uniform on H for uniform x. Any comb gives the same value, and each
+// spends the same products on every exponent.
+func (sk *PrivateKey) combFactor(c factorCombs, x *big.Int) *big.Int {
 	b, a := new(big.Int).QuoRem(x, sk.pm1, new(big.Int))
-	return ctx.combine(ctx.gp.Exp(a), ctx.gq.Exp(b))
+	return c.ctx.combine(c.gp.Exp(a), c.gq.Exp(b))
 }

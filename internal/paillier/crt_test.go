@@ -174,7 +174,7 @@ func TestCombFactorInH(t *testing.T) {
 				if x.Sign() < 0 || x.Cmp(k.phi) >= 0 {
 					t.Fatalf("%d-bit: draw %v outside [0, (p−1)(q−1))", bits, x)
 				}
-				f := k.combFactor(x, s)
+				f := k.combFactor(k.encCombs(s, 1), x)
 				if f.Sign() <= 0 || f.Cmp(mod) >= 0 {
 					t.Fatalf("%d-bit s=%d: factor outside [1, N^{s+1})", bits, s)
 				}
@@ -262,6 +262,110 @@ func TestEncFactorPaths(t *testing.T) {
 			}
 			if c.pk.encFactor(r, s).Cmp(c.pk.Ctx(s+1).Exp(r, c.pk.NS(s))) != 0 {
 				t.Fatalf("%s s=%d: factor left r^{N^s}", c.name, s)
+			}
+		}
+	}
+}
+
+// TestBatchFactorsExact checks the key holder's batch factors value for
+// value: under a seeded reader, every factor that EncryptBatch,
+// RerandomizeBatch, Precomputer.FillCtx and EncCache.EncryptBatch make
+// for B ∈ {1, 7, 16, 101} at pool widths 1 and 4 must equal
+// CRT(G_p^a, G_q^b) for the reader's draws, recomputed with big.Int.Exp.
+// At 1024-bit keys the batch sizes fall on both sides of the batch comb's
+// switch (29 factors at s = 1, 16 at s = 2), so both the cached combs and
+// the batch combs are checked.
+func TestBatchFactorsExact(t *testing.T) {
+	k, err := GenerateKey(mrand.New(mrand.NewSource(46)), 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	const seed = 47
+	for s := 1; s <= 2; s++ {
+		sBig := big.NewInt(int64(s))
+		pPow := new(big.Int).Exp(k.P, big.NewInt(int64(s+1)), nil)
+		qPow := new(big.Int).Exp(k.Q, big.NewInt(int64(s+1)), nil)
+		gP := new(big.Int).Exp(k.gp, new(big.Int).Exp(k.P, sBig, nil), pPow)
+		gQ := new(big.Int).Exp(k.gq, new(big.Int).Exp(k.Q, sBig, nil), qPow)
+		coef := new(big.Int).ModInverse(pPow, qPow)
+		for _, n := range []int{1, 7, 16, 101} {
+			batchComb := n >= 29 || s == 2 && n >= 16
+			d, err := k.encFactors(nil, mrand.New(mrand.NewSource(seed)), n, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c := d.combs; (c.gp != c.ctx.gp) != batchComb || (c.gq != c.ctx.gq) != batchComb {
+				t.Fatalf("s=%d B=%d: batch combs = %v/%v, want %v", s, n, c.gp != c.ctx.gp, c.gq != c.ctx.gq, batchComb)
+			}
+			rng := mrand.New(mrand.NewSource(seed))
+			want := make([]*big.Int, n)
+			for i := range want {
+				x, err := k.drawEncRand(rng)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, a := new(big.Int).QuoRem(x, k.pm1, new(big.Int))
+				fp := new(big.Int).Exp(gP, a, pPow)
+				fq := new(big.Int).Exp(gQ, b, qPow)
+				f := new(big.Int).Sub(fq, fp)
+				f.Mul(f, coef).Mod(f, qPow).Mul(f, pPow).Add(f, fp)
+				want[i] = f
+			}
+			zeros := make([]*big.Int, n)
+			ones := make([]*Ciphertext, n)
+			for i := range zeros {
+				zeros[i] = new(big.Int)
+				ones[i] = &Ciphertext{C: big.NewInt(1), S: s}
+			}
+			cts := func(cs []*Ciphertext, err error) ([]*big.Int, error) {
+				if err != nil {
+					return nil, err
+				}
+				fs := make([]*big.Int, len(cs))
+				for i, c := range cs {
+					fs[i] = c.C
+				}
+				return fs, nil
+			}
+			for _, w := range []int{1, 4} {
+				pl := parallel.New(w)
+				for _, c := range []struct {
+					name    string
+					factors func(rng *mrand.Rand) ([]*big.Int, error)
+				}{
+					{"EncryptBatch", func(rng *mrand.Rand) ([]*big.Int, error) {
+						return cts(k.EncryptBatch(ctx, pl, rng, zeros, s))
+					}},
+					{"RerandomizeBatch", func(rng *mrand.Rand) ([]*big.Int, error) {
+						return cts(k.RerandomizeBatch(ctx, pl, rng, ones))
+					}},
+					{"FillCtx", func(rng *mrand.Rand) ([]*big.Int, error) {
+						pre, err := k.NewPrecomputer(s)
+						if err != nil {
+							return nil, err
+						}
+						if err := pre.FillCtx(ctx, pl, rng, n); err != nil {
+							return nil, err
+						}
+						return pre.pool, nil
+					}},
+					{"EncCache.EncryptBatch", func(rng *mrand.Rand) ([]*big.Int, error) {
+						out, _, err := NewEncCache(n).EncryptBatch(ctx, pl, rng, &k.PublicKey, nil, zeros, s)
+						return cts(out, err)
+					}},
+				} {
+					got, err := c.factors(mrand.New(mrand.NewSource(seed)))
+					if err != nil {
+						t.Fatalf("s=%d B=%d width %d %s: %v", s, n, w, c.name, err)
+					}
+					for i := range want {
+						if got[i].Cmp(want[i]) != 0 {
+							t.Fatalf("s=%d B=%d width %d %s: factor %d differs from CRT(G_p^a, G_q^b)",
+								s, n, w, c.name, i)
+						}
+					}
+				}
 			}
 		}
 	}
@@ -384,30 +488,58 @@ func BenchmarkEncrypt1024(b *testing.B) {
 // factorSink keeps BenchmarkEncFactor's result live.
 var factorSink *big.Int
 
-// BenchmarkEncFactor times one encryption factor on the public path
-// (r^{N^s} mod N^{s+1}, what NewPublicKey and the LSP run) against the key
-// holder's CRT path (one fixed-base comb per half), at 1024 and 2048 bits
-// and s ∈ {1, 2}.
+// BenchmarkEncFactor times a batch of B encryption factors, the shapes
+// the protocol encrypts: PPGNN's δ′ = 101 indicator at 1024-bit keys and
+// PPGNN-OPT's 15 (s = 1) and 7 (s = 2) at 2048-bit keys. "public" is
+// r^{N^s} mod N^{s+1}, what NewPublicKey and the LSP run; "key" is the
+// key holder's CRT path on the key's cached combs; "batch" is what a
+// batch call runs, encCombs's choice for B factors, any comb build
+// included. It reports ns per factor besides ns per batch.
 func BenchmarkEncFactor(b *testing.B) {
-	for _, bits := range []int{1024, 2048} {
-		k := benchKey(b, bits)
-		for s := 1; s <= 2; s++ {
-			for _, c := range []struct {
-				name string
-				pk   *PublicKey
-			}{{"public", NewPublicKey(k.N)}, {"crt", &k.PublicKey}} {
-				b.Run(fmt.Sprintf("%d/s=%d/%s", bits, s, c.name), func(b *testing.B) {
-					r, err := c.pk.drawEncRand(nil)
-					if err != nil {
-						b.Fatal(err)
-					}
-					c.pk.warmEnc(s)
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						factorSink = c.pk.encFactor(r, s)
-					}
-				})
+	for _, c := range []struct{ bits, s, n int }{{1024, 1, 101}, {2048, 1, 15}, {2048, 2, 7}} {
+		k := benchKey(b, c.bits)
+		pub := NewPublicKey(k.N)
+		for _, path := range []struct {
+			name    string
+			factors func(rs []*big.Int)
+		}{
+			{"public", func(rs []*big.Int) {
+				for _, r := range rs {
+					factorSink = pub.encFactor(r, c.s)
+				}
+			}},
+			{"key", func(rs []*big.Int) {
+				ctx := k.crt(c.s)
+				combs := factorCombs{ctx: ctx, gp: ctx.gp, gq: ctx.gq}
+				for _, x := range rs {
+					factorSink = k.combFactor(combs, x)
+				}
+			}},
+			{"batch", func(rs []*big.Int) {
+				combs := k.encCombs(c.s, len(rs))
+				for _, x := range rs {
+					factorSink = k.combFactor(combs, x)
+				}
+			}},
+		} {
+			pk := &k.PublicKey
+			if path.name == "public" {
+				pk = pub
 			}
+			rs := make([]*big.Int, c.n)
+			for i := range rs {
+				var err error
+				if rs[i], err = pk.drawEncRand(nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+			pk.warmEnc(c.s)
+			b.Run(fmt.Sprintf("%d/s=%d/B=%d/%s", c.bits, c.s, c.n, path.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					path.factors(rs)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*c.n), "ns/factor")
+			})
 		}
 	}
 }

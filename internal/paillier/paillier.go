@@ -268,7 +268,7 @@ func (pk *PublicKey) drawEncRand(random io.Reader) (*big.Int, error) {
 // once warmEnc has built the needed tables.
 func (pk *PublicKey) encFactor(rv *big.Int, s int) *big.Int {
 	if pk.sk != nil {
-		return pk.sk.combFactor(rv, s)
+		return pk.sk.combFactor(pk.sk.encCombs(s, 1), rv)
 	}
 	return pk.Ctx(s+1).Exp(rv, pk.NS(s))
 }
