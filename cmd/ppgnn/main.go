@@ -20,7 +20,6 @@
 //	-connect A   query a remote LSP at address A instead of in-process
 //	-tenant T    route -connect sessions to tenant T of a multi-tenant
 //	             LSP (default: the default tenant, no tenant frame)
-//	-pool N      connection-pool size for -connect (default 4)
 //	-retries N   resend attempts after a transient failure (default 3)
 //	-query-timeout D  per-query deadline, retries included (default none)
 //	-dataset F   point file for the in-process LSP
@@ -77,7 +76,6 @@ func main() {
 	variant := flag.String("variant", "opt", "protocol variant: ppgnn|opt|naive")
 	keybits := flag.Int("keybits", 1024, "Paillier modulus size")
 	connect := flag.String("connect", "", "remote LSP address (default: in-process)")
-	poolSize := flag.Int("pool", 4, "connection-pool size for -connect")
 	retries := flag.Int("retries", 3, "resend attempts after a transient failure (-1 = none)")
 	queryTimeout := flag.Duration("query-timeout", 0, "per-query deadline, retries included (0 = none)")
 	datasetPath := flag.String("dataset", "", "point file for the in-process LSP")
@@ -172,7 +170,13 @@ func main() {
 		}
 		links := make([]ppgnn.MemberLink, len(locs)-1)
 		for i, loc := range locs[1:] {
-			m := ppgnn.NewGroupMember(loc, rng)
+			// Each member draws on its own goroutine, so each gets its
+			// own rng derived from the seed.
+			var mrng *rand.Rand
+			if rng != nil {
+				mrng = rand.New(rand.NewSource(*seed + int64(i) + 1))
+			}
+			m := ppgnn.NewGroupMember(loc, mrng)
 			if shares != nil {
 				m.TK, m.Share = coord.TK, shares[i]
 			}
@@ -231,7 +235,6 @@ func main() {
 	var meter ppgnn.Meter
 	if *connect != "" {
 		pool := ppgnn.NewPool(*connect)
-		pool.Size = *poolSize
 		pool.MaxRetries = *retries
 		pool.QueryTimeout = *queryTimeout
 		pool.Tenant = *tenant

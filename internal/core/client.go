@@ -163,7 +163,7 @@ func (g *Group) DecryptAnswer(ans *AnswerMsg, meter *cost.Meter) ([]encode.Recor
 		defer func() { meter.AddTime(cost.Users, time.Since(start)) }()
 		shares := make(map[int][]*big.Int, g.TK.T)
 		for _, ks := range g.Shares[1:g.TK.T] {
-			vec, err := g.partial(ks, degree, cts)
+			vec, err := PartialShares(g.TK, ks, degree, cts)
 			if err != nil {
 				return nil, err
 			}

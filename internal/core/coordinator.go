@@ -429,7 +429,7 @@ func (c *Coordinator) Decrypt(ans *AnswerMsg, size int, meter *cost.Meter,
 		meter.CountOp(fmt.Sprintf("dec%d", ans.Degree), int64(len(ints)))
 	} else {
 		for degree := ans.Degree; degree >= 1; degree-- {
-			own, err := c.partial(c.Share, degree, ints)
+			own, err := PartialShares(c.TK, c.Share, degree, ints)
 			if err != nil {
 				return nil, err
 			}
@@ -483,25 +483,6 @@ func (c *Coordinator) decryptSole(ans *AnswerMsg) ([]*big.Int, error) {
 		return nil, fmt.Errorf("core: decrypting answer: %w", err)
 	}
 	return ints, nil
-}
-
-// partial produces one holder's decryption-share values for a batch of
-// degree-s ciphertexts under the threshold key: the same shape a member
-// returns in a PartialMsg.
-func (c *Coordinator) partial(ks *paillier.KeyShare, degree int, cts []*big.Int) ([]*big.Int, error) {
-	in := make([]*paillier.Ciphertext, len(cts))
-	for i, cv := range cts {
-		in[i] = &paillier.Ciphertext{C: cv, S: degree}
-	}
-	dss, err := c.TK.PartialDecryptBatch(context.Background(), nil, ks, in)
-	if err != nil {
-		return nil, fmt.Errorf("core: partial decryption: %w", err)
-	}
-	out := make([]*big.Int, len(dss))
-	for i, ds := range dss {
-		out[i] = ds.Value
-	}
-	return out, nil
 }
 
 // combine recovers the plaintext of every ciphertext from the collected

@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"strings"
 	"time"
+
+	"ppgnn/internal/obs"
 )
 
 // Transport error classification. A PPGNN query session is idempotent on
@@ -191,6 +193,64 @@ func IsRetryable(err error) bool {
 		return re.transient()
 	}
 	return false
+}
+
+// Outcome maps a session's error to the closed "outcome" label enum. It
+// is the one classifier behind every session-level outcome label (the
+// pool's sessions and trace root, a group session's phase spans, the
+// load driver). The typed taxonomies come first and are found anywhere
+// in an errors.Join retry chain, so a shed behind spent retries still
+// reads busy: quorum_lost, bad_contribution, then a *RemoteError as
+// busy, drain or remote; then the stdlib timeout and canceled; then
+// exhausted when every attempt failed transiently and the retry budget,
+// not the protocol, ended the session; else error.
+func Outcome(err error) string {
+	switch {
+	case err == nil:
+		return "ok"
+	case errors.Is(err, ErrQuorumLost):
+		return "quorum_lost"
+	case errors.Is(err, ErrBadContribution):
+		return "bad_contribution"
+	}
+	var re *RemoteError
+	if errors.As(err, &re) {
+		switch {
+		case IsBusyMessage(re.Msg):
+			return "busy"
+		case IsDrainingMessage(re.Msg):
+			return "drain"
+		}
+		return "remote"
+	}
+	out := obs.Outcome(err)
+	if out == "error" && IsRetryable(err) {
+		return "exhausted"
+	}
+	return out
+}
+
+// Cause maps the error behind one retry or member removal to the closed
+// "cause" label enum: bad_contribution, quorum_lost, a *RemoteError as
+// busy, draining or remote, else obs.Cause's network taxonomy.
+func Cause(err error) string {
+	switch {
+	case errors.Is(err, ErrBadContribution):
+		return "bad_contribution"
+	case errors.Is(err, ErrQuorumLost):
+		return "quorum_lost"
+	}
+	var re *RemoteError
+	if errors.As(err, &re) {
+		switch {
+		case IsBusyMessage(re.Msg):
+			return "busy"
+		case IsDrainingMessage(re.Msg):
+			return "draining"
+		}
+		return "remote"
+	}
+	return obs.Cause(err)
 }
 
 // RetryDelay is the one backoff schedule of both retry loops

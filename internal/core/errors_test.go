@@ -1,10 +1,15 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"testing"
+	"time"
+
+	"ppgnn/internal/obs"
 )
 
 func TestRetryableClassification(t *testing.T) {
@@ -117,5 +122,74 @@ func TestRemoteErrorClassification(t *testing.T) {
 	var re *RemoteError
 	if !errors.As(fatal, &re) || re.Msg == "" {
 		t.Fatal("RemoteError lost its message")
+	}
+}
+
+// joinChain mimics the Pool's terminal error shape: every attempt's
+// error joined, the join wrapped in the "session failed after N
+// attempt(s)" envelope. The taxonomy must classify through it.
+func joinChain(attempts ...error) error {
+	return fmt.Errorf("transport: session failed after %d attempt(s): %w",
+		len(attempts), errors.Join(attempts...))
+}
+
+// TestOutcomeAndCause pins both labels for every error shape the
+// transport, group sessions and the load driver produce — bare errors,
+// typed rejections, and the errors.Join retry chains a Pool hands back
+// after spending its budget. Each expected label must itself sit in its
+// closed enum, so a taxonomy change cannot silently mint an
+// unclassifiable value.
+func TestOutcomeAndCause(t *testing.T) {
+	hinted := &RemoteError{Msg: BusyReply(120 * time.Millisecond)}
+	busy := &RemoteError{Msg: BusyMessage}
+	draining := &RemoteError{Msg: DrainingMessage}
+	dial := &net.OpError{Op: "dial", Net: "tcp", Err: errors.New("connection refused")}
+	read := &net.OpError{Op: "read", Net: "tcp", Err: errors.New("connection reset by peer")}
+	quorum := &QuorumError{Phase: "contribute", Need: 3, Have: 2, Total: 5}
+
+	cases := []struct {
+		name           string
+		err            error
+		outcome, cause string
+	}{
+		{"nil", nil, "ok", obs.OtherValue},
+		{"busy", busy, "busy", "busy"},
+		{"hinted busy", hinted, "busy", "busy"},
+		{"hinted busy, 1s", &RemoteError{Msg: BusyReply(time.Second)}, "busy", "busy"},
+		{"draining", draining, "drain", "draining"},
+		{"remote", &RemoteError{Msg: "query rejected: too many locations"}, "remote", "remote"},
+		{"remote, no tenant", &RemoteError{Msg: "no such tenant"}, "remote", "remote"},
+		{"wrapped busy", fmt.Errorf("attempt 2: %w", busy), "busy", "busy"},
+		{"joined draining", errors.Join(errors.New("x"), draining), "drain", "draining"},
+		{"timeout", context.DeadlineExceeded, "timeout", "timeout"},
+		{"wrapped timeout", fmt.Errorf("t: %w", context.DeadlineExceeded), "timeout", "timeout"},
+		{"canceled", context.Canceled, "canceled", "canceled"},
+		{"opaque", errors.New("boom"), "error", obs.OtherValue},
+		{"quorum", quorum, "quorum_lost", "quorum_lost"},
+		{"wrapped quorum", fmt.Errorf("group: %w", quorum), "quorum_lost", "quorum_lost"},
+		{"bad contribution", &ContributionError{Member: 2, Reason: "set size 7, want 25"}, "bad_contribution", "bad_contribution"},
+		// The retry chains: a typed cause buried under transient attempts
+		// and the envelope wins; only an all-transient chain is exhausted.
+		{"join ends busy", joinChain(Retryable(errors.New("dial tcp: refused")), hinted), "busy", "busy"},
+		{"join ends drain", joinChain(hinted, draining), "busy", "busy"}, // errors.As finds the first
+		{"busy behind retries", errors.Join(Retryable(errors.New("reset")), busy), "busy", "busy"},
+		{"hinted busy behind spent retries", joinChain(Retryable(dial), Retryable(read), hinted), "busy", "busy"},
+		{"join all opaque", joinChain(errors.New("a"), errors.New("b")), "error", obs.OtherValue},
+		{"join with timeout", joinChain(errors.New("a"), fmt.Errorf("attempt: %w", context.DeadlineExceeded)), "timeout", "timeout"},
+		{"deadline mid-backoff", joinChain(Retryable(dial), Retryable(context.DeadlineExceeded)), "timeout", "timeout"},
+		{"retry exhausted", fmt.Errorf("after 4 attempts: %w",
+			errors.Join(Retryable(errors.New("dial refused")), Retryable(errors.New("reset")))), "exhausted", obs.OtherValue},
+		{"network failures exhausted", joinChain(Retryable(dial), Retryable(read)), "exhausted", "dial"},
+	}
+	for _, c := range cases {
+		if got := Outcome(c.err); got != c.outcome {
+			t.Errorf("%s: Outcome = %q, want %q", c.name, got, c.outcome)
+		}
+		if got := Cause(c.err); got != c.cause {
+			t.Errorf("%s: Cause = %q, want %q", c.name, got, c.cause)
+		}
+		if !obs.AllowedValues("outcome", c.outcome) || !obs.AllowedValues("cause", c.cause) {
+			t.Errorf("%s: expected labels %q/%q are not in the closed enums", c.name, c.outcome, c.cause)
+		}
 	}
 }

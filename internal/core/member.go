@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/big"
 
@@ -213,6 +214,26 @@ func UnmarshalPartialRequest(b []byte) (*PartialRequest, error) {
 		return nil, fmt.Errorf("core: decoding partial request ciphertexts: %w", err)
 	}
 	return p, nil
+}
+
+// PartialShares produces one holder's decryption-share values for a
+// batch of degree-s ciphertexts under the threshold key, fanned across
+// the process-default worker pool: the Shares of the PartialMsg a member
+// returns, and the vector a coordinator computes for its own key share.
+func PartialShares(tk *paillier.ThresholdKey, ks *paillier.KeyShare, degree int, cts []*big.Int) ([]*big.Int, error) {
+	in := make([]*paillier.Ciphertext, len(cts))
+	for i, cv := range cts {
+		in[i] = &paillier.Ciphertext{C: cv, S: degree}
+	}
+	dss, err := tk.PartialDecryptBatch(context.Background(), nil, ks, in)
+	if err != nil {
+		return nil, fmt.Errorf("core: partial decryption: %w", err)
+	}
+	out := make([]*big.Int, len(dss))
+	for i, ds := range dss {
+		out[i] = ds.Value
+	}
+	return out, nil
 }
 
 // PartialMsg is one member's decryption shares for a PartialRequest:

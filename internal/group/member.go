@@ -2,7 +2,6 @@ package group
 
 import (
 	"fmt"
-	"math/big"
 	"math/rand"
 	"sync"
 
@@ -197,13 +196,9 @@ func (m *Member) partial(payload []byte) (byte, []byte, error) {
 	if b, ok := ss.replies[memberReplyKey{round: req.Round, kind: core.FramePartial}]; ok {
 		return core.FramePartial, b, nil
 	}
-	shares := make([]*big.Int, len(req.Cts))
-	for i, ct := range req.Cts {
-		ds, err := m.TK.PartialDecrypt(m.Share, &paillier.Ciphertext{C: ct, S: req.Degree})
-		if err != nil {
-			return core.FrameError, []byte(fmt.Sprintf("group: partial decryption of element %d: %v", i, err)), nil
-		}
-		shares[i] = ds.Value
+	shares, err := core.PartialShares(m.TK, m.Share, req.Degree, req.Cts)
+	if err != nil {
+		return core.FrameError, []byte(err.Error()), nil
 	}
 	msg := &core.PartialMsg{
 		Session: req.Session, Round: req.Round,

@@ -2,11 +2,13 @@ package group
 
 import (
 	"bytes"
+	"math/big"
 	"math/rand"
 	"testing"
 
 	"ppgnn/internal/core"
 	"ppgnn/internal/geo"
+	"ppgnn/internal/paillier"
 )
 
 func contribReq(session uint64, round, setSize int) []byte {
@@ -101,5 +103,54 @@ func TestMemberCacheIdempotentAndLRU(t *testing.T) {
 	m.mu.Unlock()
 	if !hot {
 		t.Fatal("recently used session was evicted")
+	}
+}
+
+// TestMemberPartialMatchesCoordinator: the shares a member returns for a
+// PartialRequest are the vector the coordinator side computes for the
+// same key share and ciphertexts, and each is that element's
+// PartialDecrypt.
+func TestMemberPartialMatchesCoordinator(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	tk, shares, err := paillier.GenerateThresholdKey(rng, 128, 3, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const degree = 2
+	cts := make([]*big.Int, 5)
+	for i := range cts {
+		ct, err := tk.EncryptInt64(rng, int64(100+i), degree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cts[i] = ct.C
+	}
+	m := NewMember(geo.Point{X: 0.5, Y: 0.5}, nil, rand.New(rand.NewSource(4)))
+	m.TK, m.Share = tk, shares[1]
+	req := &core.PartialRequest{Session: 9, Degree: degree, KeyBytes: (tk.N.BitLen() + 7) / 8, Cts: cts}
+	typ, payload, err := m.Handle(core.FramePartialReq, req.Marshal())
+	if err != nil || typ != core.FramePartial {
+		t.Fatalf("member reply %d (%s), %v", typ, payload, err)
+	}
+	pm, err := core.UnmarshalPartial(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := core.PartialShares(tk, shares[1], degree, cts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pm.Index != shares[1].Index || len(pm.Shares) != len(want) {
+		t.Fatalf("member sent %d shares under index %d, want %d under %d",
+			len(pm.Shares), pm.Index, len(want), shares[1].Index)
+	}
+	for i, s := range pm.Shares {
+		ds, err := tk.PartialDecrypt(shares[1], &paillier.Ciphertext{C: cts[i], S: degree})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Cmp(want[i]) != 0 || s.Cmp(ds.Value) != 0 {
+			t.Fatalf("share %d: member %v, coordinator %v, PartialDecrypt %v", i, s, want[i], ds.Value)
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package group
 
 import (
-	"errors"
 	"time"
 
 	"ppgnn/internal/core"
@@ -11,46 +10,6 @@ import (
 // Telemetry for group sessions. Every label value below comes from a
 // closed enum in internal/obs — roster ids, session ids, and error
 // strings never become labels (DESIGN.md §9).
-
-// groupOutcome maps a session-level error to the closed "outcome" enum,
-// recognising the group and transport taxonomies before falling back to
-// the stdlib mapping.
-func groupOutcome(err error) string {
-	if err == nil {
-		return "ok"
-	}
-	if errors.Is(err, core.ErrQuorumLost) {
-		return "quorum_lost"
-	}
-	if errors.Is(err, core.ErrBadContribution) {
-		return "bad_contribution"
-	}
-	var re *core.RemoteError
-	if errors.As(err, &re) {
-		switch re.Msg {
-		case core.BusyMessage:
-			return "busy"
-		case core.DrainingMessage:
-			return "drain"
-		}
-		return "remote"
-	}
-	return obs.Outcome(err)
-}
-
-// dropCause maps a member-removal reason to the closed "cause" enum.
-// Equivocation is counted where it is detected (staleVerdict), so here a
-// bad contribution is just "bad_contribution"; transport-level reasons
-// fall through to obs.Cause.
-func dropCause(err error) string {
-	if errors.Is(err, core.ErrBadContribution) {
-		return "bad_contribution"
-	}
-	if errors.Is(err, core.ErrQuorumLost) {
-		return "quorum_lost"
-	}
-	return obs.Cause(err)
-}
 
 // countRound records one finished contribution or decryption round.
 func (s *Session) countRound(kind string, start time.Time) {

@@ -2,6 +2,7 @@ package group_test
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"net"
 	"testing"
@@ -157,5 +158,54 @@ func TestSoakTelemetry(t *testing.T) {
 	}
 	if got := snap.Counter("ppgnn_phase_total", obs.L("phase", "session"), obs.L("outcome", "ok")); got != 1 {
 		t.Errorf("session ok total = %d, want 1", got)
+	}
+}
+
+// shedAdmitter sheds every session it is asked to admit, with a
+// retry-after hint.
+type shedAdmitter struct{ retryAfter time.Duration }
+
+func (a shedAdmitter) Admit(string) (*transport.SessionGrant, error) {
+	return nil, &transport.BusyError{RetryAfter: a.retryAfter, Reason: "overload"}
+}
+
+// TestSessionQueryShedIsBusy: a session whose LSP sheds it with the
+// hinted busy reply a real server sends records its query phase as
+// "busy", the label the pool gives the same shed.
+func TestSessionQueryShedIsBusy(t *testing.T) {
+	r := newSoakRig(t)
+	links := r.startMembers(t, 700, nil, nil)
+	srv := transport.NewServer(r.lsp)
+	srv.Admitter = shedAdmitter{retryAfter: 50 * time.Millisecond}
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	pool := transport.NewPool(addr.String())
+	pool.MaxRetries = -1
+	defer pool.Close()
+
+	reg := obs.NewRegistry()
+	cfg := soakConfig(701)
+	cfg.Obs = reg
+	s, err := group.NewSession(r.coord, links, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	_, err = s.Run(ctx, pool)
+	var re *core.RemoteError
+	if !errors.As(err, &re) || !core.IsBusyMessage(re.Msg) {
+		t.Fatalf("session err = %v, want a busy shed", err)
+	}
+	query := obs.L("phase", "query")
+	snap := reg.Snapshot()
+	if got := snap.Counter("ppgnn_phase_total", query, obs.L("outcome", "busy")); got != 1 {
+		t.Errorf("ppgnn_phase_total{phase=query,outcome=busy} = %d, want 1", got)
+	}
+	if got := snap.Counter("ppgnn_phase_total", query, obs.L("outcome", "remote")); got != 0 {
+		t.Errorf("ppgnn_phase_total{phase=query,outcome=remote} = %d, want 0", got)
 	}
 }

@@ -252,7 +252,7 @@ func (s *Session) drop(id int, err error) {
 	}
 	delete(s.alive, id)
 	s.ejected[id] = err
-	s.reg.Counter("group_dropouts_total", obs.L("cause", dropCause(err))).Inc()
+	s.reg.Counter("group_dropouts_total", obs.L("cause", core.Cause(err))).Inc()
 	s.logf("group: member %d removed: %v", id, err)
 }
 
@@ -285,7 +285,7 @@ func (s *Session) Run(ctx context.Context, svc core.Service) (out *Outcome, err 
 	tr := s.reg.Recorder().Start("session")
 	s.trace = tr
 	sess := s.reg.StartSpan("session").Attach(tr.Root())
-	defer func() { sess.End(groupOutcome(err)) }()
+	defer func() { sess.End(core.Outcome(err)) }()
 
 	s.phase = PhaseCollect
 	s.collectNode = tr.Root().Child("collect")
@@ -294,7 +294,7 @@ func (s *Session) Run(ctx context.Context, svc core.Service) (out *Outcome, err 
 	plan, locs, contributors, err := s.collect(ctx)
 	s.curSpan = nil
 	s.collectNode = nil
-	sp.End(groupOutcome(err))
+	sp.End(core.Outcome(err))
 	if err != nil {
 		s.phase = PhaseFailed
 		return s.outcome(nil, nil, s.round), err
@@ -306,12 +306,12 @@ func (s *Session) Run(ctx context.Context, svc core.Service) (out *Outcome, err 
 	qsp := s.reg.StartSpan("query").Attach(qnode)
 	qm, err := s.coord.BuildQuery(plan, s.cfg.Meter)
 	if err != nil {
-		qsp.End(groupOutcome(err))
+		qsp.End(core.Outcome(err))
 		s.phase = PhaseFailed
 		return s.outcome(nil, contributors, rounds), err
 	}
 	ans, perr := core.RoundTrip(svc, tr.Context(qnode), qm, locs, s.cfg.Meter)
-	qsp.End(groupOutcome(perr))
+	qsp.End(core.Outcome(perr))
 	if perr != nil {
 		s.phase = PhaseFailed
 		err = perr
@@ -327,7 +327,7 @@ func (s *Session) Run(ctx context.Context, svc core.Service) (out *Outcome, err 
 		return s.partialRound(ctx, degree, cts)
 	})
 	s.curSpan = nil
-	dsp.End(groupOutcome(err))
+	dsp.End(core.Outcome(err))
 	if err != nil {
 		s.phase = PhaseFailed
 		return s.outcome(nil, contributors, rounds), err

@@ -23,7 +23,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -249,7 +248,13 @@ func (d *Driver) fire(ctx context.Context, arrival int64, agg *stageAgg, infligh
 
 // complete records one finished query under its arrival's stage.
 func (d *Driver) complete(agg *stageAgg, elapsed time.Duration, err error) {
-	outcome := Classify(err)
+	// An oracle disagreement is the one failure only the driver can see;
+	// every other result takes the shared session taxonomy.
+	outcome := core.Outcome(err)
+	var mm *MismatchError
+	if errors.As(err, &mm) {
+		outcome = "mismatch"
+	}
 	agg.done.Add(1)
 	if err == nil {
 		agg.ok.Add(1)
@@ -264,46 +269,6 @@ func (d *Driver) complete(agg *stageAgg, elapsed time.Duration, err error) {
 	agg.mu.Unlock()
 	d.reg.Counter("load_sessions_total", obs.L("stage", agg.name), obs.L("outcome", outcome)).Inc()
 	agg.hist.Observe(elapsed.Seconds())
-}
-
-// Classify maps one query's result onto the closed error taxonomy of the
-// obs outcome enum: ok, mismatch (oracle disagreement), busy (server
-// shed), drain (server draining), quorum_lost, timeout, canceled,
-// exhausted (transient faults outlived the retry budget), remote
-// (protocol-fatal server rejection), error (everything else).
-func Classify(err error) string {
-	if err == nil {
-		return "ok"
-	}
-	var mm *MismatchError
-	if errors.As(err, &mm) {
-		return "mismatch"
-	}
-	if errors.Is(err, core.ErrQuorumLost) {
-		return "quorum_lost"
-	}
-	var re *core.RemoteError
-	if errors.As(err, &re) {
-		switch {
-		case core.IsBusyMessage(re.Msg):
-			return "busy"
-		case core.IsDrainingMessage(re.Msg):
-			return "drain"
-		default:
-			return "remote"
-		}
-	}
-	switch {
-	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, os.ErrDeadlineExceeded):
-		return "timeout"
-	case errors.Is(err, context.Canceled):
-		return "canceled"
-	case core.IsRetryable(err):
-		// Every attempt failed transiently and the pool gave up: the
-		// retry budget, not the protocol, ended this session.
-		return "exhausted"
-	}
-	return "error"
 }
 
 // report freezes the run.

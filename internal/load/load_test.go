@@ -43,37 +43,34 @@ func TestScheduleDeterministic(t *testing.T) {
 	}
 }
 
+// TestClassify pins the driver's one classification of its own: an
+// oracle disagreement, bare or wrapped, even beside a typed shed, is
+// "mismatch" in the stage outcomes and the oracle counter; every other
+// result takes core.Outcome (tabled in internal/core).
 func TestClassify(t *testing.T) {
-	cases := []struct {
-		name string
-		err  error
-		want string
-	}{
-		{"nil", nil, "ok"},
-		{"mismatch", &MismatchError{Group: 1, Rank: 0}, "mismatch"},
-		{"wrapped mismatch", fmt.Errorf("q: %w", &MismatchError{Rank: -1}), "mismatch"},
-		{"busy", &core.RemoteError{Msg: core.BusyMessage}, "busy"},
-		{"draining", &core.RemoteError{Msg: core.DrainingMessage}, "drain"},
-		{"remote fatal", &core.RemoteError{Msg: "bad query"}, "remote"},
-		{"quorum", &core.QuorumError{Phase: "contribute", Need: 3, Have: 2, Total: 5}, "quorum_lost"},
-		{"deadline", fmt.Errorf("t: %w", context.DeadlineExceeded), "timeout"},
-		{"canceled", context.Canceled, "canceled"},
-		{"retry exhausted", fmt.Errorf("after 4 attempts: %w",
-			errors.Join(core.Retryable(errors.New("dial refused")), core.Retryable(errors.New("reset")))), "exhausted"},
-		{"plain", errors.New("boom"), "error"},
-		// The pool's real shape: a busy rejection behind two transient
-		// attempts — the typed RemoteError must win over "exhausted".
-		{"busy behind retries", errors.Join(
-			core.Retryable(errors.New("reset")),
-			&core.RemoteError{Msg: core.BusyMessage}), "busy"},
+	reg := obs.NewRegistry()
+	d, err := NewDriver(Config{Rate: 1, Measure: time.Second, Obs: reg}, &blockingRunner{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, c := range cases {
-		if got := Classify(c.err); got != c.want {
-			t.Errorf("%s: Classify = %q, want %q", c.name, got, c.want)
+	agg := d.stages[1]
+	for name, err := range map[string]error{
+		"bare":          &MismatchError{Group: 1, Rank: 0},
+		"wrapped":       fmt.Errorf("q: %w", &MismatchError{Rank: -1}),
+		"beside a shed": errors.Join(&core.RemoteError{Msg: core.BusyMessage}, &MismatchError{Rank: 2}),
+	} {
+		before := agg.outcomes["mismatch"]
+		d.complete(agg, time.Millisecond, err)
+		if agg.outcomes["mismatch"] != before+1 {
+			t.Errorf("%s: outcomes = %v, want one more mismatch", name, agg.outcomes)
 		}
-		if c.want != "ok" && !obs.AllowedValues("outcome", c.want) {
-			t.Errorf("%s: %q is not in the outcome enum", c.name, c.want)
-		}
+	}
+	d.complete(agg, time.Millisecond, &core.RemoteError{Msg: core.BusyMessage})
+	if agg.outcomes["busy"] != 1 {
+		t.Errorf("a shed without a mismatch: outcomes = %v, want one busy", agg.outcomes)
+	}
+	if got := reg.Snapshot().Counter("load_oracle_total", obs.L("verdict", "mismatch")); got != 3 {
+		t.Errorf("load_oracle_total{verdict=mismatch} = %d, want 3", got)
 	}
 }
 

@@ -245,10 +245,10 @@ func AllowedValues(key, value string) bool {
 }
 
 // Cause classifies an error into the closed "cause" enum using only
-// stdlib error taxonomy. Packages with richer taxonomies (core's
-// RemoteError, QuorumError, ContributionError) map those themselves and
-// fall back to this for plain network errors. Cause never returns the
-// error text: the enum is the entire vocabulary.
+// stdlib error taxonomy. core.Cause maps core's typed errors
+// (RemoteError, QuorumError, ContributionError) and falls back to this
+// for plain network errors. Cause never returns the error text: the
+// enum is the entire vocabulary.
 func Cause(err error) string {
 	switch {
 	case err == nil:
@@ -278,7 +278,7 @@ func Cause(err error) string {
 
 // Outcome maps an error to the closed "outcome" enum: nil is "ok",
 // deadline and cancellation are distinguished, everything else is
-// "error". Packages with richer taxonomies refine before falling back.
+// "error". core.Outcome refines this with core's typed errors.
 func Outcome(err error) string {
 	switch {
 	case err == nil:

@@ -30,7 +30,7 @@ func genPrime(random io.Reader, b int) (p, g *big.Int, factors []*big.Int, err e
 	lo := new(big.Int).Lsh(big.NewInt(3), uint(b-2)) // 3·2^{b−2}
 	hi := new(big.Int).Lsh(one, uint(b))
 	for {
-		pp, err := rand.Prime(random, b-1-rBits)
+		pp, err := randPrime(random, b-1-rBits)
 		if err != nil {
 			return nil, nil, nil, fmt.Errorf("paillier: drawing p′: %w", err)
 		}
@@ -75,6 +75,25 @@ func genPrime(random io.Reader, b int) (p, g *big.Int, factors []*big.Int, err e
 				factors := append([]*big.Int{big.NewInt(2), pp}, smallPrimeFactors(r)...)
 				return cand, generator(cand, factors), factors, nil
 			}
+		}
+	}
+}
+
+// randPrime returns a random prime of exactly bits ≥ 2 bits with its two
+// top bits set, as crypto/rand.Prime does. Unlike rand.Prime, which may
+// read one extra byte at random, it reads the same bytes every time from
+// the same reader, so a seeded reader gives the same key twice.
+func randPrime(random io.Reader, bits int) (*big.Int, error) {
+	buf := make([]byte, (bits+7)/8)
+	p := new(big.Int)
+	for {
+		if _, err := io.ReadFull(random, buf); err != nil {
+			return nil, err
+		}
+		p.SetBytes(buf).Rsh(p, uint(8*len(buf)-bits))
+		p.SetBit(p, bits-1, 1).SetBit(p, bits-2, 1).SetBit(p, 0, 1)
+		if p.ProbablyPrime(20) {
+			return p, nil
 		}
 	}
 }

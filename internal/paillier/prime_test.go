@@ -94,3 +94,36 @@ func TestGenerateKeySizes(t *testing.T) {
 		}
 	}
 }
+
+// TestSeededKeygenRepeats: key generation reads its randomness only from
+// the reader it is given, so the same seed gives the same modulus, sole
+// and threshold key alike, and the prime draw keeps rand.Prime's shape.
+func TestSeededKeygenRepeats(t *testing.T) {
+	seeded := func() *mrand.Rand { return mrand.New(mrand.NewSource(5)) }
+	var sole, thres *big.Int
+	for i := 0; i < 4; i++ {
+		k, err := GenerateKey(seeded(), 512)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tk, _, err := GenerateThresholdKey(seeded(), 128, 3, 2, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			sole, thres = k.N, tk.N
+		} else if k.N.Cmp(sole) != 0 || tk.N.Cmp(thres) != 0 {
+			t.Fatalf("call %d under seed 5 drew a different modulus", i+1)
+		}
+	}
+	rng := seeded()
+	for _, bits := range []int{2, 3, 8, 9, 17, 64, 255} {
+		p, err := randPrime(rng, bits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.BitLen() != bits || p.Bit(bits-2) != 1 || !p.ProbablyPrime(20) {
+			t.Fatalf("randPrime(%d) = %v: not a %d-bit prime with its top two bits set", bits, p, bits)
+		}
+	}
+}

@@ -130,7 +130,7 @@ func GenerateThresholdKey(random io.Reader, bits, w, t, sMax int) (*ThresholdKey
 func safePrime(random io.Reader, bits int) (p, pPrime *big.Int, err error) {
 	two := big.NewInt(2)
 	for {
-		pp, err := rand.Prime(random, bits-1)
+		pp, err := randPrime(random, bits-1)
 		if err != nil {
 			return nil, nil, fmt.Errorf("paillier: generating safe prime: %w", err)
 		}

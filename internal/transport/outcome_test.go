@@ -19,11 +19,11 @@ func joinChain(attempts ...error) error {
 		len(attempts), errors.Join(attempts...))
 }
 
-// TestSessionOutcomeTaxonomy pins the outcome classification for every
-// shape the transport produces — bare errors, typed rejections, and the
-// errors.Join retry chains the Pool hands back after exhausting its
-// budget. Each expected label must itself sit in the closed enum, so a
-// taxonomy change cannot silently mint an unclassifiable outcome.
+// TestSessionOutcomeTaxonomy pins the outcome label core.Outcome gives
+// every shape the transport produces — bare errors, typed rejections,
+// and the errors.Join retry chains the Pool hands back after exhausting
+// its budget. Each expected label must itself sit in the closed enum, so
+// a taxonomy change cannot silently mint an unclassifiable outcome.
 func TestSessionOutcomeTaxonomy(t *testing.T) {
 	busy := &core.RemoteError{Msg: core.BusyReply(120 * time.Millisecond)}
 	draining := &core.RemoteError{Msg: core.DrainingMessage}
@@ -50,8 +50,8 @@ func TestSessionOutcomeTaxonomy(t *testing.T) {
 		{"join with timeout", joinChain(errors.New("a"), fmt.Errorf("attempt: %w", context.DeadlineExceeded)), "timeout"},
 	}
 	for _, c := range cases {
-		if got := sessionOutcome(c.err); got != c.want {
-			t.Errorf("%s: sessionOutcome = %q, want %q", c.name, got, c.want)
+		if got := core.Outcome(c.err); got != c.want {
+			t.Errorf("%s: core.Outcome = %q, want %q", c.name, got, c.want)
 		} else if !obs.AllowedValues("outcome", c.want) {
 			t.Errorf("%s: expected outcome %q is not in the closed enum", c.name, c.want)
 		}
@@ -59,7 +59,8 @@ func TestSessionOutcomeTaxonomy(t *testing.T) {
 }
 
 // TestCauseLabelTaxonomy does the same for the per-attempt cause labels
-// that feed transport_retries_total and the trace "cause" attribute.
+// core.Cause gives, which feed transport_retries_total and the trace
+// "cause" attribute.
 func TestCauseLabelTaxonomy(t *testing.T) {
 	cases := []struct {
 		name string
@@ -75,8 +76,8 @@ func TestCauseLabelTaxonomy(t *testing.T) {
 		{"opaque", errors.New("boom"), obs.OtherValue},
 	}
 	for _, c := range cases {
-		if got := causeLabel(c.err); got != c.want {
-			t.Errorf("%s: causeLabel = %q, want %q", c.name, got, c.want)
+		if got := core.Cause(c.err); got != c.want {
+			t.Errorf("%s: core.Cause = %q, want %q", c.name, got, c.want)
 		} else if !obs.AllowedValues("cause", c.want) {
 			t.Errorf("%s: expected cause %q is not in the closed enum", c.name, c.want)
 		}
@@ -125,7 +126,7 @@ func TestBusyErrorSurface(t *testing.T) {
 	// Round trip through the wire message the server actually sends.
 	msg := core.BusyReply(be.RetryAfter)
 	re := &core.RemoteError{Msg: msg}
-	if got := sessionOutcome(re); got != "busy" {
+	if got := core.Outcome(re); got != "busy" {
 		t.Errorf("wire round trip classified %q", got)
 	}
 	if d, ok := re.RetryAfter(); !ok || d != be.RetryAfter {

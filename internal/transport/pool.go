@@ -137,7 +137,7 @@ func (p *Pool) Process(q *core.QueryMsg, locs []*core.LocationMsg) (ans *core.An
 	// flight-recorder coverage on both ends: the pool originates its own
 	// head-sampled trace rooted at "query" and propagates it.
 	tr := p.rec.Start("query")
-	defer func() { tr.End(sessionOutcome(err)) }()
+	defer func() { tr.End(core.Outcome(err)) }()
 	return p.processTraced(tr.Context(nil), q, locs)
 }
 
@@ -153,7 +153,7 @@ func (p *Pool) processTraced(tc obs.TraceContext, q *core.QueryMsg, locs []*core
 	p.mInflight.Add(1)
 	defer func() {
 		p.mInflight.Add(-1)
-		p.mSessions(sessionOutcome(err)).Inc()
+		p.mSessions(core.Outcome(err)).Inc()
 	}()
 	ctx := context.Background()
 	if p.QueryTimeout > 0 {
@@ -170,9 +170,10 @@ func (p *Pool) processTraced(tc obs.TraceContext, q *core.QueryMsg, locs []*core
 	for attempt := 0; attempt <= retries; attempt++ {
 		if attempt > 0 {
 			last := attemptErrs[len(attemptErrs)-1]
-			p.mRetries(causeLabel(last)).Inc()
+			cause := core.Cause(last)
+			p.mRetries(cause).Inc()
 			tc.Span.AddRetry()
-			tc.Span.SetAttr("cause", causeLabel(last))
+			tc.Span.SetAttr("cause", cause)
 			// A shed server may suggest how long to stay away; honor the
 			// hint as the backoff floor (clamped to RetryMax).
 			floor, _ := core.RetryAfterHint(last)
@@ -211,38 +212,6 @@ func (p *Pool) processTraced(tc obs.TraceContext, q *core.QueryMsg, locs []*core
 	}
 	return nil, fmt.Errorf("transport: session failed after %d attempt(s): %w",
 		attempts, errors.Join(attemptErrs...))
-}
-
-// sessionOutcome maps a Process result to the closed "outcome" enum.
-func sessionOutcome(err error) string {
-	var re *core.RemoteError
-	if errors.As(err, &re) {
-		switch {
-		case core.IsBusyMessage(re.Msg):
-			return "busy"
-		case core.IsDrainingMessage(re.Msg):
-			return "drain"
-		default:
-			return "remote"
-		}
-	}
-	return obs.Outcome(err)
-}
-
-// causeLabel maps a failed attempt's error to the closed "cause" enum.
-func causeLabel(err error) string {
-	var re *core.RemoteError
-	if errors.As(err, &re) {
-		switch {
-		case core.IsBusyMessage(re.Msg):
-			return "busy"
-		case core.IsDrainingMessage(re.Msg):
-			return "draining"
-		default:
-			return "remote"
-		}
-	}
-	return obs.Cause(err)
 }
 
 // retryDelay computes one attempt's backoff: core.RetryDelay's jittered

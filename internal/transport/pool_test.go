@@ -14,6 +14,7 @@ import (
 	"ppgnn/internal/faultnet"
 	"ppgnn/internal/geo"
 	"ppgnn/internal/gnn"
+	"ppgnn/internal/obs"
 )
 
 // countingDialer wraps a dial function, counting connections dialed.
@@ -131,6 +132,47 @@ func TestPoolGivesUpAfterMaxRetries(t *testing.T) {
 		t.Fatal("pool succeeded against a dead address")
 	} else if !core.IsRetryable(err) {
 		t.Fatalf("exhausted-retries error lost the retryable cause: %v", err)
+	}
+}
+
+// TestPoolExhaustedOutcome: a session whose every dial fails ends on the
+// retry budget, not on the protocol, and says so on the pool's session
+// counter and trace root.
+func TestPoolExhaustedOutcome(t *testing.T) {
+	pool := fastPool("127.0.0.1:1")
+	defer pool.Close()
+	pool.Obs = obs.NewRegistry()
+	pool.MaxRetries = 2
+	pool.DialFunc = faultnet.Dialer(
+		faultnet.Faults{FailDial: true},
+		faultnet.Faults{FailDial: true},
+		faultnet.Faults{FailDial: true},
+	)
+	g, err := core.NewGroup(testParams(2, core.VariantPPGNN),
+		[]geo.Point{{X: 0.1, Y: 0.1}, {X: 0.2, Y: 0.2}}, rand.New(rand.NewSource(14)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, lms, err := g.BuildQuery(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pool.Process(q, lms); !errors.Is(err, faultnet.ErrDialFailed) {
+		t.Fatalf("err = %v, want the injected dial failures", err)
+	}
+	snap := pool.Obs.Snapshot()
+	if got := snap.Counter("transport_sessions_total", obs.L("outcome", "exhausted")); got != 1 {
+		t.Errorf("transport_sessions_total{outcome=exhausted} = %d, want 1", got)
+	}
+	if got := snap.Counter("transport_sessions_total", obs.L("outcome", "error")); got != 0 {
+		t.Errorf("transport_sessions_total{outcome=error} = %d, want 0", got)
+	}
+	traces := pool.Obs.Recorder().Snapshot()
+	if len(traces) != 1 {
+		t.Fatalf("%d traces retained, want 1", len(traces))
+	}
+	if got := traces[0].Root.Outcome; got != "exhausted" {
+		t.Errorf("trace root outcome = %q, want exhausted", got)
 	}
 }
 

@@ -586,7 +586,7 @@ func runSession(ctx context.Context, conn net.Conn, tenant string, tc obs.TraceC
 		return core.UnmarshalAnswer(payload)
 	case core.FrameError:
 		rerr := &core.RemoteError{Msg: string(payload)}
-		lspNode.End(sessionOutcome(rerr))
+		lspNode.End(core.Outcome(rerr))
 		return nil, rerr
 	default:
 		lspNode.End("error")

@@ -3,17 +3,26 @@
 # of key. The same seeded three-user query through the shared-memory
 # Group (plain, and -threshold 2) and through a quorum session over
 # in-process links (-quorum-t 3, and with -threshold 2) must print the
-# same answer lines.
+# same answer lines. The binary is built with the race detector and
+# halts on the first report, so a data race between the coordinator and
+# its members fails the smoke too.
 set -eu
 
 workdir=$(mktemp -d)
 trap 'rm -rf "$workdir"' EXIT
 
-go build -o "$workdir/ppgnn" ./cmd/ppgnn
+go build -race -o "$workdir/ppgnn" ./cmd/ppgnn
 
 run() {
-    "$workdir/ppgnn" -keybits 256 -seed 7 -no-sanitize "$@" \
-        0.2,0.3 0.25,0.35 0.22,0.4 2>/dev/null | sed -n '/^answer/,$p'
+    # The exit status is checked before the answer is filtered: a pipe
+    # into sed would report sed's status, not the binary's.
+    GORACE=halt_on_error=1 "$workdir/ppgnn" -keybits 256 -seed 7 -no-sanitize "$@" \
+        0.2,0.3 0.25,0.35 0.22,0.4 >"$workdir/out" 2>"$workdir/err" || {
+        echo "ppgnn $* exited nonzero:" >&2
+        cat "$workdir/err" >&2
+        exit 1
+    }
+    sed -n '/^answer/,$p' "$workdir/out"
 }
 
 run >"$workdir/plain"
