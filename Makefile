@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test bench-test race fuzz bench-snapshot bench-load load-smoke chaos-gate remote-load-smoke svc-smoke metrics-smoke driver-smoke examples-smoke flag-budget clean
+.PHONY: all build vet test bench-test race fuzz bench-load load-smoke chaos-gate remote-load-smoke svc-smoke metrics-smoke driver-smoke examples-smoke flag-budget clean
 
 all: vet build test
 
@@ -26,17 +26,13 @@ bench-test:
 race:
 	$(GO) test -race ./...
 
-# Short burst of every fuzz target (15s each by default; FUZZTIME=1m
-# for longer local runs). The script holds the package list.
+# Short burst of every fuzz target, a fixed exec count each
+# (FUZZSCALE=10 runs ten times as many). The script holds the package
+# list and the per-target budgets.
 fuzz:
 	./scripts/fuzz-pass.sh
 
-# Seeded n=5 t=3 faultnet soak; writes per-phase p50/p95, retry/dropout
-# counters, and the Precomputer hit rate to BENCH_obs.json (DESIGN.md §9).
-bench-snapshot:
-	$(GO) run ./cmd/ppgnn-experiments -gate obs -keybits 256 -queries 6
-
-# The open-loop sustained-traffic conformance gate (ROADMAP item 5): an
+# The open-loop sustained-traffic conformance gate (DESIGN.md §12): an
 # in-process LSP on real TCP, a fleet of client groups at a fixed Poisson
 # rate, one clean pass and one under seeded faultnet faults, every
 # decrypted answer checked against the plaintext engine. Fails on any SLO
@@ -57,15 +53,15 @@ load-smoke:
 chaos-gate:
 	$(GO) run ./cmd/ppgnn-experiments -gate chaos -out BENCH_chaos.ci.json
 
-# Boot a single-tenant ppgnn-lsp and drive it with ppgnn-load for a short
-# window: every answer oracle-checked against a local copy of the
-# daemon's dataset (the CI test job runs it).
+# Boot a single-tenant ppgnn-lsp and run the load gate against it
+# (-gate load -addr) for a short window: every answer oracle-checked
+# against a local copy of the daemon's dataset (the CI test job runs it).
 remote-load-smoke:
 	./scripts/remote-load-smoke.sh
 
 # Boot a two-tenant ppgnn-lsp from a config file, probe /healthz and
-# /readyz, SIGHUP-reload it mid-load, then run the chaos soak (the CI
-# svc-smoke job).
+# /readyz, and SIGHUP-reload it mid-load (the CI svc-smoke job, which
+# then runs chaos-gate's soak).
 svc-smoke:
 	./scripts/svc-smoke.sh
 
@@ -85,10 +81,10 @@ driver-smoke:
 examples-smoke:
 	./scripts/examples-smoke.sh
 
-# The five binaries together expose at most the BUDGET set in
+# The four binaries together expose at most the BUDGET set in
 # scripts/flag-budget.sh (ROADMAP item 10).
 flag-budget:
 	./scripts/flag-budget.sh
 
 clean:
-	rm -f BENCH_obs.json BENCH_load.ci.json BENCH_chaos.ci.json
+	rm -f BENCH_load.ci.json BENCH_chaos.ci.json

@@ -22,7 +22,9 @@
 //	                      groups at a fixed arrival rate, every decrypted
 //	                      answer checked against the plaintext engine —
 //	                      once clean and once under seeded faultnet
-//	                      faults — held to an SLO and a trace audit
+//	                      faults — held to an SLO and a trace audit;
+//	                      with -addr, the same passes against a running
+//	                      ppgnn-lsp that loaded -dataset (no trace audit)
 //	               chaos  the multi-tenant lifecycle soak: two tenants
 //	                      under concurrent open-loop traffic (one behind
 //	                      seeded dial-kill and slow-link faults, one with
@@ -31,9 +33,8 @@
 //	                      the service config, one write deliberately
 //	                      corrupt; fails on any mismatch, lost session,
 //	                      epoch leak or shed not classified retryable
-//	               obs    the seeded n=5 t=3 faultnet soak and its
-//	                      telemetry (per-phase p50/p95, retry counters,
-//	                      Precomputer hit rate)
+//	-addr A      for -gate load: load the ppgnn-lsp at A instead of an
+//	             in-process LSP
 //	-out F       report file for -gate (default BENCH_<gate>.json)
 //	-rate R      offered arrivals/second for -gate load|chaos, per tenant
 //	             for chaos (default 0: 40 for load, 25 for chaos)
@@ -65,7 +66,8 @@ func main() {
 	quick := flag.Bool("quick", false, "endpoint-only sweeps (smoke test)")
 	datasetPath := flag.String("dataset", "", "optional point file (e.g. the real Sequoia data)")
 	seed := flag.Int64("seed", 42, "base RNG seed")
-	gate := flag.String("gate", "", "run a conformance gate instead: load|chaos|obs")
+	gate := flag.String("gate", "", "run a conformance gate instead: load|chaos")
+	addr := flag.String("addr", "", "for -gate load: a running ppgnn-lsp to load instead of an in-process LSP")
 	out := flag.String("out", "", "report file for -gate (default BENCH_<gate>.json)")
 	rate := flag.Float64("rate", 0, "offered arrivals/second for -gate load|chaos (0 = the gate's default)")
 	measure := flag.Duration("measure", 0, "scored window for -gate load|chaos (0 = the gate's default)")
@@ -85,12 +87,15 @@ func main() {
 		cfg.Items = items
 	}
 
+	if *addr != "" && *gate != "load" {
+		fatal(fmt.Errorf("-addr applies to -gate load only"))
+	}
 	if *gate != "" {
 		path := *out
 		if path == "" {
 			path = "BENCH_" + *gate + ".json"
 		}
-		runGate(cfg, *gate, *rate, *measure, path)
+		runGate(cfg, *gate, *addr, *rate, *measure, path)
 		return
 	}
 
@@ -152,16 +157,20 @@ func main() {
 // runGate is the one path every gate takes: run it, print its summary,
 // write the report — so a failing run still leaves its evidence behind —
 // and let the report's Check decide between a nonzero exit and PASS.
-func runGate(cfg experiments.Config, gate string, rate float64, measure time.Duration, path string) {
+func runGate(cfg experiments.Config, gate, addr string, rate float64, measure time.Duration, path string) {
 	start := time.Now()
 	var report interface{ Check() error }
 	switch gate {
 	case "load":
-		r, err := cfg.LoadGate(experiments.LoadGateOptions{Rate: rate, Measure: measure, Logf: logf})
+		r, err := cfg.LoadGate(experiments.LoadGateOptions{Addr: addr, Rate: rate, Measure: measure, Logf: logf})
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("load gate: keybits=%d cores=%d\n", r.KeyBits, r.Cores)
+		target := "in-process LSP"
+		if r.Addr != "" {
+			target = r.Addr
+		}
+		fmt.Printf("load gate: %s keybits=%d cores=%d\n", target, r.KeyBits, r.Cores)
 		for _, p := range r.Passes {
 			m := p.Report.Stage("measure")
 			fmt.Printf("  %-7s %s\n          mismatches=%d abandoned=%d slo{%s}\n",
@@ -188,22 +197,8 @@ func runGate(cfg experiments.Config, gate string, rate float64, measure time.Dur
 			}
 		}
 		report = r
-	case "obs":
-		r, err := cfg.ObsSnapshot()
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("obs soak: keybits=%d, %d/%d queries ok, latency %dms per link\n",
-			r.KeyBits, r.OK, r.Queries, r.LatencyMS)
-		for _, h := range r.Phases {
-			fmt.Printf("  phase %-9s outcome %-8s n=%-4d p50=%8.4fs p95=%8.4fs\n",
-				h.Labels["phase"], h.Labels["outcome"], h.Count, h.P50, h.P95)
-		}
-		fmt.Printf("  precompute pool hit rate %.2f, transport retries %d, dropouts %d\n",
-			r.PoolHitRate, r.Retries, r.Dropouts)
-		report = r
 	default:
-		fatal(fmt.Errorf("unknown gate %q (want load|chaos|obs)", gate))
+		fatal(fmt.Errorf("unknown gate %q (want load|chaos)", gate))
 	}
 
 	b, err := json.MarshalIndent(report, "", "  ")

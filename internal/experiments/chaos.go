@@ -318,29 +318,19 @@ func (c Config) ChaosGate(opts ChaosGateOptions) (*ChaosReport, error) {
 		wg.Add(1)
 		go func(r *tenantRun) {
 			defer wg.Done()
-			fleet, err := load.NewFleet(r.fleet)
-			if err != nil {
-				r.err = fmt.Errorf("%s fleet: %w", r.name, err)
-				return
-			}
-			defer fleet.Close()
-			d, err := load.NewDriver(load.Config{
-				Rate:          opts.Rate,
-				Warmup:        opts.Warmup,
-				Measure:       opts.Measure,
-				Drain:         opts.Drain,
-				Seed:          r.fleet.Seed,
-				OracleChecked: true,
-				Obs:           obs.NewRegistry(),
+			r.rep, r.err = runPass(r.fleet, load.Config{
+				Rate:    opts.Rate,
+				Warmup:  opts.Warmup,
+				Measure: opts.Measure,
+				Drain:   opts.Drain,
+				Seed:    r.fleet.Seed,
 				Logf: func(format string, args ...any) {
 					logf("chaos[%s]: "+format, append([]any{r.name}, args...)...)
 				},
-			}, fleet)
-			if err != nil {
-				r.err = fmt.Errorf("%s driver: %w", r.name, err)
-				return
+			})
+			if r.err != nil {
+				r.err = fmt.Errorf("%s: %w", r.name, r.err)
 			}
-			r.rep, r.err = d.Run(context.Background())
 		}(r)
 	}
 	wg.Wait()

@@ -60,8 +60,8 @@ func (c Config) Defaults() Config {
 	return c
 }
 
-// gateKeyBits is the modulus the conformance gates (LoadGate, ChaosGate,
-// ObsSnapshot) run at when KeyBits is unset: they exercise the service
+// gateKeyBits is the modulus the conformance gates (LoadGate, ChaosGate)
+// run at when KeyBits is unset: they exercise the service
 // and lifecycle layers, not the paper's cost model, so a CI pass stays
 // around 20 seconds.
 const gateKeyBits = 256

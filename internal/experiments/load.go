@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"runtime"
@@ -13,22 +14,25 @@ import (
 	"ppgnn/internal/load"
 	"ppgnn/internal/obs"
 	"ppgnn/internal/transport"
-
-	"context"
 )
 
 // LoadReport is what -gate load writes to -out: two open-loop passes
 // (clean, then faulted) of the sustained-traffic conformance harness
-// against an in-process ppgnn-lsp over real TCP.
+// against an LSP over real TCP — in process, or a running ppgnn-lsp.
 // Every decrypted answer in every pass is checked against the plaintext
 // gnn oracle; a single mismatch fails the gate regardless of SLOs.
 type LoadReport struct {
-	KeyBits int        `json:"keybits"`
-	Cores   int        `json:"cores"` // runtime.NumCPU, honest
-	Passes  []LoadPass `json:"passes"`
-	// Traces audits the server-side flight recorder after both passes:
-	// every retained trace must carry only closed-enum attributes and
-	// account for its measured wall time. Check enforces it.
+	KeyBits int `json:"keybits"`
+	Cores   int `json:"cores"` // runtime.NumCPU, honest
+	// Addr is the remote LSP the passes loaded; empty for an in-process
+	// run.
+	Addr   string     `json:"addr,omitempty"`
+	Passes []LoadPass `json:"passes"`
+	// Traces audits the in-process server's flight recorder after both
+	// passes: every retained trace must carry only closed-enum
+	// attributes and account for its measured wall time. Check enforces
+	// it; a remote run has no audit (scripts/metrics-smoke.sh audits a
+	// daemon's /traces).
 	Traces *TraceAudit `json:"traces,omitempty"`
 	// IncidentDump is the flight recorder's contents at the moment an
 	// SLO check failed — the traces around the failure, preserved in the
@@ -51,6 +55,9 @@ type LoadPass struct {
 // LoadGateOptions sizes a LoadGate run. The zero value is the CI smoke
 // configuration: ~20 seconds of wall clock at a modest rate.
 type LoadGateOptions struct {
+	// Addr, when set, loads the ppgnn-lsp at this address instead of an
+	// in-process LSP; the oracle is still built over Config.Items.
+	Addr                   string
 	Rate                   float64       // offered QPS (default 40)
 	Warmup, Measure, Drain time.Duration // defaults 1s / 6s / 30s
 	Groups, GroupSize      int           // default 6 groups of 3
@@ -109,30 +116,40 @@ func gateFaults(seed int64) func(group int) func(addr string) (net.Conn, error) 
 	}
 }
 
-// LoadGate is ROADMAP item 5's CI teeth: it starts an in-process LSP on
-// a real TCP listener, builds a fleet of client groups, offers open-loop
-// traffic, and holds the run to an SLO while conformance-checking every
-// answer against the plaintext engine. It then repeats the run under
-// seeded faultnet schedules — dial drops, added latency and mid-answer
-// connection kills on the client links — where sessions may be lost to
-// the taxonomy but never answered wrongly. Call Check on the returned
-// report to enforce it.
+// LoadGate is the CI teeth of the open-loop load harness (DESIGN.md
+// §12): it builds a fleet of client groups, offers open-loop traffic,
+// and holds the run to an SLO while conformance-checking every answer
+// against the plaintext engine over c.Items. It then repeats the run
+// under seeded faultnet schedules — dial drops, added latency and
+// mid-answer connection kills on the client links — where sessions may
+// be lost to the taxonomy but never answered wrongly. Without
+// opts.Addr the target is an in-process LSP on a real TCP listener,
+// whose flight recorder is audited afterwards; with it the target is a
+// running ppgnn-lsp, which must have loaded the same points as c.Items.
+// Call Check on the returned report to enforce it.
 func (c Config) LoadGate(opts LoadGateOptions) (*LoadReport, error) {
 	c = c.gateDefaults()
 	opts = opts.withDefaults()
 
 	lsp := core.NewLSP(c.Items, c.Space)
-	srv := transport.NewServer(lsp)
-	// Isolated server registry: the trace audit below must see exactly
-	// this run's traces, not whatever else the process recorded.
-	reg := obs.NewRegistry()
-	srv.Obs = reg
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		return nil, fmt.Errorf("load gate: %w", err)
-	}
-	defer srv.Close()
 	oracle := func(q []geo.Point, k int) []gnn.Result { return lsp.Search(q, k, gnn.Sum) }
+	rep := &LoadReport{KeyBits: c.KeyBits, Cores: runtime.NumCPU(), Addr: opts.Addr}
+	addr := opts.Addr
+	// reg is the in-process server's isolated registry, so the trace
+	// audit below sees exactly this run's traces; a remote daemon's
+	// recorder is out of reach and nil here.
+	var reg *obs.Registry
+	if addr == "" {
+		srv := transport.NewServer(lsp)
+		reg = obs.NewRegistry()
+		srv.Obs = reg
+		a, err := srv.Listen("127.0.0.1:0")
+		if err != nil {
+			return nil, fmt.Errorf("load gate: %w", err)
+		}
+		defer srv.Close()
+		addr = a.String()
+	}
 
 	cleanSLO := load.SLO{
 		P95:               2 * time.Second,
@@ -151,7 +168,6 @@ func (c Config) LoadGate(opts LoadGateOptions) (*LoadReport, error) {
 	faultedSLO.MinThroughputFrac = 0.5
 	faultedSLO.P95, faultedSLO.P99 = 2*cleanSLO.P95, 2*cleanSLO.P99
 
-	rep := &LoadReport{KeyBits: c.KeyBits, Cores: runtime.NumCPU()}
 	passes := []struct {
 		name    string
 		faulted bool
@@ -160,7 +176,7 @@ func (c Config) LoadGate(opts LoadGateOptions) (*LoadReport, error) {
 
 	for i, p := range passes {
 		fc := load.FleetConfig{
-			Addr:      addr.String(),
+			Addr:      addr,
 			Groups:    opts.Groups,
 			GroupSize: opts.GroupSize,
 			KeyBits:   c.KeyBits,
@@ -170,26 +186,14 @@ func (c Config) LoadGate(opts LoadGateOptions) (*LoadReport, error) {
 		if p.faulted {
 			fc.DialFunc = gateFaults(c.Seed)
 		}
-		fleet, err := load.NewFleet(fc)
-		if err != nil {
-			return nil, fmt.Errorf("load gate: %s pass: %w", p.name, err)
-		}
-		d, err := load.NewDriver(load.Config{
-			Rate:          opts.Rate,
-			Warmup:        opts.Warmup,
-			Measure:       opts.Measure,
-			Drain:         opts.Drain,
-			Seed:          c.Seed + int64(i),
-			OracleChecked: true,
-			Obs:           obs.NewRegistry(), // isolated per pass
-			Logf:          opts.Logf,
-		}, fleet)
-		if err != nil {
-			fleet.Close()
-			return nil, fmt.Errorf("load gate: %s pass: %w", p.name, err)
-		}
-		run, err := d.Run(context.Background())
-		fleet.Close()
+		run, err := runPass(fc, load.Config{
+			Rate:    opts.Rate,
+			Warmup:  opts.Warmup,
+			Measure: opts.Measure,
+			Drain:   opts.Drain,
+			Seed:    c.Seed + int64(i),
+			Logf:    opts.Logf,
+		})
 		if err != nil {
 			return nil, fmt.Errorf("load gate: %s pass: %w", p.name, err)
 		}
@@ -198,17 +202,39 @@ func (c Config) LoadGate(opts LoadGateOptions) (*LoadReport, error) {
 			pass.SLOViolation = err.Error()
 			// A failed SLO dumps the flight recorder: the traces behind
 			// the violated percentiles ride along in the report.
-			rep.IncidentDump = reg.Recorder().Dump("slo_failed")
+			if reg != nil {
+				rep.IncidentDump = reg.Recorder().Dump("slo_failed")
+			}
 		}
 		rep.Passes = append(rep.Passes, pass)
 	}
-	rep.Traces = auditTraces(reg.Recorder())
+	if reg != nil {
+		rep.Traces = auditTraces(reg.Recorder())
+	}
 	return rep, nil
 }
 
+// runPass is the one open-loop pass every gate runs: build the fleet,
+// drive it through warm-up, measure and drain with an isolated
+// registry, and close it.
+func runPass(fc load.FleetConfig, dc load.Config) (*load.Report, error) {
+	fleet, err := load.NewFleet(fc)
+	if err != nil {
+		return nil, err
+	}
+	defer fleet.Close()
+	dc.OracleChecked = fc.Oracle != nil
+	dc.Obs = obs.NewRegistry()
+	d, err := load.NewDriver(dc, fleet)
+	if err != nil {
+		return nil, err
+	}
+	return d.Run(context.Background())
+}
+
 // Check enforces the gate: any recorded SLO violation or oracle mismatch
-// fails outright, and so does a trace that breaks the privacy contract or
-// fails to account for its wall time.
+// fails outright, and so, on an in-process run, does a trace that breaks
+// the privacy contract or fails to account for its wall time.
 func (r *LoadReport) Check() error {
 	if len(r.Passes) == 0 {
 		return fmt.Errorf("load gate: report has no passes")
@@ -220,6 +246,9 @@ func (r *LoadReport) Check() error {
 		if p.SLOViolation != "" {
 			return fmt.Errorf("load gate: %s pass failed its SLO: %s", p.Name, p.SLOViolation)
 		}
+	}
+	if r.Addr != "" {
+		return nil
 	}
 	return r.Traces.Check("load gate")
 }

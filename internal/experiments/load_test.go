@@ -6,8 +6,12 @@ import (
 	"testing"
 	"time"
 
+	"ppgnn/internal/core"
 	"ppgnn/internal/dataset"
+	"ppgnn/internal/geo"
 	"ppgnn/internal/load"
+	"ppgnn/internal/obs"
+	"ppgnn/internal/transport"
 )
 
 func quickLoadOpts() LoadGateOptions {
@@ -73,6 +77,54 @@ func TestLoadGateEndToEnd(t *testing.T) {
 	}
 }
 
+// The remote mode loads a transport.Server it did not start, with the
+// oracle built over the Items it is given: the same points pass, points
+// from another seed fail on oracle mismatches.
+func TestLoadGateRemote(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sustained-traffic gate run")
+	}
+	items := dataset.Synthetic(7, 1200)
+	srv := transport.NewServer(core.NewLSP(items, geo.UnitRect))
+	srv.Obs = obs.NewRegistry()
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	opts := quickLoadOpts()
+	opts.Addr = addr.String()
+
+	cfg := Config{Items: items, KeyBits: 192, Seed: 9}
+	rep, err := cfg.LoadGate(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Addr != opts.Addr || rep.Traces != nil {
+		t.Fatalf("remote report: addr %q, traces %+v; want %q and no audit", rep.Addr, rep.Traces, opts.Addr)
+	}
+	if err := rep.Check(); err != nil {
+		t.Fatalf("Check: %v", err)
+	}
+	for _, p := range rep.Passes {
+		if n := p.Report.Mismatches(); n != 0 {
+			t.Fatalf("%s pass: %d oracle mismatches", p.Name, n)
+		}
+	}
+
+	cfg.Items = dataset.Synthetic(8, 1200)
+	rep, err = cfg.LoadGate(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.Check(); err == nil || !strings.Contains(err.Error(), "oracle") {
+		t.Fatalf("Check over another seed's points = %v, want an oracle mismatch", err)
+	}
+	if rep.Passes[0].Report.Mismatches() == 0 {
+		t.Fatal("clean pass over another seed's points counted no mismatches")
+	}
+}
+
 func TestLoadReportCheckRejects(t *testing.T) {
 	mk := func(mut func(*LoadReport)) *LoadReport {
 		r := &LoadReport{Cores: 1, Passes: []LoadPass{{
@@ -88,6 +140,10 @@ func TestLoadReportCheckRejects(t *testing.T) {
 
 	if err := mk(func(r *LoadReport) {}).Check(); err != nil {
 		t.Fatalf("healthy report rejected: %v", err)
+	}
+	remote := mk(func(r *LoadReport) { r.Addr, r.Traces = "127.0.0.1:9042", nil })
+	if err := remote.Check(); err != nil {
+		t.Fatalf("healthy remote report without a trace audit rejected: %v", err)
 	}
 	cases := []struct {
 		name string

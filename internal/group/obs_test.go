@@ -113,51 +113,114 @@ func TestLatencyAppearsInPhaseSpans(t *testing.T) {
 	}
 }
 
-// TestSoakTelemetry re-runs one crash-and-recover soak scenario with an
-// isolated registry and checks the counters tell the story: a dropout
-// with a recorded cause, a re-partition, two collect rounds, and a
-// quorum-sized decrypt round.
+// TestSoakTelemetry re-runs crash-and-recover soak scenarios on the t=3
+// threshold key, each with an isolated registry, and checks that the
+// answer matches the plaintext oracle and the counters tell the story: a
+// dropout with a recorded cause, a re-partition, two collect rounds, a
+// quorum-sized decrypt round, and a phase row for every step of the
+// session.
+//
+//   - crash: member 2 dies on its first request; the LSP is in process.
+//   - remote_lsp: member 1's first two dials fail, so its first session
+//     drops it; the LSP sits behind a transport.Server, reached through
+//     a Pool whose first dial is refused, so the pool must retry.
 func TestSoakTelemetry(t *testing.T) {
 	r := newSoakRig(t)
-	wrap := map[int]func(group.Handler) group.Handler{
-		2: func(h group.Handler) group.Handler { return killHandler{h: h} },
+	cases := []struct {
+		name    string
+		seed    int64
+		wrap    map[int]func(group.Handler) group.Handler
+		dialers map[int]func(addr string) (net.Conn, error)
+		remote  bool
+	}{
+		{
+			name: "crash",
+			seed: 600,
+			wrap: map[int]func(group.Handler) group.Handler{
+				2: func(h group.Handler) group.Handler { return killHandler{h: h} },
+			},
+		},
+		{
+			name: "remote_lsp",
+			seed: 610,
+			dialers: map[int]func(addr string) (net.Conn, error){
+				1: faultnet.Dialer(faultnet.Faults{FailDial: true}, faultnet.Faults{FailDial: true}),
+			},
+			remote: true,
+		},
 	}
-	links := r.startMembers(t, 600, wrap, map[int]func(addr string) (net.Conn, error){})
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			links := r.startMembers(t, c.seed, c.wrap, c.dialers)
+			reg := obs.NewRegistry()
+			var svc core.Service = core.LocalService{LSP: r.lsp}
+			if c.remote {
+				srv := transport.NewServer(r.lsp)
+				srv.Obs = obs.NewRegistry()
+				addr, err := srv.Listen("127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { srv.Close() })
+				pool := transport.NewPool(addr.String())
+				pool.Obs = reg
+				pool.Seed = c.seed
+				pool.RetryBase = 2 * time.Millisecond
+				pool.RetryMax = 20 * time.Millisecond
+				pool.DialFunc = faultnet.Dialer(faultnet.Faults{FailDial: true})
+				t.Cleanup(func() { pool.Close() })
+				svc = pool
+			}
 
-	reg := obs.NewRegistry()
-	cfg := soakConfig(601)
-	cfg.Obs = reg
-	s, err := group.NewSession(r.coord, links, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if _, err := s.Run(ctx, core.LocalService{LSP: r.lsp}); err != nil {
-		t.Fatal(err)
-	}
+			cfg := soakConfig(c.seed + 1)
+			cfg.Obs = reg
+			s, err := group.NewSession(r.coord, links, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			out, err := s.Run(ctx, svc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.checkOracle(t, out)
 
-	snap := reg.Snapshot()
-	var dropouts int64
-	for _, c := range snap.Counters {
-		if c.Name == "group_dropouts_total" {
-			dropouts += c.Value
-		}
-	}
-	if dropouts != 1 {
-		t.Errorf("group_dropouts_total = %d, want 1", dropouts)
-	}
-	if got := snap.Counter("group_repartitions_total"); got != 1 {
-		t.Errorf("group_repartitions_total = %d, want 1", got)
-	}
-	if got := snap.Counter("group_rounds_total", obs.L("kind", "collect")); got != 2 {
-		t.Errorf("collect rounds = %d, want 2 (crash then re-partition)", got)
-	}
-	if got := snap.Counter("group_rounds_total", obs.L("kind", "decrypt")); got < 1 {
-		t.Errorf("decrypt rounds = %d, want ≥ 1", got)
-	}
-	if got := snap.Counter("ppgnn_phase_total", obs.L("phase", "session"), obs.L("outcome", "ok")); got != 1 {
-		t.Errorf("session ok total = %d, want 1", got)
+			snap := reg.Snapshot()
+			var dropouts, retries int64
+			for _, m := range snap.Counters {
+				switch m.Name {
+				case "group_dropouts_total":
+					dropouts += m.Value
+				case "transport_retries_total":
+					retries += m.Value
+				}
+			}
+			if dropouts != 1 {
+				t.Errorf("group_dropouts_total = %d, want 1", dropouts)
+			}
+			if c.remote && retries < 1 {
+				t.Errorf("transport_retries_total = %d, want ≥ 1 (the pool's first dial is refused)", retries)
+			}
+			if got := snap.Counter("group_repartitions_total"); got != 1 {
+				t.Errorf("group_repartitions_total = %d, want 1", got)
+			}
+			if got := snap.Counter("group_rounds_total", obs.L("kind", "collect")); got != 2 {
+				t.Errorf("collect rounds = %d, want 2 (dropout then re-partition)", got)
+			}
+			if got := snap.Counter("group_rounds_total", obs.L("kind", "decrypt")); got < 1 {
+				t.Errorf("decrypt rounds = %d, want ≥ 1", got)
+			}
+			if got := snap.Counter("ppgnn_phase_total", obs.L("phase", "session"), obs.L("outcome", "ok")); got != 1 {
+				t.Errorf("session ok total = %d, want 1", got)
+			}
+			for _, phase := range []string{"session", "collect", "partition", "query", "decrypt"} {
+				h := snap.Histogram("ppgnn_phase_seconds", obs.L("phase", phase), obs.L("outcome", "ok"))
+				if h == nil || h.Count < 1 {
+					t.Errorf("ppgnn_phase_seconds{phase=%s,outcome=ok} = %+v, want a row", phase, h)
+				}
+			}
+		})
 	}
 }
 

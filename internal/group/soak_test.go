@@ -102,6 +102,25 @@ func (r *soakRig) startMembers(t *testing.T, seed int64, wrap map[int]func(group
 	return links
 }
 
+// checkOracle requires a session's answer to equal the plaintext kGNN
+// answer over its contributors' real locations.
+func (r *soakRig) checkOracle(t *testing.T, out *group.Outcome) {
+	t.Helper()
+	real := make([]geo.Point, len(out.Contributors))
+	for i, id := range out.Contributors {
+		real[i] = r.locs[id]
+	}
+	want := r.lsp.Search(real, r.p.K, gnn.Sum)
+	if len(out.Result.Points) != len(want) {
+		t.Fatalf("contributors %v: got %d POIs, want %d", out.Contributors, len(out.Result.Points), len(want))
+	}
+	for i := range want {
+		if out.Result.Points[i].Dist(want[i].Item.P) > 1e-6 {
+			t.Fatalf("contributors %v rank %d: got %v, want oracle %v", out.Contributors, i, out.Result.Points[i], want[i].Item.P)
+		}
+	}
+}
+
 func soakConfig(seed int64) group.Config {
 	return group.Config{
 		Quorum:        3,
@@ -164,19 +183,7 @@ func TestSoakTwoCrashesMatchOracle(t *testing.T) {
 				t.Fatalf("run %d: crashed member %d not in ejected set %v", run, id, out.Ejected)
 			}
 		}
-		real := make([]geo.Point, len(out.Contributors))
-		for i, id := range out.Contributors {
-			real[i] = r.locs[id]
-		}
-		want := r.lsp.Search(real, r.p.K, gnn.Sum)
-		if len(out.Result.Points) != len(want) {
-			t.Fatalf("run %d: got %d POIs, want %d", run, len(out.Result.Points), len(want))
-		}
-		for i := range want {
-			if out.Result.Points[i].Dist(want[i].Item.P) > 1e-6 {
-				t.Fatalf("run %d rank %d: got %v, want oracle %v", run, i, out.Result.Points[i], want[i].Item.P)
-			}
-		}
+		r.checkOracle(t, out)
 	}
 }
 

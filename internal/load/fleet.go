@@ -83,10 +83,6 @@ type FleetConfig struct {
 	// (sanitation is intentionally lossy, so only the NAS configuration
 	// has a deterministic plaintext reference).
 	Oracle Oracle
-	// Precompute fills each group's encryption-randomness pool with this
-	// many factors before the run (0 = none): steady-state traffic is
-	// the Precomputer's design point.
-	Precompute int
 }
 
 func (c FleetConfig) withDefaults() FleetConfig {
@@ -171,11 +167,6 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		// the same d-anonymous view (the multi-query intersection defense)
 		// and skip redundant dummy generation on the hot path.
 		g.CacheSets = true
-		if cfg.Precompute > 0 {
-			if _, err := g.Precompute(cfg.Precompute); err != nil {
-				return nil, fmt.Errorf("load: precomputing group %d: %w", i, err)
-			}
-		}
 		pool := transport.NewPool(cfg.Addr)
 		pool.Size = cfg.PoolSize
 		pool.QueryTimeout = cfg.QueryTimeout

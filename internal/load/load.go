@@ -1,4 +1,4 @@
-// Package load is the open-loop load harness of ROADMAP item 5: it
+// Package load is the open-loop load harness of DESIGN.md §12: it
 // drives sustained concurrent traffic against a PPGNN service at a fixed
 // arrival rate (Poisson or metronome), measures per-stage latency
 // distributions through internal/obs histograms, classifies every

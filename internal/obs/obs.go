@@ -339,28 +339,6 @@ func (r *Registry) Histogram(name string, bounds []float64, labels ...Label) *Hi
 	}).hist
 }
 
-// Reset zeroes every registered metric, keeping the registrations (a
-// snapshot after Reset shows the full catalog at zero). Tests and the
-// bench-snapshot runner use it to measure deltas.
-func (r *Registry) Reset() {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	for _, m := range r.metrics {
-		switch m.kind {
-		case kindCounter:
-			m.counter.v.Store(0)
-		case kindGauge:
-			m.gauge.v.Store(0)
-		case kindHistogram:
-			for i := range m.hist.buckets {
-				m.hist.buckets[i].Store(0)
-			}
-			m.hist.count.Store(0)
-			m.hist.sumBits.Store(0)
-		}
-	}
-}
-
 // BucketSnap is one histogram bucket in a snapshot: the count of samples
 // at or below the upper edge (non-cumulative).
 type BucketSnap struct {

@@ -2,8 +2,9 @@
 # Service-lifecycle smoke test: boot a two-tenant ppgnn-lsp from a config
 # file, probe /healthz and /readyz, run real queries against both tenants,
 # push a SIGHUP reload mid-load (then a corrupt one, which must be
-# rejected while the old epoch keeps serving), and finally run the seeded
-# chaos soak and require a clean oracle record in its report.
+# rejected while the old epoch keeps serving), and check the reload
+# counters. The seeded chaos soak is `ppgnn-experiments -gate chaos`
+# (`make chaos-gate`), whose report check holds the oracle record.
 set -eu
 
 workdir=$(mktemp -d)
@@ -12,7 +13,6 @@ trap 'kill "$lsp_pid" 2>/dev/null || true; rm -rf "$workdir"' EXIT
 
 go build -o "$workdir/ppgnn-lsp" ./cmd/ppgnn-lsp
 go build -o "$workdir/ppgnn" ./cmd/ppgnn
-go build -o "$workdir/ppgnn-experiments" ./cmd/ppgnn-experiments
 
 cfg="$workdir/svc.json"
 cat >"$cfg" <<'EOF'
@@ -93,24 +93,4 @@ PY
 
 kill "$lsp_pid"
 wait "$lsp_pid" 2>/dev/null || true
-
-# The seeded chaos soak: two tenants, reload storm, faultnet dial-kills,
-# every answer oracle-checked. The gate exits nonzero on any violation;
-# the report assertion below additionally pins the zero-mismatch record.
-"$workdir/ppgnn-experiments" -gate chaos -measure 3s \
-    -out "$workdir/BENCH_chaos.json"
-REPORT="$workdir/BENCH_chaos.json" python3 - <<'PY'
-import json, os
-
-with open(os.environ["REPORT"]) as f:
-    rep = json.load(f)
-for t in rep["tenants"]:
-    for stage in t["report"]["stages"]:
-        assert stage["oracle_mismatches"] == 0, \
-            f"{t['tenant']}/{stage['stage']}: {stage['oracle_mismatches']} mismatches"
-    assert t["report"]["abandoned"] == 0, f"{t['tenant']}: abandoned sessions"
-assert rep["applied_reloads"] >= 3, rep["applied_reloads"]
-assert rep["final_state"] == "ready", rep["final_state"]
-print("chaos soak ok: epochs", rep["epochs"], "quota sheds", rep["quota_sheds"])
-PY
 echo "svc-smoke: PASS"
