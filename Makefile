@@ -71,8 +71,9 @@ metrics-smoke:
 	./scripts/metrics-smoke.sh
 
 # The same seeded query through the shared-memory Group and a quorum
-# session, each with a sole and a threshold key: all four must print the
-# same answer (the CI test job runs it).
+# session, each with a sole and a threshold key, and the plain query at
+# GOMAXPROCS=1 and 4: all must print the same answer (the CI test job
+# runs it).
 driver-smoke:
 	./scripts/driver-smoke.sh
 
@@ -81,7 +82,7 @@ driver-smoke:
 examples-smoke:
 	./scripts/examples-smoke.sh
 
-# The four binaries together expose at most the BUDGET set in
+# The four binaries together expose at most the BUDGET (54) set in
 # scripts/flag-budget.sh (ROADMAP item 10).
 flag-budget:
 	./scripts/flag-budget.sh

@@ -9,8 +9,8 @@
 //	-exp all|fig5|fig6|fig7|fig8|table2|table3|table4
 //	     which experiment to run (default all)
 //	-queries N   queries averaged per data point (default 3; paper: 500)
-//	-keybits N   Paillier modulus size (default 0: 1024 bits, as in the
-//	             paper, for the experiments and 256 bits for -gate)
+//	-keybits N   Paillier modulus size (default 1024, as in the paper;
+//	             not with -gate, whose gates always run at 256 bits)
 //	-quick       endpoint-only sweeps with small defaults (smoke test)
 //	-dataset F   load a real point file instead of the Sequoia substitute
 //	-seed N      base RNG seed
@@ -55,17 +55,18 @@ import (
 	"os"
 	"time"
 
+	"ppgnn/internal/core"
 	"ppgnn/internal/dataset"
 	"ppgnn/internal/experiments"
 )
 
 func main() {
 	exp := flag.String("exp", "all", "experiment: all|fig5|fig6|fig7|fig8|table2|table3|table4")
-	queries := flag.Int("queries", 3, "queries averaged per data point")
-	keybits := flag.Int("keybits", 0, "Paillier modulus size in bits (0 = 1024 for the experiments, 256 for -gate)")
+	queries := flag.Int("queries", experiments.DefaultQueries, "queries averaged per data point")
+	keybits := flag.Int("keybits", core.DefaultKeyBits, "Paillier modulus size in bits (the gates always run at 256)")
 	quick := flag.Bool("quick", false, "endpoint-only sweeps (smoke test)")
 	datasetPath := flag.String("dataset", "", "optional point file (e.g. the real Sequoia data)")
-	seed := flag.Int64("seed", 42, "base RNG seed")
+	seed := flag.Int64("seed", experiments.DefaultSeed, "base RNG seed")
 	gate := flag.String("gate", "", "run a conformance gate instead: load|chaos")
 	addr := flag.String("addr", "", "for -gate load: a running ppgnn-lsp to load instead of an in-process LSP")
 	out := flag.String("out", "", "report file for -gate (default BENCH_<gate>.json)")
@@ -91,6 +92,11 @@ func main() {
 		fatal(fmt.Errorf("-addr applies to -gate load only"))
 	}
 	if *gate != "" {
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "keybits" {
+				fatal(fmt.Errorf("-keybits applies to the paper experiments only; the gates run at a fixed key size"))
+			}
+		})
 		path := *out
 		if path == "" {
 			path = "BENCH_" + *gate + ".json"

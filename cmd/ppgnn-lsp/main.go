@@ -13,18 +13,12 @@
 //	             crash-budget watchdog. Mutually exclusive with -dataset
 //	             and -seed, which configure the single-tenant legacy mode.
 //	-dataset F   point file (default: the bundled Sequoia substitute)
-//	-workers N   worker-pool width for candidate queries and the
-//	             homomorphic selection (default 0 = GOMAXPROCS)
 //	-seed N      sanitation RNG seed (single-tenant mode; default 1)
 //	-coalesce    merge the homomorphic batch work of concurrently
 //	             admitted sessions into shared worker submissions
 //	             (DESIGN.md §15). Per-session answers stay byte-identical
 //	             to the uncoalesced path; the win is steady-state QPS on
 //	             multi-core hosts.
-//	-pool-target N  floor (per key) for the background-refilled
-//	             rerandomization pools behind tenants with
-//	             "rerandomize": true (default 16; multi-tenant mode —
-//	             the refiller scales above it with admission load)
 //	-quiet       suppress per-connection logs
 //	-max-conns N      connection limit; excess clients are shed with a
 //	                  retryable busy reply (default 0 = unlimited)
@@ -47,6 +41,10 @@
 //	-trace-slow D     root duration at which a trace is retained in the
 //	                  always-kept slow/failed reservoir (default 1s)
 //
+// Candidate queries and the homomorphic selection run
+// runtime.GOMAXPROCS(0) workers wide; the GOMAXPROCS environment
+// variable sets that width.
+//
 // Signals: SIGHUP re-reads -config and swaps tenants atomically (a
 // rejected config keeps the old epoch serving); SIGINT/SIGTERM drain.
 package main
@@ -60,9 +58,9 @@ import (
 	"os/signal"
 	"runtime"
 	"syscall"
-	"time"
 
 	"ppgnn"
+	"ppgnn/internal/core"
 	"ppgnn/internal/obs"
 	"ppgnn/internal/parallel"
 	"ppgnn/internal/svc"
@@ -73,22 +71,20 @@ func main() {
 	addr := flag.String("addr", ":9042", "listen address")
 	configPath := flag.String("config", "", "multi-tenant service config (JSON); enables SIGHUP reload and admission control")
 	datasetPath := flag.String("dataset", "", "point file (default: Sequoia substitute; single-tenant mode)")
-	workers := flag.Int("workers", 0, "worker-pool width for candidate queries and homomorphic selection (0 = all cores)")
-	seed := flag.Int64("seed", 1, "sanitation RNG seed (single-tenant mode)")
+	seed := flag.Int64("seed", core.DefaultSanitizeSeed, "sanitation RNG seed (single-tenant mode)")
 	coalesce := flag.Bool("coalesce", false, "merge concurrent sessions' homomorphic batches into shared submissions")
-	poolTarget := flag.Int("pool-target", svc.DefaultPoolTarget, "per-key floor for background-refilled rerandomization pools (multi-tenant mode)")
 	quiet := flag.Bool("quiet", false, "suppress per-connection logs")
 	maxConns := flag.Int("max-conns", 0, "connection limit, 0 = unlimited")
 	maxLocations := flag.Int("max-locations", transport.DefaultMaxLocations, "location frames accepted per session")
-	readTimeout := flag.Duration("read-timeout", 30*time.Second, "per-frame read deadline within a session")
+	readTimeout := flag.Duration("read-timeout", transport.DefaultReadTimeout, "per-frame read deadline within a session")
 	drainTimeout := flag.Duration("drain-timeout", transport.DefaultDrainTimeout, "grace for in-flight sessions on shutdown")
-	crashBudget := flag.Int("crash-budget", 5, "session panics within -crash-window that fail the process (-1 disables)")
-	crashWindow := flag.Duration("crash-window", time.Minute, "crash-budget watchdog window")
+	crashBudget := flag.Int("crash-budget", svc.DefaultCrashBudget, "session panics within -crash-window that fail the process (-1 disables)")
+	crashWindow := flag.Duration("crash-window", svc.DefaultCrashWindow, "crash-budget watchdog window")
 	metricsAddr := flag.String("metrics-addr", "", "serve JSON metrics snapshot, pprof, and health endpoints on this address (default off)")
 	traceSample := flag.Float64("trace-sample", 1, "head-sampling rate in [0,1] for locally originated traces")
 	traceSlow := flag.Duration("trace-slow", obs.DefaultSlowThreshold, "root duration at which a trace enters the slow/failed reservoir")
 	flag.Parse()
-	if *configPath != "" && (*datasetPath != "" || *seed != 1) {
+	if *configPath != "" && (*datasetPath != "" || *seed != core.DefaultSanitizeSeed) {
 		fatal(fmt.Errorf("-config is the multi-tenant mode; -dataset and -seed belong to the single-tenant mode (use per-tenant config fields)"))
 	}
 
@@ -98,14 +94,10 @@ func main() {
 	recorder.SetSampleRate(*traceSample)
 	recorder.SetSlowThreshold(*traceSlow)
 
-	// Flag semantics: 0 = GOMAXPROCS. The library keeps 0 = sequential
-	// (the paper's cost accounting), so resolve here and size the
-	// process-default pool to match.
-	poolWidth := *workers
-	if poolWidth <= 0 {
-		poolWidth = runtime.GOMAXPROCS(0)
-	}
-	parallel.SetDefaultWorkers(poolWidth)
+	// The library keeps Workers 0 = sequential (the paper's cost
+	// accounting); the daemon uses every core GOMAXPROCS grants it, as
+	// the process-default pool already does.
+	poolWidth := runtime.GOMAXPROCS(0)
 
 	var srv *transport.Server
 	var service *svc.Service
@@ -117,7 +109,6 @@ func main() {
 		service, err = svc.New(cfg, svc.Options{
 			ConfigPath:  *configPath,
 			Workers:     poolWidth,
-			PoolTarget:  *poolTarget,
 			CrashBudget: *crashBudget,
 			CrashWindow: *crashWindow,
 			Logf:        log.Printf,

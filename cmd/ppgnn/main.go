@@ -34,8 +34,6 @@
 //	             MemberServers (accept-loop failures are logged) instead
 //	             of in-process links
 //	-ids         include POI database IDs in the answer
-//	-workers N   worker-pool width for batch encryption/decryption and
-//	             the in-process LSP (default 0 = GOMAXPROCS)
 //	-v           print cost accounting
 //	-metrics-addr A  serve the JSON metrics snapshot and pprof on A for
 //	                 the process lifetime (default off); with -v the
@@ -48,6 +46,10 @@
 //	                 recorder contents (the trace tree: session, collect,
 //	                 partition, query, lsp, decrypt spans with closed-enum
 //	                 attributes only) as JSON to file F
+//
+// Batch encryption/decryption and the in-process LSP run
+// runtime.GOMAXPROCS(0) workers wide; the GOMAXPROCS environment
+// variable sets that width.
 package main
 
 import (
@@ -57,26 +59,28 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"time"
 
 	"ppgnn"
+	"ppgnn/internal/core"
+	"ppgnn/internal/group"
 	"ppgnn/internal/obs"
-	"ppgnn/internal/parallel"
 	"ppgnn/internal/transport"
 )
 
 func main() {
-	k := flag.Int("k", 8, "POIs to retrieve")
-	d := flag.Int("d", 25, "Privacy I parameter d")
-	delta := flag.Int("delta", 100, "Privacy II parameter delta")
-	theta0 := flag.Float64("theta0", 0.05, "Privacy IV parameter theta0")
+	k := flag.Int("k", core.DefaultK, "POIs to retrieve")
+	d := flag.Int("d", core.DefaultD, "Privacy I parameter d")
+	delta := flag.Int("delta", core.DefaultDelta, "Privacy II parameter delta")
+	theta0 := flag.Float64("theta0", core.DefaultTheta0, "Privacy IV parameter theta0")
 	agg := flag.String("agg", "sum", "aggregate function: sum|max|min")
 	variant := flag.String("variant", "opt", "protocol variant: ppgnn|opt|naive")
-	keybits := flag.Int("keybits", 1024, "Paillier modulus size")
+	keybits := flag.Int("keybits", core.DefaultKeyBits, "Paillier modulus size")
 	connect := flag.String("connect", "", "remote LSP address (default: in-process)")
-	retries := flag.Int("retries", 3, "resend attempts after a transient failure (-1 = none)")
+	retries := flag.Int("retries", transport.DefaultMaxRetries, "resend attempts after a transient failure (-1 = none)")
 	queryTimeout := flag.Duration("query-timeout", 0, "per-query deadline, retries included (0 = none)")
 	datasetPath := flag.String("dataset", "", "point file for the in-process LSP")
 	noSanitize := flag.Bool("no-sanitize", false, "disable answer sanitation (PPGNN-NAS)")
@@ -85,18 +89,13 @@ func main() {
 	seed := flag.Int64("seed", 0, "RNG seed (0 = keyed from OS entropy)")
 	threshold := flag.Int("threshold", 0, "require t-of-n users for decryption (0 = coordinator key)")
 	quorumT := flag.Int("quorum-t", 0, "complete with any t-of-n users via a quorum group session (0 = require all)")
-	memberTimeout := flag.Duration("member-timeout", 5*time.Second, "per-member exchange deadline for -quorum-t")
+	memberTimeout := flag.Duration("member-timeout", group.DefaultMemberTimeout, "per-member exchange deadline for -quorum-t")
 	membersTCP := flag.Bool("members-tcp", false, "serve -quorum-t members over loopback TCP MemberServers instead of in-process links")
 	tenant := flag.String("tenant", "", "route -connect sessions to this tenant of a multi-tenant LSP (default: the default tenant)")
 	metricsAddr := flag.String("metrics-addr", "", "serve JSON metrics snapshot and pprof on this address (default off)")
-	workers := flag.Int("workers", 0, "worker-pool width for batch crypto and the in-process LSP (0 = all cores)")
 	traceSample := flag.Float64("trace-sample", 1, "head-sampling rate in [0,1] for the per-query trace")
 	traceOut := flag.String("trace-out", "", "write the client-side trace tree as JSON to this file after the query")
 	flag.Parse()
-
-	// 0 = GOMAXPROCS at the flag layer; the resolved width sizes the
-	// process-default pool every batch crypto call draws from.
-	parallel.SetDefaultWorkers(*workers)
 
 	obs.Default().Recorder().SetSampleRate(*traceSample)
 
@@ -217,18 +216,18 @@ func main() {
 		deltaPrime, _ = coord.DeltaPrime(p.N)
 		keygen = coord.KeygenTime
 	} else {
-		var group *ppgnn.Group
+		var g *ppgnn.Group
 		if *threshold > 0 {
-			group, err = ppgnn.NewThresholdGroup(p, locs, rng, *threshold)
+			g, err = ppgnn.NewThresholdGroup(p, locs, rng, *threshold)
 		} else {
-			group, err = ppgnn.NewGroup(p, locs, rng)
+			g, err = ppgnn.NewGroup(p, locs, rng)
 		}
 		if err != nil {
 			fatal(err)
 		}
-		runQuery = group.Run
-		deltaPrime = group.DeltaPrime()
-		keygen = group.KeygenTime
+		runQuery = g.Run
+		deltaPrime = g.DeltaPrime()
+		keygen = g.KeygenTime
 	}
 
 	var svc ppgnn.Service
@@ -247,7 +246,7 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "loaded %d POIs\n", len(pois))
 		server := ppgnn.NewServer(pois, ppgnn.UnitSpace)
-		server.Workers = parallel.Default().Workers()
+		server.Workers = runtime.GOMAXPROCS(0)
 		svc = ppgnn.LocalMetered(server, &meter)
 	}
 

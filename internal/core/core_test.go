@@ -685,6 +685,11 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 	if _, err := UnmarshalAnswer([]byte{0x09}); err == nil {
 		t.Error("garbage answer accepted")
 	}
+	// Degree 1, key width 0, count ≈10⁸: a zero width must not let the
+	// count through to a 10⁸-slot allocation.
+	if _, err := UnmarshalAnswer([]byte{0x01, 0x00, 0xe9, 0xe9, 0xe9, 0x30}); err == nil {
+		t.Error("zero-width answer accepted")
+	}
 }
 
 func TestWorkersParallelSanitation(t *testing.T) {

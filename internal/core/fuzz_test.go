@@ -61,6 +61,7 @@ func FuzzUnmarshalLocation(f *testing.F) {
 func FuzzUnmarshalAnswer(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x01, 0x20, 0x01})
+	f.Add([]byte{0x01, 0x00, 0xe9, 0xe9, 0xe9, 0x30}) // zero key width, count ≈10⁸
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, err := UnmarshalAnswer(data)
 		if err != nil {

@@ -40,11 +40,12 @@ type LSP struct {
 	// Workers bounds the per-query parallelism across candidate queries
 	// and the homomorphic selection (1 = sequential, matching the paper's
 	// single-threaded LSP cost accounting; 0 = 1; negative = GOMAXPROCS).
-	// cmd/ppgnn-lsp maps its -workers flag here, with flag value 0
-	// meaning GOMAXPROCS.
+	// cmd/ppgnn and cmd/ppgnn-lsp set it to runtime.GOMAXPROCS(0), which
+	// the GOMAXPROCS environment variable controls.
 	Workers int
 	// SanitizeSeed makes the Monte-Carlo sanitation reproducible; each
-	// candidate query derives its own stream from it.
+	// candidate query derives its own stream from it (default
+	// DefaultSanitizeSeed).
 	SanitizeSeed int64
 	// MaxCandidates bounds δ' (default DefaultMaxCandidates): a hostile
 	// coordinator could otherwise submit partition parameters implying
@@ -78,6 +79,9 @@ type LSP struct {
 	mu *sync.RWMutex
 }
 
+// DefaultSanitizeSeed is the SanitizeSeed NewLSP sets.
+const DefaultSanitizeSeed = 1
+
 // DefaultMaxCandidates caps δ' per query (Privacy II rarely needs more
 // than a few hundred; the paper's maximum is δ'≈200).
 const DefaultMaxCandidates = 65536
@@ -89,7 +93,7 @@ func NewLSP(items []rtree.Item, space geo.Rect) *LSP {
 	tree := rtree.Bulk(items, rtree.DefaultMaxEntries)
 	return &LSP{
 		Space:        space,
-		SanitizeSeed: 1,
+		SanitizeSeed: DefaultSanitizeSeed,
 		tree:         tree,
 		mu:           new(sync.RWMutex),
 		Search: func(query []geo.Point, k int, agg gnn.Aggregate) []gnn.Result {

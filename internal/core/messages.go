@@ -93,15 +93,9 @@ func (q *QueryMsg) Marshal() []byte {
 	w.IntSlice(q.DBar)
 	w.Uvarint(uint64(q.Delta))
 	kb := q.keyBytes()
-	writeCts := func(cts []*big.Int, degree int) {
-		w.Uvarint(uint64(len(cts)))
-		for _, c := range cts {
-			w.FixedBigInt(c, (degree+1)*kb)
-		}
-	}
-	writeCts(q.V, 1)
-	writeCts(q.V1, 1)
-	writeCts(q.V2, 2)
+	w.FixedBigIntSlice(q.V, 2*kb)
+	w.FixedBigIntSlice(q.V1, 2*kb)
+	w.FixedBigIntSlice(q.V2, 3*kb)
 	return w.Bytes()
 }
 
@@ -133,30 +127,14 @@ func UnmarshalQuery(b []byte) (*QueryMsg, error) {
 	if q.PK.Sign() <= 0 {
 		return nil, fmt.Errorf("core: query has invalid public key")
 	}
+	// A degree-s ciphertext is (s+1) key widths wide: ε_1 for V and V1,
+	// ε_2 for V2.
 	kb := q.keyBytes()
-	var ctErr error
-	readCts := func(degree int) []*big.Int {
-		n := r.Int()
-		if r.Err() != nil || n*(degree+1)*kb > r.Remaining() {
-			if ctErr == nil {
-				ctErr = fmt.Errorf("core: ciphertext vector exceeds payload")
-			}
-			return nil
-		}
-		out := make([]*big.Int, n)
-		for i := range out {
-			out[i] = r.FixedBigInt((degree + 1) * kb)
-		}
-		return out
-	}
-	q.V = readCts(1)
-	q.V1 = readCts(1)
-	q.V2 = readCts(2)
+	q.V = r.FixedBigIntSlice(2 * kb)
+	q.V1 = r.FixedBigIntSlice(2 * kb)
+	q.V2 = r.FixedBigIntSlice(3 * kb)
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("core: decoding query ciphertexts: %w", err)
-	}
-	if ctErr != nil {
-		return nil, ctErr
 	}
 	return q, nil
 }
@@ -220,10 +198,7 @@ func (a *AnswerMsg) Marshal() []byte {
 	var w wire.Writer
 	w.Uvarint(uint64(a.Degree))
 	w.Uvarint(uint64(a.keyBytes))
-	w.Uvarint(uint64(len(a.Cts)))
-	for _, c := range a.Cts {
-		w.FixedBigInt(c, (a.Degree+1)*a.keyBytes)
-	}
+	w.FixedBigIntSlice(a.Cts, (a.Degree+1)*a.keyBytes)
 	return w.Bytes()
 }
 
@@ -233,21 +208,15 @@ func UnmarshalAnswer(b []byte) (*AnswerMsg, error) {
 	a := &AnswerMsg{}
 	a.Degree = r.Int()
 	a.keyBytes = r.Int()
-	n := r.Int()
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("core: decoding answer: %w", err)
 	}
 	if a.Degree < 1 || a.Degree > paillier.MaxS {
 		return nil, fmt.Errorf("core: answer degree %d out of range", a.Degree)
 	}
-	ctLen := (a.Degree + 1) * a.keyBytes
-	if n*ctLen > r.Remaining() {
-		return nil, fmt.Errorf("core: answer of %d ciphertexts exceeds payload", n)
-	}
-	a.Cts = make([]*big.Int, n)
-	for i := range a.Cts {
-		a.Cts[i] = r.FixedBigInt(ctLen)
-	}
+	// FixedBigIntSlice refuses a zero key width and checks the count by
+	// division, so a hostile count cannot force a huge allocation.
+	a.Cts = r.FixedBigIntSlice((a.Degree + 1) * a.keyBytes)
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("core: decoding answer ciphertexts: %w", err)
 	}

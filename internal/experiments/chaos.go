@@ -71,29 +71,24 @@ type ChaosTenant struct {
 const chaosReloads = 3
 
 // ChaosGateOptions sizes a ChaosGate run. The zero value is the CI smoke
-// configuration (~15 s of wall clock).
+// configuration (~15 s of wall clock). Each tenant runs chaosGroups
+// client groups through the same gateWarmup and gateDrain as the load
+// gate.
 type ChaosGateOptions struct {
-	Rate                   float64       // per-tenant offered QPS (default 25)
-	Warmup, Measure, Drain time.Duration // defaults 1s / 4s / 30s
-	Groups                 int           // client groups per tenant (default 4)
-	Logf                   func(format string, args ...any)
+	Rate    float64       // per-tenant offered QPS (default 25)
+	Measure time.Duration // scored window (default 4s)
+	Logf    func(format string, args ...any)
 }
+
+// chaosGroups is the number of client groups per chaos tenant.
+const chaosGroups = 4
 
 func (o ChaosGateOptions) withDefaults() ChaosGateOptions {
 	if o.Rate <= 0 {
 		o.Rate = 25
 	}
-	if o.Warmup <= 0 {
-		o.Warmup = time.Second
-	}
 	if o.Measure <= 0 {
 		o.Measure = 4 * time.Second
-	}
-	if o.Drain <= 0 {
-		o.Drain = 30 * time.Second
-	}
-	if o.Groups <= 0 {
-		o.Groups = 4
 	}
 	return o
 }
@@ -233,7 +228,7 @@ func (c Config) ChaosGate(opts ChaosGateOptions) (*ChaosReport, error) {
 	stormWG.Add(1)
 	go func() {
 		defer stormWG.Done()
-		interval := (opts.Warmup + opts.Measure) / (chaosReloads + 2)
+		interval := (gateWarmup + opts.Measure) / (chaosReloads + 2)
 		writes := 0
 		for i := 0; writes < chaosReloads; i++ {
 			select {
@@ -280,7 +275,7 @@ func (c Config) ChaosGate(opts ChaosGateOptions) (*ChaosReport, error) {
 			fleet: load.FleetConfig{
 				Addr:      addr.String(),
 				Tenant:    "alpha",
-				Groups:    opts.Groups,
+				Groups:    chaosGroups,
 				GroupSize: 2,
 				KeyBits:   c.KeyBits,
 				Seed:      c.Seed + 11,
@@ -297,7 +292,7 @@ func (c Config) ChaosGate(opts ChaosGateOptions) (*ChaosReport, error) {
 			fleet: load.FleetConfig{
 				Addr:      addr.String(),
 				Tenant:    "beta",
-				Groups:    opts.Groups,
+				Groups:    chaosGroups,
 				GroupSize: 2,
 				KeyBits:   c.KeyBits,
 				Seed:      c.Seed + 23,
@@ -320,9 +315,9 @@ func (c Config) ChaosGate(opts ChaosGateOptions) (*ChaosReport, error) {
 			defer wg.Done()
 			r.rep, r.err = runPass(r.fleet, load.Config{
 				Rate:    opts.Rate,
-				Warmup:  opts.Warmup,
+				Warmup:  gateWarmup,
 				Measure: opts.Measure,
-				Drain:   opts.Drain,
+				Drain:   gateDrain,
 				Seed:    r.fleet.Seed,
 				Logf: func(format string, args ...any) {
 					logf("chaos[%s]: "+format, append([]any{r.name}, args...)...)

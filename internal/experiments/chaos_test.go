@@ -16,12 +16,10 @@ func TestChaosGateEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-tenant lifecycle soak")
 	}
-	cfg := Config{KeyBits: 192, Seed: 5}
+	cfg := Config{Seed: 5}
 	rep, err := cfg.ChaosGate(ChaosGateOptions{
 		Rate:    25,
-		Warmup:  300 * time.Millisecond,
 		Measure: 2 * time.Second,
-		Drain:   20 * time.Second,
 		Logf:    t.Logf,
 	})
 	if err != nil {

@@ -26,52 +26,53 @@ import (
 	"ppgnn/internal/rtree"
 )
 
-// Config parameterizes a harness run.
+// Config parameterizes a harness run. Every POI database lives in the
+// unit square (geo.UnitRect), as the Sequoia substitute does.
 type Config struct {
 	Items   []rtree.Item // POI database (default: the Sequoia substitute)
-	Space   geo.Rect
-	Queries int   // repeated queries per data point (paper: 500)
-	KeyBits int   // Paillier modulus (paper: 1024)
-	Seed    int64 // base RNG seed
+	Queries int          // repeated queries per data point (paper: 500)
+	KeyBits int          // Paillier modulus (paper: 1024)
+	Seed    int64        // base RNG seed
 	// Quick shrinks the sweeps to two points each and the group defaults to
 	// n=4, δ=50 — a smoke-test mode for CI; the paper's sweeps are the
 	// default.
 	Quick bool
 }
 
-// Defaults fills unset fields. Queries defaults to 3 (the paper used 500;
-// scale up with -queries for tighter averages).
+// Harness defaults: DefaultQueries repeated queries per data point (the
+// paper used 500; scale up with -queries for tighter averages) and
+// DefaultSeed as the base RNG seed.
+const (
+	DefaultQueries = 3
+	DefaultSeed    = 42
+)
+
+// Defaults fills unset fields.
 func (c Config) Defaults() Config {
 	if c.Items == nil {
 		c.Items = dataset.Sequoia(dataset.DefaultSeed)
 	}
-	if !c.Space.Valid() || c.Space.Area() == 0 {
-		c.Space = geo.UnitRect
-	}
 	if c.Queries == 0 {
-		c.Queries = 3
+		c.Queries = DefaultQueries
 	}
 	if c.KeyBits == 0 {
 		c.KeyBits = core.DefaultKeyBits
 	}
 	if c.Seed == 0 {
-		c.Seed = 42
+		c.Seed = DefaultSeed
 	}
 	return c
 }
 
 // gateKeyBits is the modulus the conformance gates (LoadGate, ChaosGate)
-// run at when KeyBits is unset: they exercise the service
-// and lifecycle layers, not the paper's cost model, so a CI pass stays
-// around 20 seconds.
+// always run at: they exercise the service and lifecycle layers, not the
+// paper's cost model, so a CI pass stays around 20 seconds.
 const gateKeyBits = 256
 
-// gateDefaults is Defaults for the conformance gates: KeyBits 0 means
-// gateKeyBits there, not the paper's 1024.
+// gateDefaults is Defaults for the conformance gates: KeyBits is
+// gateKeyBits whatever the config says.
 func (c Config) gateDefaults() Config {
-	if c.KeyBits == 0 {
-		c.KeyBits = gateKeyBits
-	}
+	c.KeyBits = gateKeyBits
 	return c.Defaults()
 }
 
@@ -127,7 +128,7 @@ func (c Config) runProtocol(p core.Params, lsp *core.LSP, seed int64) (measureme
 	var total cost.Snapshot
 	answers := 0
 	for q := 0; q < c.Queries; q++ {
-		locs := randomLocations(rng, p.N, c.Space)
+		locs := randomLocations(rng, p.N)
 		g, err := core.NewGroup(p, locs, rng)
 		if err != nil {
 			return measurement{}, err
@@ -150,13 +151,11 @@ func (c Config) runProtocol(p core.Params, lsp *core.LSP, seed int64) (measureme
 	}, nil
 }
 
-func randomLocations(rng *rand.Rand, n int, space geo.Rect) []geo.Point {
+// randomLocations draws n points uniformly from the unit square.
+func randomLocations(rng *rand.Rand, n int) []geo.Point {
 	out := make([]geo.Point, n)
 	for i := range out {
-		out[i] = geo.Point{
-			X: space.Min.X + rng.Float64()*space.Width(),
-			Y: space.Min.Y + rng.Float64()*space.Height(),
-		}
+		out[i] = geo.Point{X: rng.Float64(), Y: rng.Float64()}
 	}
 	return out
 }
@@ -166,7 +165,6 @@ func (c Config) params(n int, variant core.Variant) core.Params {
 	p := core.DefaultParams(n)
 	p.KeyBits = c.KeyBits
 	p.Variant = variant
-	p.Space = c.Space
 	if c.Quick && n > 1 {
 		p.Delta = 50
 	}
@@ -215,7 +213,7 @@ func (c Config) sweepTheta() []float64 {
 
 // newLSP builds the shared LSP for a figure.
 func (c Config) newLSP() *core.LSP {
-	l := core.NewLSP(c.Items, c.Space)
+	l := core.NewLSP(c.Items, geo.UnitRect)
 	l.SanitizeSeed = c.Seed
 	return l
 }
@@ -266,7 +264,7 @@ func (c Config) Fig5() ([]*Table, error) {
 
 	// (d–f) vary k, with APNN (b=5 ≙ d=25).
 	varyK := threeCostTables("Figure 5d-f (n=1, vary k)", "k", []string{"PPGNN", "PPGNN-OPT", "APNN"})
-	apnnSrv, err := apnn.NewServer(c.Items, c.Space, 64, 32)
+	apnnSrv, err := apnn.NewServer(c.Items, geo.UnitRect, 64, 32)
 	if err != nil {
 		return nil, err
 	}
@@ -292,7 +290,7 @@ func (c Config) Fig5() ([]*Table, error) {
 		var total cost.Snapshot
 		for q := 0; q < c.Queries; q++ {
 			var meter cost.Meter
-			loc := randomLocations(rng, 1, c.Space)[0]
+			loc := randomLocations(rng, 1)[0]
 			if _, err := cli.Query(apnnSrv, loc, k, &meter); err != nil {
 				return nil, fmt.Errorf("fig5 apnn k=%d: %w", k, err)
 			}
@@ -426,8 +424,8 @@ func (c Config) Fig7() ([]*Table, error) {
 func (c Config) Fig8() ([]*Table, error) {
 	c = c.Defaults()
 	lsp := c.newLSP()
-	ippfSrv := ippf.NewServer(c.Items, c.Space)
-	glpSrv := glp.NewServer(c.Items, c.Space)
+	ippfSrv := ippf.NewServer(c.Items, geo.UnitRect)
+	glpSrv := glp.NewServer(c.Items, geo.UnitRect)
 	names := []string{"PPGNN", "PPGNN-NAS", "IPPF", "GLP"}
 
 	point := func(n, k int, seed int64) ([]measurement, error) {
@@ -446,8 +444,8 @@ func (c Config) Fig8() ([]*Table, error) {
 		// IPPF.
 		rng := rand.New(rand.NewSource(seed))
 		ipg := &ippf.Group{
-			Locations: randomLocations(rng, n, c.Space),
-			RectArea:  5e-6, Agg: gnn.Sum, Space: c.Space, Rng: rng,
+			Locations: randomLocations(rng, n),
+			RectArea:  5e-6, Agg: gnn.Sum, Space: geo.UnitRect, Rng: rng,
 		}
 		var total cost.Snapshot
 		for q := 0; q < c.Queries; q++ {
@@ -465,8 +463,8 @@ func (c Config) Fig8() ([]*Table, error) {
 		})
 		// GLP.
 		glg := &glp.Group{
-			Locations: randomLocations(rng, n, c.Space),
-			Space:     c.Space, KeyBits: c.KeyBits, Rng: rng,
+			Locations: randomLocations(rng, n),
+			Space:     geo.UnitRect, KeyBits: c.KeyBits, Rng: rng,
 		}
 		total = cost.Snapshot{}
 		for q := 0; q < c.Queries; q++ {

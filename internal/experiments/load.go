@@ -53,38 +53,37 @@ type LoadPass struct {
 }
 
 // LoadGateOptions sizes a LoadGate run. The zero value is the CI smoke
-// configuration: ~20 seconds of wall clock at a modest rate.
+// configuration: ~20 seconds of wall clock at a modest rate. Every pass
+// runs loadGroups client groups of loadGroupSize users through a
+// gateWarmup, the measure window and at most gateDrain of drain.
 type LoadGateOptions struct {
 	// Addr, when set, loads the ppgnn-lsp at this address instead of an
 	// in-process LSP; the oracle is still built over Config.Items.
-	Addr                   string
-	Rate                   float64       // offered QPS (default 40)
-	Warmup, Measure, Drain time.Duration // defaults 1s / 6s / 30s
-	Groups, GroupSize      int           // default 6 groups of 3
+	Addr    string
+	Rate    float64       // offered QPS (default 40)
+	Measure time.Duration // scored window (default 6s)
 	// SLO overrides the clean pass's objective (the faulted pass derives
 	// a tolerant variant of it).
 	SLO  *load.SLO
 	Logf func(format string, args ...any)
 }
 
+// The gates' fixed pass shape: warm-up before the measure window, the
+// longest drain a pass waits for its in-flight tail, and the load gate's
+// fleet of six groups of three.
+const (
+	gateWarmup    = time.Second
+	gateDrain     = 30 * time.Second
+	loadGroups    = 6
+	loadGroupSize = 3
+)
+
 func (o LoadGateOptions) withDefaults() LoadGateOptions {
 	if o.Rate <= 0 {
 		o.Rate = 40
 	}
-	if o.Warmup <= 0 {
-		o.Warmup = time.Second
-	}
 	if o.Measure <= 0 {
 		o.Measure = 6 * time.Second
-	}
-	if o.Drain <= 0 {
-		o.Drain = 30 * time.Second
-	}
-	if o.Groups <= 0 {
-		o.Groups = 6
-	}
-	if o.GroupSize <= 0 {
-		o.GroupSize = 3
 	}
 	return o
 }
@@ -131,7 +130,7 @@ func (c Config) LoadGate(opts LoadGateOptions) (*LoadReport, error) {
 	c = c.gateDefaults()
 	opts = opts.withDefaults()
 
-	lsp := core.NewLSP(c.Items, c.Space)
+	lsp := core.NewLSP(c.Items, geo.UnitRect)
 	oracle := func(q []geo.Point, k int) []gnn.Result { return lsp.Search(q, k, gnn.Sum) }
 	rep := &LoadReport{KeyBits: c.KeyBits, Cores: runtime.NumCPU(), Addr: opts.Addr}
 	addr := opts.Addr
@@ -177,8 +176,8 @@ func (c Config) LoadGate(opts LoadGateOptions) (*LoadReport, error) {
 	for i, p := range passes {
 		fc := load.FleetConfig{
 			Addr:      addr,
-			Groups:    opts.Groups,
-			GroupSize: opts.GroupSize,
+			Groups:    loadGroups,
+			GroupSize: loadGroupSize,
 			KeyBits:   c.KeyBits,
 			Seed:      c.Seed + int64(i)*101,
 			Oracle:    oracle,
@@ -188,9 +187,9 @@ func (c Config) LoadGate(opts LoadGateOptions) (*LoadReport, error) {
 		}
 		run, err := runPass(fc, load.Config{
 			Rate:    opts.Rate,
-			Warmup:  opts.Warmup,
+			Warmup:  gateWarmup,
 			Measure: opts.Measure,
-			Drain:   opts.Drain,
+			Drain:   gateDrain,
 			Seed:    c.Seed + int64(i),
 			Logf:    opts.Logf,
 		})

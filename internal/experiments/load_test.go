@@ -17,10 +17,7 @@ import (
 func quickLoadOpts() LoadGateOptions {
 	return LoadGateOptions{
 		Rate:    30,
-		Warmup:  200 * time.Millisecond,
 		Measure: time.Second,
-		Drain:   20 * time.Second,
-		Groups:  4,
 		SLO: &load.SLO{
 			P95:               5 * time.Second,
 			P99:               10 * time.Second,
@@ -40,6 +37,9 @@ func TestLoadGateEndToEnd(t *testing.T) {
 	rep, err := cfg.LoadGate(quickLoadOpts())
 	if err != nil {
 		t.Fatal(err)
+	}
+	if rep.KeyBits != gateKeyBits {
+		t.Fatalf("gate ran at %d-bit keys, want gateKeyBits %d whatever Config.KeyBits says", rep.KeyBits, gateKeyBits)
 	}
 	if len(rep.Passes) != 2 || rep.Passes[0].Name != "clean" || rep.Passes[1].Name != "faulted" {
 		t.Fatalf("want clean+faulted passes, got %+v", rep.Passes)
@@ -95,7 +95,7 @@ func TestLoadGateRemote(t *testing.T) {
 	opts := quickLoadOpts()
 	opts.Addr = addr.String()
 
-	cfg := Config{Items: items, KeyBits: 192, Seed: 9}
+	cfg := Config{Items: items, Seed: 9}
 	rep, err := cfg.LoadGate(opts)
 	if err != nil {
 		t.Fatal(err)

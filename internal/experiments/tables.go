@@ -106,7 +106,7 @@ func (c Config) KeygenCost() (time.Duration, error) {
 	p := c.params(1, core.VariantPPGNN)
 	p.Delta = p.D
 	rng := rand.New(rand.NewSource(c.Seed))
-	g, err := core.NewGroup(p, randomLocations(rng, 1, c.Space), rng)
+	g, err := core.NewGroup(p, randomLocations(rng, 1), rng)
 	if err != nil {
 		return 0, err
 	}

@@ -43,9 +43,6 @@ func TestLoadSoakFaultedConformance(t *testing.T) {
 		GroupSize: 3,
 		KeyBits:   192,
 		Seed:      4,
-		PoolSize:  2,
-		RetryBase: 2 * time.Millisecond,
-		RetryMax:  50 * time.Millisecond,
 		Oracle: func(q []geo.Point, k int) []gnn.Result {
 			return lsp.Search(q, k, gnn.Sum)
 		},
@@ -71,7 +68,6 @@ func TestLoadSoakFaultedConformance(t *testing.T) {
 	reg := obs.NewRegistry()
 	d, err := load.NewDriver(load.Config{
 		Rate:          45,
-		Arrival:       load.Poisson,
 		Warmup:        300 * time.Millisecond,
 		Measure:       2 * time.Second,
 		Drain:         20 * time.Second,

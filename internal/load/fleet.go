@@ -40,7 +40,11 @@ func (e *MismatchError) Error() string {
 
 // FleetConfig sizes the client fleet NewFleet builds: Groups independent
 // PPGNN groups, each with its own key pair, location set, and
-// fault-tolerant connection pool to the same LSP address.
+// fault-tolerant connection pool to the same LSP address. Every group
+// queries with the fleet's fixed protocol parameters (fleetD, fleetDelta,
+// fleetK, the PPGNN variant) through a pool of fleetPoolSize connections
+// whose queries time out after fleetQueryTimeout and back off on the
+// transport's defaults.
 type FleetConfig struct {
 	// Addr is the LSP server address.
 	Addr string
@@ -52,25 +56,13 @@ type FleetConfig struct {
 	Groups int
 	// GroupSize is n, the users per group (default 4).
 	GroupSize int
-	// KeyBits, D, Delta, K parameterize the protocol (defaults 256, 5,
-	// 10, 4 — correctness is size-independent, and the load harness
-	// measures the service, not the paper's cost model).
-	KeyBits, D, Delta, K int
-	// Variant selects the protocol flavour (default VariantPPGNN).
-	Variant core.Variant
+	// KeyBits is the Paillier modulus size (default 256).
+	KeyBits int
 	// Seed derives every group's locations, keys, and pool jitter.
 	Seed int64
-	// QueryTimeout bounds one query end to end, retries included
-	// (default 30s).
-	QueryTimeout time.Duration
-	// PoolSize bounds each group's pooled connections (default 2).
-	PoolSize int
 	// MaxRetries is each pool's resend budget (default
 	// transport.DefaultMaxRetries).
 	MaxRetries int
-	// RetryBase/RetryMax tune the pools' backoff (defaults as in
-	// transport).
-	RetryBase, RetryMax time.Duration
 	// Tenant routes every group's sessions to a named tenant of a
 	// multi-tenant server ("" = the default tenant, no tenant frame on
 	// the wire).
@@ -85,6 +77,17 @@ type FleetConfig struct {
 	Oracle Oracle
 }
 
+// The fleet's fixed query shape: small protocol parameters, because
+// correctness is size-independent and the load harness measures the
+// service, not the paper's cost model.
+const (
+	fleetD            = 5
+	fleetDelta        = 10
+	fleetK            = 4
+	fleetPoolSize     = 2
+	fleetQueryTimeout = 30 * time.Second
+)
+
 func (c FleetConfig) withDefaults() FleetConfig {
 	if c.Groups <= 0 {
 		c.Groups = 8
@@ -95,23 +98,8 @@ func (c FleetConfig) withDefaults() FleetConfig {
 	if c.KeyBits == 0 {
 		c.KeyBits = 256
 	}
-	if c.D == 0 {
-		c.D = 5
-	}
-	if c.Delta == 0 {
-		c.Delta = 10
-	}
-	if c.K == 0 {
-		c.K = 4
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.QueryTimeout <= 0 {
-		c.QueryTimeout = 30 * time.Second
-	}
-	if c.PoolSize <= 0 {
-		c.PoolSize = 2
 	}
 	return c
 }
@@ -148,10 +136,9 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(i)*1009))
 		p := core.DefaultParams(cfg.GroupSize)
 		p.KeyBits = cfg.KeyBits
-		p.D = cfg.D
-		p.Delta = cfg.Delta
-		p.K = cfg.K
-		p.Variant = cfg.Variant
+		p.D = fleetD
+		p.Delta = fleetDelta
+		p.K = fleetK
 		if cfg.Oracle != nil {
 			p.NoSanitize = true
 		}
@@ -168,25 +155,19 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		// and skip redundant dummy generation on the hot path.
 		g.CacheSets = true
 		pool := transport.NewPool(cfg.Addr)
-		pool.Size = cfg.PoolSize
-		pool.QueryTimeout = cfg.QueryTimeout
+		pool.Size = fleetPoolSize
+		pool.QueryTimeout = fleetQueryTimeout
 		pool.Seed = cfg.Seed + int64(i)
 		pool.Tenant = cfg.Tenant
 		if cfg.MaxRetries != 0 {
 			pool.MaxRetries = cfg.MaxRetries
-		}
-		if cfg.RetryBase > 0 {
-			pool.RetryBase = cfg.RetryBase
-		}
-		if cfg.RetryMax > 0 {
-			pool.RetryMax = cfg.RetryMax
 		}
 		if cfg.DialFunc != nil {
 			pool.DialFunc = cfg.DialFunc(i)
 		}
 		fg := &fleetGroup{g: g, pool: pool}
 		if cfg.Oracle != nil {
-			res := cfg.Oracle(locs, cfg.K)
+			res := cfg.Oracle(locs, fleetK)
 			fg.want = make([]geo.Point, len(res))
 			for j, r := range res {
 				fg.want[j] = r.Item.P

@@ -1,8 +1,8 @@
 // Package load is the open-loop load harness of DESIGN.md §12: it
 // drives sustained concurrent traffic against a PPGNN service at a fixed
-// arrival rate (Poisson or metronome), measures per-stage latency
-// distributions through internal/obs histograms, classifies every
-// failure into the closed error taxonomy, and asserts SLOs. With an
+// Poisson arrival rate, measures per-stage latency distributions through
+// internal/obs histograms, classifies every failure into the closed
+// error taxonomy, and asserts SLOs. With an
 // Oracle configured it is also a conformance suite: every decrypted
 // answer delivered under load — retries, shed connections, and injected
 // faultnet faults included — is checked point-for-point against the
@@ -40,10 +40,8 @@ type Runner interface {
 
 // Config parameterizes one open-loop run.
 type Config struct {
-	// Rate is the offered arrival rate in queries per second.
+	// Rate is the offered Poisson arrival rate in queries per second.
 	Rate float64
-	// Arrival selects Poisson (default) or Fixed inter-arrival gaps.
-	Arrival Arrival
 	// Warmup, Measure, Drain are the stage durations. Measure must be
 	// positive; Warmup defaults to 0, Drain to QueryTimeout-scale 30s.
 	Warmup, Measure, Drain time.Duration
@@ -139,13 +137,13 @@ func (d *Driver) logf(format string, args ...any) {
 // Run executes the warmup + measure + drain timeline and returns the
 // report. Cancelling the context stops arrivals early and fails the run.
 func (d *Driver) Run(ctx context.Context) (*Report, error) {
-	sched := newSchedule(d.cfg.Arrival, d.cfg.Rate, d.cfg.Seed)
+	sched := newSchedule(d.cfg.Rate, d.cfg.Seed)
 	start := time.Now()
 	warmEnd := start.Add(d.cfg.Warmup)
 	measEnd := warmEnd.Add(d.cfg.Measure)
 
-	d.logf("load: %s arrivals at %.3g/s — warmup %v, measure %v, drain up to %v",
-		d.cfg.Arrival, d.cfg.Rate, d.cfg.Warmup, d.cfg.Measure, d.cfg.Drain)
+	d.logf("load: poisson arrivals at %.3g/s — warmup %v, measure %v, drain up to %v",
+		d.cfg.Rate, d.cfg.Warmup, d.cfg.Measure, d.cfg.Drain)
 
 	lagHist := d.reg.Histogram("load_sched_lag_seconds", obs.TimeBuckets)
 	inflightGauge := d.reg.Gauge("load_inflight")
@@ -275,7 +273,6 @@ func (d *Driver) complete(agg *stageAgg, elapsed time.Duration, err error) {
 func (d *Driver) report(arrivals, abandoned int64, lagHist *obs.Histogram) *Report {
 	rep := &Report{
 		Rate:          d.cfg.Rate,
-		Arrival:       d.cfg.Arrival.String(),
 		WarmupSec:     d.cfg.Warmup.Seconds(),
 		MeasureSec:    d.cfg.Measure.Seconds(),
 		DrainSec:      d.cfg.Drain.Seconds(),

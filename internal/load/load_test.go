@@ -20,26 +20,24 @@ import (
 )
 
 func TestScheduleDeterministic(t *testing.T) {
-	for _, arrival := range []Arrival{Poisson, Fixed} {
-		a := newSchedule(arrival, 100, 7)
-		b := newSchedule(arrival, 100, 7)
-		var sum time.Duration
-		for i := 0; i < 1000; i++ {
-			ga, gb := a.next(), b.next()
-			if ga != gb {
-				t.Fatalf("%v: gap %d diverges under equal seeds: %v vs %v", arrival, i, ga, gb)
-			}
-			if ga < 0 {
-				t.Fatalf("%v: negative gap %v", arrival, ga)
-			}
-			sum += ga
+	a := newSchedule(100, 7)
+	b := newSchedule(100, 7)
+	var sum time.Duration
+	for i := 0; i < 1000; i++ {
+		ga, gb := a.next(), b.next()
+		if ga != gb {
+			t.Fatalf("gap %d diverges under equal seeds: %v vs %v", i, ga, gb)
 		}
-		// 1000 arrivals at 100/s should span ~10s; Poisson within ±30%.
-		mean := sum / 1000
-		want := 10 * time.Millisecond
-		if mean < want*7/10 || mean > want*13/10 {
-			t.Fatalf("%v: mean gap %v, want ≈%v", arrival, mean, want)
+		if ga < 0 {
+			t.Fatalf("negative gap %v", ga)
 		}
+		sum += ga
+	}
+	// 1000 arrivals at 100/s should span ~10s; Poisson within ±30%.
+	mean := sum / 1000
+	want := 10 * time.Millisecond
+	if mean < want*7/10 || mean > want*13/10 {
+		t.Fatalf("mean gap %v, want ≈%v", mean, want)
 	}
 }
 
@@ -100,18 +98,12 @@ func (r *loadRig) oracle() Oracle {
 
 func testFleetConfig(addr string, oracle Oracle) FleetConfig {
 	return FleetConfig{
-		Addr:         addr,
-		Groups:       4,
-		GroupSize:    3,
-		KeyBits:      192,
-		D:            5,
-		Delta:        10,
-		K:            4,
-		Seed:         11,
-		QueryTimeout: 10 * time.Second,
-		RetryBase:    2 * time.Millisecond,
-		RetryMax:     20 * time.Millisecond,
-		Oracle:       oracle,
+		Addr:      addr,
+		Groups:    4,
+		GroupSize: 3,
+		KeyBits:   192,
+		Seed:      11,
+		Oracle:    oracle,
 	}
 }
 
@@ -129,7 +121,6 @@ func TestDriverConformanceAgainstLiveServer(t *testing.T) {
 	reg := obs.NewRegistry()
 	d, err := NewDriver(Config{
 		Rate:          60,
-		Arrival:       Poisson,
 		Warmup:        200 * time.Millisecond,
 		Measure:       1200 * time.Millisecond,
 		Drain:         15 * time.Second,
@@ -217,7 +208,6 @@ func TestDriverFaultedRunStaysConformant(t *testing.T) {
 	reg := obs.NewRegistry()
 	d, err := NewDriver(Config{
 		Rate:          50,
-		Arrival:       Fixed,
 		Measure:       1200 * time.Millisecond,
 		Drain:         15 * time.Second,
 		Seed:          5,
@@ -314,7 +304,7 @@ func TestDriverOverloadDropsAtCap(t *testing.T) {
 	r := &blockingRunner{release: make(chan struct{})}
 	reg := obs.NewRegistry()
 	d, err := NewDriver(Config{
-		Rate: 500, Arrival: Fixed,
+		Rate:    500,
 		Measure: 300 * time.Millisecond, Drain: 5 * time.Second,
 		MaxInFlight: 4, Obs: reg,
 	}, r)
@@ -352,7 +342,7 @@ func TestDriverDrainDeadlineAbandons(t *testing.T) {
 	r := &blockingRunner{release: make(chan struct{})}
 	defer close(r.release)
 	d, err := NewDriver(Config{
-		Rate: 100, Arrival: Fixed,
+		Rate:    100,
 		Measure: 100 * time.Millisecond, Drain: 50 * time.Millisecond,
 		MaxInFlight: 8, Obs: obs.NewRegistry(),
 	}, r)

@@ -8,8 +8,7 @@ import "fmt"
 // -metrics-addr endpoint reports them), so the gate and the live
 // introspection surface can never disagree about what a p95 is.
 type Report struct {
-	Rate          float64 `json:"rate"`    // offered arrivals/second
-	Arrival       string  `json:"arrival"` // poisson | fixed
+	Rate          float64 `json:"rate"` // offered Poisson arrivals/second
 	WarmupSec     float64 `json:"warmup_sec"`
 	MeasureSec    float64 `json:"measure_sec"`
 	DrainSec      float64 `json:"drain_sec"`

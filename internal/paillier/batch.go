@@ -15,8 +15,7 @@ import (
 // selections over the δ' candidates, CRT decryption of the answer vector,
 // threshold share production and combination — is a set of independent
 // modular exponentiations, so the batch forms below fan the work across a
-// parallel.Pool (nil = the process default, sized by GOMAXPROCS or the
-// -workers flag).
+// parallel.Pool (nil = the process default, sized by GOMAXPROCS).
 //
 // Two invariants make the batch forms drop-in replacements for the serial
 // loops (DESIGN.md §10):

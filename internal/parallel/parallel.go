@@ -52,7 +52,7 @@ func (p *Pool) Coalesced() bool { return p != nil && p.co != nil }
 
 // defaultPool is the process-wide pool used when callers pass a nil
 // *Pool: GOMAXPROCS-wide unless SetDefaultWorkers overrides it (the
-// -workers flag of cmd/ppgnn and cmd/ppgnn-lsp).
+// benchmark harness sizes it per workload).
 var defaultPool atomic.Pointer[Pool]
 
 func init() { defaultPool.Store(New(0)) }

@@ -51,7 +51,7 @@ func runTenantQuery(t *testing.T, s *Service, tenantID string) {
 // a tenant dropped from the config gets its pools closed, with any
 // Precomputer still held by a draining session remaining usable.
 func TestRerandPoolsPersistAcrossEpochs(t *testing.T) {
-	s := newService(t, rerandConfig(), Options{Obs: obs.NewRegistry(), PoolTarget: 4})
+	s := newService(t, rerandConfig(), Options{Obs: obs.NewRegistry()})
 	defer s.Close()
 
 	ep := s.cur.Load()
@@ -128,25 +128,26 @@ func TestRerandPoolsPersistAcrossEpochs(t *testing.T) {
 }
 
 // TestPoolTargetHintClamps pins the admission-driven sizing: the hint
-// floors at PoolTarget, scales with in-flight sessions, doubles under a
-// fast session-cost EWMA, and clamps at 64×PoolTarget.
+// floors at DefaultPoolTarget, scales with in-flight sessions, doubles
+// under a fast session-cost EWMA, and clamps at 64×DefaultPoolTarget.
 func TestPoolTargetHintClamps(t *testing.T) {
-	s := newService(t, twoTenantConfig(), Options{Obs: obs.NewRegistry(), PoolTarget: 4})
+	s := newService(t, twoTenantConfig(), Options{Obs: obs.NewRegistry()})
 	defer s.Close()
-	if got := s.poolTargetHint(); got != 4 {
-		t.Fatalf("idle hint %d, want the PoolTarget floor 4", got)
+	const base = DefaultPoolTarget
+	if got := s.poolTargetHint(); got != base {
+		t.Fatalf("idle hint %d, want the floor %d", got, base)
 	}
 	s.inflight.Add(3)
-	if got := s.poolTargetHint(); got != 16 {
-		t.Fatalf("hint with 3 in flight = %d, want 16", got)
+	if got := s.poolTargetHint(); got != 4*base {
+		t.Fatalf("hint with 3 in flight = %d, want %d", got, 4*base)
 	}
 	s.costEWMA.Store(int64(5 * time.Millisecond))
-	if got := s.poolTargetHint(); got != 32 {
-		t.Fatalf("fast-turnover hint = %d, want 32", got)
+	if got := s.poolTargetHint(); got != 8*base {
+		t.Fatalf("fast-turnover hint = %d, want %d", got, 8*base)
 	}
 	s.inflight.Add(1000)
-	if got := s.poolTargetHint(); got != 64*4 {
-		t.Fatalf("burst hint = %d, want clamp %d", got, 64*4)
+	if got := s.poolTargetHint(); got != 64*base {
+		t.Fatalf("burst hint = %d, want clamp %d", got, 64*base)
 	}
 	s.inflight.Add(-1003)
 }

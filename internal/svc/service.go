@@ -23,14 +23,12 @@ type Options struct {
 	// Workers is copied to every tenant LSP (see core.LSP.Workers).
 	Workers int
 	// CrashBudget is the number of recovered session panics within
-	// CrashWindow that trips the watchdog (default 5; negative disables).
+	// CrashWindow that trips the watchdog (default DefaultCrashBudget;
+	// negative disables).
 	CrashBudget int
-	// CrashWindow is the watchdog's sliding window (default 1 minute).
+	// CrashWindow is the watchdog's sliding window (default
+	// DefaultCrashWindow).
 	CrashWindow time.Duration
-	// PoolTarget is the per-tenant floor for the background-refilled
-	// rerandomization pools (default 16 factors). The live target scales
-	// above it with admitted-session pressure — see poolTargetHint.
-	PoolTarget int
 	// Obs receives the service's telemetry (nil = obs.Default).
 	Obs *obs.Registry
 	// Logf, when set, receives lifecycle diagnostics.
@@ -108,15 +106,22 @@ type Service struct {
 	hCost     *obs.Histogram
 }
 
+// The crash-budget watchdog's defaults: DefaultCrashBudget recovered
+// session panics within DefaultCrashWindow fail the process.
+const (
+	DefaultCrashBudget = 5
+	DefaultCrashWindow = time.Minute
+)
+
 // New builds a Service and applies cfg as its first epoch. The initial
 // configuration must be valid and its datasets loadable — a service that
 // cannot serve its first epoch should fail at startup, not limp.
 func New(cfg *Config, opts Options) (*Service, error) {
 	if opts.CrashBudget == 0 {
-		opts.CrashBudget = 5
+		opts.CrashBudget = DefaultCrashBudget
 	}
 	if opts.CrashWindow <= 0 {
-		opts.CrashWindow = time.Minute
+		opts.CrashWindow = DefaultCrashWindow
 	}
 	reg := opts.Obs
 	if reg == nil {
@@ -186,27 +191,24 @@ func (s *Service) buildEpoch(cfg *Config) (*epoch, error) {
 	return ep, nil
 }
 
-// DefaultPoolTarget is the Options.PoolTarget default: the floor, in
-// r^{N^s} factors per (key, degree) pool, the refillers keep warm.
+// DefaultPoolTarget is the floor, in r^{N^s} factors per (key, degree)
+// pool, the refillers keep warm.
 const DefaultPoolTarget = 16
 
 // poolTargetHint converts the service's admission signals into a pool
-// size: one PoolTarget of headroom per admitted session (each session's
-// answer rerandomization drains a batch), doubled when the admission
-// cost EWMA says sessions turn over in well under a refill breath —
-// fast sessions cycle several batches through a pool per tick. Clamped
-// to [PoolTarget, 64×PoolTarget] so an admission burst cannot balloon
-// pool memory; the refiller's own drain EWMA sizes on top of this hint.
+// size: one DefaultPoolTarget of headroom per admitted session (each
+// session's answer rerandomization drains a batch), doubled when the
+// admission cost EWMA says sessions turn over in well under a refill
+// breath — fast sessions cycle several batches through a pool per tick.
+// Clamped to [DefaultPoolTarget, 64×DefaultPoolTarget] so an admission
+// burst cannot balloon pool memory; the refiller's own drain EWMA sizes
+// on top of this hint.
 func (s *Service) poolTargetHint() int {
-	base := s.opts.PoolTarget
-	if base <= 0 {
-		base = DefaultPoolTarget
-	}
-	want := base * (int(s.inflight.Load()) + 1)
+	want := DefaultPoolTarget * (int(s.inflight.Load()) + 1)
 	if c := time.Duration(s.costEWMA.Load()); c > 0 && c < 50*time.Millisecond {
 		want *= 2
 	}
-	if max := 64 * base; want > max {
+	if max := 64 * DefaultPoolTarget; want > max {
 		want = max
 	}
 	return want

@@ -28,6 +28,10 @@ import (
 // of users; 4096 leaves three orders of magnitude of headroom.
 const DefaultMaxLocations = 4096
 
+// DefaultReadTimeout bounds the wait for each frame after the first of a
+// query session.
+const DefaultReadTimeout = 30 * time.Second
+
 // DefaultDrainTimeout bounds how long Close waits for in-flight query
 // sessions before force-closing their connections.
 const DefaultDrainTimeout = 10 * time.Second
@@ -93,7 +97,8 @@ func (e *BusyError) Error() string {
 type Server struct {
 	serving
 	LSP *core.LSP
-	// ReadTimeout bounds the wait for each frame (default 30s).
+	// ReadTimeout bounds the wait for each frame (default
+	// DefaultReadTimeout).
 	ReadTimeout time.Duration
 	// MaxConns bounds concurrent connections; excess accepts are shed
 	// with a FrameError carrying core.BusyMessage (0 = unlimited). Set it
@@ -306,7 +311,7 @@ func (s *Server) serveQuery(conn net.Conn) (err error) {
 	}()
 	timeout := s.ReadTimeout
 	if timeout == 0 {
-		timeout = 30 * time.Second
+		timeout = DefaultReadTimeout
 	}
 	// The first frame may arrive arbitrarily late (idle connection): no
 	// deadline. Subsequent frames of the same session are bounded.

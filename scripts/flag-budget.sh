@@ -5,7 +5,7 @@
 # dash. Prints the per-binary counts and fails above the budget.
 set -eu
 
-BUDGET=57
+BUDGET=54
 total=0
 for bin in ppgnn ppgnn-lsp ppgnn-experiments ppgnn-dataset; do
     n=$(go run "./cmd/$bin" -h 2>&1 | grep -cE '^  -' || true)

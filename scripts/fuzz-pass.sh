@@ -19,7 +19,7 @@ budget() {
   case "$1" in
     FuzzUnmarshalQuery) echo 270000 ;;
     FuzzUnmarshalLocation) echo 250000 ;;
-    FuzzUnmarshalAnswer) echo 250000 ;;
+    FuzzUnmarshalAnswer) echo 92000 ;;
     FuzzUnmarshalContribution) echo 280000 ;;
     FuzzUnmarshalPartial) echo 200000 ;;
     FuzzReadFrame) echo 230000 ;;
