@@ -1,6 +1,7 @@
 package modmath
 
 import (
+	"fmt"
 	"math/big"
 	mrand "math/rand"
 	"testing"
@@ -172,5 +173,36 @@ func BenchmarkFixedBaseColdExp(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ctx.Exp(g, e)
+	}
+}
+
+// BenchmarkMontMul times one Montgomery product against one squaring
+// (the same slice as both operands, which takes math/big's basicSqr) at
+// the widths the protocol reduces under: N² and N³ for 512- to 2048-bit
+// N. chooseComb and chooseWindow count a squaring as a full product; the
+// square ÷ product ratio is the weight they would use instead (ROADMAP
+// 12d). Compare the two within one process run, repeated, since the box
+// drifts between runs more than the ratio does.
+func BenchmarkMontMul(b *testing.B) {
+	rng := mrand.New(mrand.NewSource(12))
+	for _, bits := range []int{1024, 2048, 3072, 4096, 6144} {
+		m := randBelow(rng, new(big.Int).Lsh(big.NewInt(1), uint(bits)))
+		m.SetBit(m, bits-1, 1)
+		m.SetBit(m, 0, 1)
+		ctx := MustCtx(m)
+		s := ctx.newScratch()
+		x, y, z := make([]big.Word, len(ctx.mw)), make([]big.Word, len(ctx.mw)), make([]big.Word, len(ctx.mw))
+		s.enter(x, randBelow(rng, m))
+		s.enter(y, randBelow(rng, m))
+		b.Run(fmt.Sprintf("%d/product", bits), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				s.mul(z, x, y)
+			}
+		})
+		b.Run(fmt.Sprintf("%d/square", bits), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				s.mul(z, x, x)
+			}
+		})
 	}
 }

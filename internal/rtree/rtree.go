@@ -2,8 +2,9 @@
 // spatial index the LSP uses to answer kNN and group kNN (MBM) queries on
 // its POI database. It supports Guttman-style insertion with quadratic
 // splits, deletion with reinsertion (so the database is dynamic, a property
-// the paper's approach explicitly preserves), STR bulk loading, window
-// search, and best-first k-nearest-neighbor search.
+// the paper's approach explicitly preserves), Sort-Tile-Recursive bulk
+// loading by rank selection rather than sorting, window search, and
+// best-first k-nearest-neighbor search.
 //
 // The tree exposes read-only node accessors so that higher layers (the MBM
 // group nearest neighbor search in internal/gnn) can run their own
@@ -14,7 +15,8 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"ppgnn/internal/geo"
 )
@@ -75,22 +77,58 @@ func New(maxEntries int) *Tree {
 	}
 }
 
-// Bulk builds a tree over the items using Sort-Tile-Recursive packing,
-// which produces near-optimal leaves for static loads. The items slice is
-// not retained.
+// Bulk builds a tree over the items using Sort-Tile-Recursive (STR)
+// packing, which produces near-optimal leaves for static loads. STR needs
+// only rank boundaries, not a sorted order: the slices of ⌈√leaves⌉·fanout
+// items by x, then the leaves of fanout items by y within each slice. So
+// Bulk finds those boundaries by multi-way selection (see tile) in
+// O(n·log(n/fanout)) rather than sorting in O(n·log n). Items are ranked by
+// (coordinate, ID) and inner nodes by (centre coordinate, position in their
+// level), so ties split deterministically; where the keys at the block
+// boundaries are distinct, the tree is exactly the one a full sort gives.
+//
+// Every leaf gets its own item array rather than a window of one shared
+// array: leaves split under churn, and a split would leave the old window
+// alive inside the shared array (+15% live heap on a 1M-item tree under
+// insert/delete churn). The items slice is not retained.
 func Bulk(items []Item, maxEntries int) *Tree {
+	return bulk(items, maxEntries, 2*bits.Len(uint(len(items))))
+}
+
+// bulk is Bulk with the selection's round budget (see tile) given.
+func bulk(items []Item, maxEntries, rounds int) *Tree {
 	t := New(maxEntries)
 	if len(items) == 0 {
 		return t
 	}
-	own := make([]Item, len(items))
-	copy(own, items)
-
-	leaves := strPack(own, t.maxEntries)
-	level := leaves
+	own := append([]Item(nil), items...)
+	strTile(own, t.maxEntries, rounds)
+	level := make([]*Node, 0, (len(own)+t.maxEntries-1)/t.maxEntries)
+	for lo := 0; lo < len(own); lo += t.maxEntries {
+		leaf := &Node{leaf: true, items: append([]Item(nil), own[lo:min(lo+t.maxEntries, len(own))]...)}
+		leaf.recomputeRect()
+		level = append(level, leaf)
+	}
 	height := 1
 	for len(level) > 1 {
-		level = packNodes(level, t.maxEntries)
+		// A node enters the tiling as an Item keyed by its centre and
+		// its position in the level, which also finds it again.
+		keys := make([]Item, len(level))
+		for i, n := range level {
+			keys[i] = Item{ID: int64(i), P: n.rect.Center()}
+		}
+		strTile(keys, t.maxEntries, rounds)
+		parents := make([]*Node, 0, (len(keys)+t.maxEntries-1)/t.maxEntries)
+		for lo := 0; lo < len(keys); lo += t.maxEntries {
+			run := keys[lo:min(lo+t.maxEntries, len(keys))]
+			parent := &Node{children: make([]*Node, len(run))}
+			for i, k := range run {
+				parent.children[i] = level[k.ID]
+			}
+			parent.recomputeRect()
+			parents = append(parents, parent)
+		}
+		level = parents
 		height++
 	}
 	t.root = level[0]
@@ -99,54 +137,108 @@ func Bulk(items []Item, maxEntries int) *Tree {
 	return t
 }
 
-// strPack tiles the sorted items into leaf nodes.
-func strPack(items []Item, capacity int) []*Node {
-	n := len(items)
-	leafCount := (n + capacity - 1) / capacity
-	sliceCount := int(math.Ceil(math.Sqrt(float64(leafCount))))
-	sliceSize := sliceCount * capacity
-
-	sort.Slice(items, func(i, j int) bool { return items[i].P.X < items[j].P.X })
-	var leaves []*Node
-	for start := 0; start < n; start += sliceSize {
-		end := min(start+sliceSize, n)
-		run := items[start:end]
-		sort.Slice(run, func(i, j int) bool { return run[i].P.Y < run[j].P.Y })
-		for ls := 0; ls < len(run); ls += capacity {
-			le := min(ls+capacity, len(run))
-			leaf := &Node{leaf: true, items: append([]Item(nil), run[ls:le]...)}
-			leaf.recomputeRect()
-			leaves = append(leaves, leaf)
-		}
+// strTile reorders xs into STR tiles of capacity entries, so that every
+// run xs[i·capacity:(i+1)·capacity] is one node's entries: xs is cut into
+// slices of ⌈√nodes⌉·capacity entries by rank in x, and each slice into
+// runs of capacity entries by rank in y.
+func strTile(xs []Item, capacity, rounds int) {
+	nodes := (len(xs) + capacity - 1) / capacity
+	sliceSize := int(math.Ceil(math.Sqrt(float64(nodes)))) * capacity
+	tile(xs, sliceSize, false, rounds)
+	for lo := 0; lo < len(xs); lo += sliceSize {
+		tile(xs[lo:min(lo+sliceSize, len(xs))], capacity, true, rounds)
 	}
-	return leaves
 }
 
-// packNodes groups a level of nodes into parents using the same tiling.
-func packNodes(nodes []*Node, capacity int) []*Node {
-	n := len(nodes)
-	parentCount := (n + capacity - 1) / capacity
-	sliceCount := int(math.Ceil(math.Sqrt(float64(parentCount))))
-	sliceSize := sliceCount * capacity
+// tile reorders xs so that each run xs[i·size:(i+1)·size] holds exactly
+// the entries of ranks i·size to (i+1)·size-1 under the (coordinate, ID)
+// order on the y axis if byY, else on x, in no particular order within
+// the run. It selects the middle run boundary by quickselect, then tiles
+// each side. A selection that has partitioned rounds times without
+// landing sorts the whole segment instead, which settles every boundary
+// in it, so an input that defeats the median-of-three pivot costs
+// O(n·log n) per selection, not O(n²).
+func tile(xs []Item, size int, byY bool, rounds int) {
+	for len(xs) > size {
+		m := (len(xs) + size - 1) / size / 2 * size
+		lo, hi := 0, len(xs)
+		for left := rounds; ; left-- {
+			if left == 0 {
+				slices.SortFunc(xs, func(a, b Item) int { return cmpRank(a, b, byY) })
+				return
+			}
+			p := lo + partition(xs[lo:hi], byY)
+			if p == m {
+				break
+			}
+			if p < m {
+				lo = p + 1
+			} else {
+				hi = p
+			}
+		}
+		tile(xs[:m], size, byY, rounds)
+		xs = xs[m:]
+	}
+}
 
-	sort.Slice(nodes, func(i, j int) bool {
-		return nodes[i].rect.Center().X < nodes[j].rect.Center().X
-	})
-	var parents []*Node
-	for start := 0; start < n; start += sliceSize {
-		end := min(start+sliceSize, n)
-		run := nodes[start:end]
-		sort.Slice(run, func(i, j int) bool {
-			return run[i].rect.Center().Y < run[j].rect.Center().Y
-		})
-		for ls := 0; ls < len(run); ls += capacity {
-			le := min(ls+capacity, len(run))
-			parent := &Node{children: append([]*Node(nil), run[ls:le]...)}
-			parent.recomputeRect()
-			parents = append(parents, parent)
+// partition moves a median-of-three pivot to its final rank in xs, with
+// no entry ranked above it before it and none below it after it, and
+// returns that rank. xs must not be empty.
+func partition(xs []Item, byY bool) int {
+	n := len(xs)
+	a, b, c := 0, n/2, n-1
+	if lessRank(&xs[b], &xs[a], byY) {
+		xs[a], xs[b] = xs[b], xs[a]
+	}
+	if lessRank(&xs[c], &xs[b], byY) {
+		xs[b], xs[c] = xs[c], xs[b]
+		if lessRank(&xs[b], &xs[a], byY) {
+			xs[a], xs[b] = xs[b], xs[a]
 		}
 	}
-	return parents
+	xs[0], xs[b] = xs[b], xs[0]
+	pivot := xs[0]
+	i, j := 1, n-1
+	for {
+		for i <= j && lessRank(&xs[i], &pivot, byY) {
+			i++
+		}
+		for i <= j && lessRank(&pivot, &xs[j], byY) {
+			j--
+		}
+		if i >= j {
+			break
+		}
+		xs[i], xs[j] = xs[j], xs[i]
+		i++
+		j--
+	}
+	xs[0], xs[j] = xs[j], xs[0]
+	return j
+}
+
+// lessRank orders items by one coordinate, then by ID.
+func lessRank(a, b *Item, byY bool) bool {
+	ka, kb := a.P.X, b.P.X
+	if byY {
+		ka, kb = a.P.Y, b.P.Y
+	}
+	if ka != kb {
+		return ka < kb
+	}
+	return a.ID < b.ID
+}
+
+// cmpRank is lessRank as a three-way comparison.
+func cmpRank(a, b Item, byY bool) int {
+	switch {
+	case lessRank(&a, &b, byY):
+		return -1
+	case lessRank(&b, &a, byY):
+		return 1
+	}
+	return 0
 }
 
 // Len returns the number of items in the tree.
@@ -598,11 +690,4 @@ func (t *Tree) CheckInvariants() error {
 		return fmt.Errorf("rtree: size %d but counted %d items", t.size, count)
 	}
 	return nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -335,12 +335,36 @@ func TestHeightGrowth(t *testing.T) {
 	}
 }
 
+// clampedItems draws n points around 48 Gaussian centres and clamps
+// them to the unit square, so that thousands tie at x = 0, y = 0 and the
+// other edges, as a clustered POI database does at its borders.
+func clampedItems(rng *rand.Rand, n int) []Item {
+	centres := randomItems(rng, 48)
+	items := make([]Item, n)
+	for i := range items {
+		c := centres[rng.Intn(len(centres))].P
+		p := geo.Point{X: c.X + rng.NormFloat64()*0.1, Y: c.Y + rng.NormFloat64()*0.1}
+		items[i] = Item{ID: int64(i), P: geo.UnitRect.Clamp(p)}
+	}
+	return items
+}
+
+// BenchmarkBulkLoad builds the paper's 62,556-POI scale and a
+// 1,000,000-POI clustered database with clamped ties.
 func BenchmarkBulkLoad(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	items := randomItems(rng, 62556)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Bulk(items, DefaultMaxEntries)
+	for _, c := range []struct {
+		name  string
+		items []Item
+	}{
+		{"uniform_62556", randomItems(rng, 62556)},
+		{"clamped_1000000", clampedItems(rng, 1000000)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				Bulk(c.items, DefaultMaxEntries)
+			}
+		})
 	}
 }
 

@@ -35,13 +35,14 @@ budget() {
     FuzzDecode) echo 660000 ;;
     FuzzCodecRoundTrip) echo 770000 ;;
     FuzzTangentBound) echo 400000 ;;
+    FuzzBulk) echo 18000 ;;
     *) return 1 ;;
   esac
 }
 
 pkgs=("$@")
 if [ ${#pkgs[@]} -eq 0 ]; then
-  pkgs=(./internal/core ./internal/wire ./internal/modmath ./internal/paillier ./internal/svc ./internal/parallel ./internal/sanitize ./internal/stats ./internal/encode ./internal/gnn)
+  pkgs=(./internal/core ./internal/wire ./internal/modmath ./internal/paillier ./internal/svc ./internal/parallel ./internal/sanitize ./internal/stats ./internal/encode ./internal/gnn ./internal/rtree)
 fi
 
 for pkg in "${pkgs[@]}"; do
