@@ -31,15 +31,11 @@
 //	-metrics-addr A   serve the JSON metrics snapshot, pprof, and (with
 //	                  -config) /healthz + /readyz on A
 //	                  (e.g. 127.0.0.1:9043; default off). The snapshot is
-//	                  privacy-safe by construction: DESIGN.md §9.
-//	-trace-sample F   head-sampling rate in [0,1] for locally originated
-//	                  traces (default 1). Wire-propagated trace ids are
-//	                  always honoured. The flight recorder serves the
-//	                  retained traces at /traces and /traces/slow on the
-//	                  metrics address; attributes are closed-enum buckets
-//	                  only (DESIGN.md §9).
-//	-trace-slow D     root duration at which a trace is retained in the
-//	                  always-kept slow/failed reservoir (default 1s)
+//	                  privacy-safe by construction: DESIGN.md §9. The
+//	                  flight recorder serves the server-side trees of the
+//	                  traces clients propagate at /traces, and those of
+//	                  failed or ≥1s sessions at /traces/slow; attributes
+//	                  are closed-enum buckets only.
 //
 // Candidate queries and the homomorphic selection run
 // runtime.GOMAXPROCS(0) workers wide; the GOMAXPROCS environment
@@ -81,18 +77,10 @@ func main() {
 	crashBudget := flag.Int("crash-budget", svc.DefaultCrashBudget, "session panics within -crash-window that fail the process (-1 disables)")
 	crashWindow := flag.Duration("crash-window", svc.DefaultCrashWindow, "crash-budget watchdog window")
 	metricsAddr := flag.String("metrics-addr", "", "serve JSON metrics snapshot, pprof, and health endpoints on this address (default off)")
-	traceSample := flag.Float64("trace-sample", 1, "head-sampling rate in [0,1] for locally originated traces")
-	traceSlow := flag.Duration("trace-slow", obs.DefaultSlowThreshold, "root duration at which a trace enters the slow/failed reservoir")
 	flag.Parse()
 	if *configPath != "" && (*datasetPath != "" || *seed != core.DefaultSanitizeSeed) {
 		fatal(fmt.Errorf("-config is the multi-tenant mode; -dataset and -seed belong to the single-tenant mode (use per-tenant config fields)"))
 	}
-
-	// The flight recorder hangs off the default registry the transport
-	// layer records into; configure it before any session can start.
-	recorder := obs.Default().Recorder()
-	recorder.SetSampleRate(*traceSample)
-	recorder.SetSlowThreshold(*traceSlow)
 
 	// The library keeps Workers 0 = sequential (the paper's cost
 	// accounting); the daemon uses every core GOMAXPROCS grants it, as

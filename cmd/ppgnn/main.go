@@ -38,14 +38,13 @@
 //	-metrics-addr A  serve the JSON metrics snapshot and pprof on A for
 //	                 the process lifetime (default off); with -v the
 //	                 snapshot is also printed to stderr after the query
-//	-trace-sample F  head-sampling rate in [0,1] for the per-query trace
-//	                 (default 1). The trace id rides a FrameTrace to the
-//	                 remote LSP, whose flight recorder retains the
-//	                 server-side span tree under the same id.
 //	-trace-out F     after the query, write the client-side flight
 //	                 recorder contents (the trace tree: session, collect,
 //	                 partition, query, lsp, decrypt spans with closed-enum
-//	                 attributes only) as JSON to file F
+//	                 attributes only) as JSON to file F. Every query is
+//	                 traced; with -connect the trace id rides a FrameTrace
+//	                 to the remote LSP, whose flight recorder retains the
+//	                 server-side span tree under the same id.
 //
 // Batch encryption/decryption and the in-process LSP run
 // runtime.GOMAXPROCS(0) workers wide; the GOMAXPROCS environment
@@ -93,11 +92,8 @@ func main() {
 	membersTCP := flag.Bool("members-tcp", false, "serve -quorum-t members over loopback TCP MemberServers instead of in-process links")
 	tenant := flag.String("tenant", "", "route -connect sessions to this tenant of a multi-tenant LSP (default: the default tenant)")
 	metricsAddr := flag.String("metrics-addr", "", "serve JSON metrics snapshot and pprof on this address (default off)")
-	traceSample := flag.Float64("trace-sample", 1, "head-sampling rate in [0,1] for the per-query trace")
 	traceOut := flag.String("trace-out", "", "write the client-side trace tree as JSON to this file after the query")
 	flag.Parse()
-
-	obs.Default().Recorder().SetSampleRate(*traceSample)
 
 	if *metricsAddr != "" {
 		maddr, stop, err := obs.Serve(*metricsAddr, obs.Default())

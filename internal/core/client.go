@@ -16,9 +16,13 @@ import (
 
 // Service abstracts the LSP from the client's point of view; LocalService
 // calls an in-process LSP, and the retrying transport.Pool
-// (internal/transport) talks to a remote one over TCP.
+// (internal/transport) talks to a remote one over TCP. Answer runs
+// Algorithm 2 for the query under sp, the caller's span for the
+// exchange: a remote service carries its trace id on the wire and
+// records its retries on it, the in-process one annotates it with the
+// LSP's attributes. A nil sp means untraced.
 type Service interface {
-	Process(q *QueryMsg, locs []*LocationMsg) (*AnswerMsg, error)
+	Answer(sp *obs.Span, q *QueryMsg, locs []*LocationMsg) (*AnswerMsg, error)
 }
 
 // LocalService adapts an in-process LSP, attributing its computation to
@@ -28,8 +32,9 @@ type LocalService struct {
 	Meter *cost.Meter
 }
 
-// Process implements Service.
-func (s LocalService) Process(q *QueryMsg, locs []*LocationMsg) (*AnswerMsg, error) {
+// Answer implements Service.
+func (s LocalService) Answer(sp *obs.Span, q *QueryMsg, locs []*LocationMsg) (*AnswerMsg, error) {
+	s.LSP.annotateTrace(sp, q)
 	return s.LSP.Process(q, locs, s.Meter)
 }
 
@@ -183,48 +188,47 @@ type Result struct {
 
 // Run executes a full query round trip: build (Algorithm 1), send, process
 // (Algorithm 2, on the service), receive, decrypt. All communication and
-// computation costs land on the meter (which may be nil).
-func (g *Group) Run(svc Service, meter *cost.Meter) (*Result, error) {
+// computation costs land on the meter (which may be nil). The run is one
+// trace in the default registry's flight recorder — a "session" root
+// over "query" (build and round trip) and "decrypt" spans, metered as a
+// group.Session meters the same phases.
+func (g *Group) Run(svc Service, meter *cost.Meter) (_ *Result, err error) {
+	reg := obs.Default()
+	sess := reg.StartTrace("session")
+	defer func() { sess.End(Outcome(err)) }()
+	qsp := reg.StartSpan("query", sess)
 	q, locs, err := g.BuildQuery(meter)
+	var ans *AnswerMsg
+	if err == nil {
+		ans, err = RoundTrip(svc, qsp, q, locs, meter)
+	}
+	qsp.End(Outcome(err))
 	if err != nil {
 		return nil, err
 	}
-	ans, err := RoundTrip(svc, obs.TraceContext{}, q, locs, meter)
-	if err != nil {
-		return nil, err
-	}
+	dsp := reg.StartSpan("decrypt", sess)
 	records, err := g.DecryptAnswer(ans, meter)
+	dsp.End(Outcome(err))
 	if err != nil {
 		return nil, err
 	}
 	return g.Finish(records), nil
 }
 
-// RoundTrip sends the query and its location sets to the LSP and returns
-// the answer, charging both directions to the meter: the one place the
-// user↔LSP bytes of a query are counted, the same for an in-process and a
-// remote LSP (retried attempts are counted by the transport's own
-// telemetry, not here). A traced context is
-// handed across the Service boundary when svc can carry it (transport
-// clients propagate the id on the wire, LocalService annotates the LSP
-// attributes directly); otherwise it is plain Process. The messages are
+// RoundTrip sends the query and its location sets to the LSP under sp
+// (nil = untraced) and returns the answer, charging both directions to
+// the meter: the one place the user↔LSP bytes of a query are counted,
+// the same for an in-process and a remote LSP (retried attempts are
+// counted by the transport's own telemetry, not here). The messages are
 // marshalled only to count their bytes, so a nil meter skips that work.
-func RoundTrip(svc Service, tc obs.TraceContext, q *QueryMsg, locs []*LocationMsg, meter *cost.Meter) (*AnswerMsg, error) {
+func RoundTrip(svc Service, sp *obs.Span, q *QueryMsg, locs []*LocationMsg, meter *cost.Meter) (*AnswerMsg, error) {
 	if meter != nil {
 		meter.AddBytes(cost.UserToLSP, len(q.Marshal()))
 		for _, lm := range locs {
 			meter.AddBytes(cost.UserToLSP, len(lm.Marshal()))
 		}
 	}
-	var (
-		ans *AnswerMsg
-		err error
-	)
-	if ts, ok := svc.(TracedService); ok && tc.Traced() {
-		ans, err = ts.ProcessTraced(tc, q, locs)
-	} else {
-		ans, err = svc.Process(q, locs)
-	}
+	ans, err := svc.Answer(sp, q, locs)
 	if err != nil {
 		return nil, err
 	}

@@ -473,7 +473,7 @@ func TestRoundTripNilMeter(t *testing.T) {
 	}
 	svc := LocalService{LSP: lsp}
 	var m cost.Meter
-	ans, err := RoundTrip(svc, obs.TraceContext{}, q, locs, &m)
+	ans, err := RoundTrip(svc, nil, q, locs, &m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -489,7 +489,7 @@ func TestRoundTripNilMeter(t *testing.T) {
 
 	trip := func(meter *cost.Meter) func() {
 		return func() {
-			if _, err := RoundTrip(svc, obs.TraceContext{}, q, locs, meter); err != nil {
+			if _, err := RoundTrip(svc, nil, q, locs, meter); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -498,6 +498,52 @@ func TestRoundTripNilMeter(t *testing.T) {
 	bare := testing.AllocsPerRun(5, trip(nil))
 	if bare >= metered {
 		t.Fatalf("nil-meter round trip allocates %v times, metered %v: want fewer", bare, metered)
+	}
+}
+
+// TestGroupRunRecordsTrace: the shared-memory driver files one trace
+// per query in the default flight recorder — a "session" root over
+// "query" and "decrypt", with the in-process LSP's bucketed attributes
+// on the query span — and meters the same phases a quorum session does.
+func TestGroupRunRecordsTrace(t *testing.T) {
+	lsp := testLSP(300)
+	rng := rand.New(rand.NewSource(38))
+	p := testParams(2, VariantPPGNN)
+	p.NoSanitize = true
+	g, err := NewGroup(p, randomLocations(rng, 2), rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.Default()
+	sessionOK := func() int64 {
+		return reg.Snapshot().Counter("ppgnn_phase_total", obs.L("phase", "session"), obs.L("outcome", "ok"))
+	}
+	before := sessionOK()
+	if _, err := g.Run(LocalService{LSP: lsp}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := sessionOK() - before; got != 1 {
+		t.Fatalf("ppgnn_phase_total{phase=session,outcome=ok} grew by %d, want 1", got)
+	}
+	snaps := reg.Recorder().Snapshot()
+	if len(snaps) == 0 {
+		t.Fatal("Group.Run retained no trace")
+	}
+	root := snaps[0].Root // newest first
+	if snaps[0].Remote || root.Phase != "session" || root.Outcome != "ok" {
+		t.Fatalf("root = %s/%s (remote %v), want a local session/ok", root.Phase, root.Outcome, snaps[0].Remote)
+	}
+	var phases []string
+	for _, c := range root.Children {
+		phases = append(phases, c.Phase+"/"+c.Outcome)
+	}
+	if got := strings.Join(phases, ","); got != "query/ok,decrypt/ok" {
+		t.Fatalf("session children = %s, want query/ok,decrypt/ok", got)
+	}
+	q := root.Children[0]
+	if !obs.AllowedTraceAttr("workers", q.Attrs["workers"]) ||
+		!obs.AllowedTraceAttr("candidates", q.Attrs["candidates"]) {
+		t.Fatalf("query attrs = %v, want bucketed workers and candidates", q.Attrs)
 	}
 }
 

@@ -4,7 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
+	"net"
+	"os"
 	"strings"
 	"time"
 
@@ -196,14 +199,14 @@ func IsRetryable(err error) bool {
 }
 
 // Outcome maps a session's error to the closed "outcome" label enum. It
-// is the one classifier behind every session-level outcome label (the
-// pool's sessions and trace root, a group session's phase spans, the
-// load driver). The typed taxonomies come first and are found anywhere
-// in an errors.Join retry chain, so a shed behind spent retries still
-// reads busy: quorum_lost, bad_contribution, then a *RemoteError as
-// busy, drain or remote; then the stdlib timeout and canceled; then
-// exhausted when every attempt failed transiently and the retry budget,
-// not the protocol, ended the session; else error.
+// is the one classifier behind every outcome label (the pool's sessions
+// and trace root, the server's sessions, every phase span, the load
+// driver). The typed taxonomies come first and are found anywhere in an
+// errors.Join retry chain, so a shed behind spent retries still reads
+// busy: quorum_lost, bad_contribution, then a *RemoteError as busy,
+// drain or remote; then the stdlib timeout and canceled; then exhausted
+// when every attempt failed transiently and the retry budget, not the
+// protocol, ended the session; else error.
 func Outcome(err error) string {
 	switch {
 	case err == nil:
@@ -223,16 +226,22 @@ func Outcome(err error) string {
 		}
 		return "remote"
 	}
-	out := obs.Outcome(err)
-	if out == "error" && IsRetryable(err) {
+	switch {
+	case isDeadline(err):
+		return "timeout"
+	case errors.Is(err, context.Canceled):
+		return "canceled"
+	case IsRetryable(err):
 		return "exhausted"
 	}
-	return out
+	return "error"
 }
 
 // Cause maps the error behind one retry or member removal to the closed
 // "cause" label enum: bad_contribution, quorum_lost, a *RemoteError as
-// busy, draining or remote, else obs.Cause's network taxonomy.
+// busy, draining or remote, else the network taxonomy of the stdlib
+// errors — timeout, canceled, eof, reset, dial. Cause never returns the
+// error text: the enum is the entire vocabulary.
 func Cause(err error) string {
 	switch {
 	case errors.Is(err, ErrBadContribution):
@@ -250,7 +259,34 @@ func Cause(err error) string {
 		}
 		return "remote"
 	}
-	return obs.Cause(err)
+	switch {
+	case isDeadline(err):
+		return "timeout"
+	case errors.Is(err, context.Canceled):
+		return "canceled"
+	case errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF):
+		return "eof"
+	case errors.Is(err, net.ErrClosed) || errors.Is(err, io.ErrClosedPipe):
+		return "reset"
+	}
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		return "timeout"
+	}
+	var oe *net.OpError
+	if errors.As(err, &oe) {
+		if oe.Op == "dial" {
+			return "dial"
+		}
+		return "reset"
+	}
+	return obs.OtherValue
+}
+
+// isDeadline reports a context deadline or an I/O deadline anywhere in
+// err's chain.
+func isDeadline(err error) bool {
+	return errors.Is(err, context.DeadlineExceeded) || errors.Is(err, os.ErrDeadlineExceeded)
 }
 
 // RetryDelay is the one backoff schedule of both retry loops

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"testing"
 	"time"
 
@@ -125,6 +126,14 @@ func TestRemoteErrorClassification(t *testing.T) {
 	}
 }
 
+// timeoutErr is a net.Error that reports a timeout without wrapping a
+// deadline sentinel.
+type timeoutErr struct{}
+
+func (timeoutErr) Error() string   { return "i/o timeout" }
+func (timeoutErr) Timeout() bool   { return true }
+func (timeoutErr) Temporary() bool { return true }
+
 // joinChain mimics the Pool's terminal error shape: every attempt's
 // error joined, the join wrapped in the "session failed after N
 // attempt(s)" envelope. The taxonomy must classify through it.
@@ -180,6 +189,15 @@ func TestOutcomeAndCause(t *testing.T) {
 		{"retry exhausted", fmt.Errorf("after 4 attempts: %w",
 			errors.Join(Retryable(errors.New("dial refused")), Retryable(errors.New("reset")))), "exhausted", obs.OtherValue},
 		{"network failures exhausted", joinChain(Retryable(dial), Retryable(read)), "exhausted", "dial"},
+		// The stdlib network taxonomy under the typed one.
+		{"io deadline", fmt.Errorf("read: %w", os.ErrDeadlineExceeded), "timeout", "timeout"},
+		{"net timeout", &net.OpError{Op: "read", Net: "tcp", Err: timeoutErr{}}, "error", "timeout"},
+		{"eof", io.EOF, "error", "eof"},
+		{"unexpected eof", fmt.Errorf("frame: %w", io.ErrUnexpectedEOF), "error", "eof"},
+		{"closed conn", net.ErrClosed, "error", "reset"},
+		{"closed pipe", io.ErrClosedPipe, "error", "reset"},
+		{"dial", dial, "error", "dial"},
+		{"read reset", read, "error", "reset"},
 	}
 	for _, c := range cases {
 		if got := Outcome(c.err); got != c.outcome {

@@ -132,15 +132,11 @@ type Session struct {
 
 	reg *obs.Registry
 	// curSpan is the span for the phase currently fanning out member
-	// exchanges; workers call AddRetry on it. It is written only between
-	// phases, after every worker of the previous phase has been joined.
+	// exchanges: workers call AddRetry on it and announce its trace id,
+	// and partition spans nest under it while collect runs. It is
+	// written only between phases, after every worker of the previous
+	// phase has been joined.
 	curSpan *obs.Span
-	// trace is the session's head-sampled per-query trace (nil =
-	// untraced); collectNode is the live "collect" trace node while the
-	// collect loop runs, so partition spans nest under it. Both follow
-	// curSpan's single-writer discipline.
-	trace       *obs.Trace
-	collectNode *obs.TraceSpan
 }
 
 // NewSession wires a coordinator to its member links. links[i] reaches
@@ -279,21 +275,16 @@ func (s *Session) Run(ctx context.Context, svc core.Service) (out *Outcome, err 
 	if s.phase != PhaseInit {
 		return s.outcome(nil, nil, 0), fmt.Errorf("group: session already run (phase %s)", s.phase)
 	}
-	// One head-sampled trace per session: the root node doubles as the
-	// "session" span's trace mirror, so ending the span completes the
-	// trace and files it with the flight recorder.
-	tr := s.reg.Recorder().Start("session")
-	s.trace = tr
-	sess := s.reg.StartSpan("session").Attach(tr.Root())
+	// One trace per session: its metered "session" root completes the
+	// trace and files it with the flight recorder when it ends.
+	sess := s.reg.StartTrace("session")
 	defer func() { sess.End(core.Outcome(err)) }()
 
 	s.phase = PhaseCollect
-	s.collectNode = tr.Root().Child("collect")
-	sp := s.reg.StartSpan("collect").Attach(s.collectNode)
+	sp := s.reg.StartSpan("collect", sess)
 	s.curSpan = sp
 	plan, locs, contributors, err := s.collect(ctx)
 	s.curSpan = nil
-	s.collectNode = nil
 	sp.End(core.Outcome(err))
 	if err != nil {
 		s.phase = PhaseFailed
@@ -302,15 +293,14 @@ func (s *Session) Run(ctx context.Context, svc core.Service) (out *Outcome, err 
 	rounds := s.round
 
 	s.phase = PhaseQuery
-	qnode := tr.Root().Child("query")
-	qsp := s.reg.StartSpan("query").Attach(qnode)
+	qsp := s.reg.StartSpan("query", sess)
 	qm, err := s.coord.BuildQuery(plan, s.cfg.Meter)
 	if err != nil {
 		qsp.End(core.Outcome(err))
 		s.phase = PhaseFailed
 		return s.outcome(nil, contributors, rounds), err
 	}
-	ans, perr := core.RoundTrip(svc, tr.Context(qnode), qm, locs, s.cfg.Meter)
+	ans, perr := core.RoundTrip(svc, qsp, qm, locs, s.cfg.Meter)
 	qsp.End(core.Outcome(perr))
 	if perr != nil {
 		s.phase = PhaseFailed
@@ -321,7 +311,7 @@ func (s *Session) Run(ctx context.Context, svc core.Service) (out *Outcome, err 
 	// Decrypt: the coordinator alone with a sole key, one joint round per
 	// ciphertext layer with the members' shares under a threshold key.
 	s.phase = PhaseDecrypt
-	dsp := s.reg.StartSpan("decrypt").Attach(tr.Root().Child("decrypt"))
+	dsp := s.reg.StartSpan("decrypt", sess)
 	s.curSpan = dsp
 	records, err := s.coord.Decrypt(ans, len(locs), s.cfg.Meter, func(degree int, cts []*big.Int) (map[int][]*big.Int, error) {
 		return s.partialRound(ctx, degree, cts)
@@ -348,9 +338,9 @@ func (s *Session) collect(ctx context.Context) (*core.RoundPlan, []*core.Locatio
 		if n < s.quorum {
 			return nil, nil, nil, s.quorumLost("contribute", s.quorum, n)
 		}
-		psp := s.reg.StartSpan("partition").Attach(s.collectNode.Child("partition"))
+		psp := s.reg.StartSpan("partition", s.curSpan)
 		plan, err := s.coord.Plan(n)
-		psp.EndErr(err)
+		psp.End(core.Outcome(err))
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -648,7 +638,7 @@ func (s *Session) exchange(ctx context.Context, m *memberState, round int, reqTy
 	// A traced session announces its id before each request. The frame
 	// is one-way: ProcLink and ServeConn absorb it without producing a
 	// reply, so the request/reply pairing below is undisturbed.
-	if id := s.trace.ID(); id != 0 {
+	if id := s.curSpan.ID(); id != 0 {
 		tb := core.MarshalTraceID(id)
 		s.meterFrame(len(tb))
 		if err := m.link.Send(ctx, core.FrameTrace, tb); err != nil {

@@ -1,11 +1,6 @@
 package obs
 
 import (
-	"context"
-	"errors"
-	"io"
-	"net"
-	"os"
 	"strconv"
 	"time"
 )
@@ -242,52 +237,4 @@ func LabelKeys() []string {
 func AllowedValues(key, value string) bool {
 	vals, ok := labelEnums[key]
 	return ok && (vals[value] || value == OtherValue)
-}
-
-// Cause classifies an error into the closed "cause" enum using only
-// stdlib error taxonomy. core.Cause maps core's typed errors
-// (RemoteError, QuorumError, ContributionError) and falls back to this
-// for plain network errors. Cause never returns the error text: the
-// enum is the entire vocabulary.
-func Cause(err error) string {
-	switch {
-	case err == nil:
-		return OtherValue
-	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, os.ErrDeadlineExceeded):
-		return "timeout"
-	case errors.Is(err, context.Canceled):
-		return "canceled"
-	case errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF):
-		return "eof"
-	case errors.Is(err, net.ErrClosed) || errors.Is(err, io.ErrClosedPipe):
-		return "reset"
-	}
-	var ne net.Error
-	if errors.As(err, &ne) && ne.Timeout() {
-		return "timeout"
-	}
-	var oe *net.OpError
-	if errors.As(err, &oe) {
-		if oe.Op == "dial" {
-			return "dial"
-		}
-		return "reset"
-	}
-	return OtherValue
-}
-
-// Outcome maps an error to the closed "outcome" enum: nil is "ok",
-// deadline and cancellation are distinguished, everything else is
-// "error". core.Outcome refines this with core's typed errors.
-func Outcome(err error) string {
-	switch {
-	case err == nil:
-		return "ok"
-	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, os.ErrDeadlineExceeded):
-		return "timeout"
-	case errors.Is(err, context.Canceled):
-		return "canceled"
-	default:
-		return "error"
-	}
 }

@@ -15,7 +15,7 @@ import (
 func TestMetricsEndpoint(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("transport_retries_total", L("cause", "dial")).Add(2)
-	sp := r.StartSpan("query")
+	sp := r.StartSpan("query", nil)
 	sp.End("ok")
 
 	addr, shutdown, err := Serve("127.0.0.1:0", r)

@@ -151,7 +151,7 @@ func TestRegistryRace(t *testing.T) {
 				r.Counter("race_total", L("outcome", "ok")).Inc()
 				r.Gauge("race_gauge").Add(1)
 				r.Histogram("race_seconds", nil, L("phase", "collect")).Observe(float64(i) / 1000)
-				sp := r.StartSpan("query")
+				sp := r.StartSpan("query", nil)
 				if i%3 == 0 {
 					sp.AddRetry()
 				}

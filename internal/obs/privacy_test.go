@@ -60,7 +60,7 @@ func TestPrivacyContract(t *testing.T) {
 	r.Counter("transport_retries_total", L("cause", "dial")).Inc()
 	r.Gauge("transport_inflight").Set(3)
 	r.Histogram("transport_frame_bytes", SizeBuckets, L("dir", "rx")).Observe(512)
-	sp := r.StartSpan("decrypt")
+	sp := r.StartSpan("decrypt", nil)
 	sp.End("quorum_lost")
 
 	// Hostile label values: coordinates, a ciphertext-looking blob, a
@@ -116,7 +116,7 @@ func TestTracePrivacyContract(t *testing.T) {
 
 	tr := rec.Start("session")
 	for _, v := range hostile {
-		sp := tr.Root().Child(v) // hostile phase
+		sp := tr.Child(v) // hostile phase
 		for _, key := range TraceAttrKeys() {
 			sp.SetAttr(key, v) // hostile value under every legal key
 		}
@@ -172,7 +172,7 @@ func TestUnregisteredTraceAttrKeyPanics(t *testing.T) {
 			t.Fatal("unregistered trace attr key must panic")
 		}
 	}()
-	tr.Root().SetAttr("user_location", "0.5,0.5")
+	tr.SetAttr("user_location", "0.5,0.5")
 }
 
 // TestTraceAttrEnumsAreClosed holds the trace attribute catalog to the

@@ -2,12 +2,11 @@ package obs
 
 import (
 	"encoding/json"
-	"math"
 	"sync"
 	"time"
 )
 
-// Flight recorder defaults. The ring holds the most recent completed
+// Flight recorder sizing. The ring holds the most recent completed
 // traces regardless of how they went; the slow reservoir additionally
 // retains traces that were slow or failed, so a burst of healthy
 // traffic cannot flush the interesting ones out of memory.
@@ -16,10 +15,12 @@ const (
 	DefaultTraceRing = 64
 	// DefaultSlowReservoir is the capacity of the slow/failed reservoir.
 	DefaultSlowReservoir = 32
-	// DefaultSlowThreshold marks a trace slow when its root span takes
-	// at least this long.
-	DefaultSlowThreshold = time.Second
 )
+
+// slowThreshold marks a trace slow when its root span takes at least
+// this long. It is a constant of the design (DESIGN.md §9), held in a
+// variable only so the reservoir tests can move it.
+var slowThreshold = time.Second
 
 // Recorder metric names (registered in catalog.go).
 const (
@@ -30,31 +31,18 @@ const (
 	traceDumpsName     = "ppgnn_trace_dumps_total"
 )
 
-// Recorder is the per-registry flight recorder: it originates sampled
-// traces, adopts wire-propagated ones, and retains completed trace
-// trees in two bounded stores — a ring of the last N traces and a
-// reservoir of slow/failed ones. All methods are nil-safe so untraced
-// configurations pay nothing.
+// Recorder is the per-registry flight recorder: it originates traces,
+// adopts wire-propagated ones, and retains completed trace trees in two
+// bounded stores — a ring of the last DefaultTraceRing traces and a
+// reservoir of slow/failed ones. Every query is traced: there is no
+// head sampling. All methods are nil-safe, so an untraced configuration
+// (a nil registry) pays nothing.
 type Recorder struct {
 	reg *Registry
 
-	mu       sync.Mutex
-	ring     []*TraceSnap // most recent completed traces, oldest first
-	ringCap  int
-	slow     []*TraceSnap // slow/failed traces, oldest first
-	slowCap  int
-	slowThr  time.Duration
-	sampleHi uint64 // ids at or below this are sampled
-}
-
-func newRecorder(reg *Registry) *Recorder {
-	return &Recorder{
-		reg:      reg,
-		ringCap:  DefaultTraceRing,
-		slowCap:  DefaultSlowReservoir,
-		slowThr:  DefaultSlowThreshold,
-		sampleHi: math.MaxUint64,
-	}
+	mu   sync.Mutex
+	ring []*TraceSnap // most recent completed traces, oldest first
+	slow []*TraceSnap // slow/failed traces, oldest first
 }
 
 // Recorder returns the registry's flight recorder, creating it on
@@ -67,108 +55,60 @@ func (r *Registry) Recorder() *Recorder {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.rec == nil {
-		r.rec = newRecorder(r)
+		r.rec = &Recorder{reg: r}
 	}
 	return r.rec
 }
 
-// SetSampleRate sets the head-sampling rate in [0, 1]: the fraction of
-// locally originated traces that are recorded. The sampling coin is the
-// crypto-random trace id itself, so the decision is uniform and free.
-// Wire-propagated traces (StartRemote) are never re-sampled — the
-// origin already decided.
-func (rec *Recorder) SetSampleRate(rate float64) {
+// Start originates a new trace under a fresh crypto-random id and
+// returns its root: a trace-only span that writes no phase rows (see
+// Registry.StartTrace for a metered root).
+func (rec *Recorder) Start(phase string) *Span {
 	if rec == nil {
-		return
-	}
-	var hi uint64
-	switch {
-	case rate >= 1:
-		hi = math.MaxUint64
-	case rate <= 0:
-		hi = 0
-	default:
-		hi = uint64(rate * math.MaxUint64)
-	}
-	rec.mu.Lock()
-	rec.sampleHi = hi
-	rec.mu.Unlock()
-}
-
-// SetSlowThreshold sets the root duration at or beyond which a trace is
-// retained in the slow reservoir (non-positive restores the default).
-func (rec *Recorder) SetSlowThreshold(d time.Duration) {
-	if rec == nil {
-		return
-	}
-	if d <= 0 {
-		d = DefaultSlowThreshold
-	}
-	rec.mu.Lock()
-	rec.slowThr = d
-	rec.mu.Unlock()
-}
-
-// Start originates a new trace rooted at phase, or returns nil when
-// head-sampling skips this query. The nil result is a fully functional
-// untraced no-op.
-func (rec *Recorder) Start(phase string) *Trace {
-	if rec == nil {
-		return nil
-	}
-	rec.mu.Lock()
-	hi := rec.sampleHi
-	rec.mu.Unlock()
-	if hi == 0 {
-		return nil
-	}
-	id := newTraceID()
-	if uint64(id) > hi {
 		return nil
 	}
 	rec.reg.Counter(traceStartedName).Inc()
-	return rec.adopt(id, phase, false)
+	return rec.root(newTraceID(), phase, false)
 }
 
-// StartRemote adopts a wire-propagated trace id: the upstream already
-// made the sampling decision, so the server always records. A zero id
-// returns nil (untraced).
-func (rec *Recorder) StartRemote(id TraceID, phase string) *Trace {
+// StartRemote adopts a wire-propagated trace id and returns the
+// trace-only root of this end's tree. A zero id returns nil (untraced).
+func (rec *Recorder) StartRemote(id TraceID, phase string) *Span {
 	if rec == nil || id == 0 {
 		return nil
 	}
 	rec.reg.Counter(traceRemoteName).Inc()
-	return rec.adopt(id, phase, true)
+	return rec.root(id, phase, true)
 }
 
-func (rec *Recorder) adopt(id TraceID, phase string, remote bool) *Trace {
+func (rec *Recorder) root(id TraceID, phase string, remote bool) *Span {
 	now := time.Now()
-	root := &TraceSpan{
+	s := &Span{
+		id:         id,
 		phase:      ClampLabel("phase", phase),
 		traceStart: now,
 		start:      now,
 	}
-	t := &Trace{id: id, root: root}
-	root.onEnd = func(s *TraceSpan) { rec.complete(t, remote) }
-	return t
+	s.onEnd = func(s *Span) { rec.complete(s, remote) }
+	return s
 }
 
 // complete freezes the trace tree and files it in the ring (always) and
 // the slow reservoir (when slow or failed). Both stores are bounded:
 // the oldest entry is evicted to make room.
-func (rec *Recorder) complete(t *Trace, remote bool) {
-	snap := &TraceSnap{TraceID: t.id.String(), Remote: remote, Root: t.root.snap()}
+func (rec *Recorder) complete(root *Span, remote bool) {
+	snap := &TraceSnap{TraceID: root.id.String(), Remote: remote, Root: root.snap()}
 	rec.reg.Counter(traceCompletedName).Inc()
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
 	rec.ring = append(rec.ring, snap)
-	if over := len(rec.ring) - rec.ringCap; over > 0 {
+	if over := len(rec.ring) - DefaultTraceRing; over > 0 {
 		rec.ring = append(rec.ring[:0], rec.ring[over:]...)
 	}
-	if snap.Root.Outcome != "ok" || snap.Root.Seconds >= rec.slowThr.Seconds() {
+	if snap.Root.Outcome != "ok" || snap.Root.Seconds >= slowThreshold.Seconds() {
 		rec.reg.Counter(traceSlowName).Inc()
 		rec.slow = append(rec.slow, snap)
-		if over := len(rec.slow) - rec.slowCap; over > 0 {
+		if over := len(rec.slow) - DefaultSlowReservoir; over > 0 {
 			rec.slow = append(rec.slow[:0], rec.slow[over:]...)
 		}
 	}

@@ -4,11 +4,9 @@ import (
 	crand "crypto/rand"
 	"encoding/binary"
 	"fmt"
-	"sync"
-	"time"
 )
 
-// Per-query distributed tracing (DESIGN.md §9). A Trace stitches the
+// Per-query distributed tracing (DESIGN.md §9). A trace stitches the
 // phase spans of one query — session, collect, partition, query, lsp,
 // decrypt — into a tree keyed by a crypto-random 64-bit trace id. The
 // id is propagated on the wire by an optional FrameTrace frame
@@ -32,198 +30,6 @@ type TraceID uint64
 
 // String formats the id the way it appears in trace JSON.
 func (id TraceID) String() string { return fmt.Sprintf("%016x", uint64(id)) }
-
-// TraceContext carries a trace across an API boundary: the wire id plus
-// the span new child work should hang off. The zero value means
-// untraced; every consumer treats it as "do nothing".
-type TraceContext struct {
-	ID   TraceID
-	Span *TraceSpan
-}
-
-// Traced reports whether the context carries a live trace.
-func (tc TraceContext) Traced() bool { return tc.ID != 0 }
-
-// TraceSpan is one node in a trace tree: a phase, its wall time, a
-// retry count, closed-enum attributes, and child spans. All methods are
-// nil-safe (a nil span is an untraced no-op) and safe for concurrent
-// use. After End the node is frozen: Child, SetAttr, and AddRetry
-// become no-ops, pinning the misuse semantics tested in trace_test.go.
-type TraceSpan struct {
-	mu         sync.Mutex
-	phase      string
-	outcome    string
-	traceStart time.Time
-	start      time.Time
-	dur        time.Duration
-	retries    int64
-	attrs      map[string]string
-	children   []*TraceSpan
-	ended      bool
-	onEnd      func(*TraceSpan) // set on roots: hands the tree to the recorder
-}
-
-// Child starts a sub-span under s. The phase is clamped to the closed
-// "phase" enum. Child on a nil or ended span returns nil, which is
-// itself a safe no-op span.
-func (s *TraceSpan) Child(phase string) *TraceSpan {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ended {
-		return nil
-	}
-	c := &TraceSpan{
-		phase:      ClampLabel("phase", phase),
-		traceStart: s.traceStart,
-		start:      time.Now(),
-	}
-	s.children = append(s.children, c)
-	return c
-}
-
-// SetAttr attaches a closed-enum attribute. The key must be registered
-// in the trace attribute catalog (unregistered keys panic — they are
-// code literals, so that is a bug); the value is clamped to the key's
-// enum, so dynamic data degrades to "other" instead of leaking.
-func (s *TraceSpan) SetAttr(key, value string) {
-	if s == nil {
-		return
-	}
-	value = ClampTraceAttr(key, value)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ended {
-		return
-	}
-	if s.attrs == nil {
-		s.attrs = make(map[string]string, 4)
-	}
-	s.attrs[key] = value
-}
-
-// AddRetry notes one retried exchange inside the span.
-func (s *TraceSpan) AddRetry() {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ended {
-		return
-	}
-	s.retries++
-}
-
-// End freezes the span with an outcome (clamped to the closed
-// "outcome" enum). The first End wins; later calls are no-ops, also
-// under concurrent callers. Ending a root span completes its trace and
-// hands the tree to the flight recorder.
-func (s *TraceSpan) End(outcome string) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	if s.ended {
-		s.mu.Unlock()
-		return
-	}
-	s.ended = true
-	s.dur = time.Since(s.start)
-	s.outcome = ClampLabel("outcome", outcome)
-	onEnd := s.onEnd
-	s.mu.Unlock()
-	if onEnd != nil {
-		onEnd(s)
-	}
-}
-
-// EndErr ends the span with Outcome(err).
-func (s *TraceSpan) EndErr(err error) { s.End(Outcome(err)) }
-
-// snap freezes the subtree rooted at s. Un-ended descendants are
-// reported with outcome "other" and their duration so far — a trace
-// completed while a stray child is still open must not block or lie.
-func (s *TraceSpan) snap() *SpanSnap {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	dur, outcome := s.dur, s.outcome
-	if !s.ended {
-		dur, outcome = time.Since(s.start), OtherValue
-	}
-	ss := &SpanSnap{
-		Phase:         s.phase,
-		Outcome:       outcome,
-		OffsetSeconds: s.start.Sub(s.traceStart).Seconds(),
-		Seconds:       dur.Seconds(),
-		Retries:       s.retries,
-	}
-	if len(s.attrs) > 0 {
-		ss.Attrs = make(map[string]string, len(s.attrs))
-		for k, v := range s.attrs {
-			ss.Attrs[k] = v
-		}
-	}
-	for _, c := range s.children {
-		ss.Children = append(ss.Children, c.snap())
-	}
-	return ss
-}
-
-// Trace is one query's span tree plus its wire id. A nil Trace is a
-// fully functional untraced no-op — callers sample once and then use
-// the result unconditionally.
-type Trace struct {
-	id   TraceID
-	root *TraceSpan
-}
-
-// ID returns the trace id (0 for a nil trace).
-func (t *Trace) ID() TraceID {
-	if t == nil {
-		return 0
-	}
-	return t.id
-}
-
-// Root returns the root span (nil for a nil trace).
-func (t *Trace) Root() *TraceSpan {
-	if t == nil {
-		return nil
-	}
-	return t.root
-}
-
-// Context packages the trace for an API boundary crossing, rooted at
-// span (Root when span is nil).
-func (t *Trace) Context(span *TraceSpan) TraceContext {
-	if t == nil {
-		return TraceContext{}
-	}
-	if span == nil {
-		span = t.root
-	}
-	return TraceContext{ID: t.id, Span: span}
-}
-
-// End completes the trace: it ends the root span, which hands the
-// frozen tree to the recorder.
-func (t *Trace) End(outcome string) {
-	if t == nil {
-		return
-	}
-	t.root.End(outcome)
-}
-
-// EndErr ends the trace with Outcome(err).
-func (t *Trace) EndErr(err error) {
-	if t == nil {
-		return
-	}
-	t.root.EndErr(err)
-}
 
 // SpanSnap is one frozen span in trace JSON. Offsets are relative to
 // the trace start — traces carry no absolute timestamps, so a retained

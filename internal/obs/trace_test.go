@@ -14,17 +14,17 @@ func TestTraceTreeSnapshot(t *testing.T) {
 
 	tr := rec.Start("session")
 	if tr == nil || tr.ID() == 0 {
-		t.Fatal("default sample rate must trace every query")
+		t.Fatal("a recorder must trace every query")
 	}
-	collect := tr.Root().Child("collect")
+	collect := tr.Child("collect")
 	collect.Child("partition").End("ok")
 	collect.End("ok")
-	q := tr.Root().Child("query")
+	q := tr.Child("query")
 	q.SetAttr("workers", CountBucketLabel(4))
 	q.SetAttr("candidates", CountBucketLabel(101))
 	q.AddRetry()
 	q.End("ok")
-	tr.Root().Child("decrypt").End("ok")
+	tr.Child("decrypt").End("ok")
 	tr.End("ok")
 
 	snaps := rec.Snapshot()
@@ -95,7 +95,7 @@ func TestTraceRingEviction(t *testing.T) {
 func TestSlowReservoirRetainsFailedAndSlow(t *testing.T) {
 	r := NewRegistry()
 	rec := r.Recorder()
-	rec.SetSlowThreshold(time.Hour) // nothing is slow by duration
+	setSlowThreshold(t, time.Hour) // nothing is slow by duration
 
 	fail := rec.Start("session")
 	fail.End("quorum_lost")
@@ -109,7 +109,7 @@ func TestSlowReservoirRetainsFailedAndSlow(t *testing.T) {
 
 	// Any positive duration crosses a zero-ish threshold: now an ok
 	// trace is retained for being slow.
-	rec.SetSlowThreshold(time.Nanosecond)
+	setSlowThreshold(t, time.Nanosecond)
 	slowOK := rec.Start("session")
 	time.Sleep(time.Millisecond)
 	slowOK.End("ok")
@@ -121,7 +121,7 @@ func TestSlowReservoirRetainsFailedAndSlow(t *testing.T) {
 	}
 
 	// A burst of healthy traffic may flush the ring but not the reservoir.
-	rec.SetSlowThreshold(time.Hour)
+	setSlowThreshold(t, time.Hour)
 	for i := 0; i < DefaultTraceRing+1; i++ {
 		tr := rec.Start("session")
 		tr.End("ok")
@@ -131,37 +131,47 @@ func TestSlowReservoirRetainsFailedAndSlow(t *testing.T) {
 	}
 }
 
-func TestHeadSampling(t *testing.T) {
-	r := NewRegistry()
-	rec := r.Recorder()
-	rec.SetSampleRate(0)
+// setSlowThreshold moves the slow-trace threshold for one test.
+func setSlowThreshold(t *testing.T, d time.Duration) {
+	old := slowThreshold
+	slowThreshold = d
+	t.Cleanup(func() { slowThreshold = old })
+}
+
+func TestUntracedAndRemoteSpans(t *testing.T) {
+	// An untraced configuration is a nil recorder: it starts nothing.
+	var nilRec *Recorder
 	for i := 0; i < 50; i++ {
-		if tr := rec.Start("session"); tr != nil {
-			t.Fatal("rate 0 must sample nothing")
+		if tr := nilRec.Start("session"); tr != nil {
+			t.Fatal("a nil recorder must trace nothing")
 		}
 	}
 	// A nil trace is a functional no-op end to end.
-	var tr *Trace
-	tr.Root().Child("query").SetAttr("workers", "le_4")
+	var tr *Span
+	tr.Child("query").SetAttr("workers", "le_4")
 	tr.End("ok")
-	if tr.ID() != 0 || tr.Context(nil).Traced() {
+	if tr.ID() != 0 {
 		t.Fatal("nil trace must read as untraced")
 	}
 
-	// Remote ids are never re-sampled: the origin already decided.
+	// Remote ids are adopted as they come: the origin already decided.
+	r := NewRegistry()
+	rec := r.Recorder()
 	remote := rec.StartRemote(TraceID(42), "session")
 	if remote == nil || remote.ID() != 42 {
-		t.Fatalf("StartRemote under rate 0 = %v", remote)
+		t.Fatalf("StartRemote = %v", remote)
 	}
 	remote.End("ok")
 	snaps := rec.Snapshot()
 	if len(snaps) != 1 || !snaps[0].Remote {
 		t.Fatalf("remote trace not retained: %+v", snaps)
 	}
+	if rec.StartRemote(0, "session") != nil {
+		t.Fatal("a zero wire id must stay untraced")
+	}
 
-	rec.SetSampleRate(1)
 	if rec.Start("session") == nil {
-		t.Fatal("rate 1 must sample everything")
+		t.Fatal("a recorder must trace every query")
 	}
 }
 
@@ -169,7 +179,7 @@ func TestSpanMisuseSemantics(t *testing.T) {
 	r := NewRegistry()
 	rec := r.Recorder()
 	tr := rec.Start("session")
-	sp := tr.Root().Child("query")
+	sp := tr.Child("query")
 	sp.End("ok")
 
 	// Frozen after End: mutators are no-ops, Child returns a safe nil.
@@ -192,7 +202,18 @@ func TestSpanConcurrentDoubleEnd(t *testing.T) {
 	rec := r.Recorder()
 	for i := 0; i < 20; i++ {
 		tr := rec.Start("session")
+		sp := r.StartSpan("collect", tr)
+		// Fan-out workers add retries to the phase span at once...
 		var wg sync.WaitGroup
+		for j := 0; j < 4; j++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				sp.AddRetry()
+			}()
+		}
+		wg.Wait()
+		// ...then racing Ends of the phase and of the trace.
 		for j := 0; j < 4; j++ {
 			wg.Add(1)
 			outcome := "ok"
@@ -201,14 +222,25 @@ func TestSpanConcurrentDoubleEnd(t *testing.T) {
 			}
 			go func() {
 				defer wg.Done()
+				sp.End(outcome)
 				tr.End(outcome)
 			}()
 		}
 		wg.Wait()
 	}
-	// Exactly one completion per trace, concurrent Ends notwithstanding.
-	if got := r.Snapshot().Counter(traceCompletedName); got != 20 {
+	// Exactly one completion per trace and one phase row per span,
+	// concurrent Ends notwithstanding, with every retry counted.
+	s := r.Snapshot()
+	if got := s.Counter(traceCompletedName); got != 20 {
 		t.Fatalf("completed = %d, want 20", got)
+	}
+	rows := s.Counter(phaseTotalName, L("phase", "collect"), L("outcome", "ok")) +
+		s.Counter(phaseTotalName, L("phase", "collect"), L("outcome", "error"))
+	if rows != 20 {
+		t.Fatalf("collect phase rows = %d, want 20", rows)
+	}
+	if got := s.Counter(phaseRetriesName, L("phase", "collect")); got != 80 {
+		t.Fatalf("collect retries = %d, want 80", got)
 	}
 }
 
@@ -237,26 +269,6 @@ func TestTraceDump(t *testing.T) {
 	if nilRec.Dump("watchdog") != nil {
 		t.Fatal("nil recorder must dump nil")
 	}
-}
-
-func TestSpanAttachForwardsToTraceNode(t *testing.T) {
-	r := NewRegistry()
-	rec := r.Recorder()
-	tr := rec.Start("session")
-	node := tr.Root().Child("lsp")
-	sp := r.StartSpan("lsp").Attach(node)
-	sp.AddRetry()
-	sp.End("timeout")
-	tr.End("error")
-
-	got := rec.Snapshot()[0].Root.Children[0]
-	if got.Outcome != "timeout" || got.Retries != 1 {
-		t.Fatalf("attached node = %+v, want the metric span's outcome and retries", got)
-	}
-	// Attach is nil-safe in both directions.
-	r.StartSpan("lsp").Attach(nil).End("ok")
-	var nilSpan *Span
-	nilSpan.Attach(node).End("ok")
 }
 
 func TestBucketLabels(t *testing.T) {

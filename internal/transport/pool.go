@@ -124,32 +124,29 @@ func (p *Pool) init() {
 	})
 }
 
-// Process implements core.Service with automatic reconnect and retry.
+// Process sends one query with automatic reconnect and retry.
 //
 // When every attempt fails, the returned error wraps the FULL cause
 // chain of the retry loop via errors.Join — not just the last attempt's
 // error — so typed causes (a *core.RemoteError behind two timeouts, a
 // refused dial before a reset) stay matchable with errors.Is/errors.As
 // after any number of resends.
+//
+// A caller without a span (direct library use, the benchmark driver)
+// still gets flight-recorder coverage on both ends: Process originates
+// its own trace-only root "query" and propagates it.
 func (p *Pool) Process(q *core.QueryMsg, locs []*core.LocationMsg) (ans *core.AnswerMsg, err error) {
 	p.init()
-	// An untraced caller (the load fleet, direct library use) still gets
-	// flight-recorder coverage on both ends: the pool originates its own
-	// head-sampled trace rooted at "query" and propagates it.
-	tr := p.rec.Start("query")
-	defer func() { tr.End(core.Outcome(err)) }()
-	return p.processTraced(tr.Context(nil), q, locs)
+	root := p.rec.Start("query")
+	defer func() { root.End(core.Outcome(err)) }()
+	return p.Answer(root, q, locs)
 }
 
-// ProcessTraced implements core.TracedService: retried attempts and
-// their causes land on tc.Span, and the trace id precedes every attempt
-// on the wire.
-func (p *Pool) ProcessTraced(tc obs.TraceContext, q *core.QueryMsg, locs []*core.LocationMsg) (*core.AnswerMsg, error) {
+// Answer implements core.Service: Process under the caller's span.
+// Retried attempts and their causes land on sp, and its trace id
+// precedes every attempt on the wire.
+func (p *Pool) Answer(sp *obs.Span, q *core.QueryMsg, locs []*core.LocationMsg) (ans *core.AnswerMsg, err error) {
 	p.init()
-	return p.processTraced(tc, q, locs)
-}
-
-func (p *Pool) processTraced(tc obs.TraceContext, q *core.QueryMsg, locs []*core.LocationMsg) (ans *core.AnswerMsg, err error) {
 	p.mInflight.Add(1)
 	defer func() {
 		p.mInflight.Add(-1)
@@ -172,8 +169,8 @@ func (p *Pool) processTraced(tc obs.TraceContext, q *core.QueryMsg, locs []*core
 			last := attemptErrs[len(attemptErrs)-1]
 			cause := core.Cause(last)
 			p.mRetries(cause).Inc()
-			tc.Span.AddRetry()
-			tc.Span.SetAttr("cause", cause)
+			sp.AddRetry()
+			sp.SetAttr("cause", cause)
 			// A shed server may suggest how long to stay away; honor the
 			// hint as the backoff floor (clamped to RetryMax).
 			floor, _ := core.RetryAfterHint(last)
@@ -196,7 +193,7 @@ func (p *Pool) processTraced(tc obs.TraceContext, q *core.QueryMsg, locs []*core
 			attemptErrs = append(attemptErrs, fmt.Errorf("attempt %d: %w", attempts, aerr))
 			continue
 		}
-		ans, serr := runSession(ctx, conn, p.Tenant, tc, q, locs)
+		ans, serr := runSession(ctx, conn, p.Tenant, sp, q, locs)
 		if serr == nil {
 			p.put(conn)
 			return ans, nil
@@ -338,4 +335,4 @@ func (p *Pool) Close() error {
 	return nil
 }
 
-var _ core.TracedService = (*Pool)(nil)
+var _ core.Service = (*Pool)(nil)

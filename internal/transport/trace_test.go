@@ -28,7 +28,7 @@ func TestTracePropagationClientToServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.Run(pool, nil); err != nil {
+	if err := processQuery(t, pool, g); err != nil {
 		t.Fatal(err)
 	}
 
@@ -97,7 +97,7 @@ func TestShedSessionIsTraced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.Run(pool, nil); err == nil {
+	if err := processQuery(t, pool, g); err == nil {
 		t.Fatal("quota shed did not fail the query")
 	}
 
@@ -162,7 +162,7 @@ func TestRetriedSessionTraceCarriesCause(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.Run(pool, nil); err != nil {
+	if err := processQuery(t, pool, g); err != nil {
 		t.Fatal(err)
 	}
 	client := creg.Recorder().Snapshot()
@@ -173,6 +173,65 @@ func TestRetriedSessionTraceCarriesCause(t *testing.T) {
 	if root.Outcome != "ok" || root.Retries != 1 || root.Attrs["cause"] != "busy" {
 		t.Fatalf("retried trace root = outcome=%s retries=%d attrs=%v", root.Outcome, root.Retries, root.Attrs)
 	}
+}
+
+// TestGroupRunTraceCrossesPool: a caller's span rides the Service call.
+// Group.Run's "query" span goes to Pool.Answer, so the pool originates no
+// trace of its own and the server adopts the group's trace id.
+func TestGroupRunTraceCrossesPool(t *testing.T) {
+	sreg := obs.NewRegistry()
+	_, addr := startServerWith(t, 400, func(s *Server) { s.Obs = sreg })
+	creg := obs.NewRegistry()
+	pool := NewPool(addr)
+	pool.Obs = creg
+	defer pool.Close()
+
+	g, err := core.NewGroup(testParams(2, core.VariantPPGNN),
+		[]geo.Point{{X: 0.3, Y: 0.4}, {X: 0.5, Y: 0.6}}, rand.New(rand.NewSource(34)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.Run(pool, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(creg.Recorder().Snapshot()); got != 0 {
+		t.Fatalf("pool originated %d traces under a caller's span, want 0", got)
+	}
+	var server []*obs.TraceSnap
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		if server = sreg.Recorder().Snapshot(); len(server) > 0 {
+			break
+		}
+	}
+	if len(server) != 1 {
+		t.Fatalf("server retained %d traces, want 1", len(server))
+	}
+	for _, c := range obs.Default().Recorder().Snapshot() {
+		if c.TraceID != server[0].TraceID {
+			continue
+		}
+		if c.Root.Phase != "session" || len(c.Root.Children) != 2 {
+			t.Fatalf("client trace = %s with %d children, want session over query and decrypt",
+				c.Root.Phase, len(c.Root.Children))
+		}
+		if q := c.Root.Children[0]; q.Phase != "query" || len(q.Children) != 1 || q.Children[0].Phase != "lsp" {
+			t.Fatalf("client query span = %+v, want one client-observed lsp child", q)
+		}
+		return
+	}
+	t.Fatalf("server trace %s has no client trace in the default recorder", server[0].TraceID)
+}
+
+// processQuery sends g's query through Pool.Process, the entry point
+// that originates the pool's own "query" trace.
+func processQuery(t *testing.T, pool *Pool, g *core.Group) error {
+	t.Helper()
+	q, locs, err := g.BuildQuery(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = pool.Process(q, locs)
+	return err
 }
 
 // admitFunc adapts a function to SessionAdmitter for tests.

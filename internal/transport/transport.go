@@ -282,8 +282,8 @@ func (s *Server) serveConn(conn net.Conn) {
 // this connection only.
 func (s *Server) serveQuery(conn net.Conn) (err error) {
 	inSession := false
-	outcomeOverride := "" // non-empty wins over obs.Outcome(err)
-	var tr *obs.Trace     // non-nil when the client sent a FrameTrace
+	outcomeOverride := "" // non-empty wins over core.Outcome(err)
+	var root *obs.Span    // non-nil when the client sent a FrameTrace
 	defer func() {
 		if r := recover(); r != nil {
 			conn.SetWriteDeadline(time.Now().Add(5 * time.Second))
@@ -291,19 +291,19 @@ func (s *Server) serveQuery(conn net.Conn) (err error) {
 			err = fmt.Errorf("transport: session panic: %v", r)
 			s.reg().Counter("transport_server_panics_total").Inc()
 			s.countSession("panic")
-			tr.End("panic")
+			root.End("panic")
 			if s.OnSessionPanic != nil {
 				s.OnSessionPanic()
 			}
 		} else if inSession {
-			out := obs.Outcome(err)
+			out := core.Outcome(err)
 			if outcomeOverride != "" {
 				out = outcomeOverride
 			}
 			s.countSession(out)
-			tr.End(out)
+			root.End(out)
 		} else {
-			tr.EndErr(err)
+			root.End(core.Outcome(err))
 		}
 		if inSession {
 			s.endSession(conn)
@@ -325,16 +325,17 @@ func (s *Server) serveQuery(conn net.Conn) (err error) {
 			s.reject(conn, terr.Error())
 			return fmt.Errorf("transport: %w", terr)
 		}
-		// The client already made the sampling decision; the server-side
-		// tree roots at "session" and records how this end disposed of it.
-		tr = s.reg().Recorder().StartRemote(id, "session")
+		// The client originated the trace; the server-side tree roots
+		// at a trace-only "session" and records how this end disposed
+		// of it.
+		root = s.reg().Recorder().StartRemote(id, "session")
 		if typ, payload, err = s.readFrame(conn, timeout); err != nil {
 			return fmt.Errorf("reading session after trace frame: %w", err)
 		}
 	}
 	if !s.beginSession(conn) {
 		s.reject(conn, core.DrainingMessage)
-		tr.End("drain")
+		root.End("drain")
 		return fmt.Errorf("transport: draining, session rejected")
 	}
 	inSession = true
@@ -363,17 +364,17 @@ func (s *Server) serveQuery(conn net.Conn) (err error) {
 				// Sheds get traced too: the trace records which gate shed
 				// the session and the retry-after hint the client was
 				// given, all as closed-enum buckets.
-				tr.Root().SetAttr("admission", be.Reason)
-				tr.Root().SetAttr("retry_after", obs.DurationBucketLabel(be.RetryAfter))
+				root.SetAttr("admission", be.Reason)
+				root.SetAttr("retry_after", obs.DurationBucketLabel(be.RetryAfter))
 				if be.Slot != "" {
-					tr.Root().SetAttr("tenant", be.Slot)
+					root.SetAttr("tenant", be.Slot)
 				}
 				outcomeOverride = "busy"
 				s.reg().Counter("transport_server_shed_total").Inc()
 				s.reject(conn, core.BusyReply(be.RetryAfter))
 				return fmt.Errorf("transport: %w", aerr)
 			}
-			tr.Root().SetAttr("admission", "unknown")
+			root.SetAttr("admission", "unknown")
 			return s.replyError(conn, aerr)
 		}
 		if grant.Release != nil {
@@ -389,16 +390,16 @@ func (s *Server) serveQuery(conn net.Conn) (err error) {
 		if grant.MaxLocations > 0 {
 			maxLocs = grant.MaxLocations
 		}
-		tr.Root().SetAttr("admission", "ok")
+		root.SetAttr("admission", "ok")
 		if grant.Slot != "" {
-			tr.Root().SetAttr("tenant", grant.Slot)
+			root.SetAttr("tenant", grant.Slot)
 		}
 	} else if tenant != DefaultTenant {
 		return s.replyError(conn, fmt.Errorf("unknown tenant %q", tenant))
 	} else {
 		// No admitter: the default policy accepted the session.
-		tr.Root().SetAttr("admission", "ok")
-		tr.Root().SetAttr("tenant", DefaultTenant)
+		root.SetAttr("admission", "ok")
+		root.SetAttr("tenant", DefaultTenant)
 	}
 	// Admitted: route this session's homomorphic batches through the
 	// server-shared coalescer (WithCoalescer is the identity on nil).
@@ -442,12 +443,11 @@ func (s *Server) serveQuery(conn net.Conn) (err error) {
 	}
 	// The "lsp" span is Algorithm 2 as the provider experiences it:
 	// candidate enumeration, homomorphic selection, sanitation. When the
-	// session is traced the span doubles as the trace's "lsp" node,
+	// session is traced the span is also the trace's "lsp" node,
 	// annotated with the worker-width and candidate-count buckets.
-	node := tr.Root().Child("lsp")
-	sp := s.reg().StartSpan("lsp").Attach(node)
-	ans, err := lsp.ProcessTraced(obs.TraceContext{ID: tr.ID(), Span: node}, q, locs, nil)
-	sp.EndErr(err)
+	sp := s.reg().StartSpan("lsp", root)
+	ans, err := core.LocalService{LSP: lsp}.Answer(sp, q, locs)
+	sp.End(core.Outcome(err))
 	// The session holds nothing of the tenant from here on; releasing
 	// before the answer write means a client that has its answer never
 	// observes its own session still counted in flight.
@@ -530,10 +530,10 @@ func (c *countingReader) Read(p []byte) (int, error) {
 // runSession performs one query session on conn: an optional trace
 // frame, an optional tenant frame, the query frame, location frames,
 // optional end-of-locations sentinel, then the reply. The context
-// deadline bounds every frame exchange. A traced session (tc.Traced)
-// additionally records a client-observed "lsp" child span covering the
-// reply wait — the server's processing as seen from this side of the
-// wire.
+// deadline bounds every frame exchange. A traced session (sp carries a
+// trace id) additionally records a client-observed, trace-only "lsp"
+// child span covering the reply wait — the server's processing as seen
+// from this side of the wire.
 //
 // Error classification (see internal/core): every failure up to the first
 // reply byte is marked core.Retryable — the server either never saw the
@@ -542,9 +542,9 @@ func (c *countingReader) Read(p []byte) (int, error) {
 // first reply byte is left unmarked (the extremely rare mid-answer cut),
 // and a FrameError reply becomes a *core.RemoteError, retryable only for
 // the transient busy/draining messages.
-func runSession(ctx context.Context, conn net.Conn, tenant string, tc obs.TraceContext, q *core.QueryMsg, locs []*core.LocationMsg) (*core.AnswerMsg, error) {
-	if tc.Traced() {
-		if err := wire.WriteFrameCtx(ctx, conn, core.FrameTrace, core.MarshalTraceID(tc.ID)); err != nil {
+func runSession(ctx context.Context, conn net.Conn, tenant string, sp *obs.Span, q *core.QueryMsg, locs []*core.LocationMsg) (*core.AnswerMsg, error) {
+	if id := sp.ID(); id != 0 {
+		if err := wire.WriteFrameCtx(ctx, conn, core.FrameTrace, core.MarshalTraceID(id)); err != nil {
 			return nil, core.Retryable(err)
 		}
 	}
@@ -576,10 +576,10 @@ func runSession(ctx context.Context, conn net.Conn, tenant string, tc obs.TraceC
 	cr := &countingReader{r: conn}
 	// The reply wait, as a trace child: everything between the last
 	// request byte and the first reply frame is the server's turn.
-	lspNode := tc.Span.Child("lsp")
+	lspNode := sp.Child("lsp")
 	typ, payload, err := wire.ReadFrame(cr)
 	if err != nil {
-		lspNode.EndErr(err)
+		lspNode.End(core.Outcome(err))
 		if cr.n == 0 {
 			return nil, core.Retryable(err)
 		}
