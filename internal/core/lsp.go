@@ -47,10 +47,6 @@ type LSP struct {
 	// candidate query derives its own stream from it (default
 	// DefaultSanitizeSeed).
 	SanitizeSeed int64
-	// MaxCandidates bounds δ' (default DefaultMaxCandidates): a hostile
-	// coordinator could otherwise submit partition parameters implying
-	// billions of candidate queries and stall the LSP.
-	MaxCandidates int
 	// Rerandomize refreshes the randomness of every answer ciphertext with
 	// a homomorphic zero before returning it. The private selection's
 	// output randomness is a deterministic function of the indicator
@@ -82,8 +78,10 @@ type LSP struct {
 // DefaultSanitizeSeed is the SanitizeSeed NewLSP sets.
 const DefaultSanitizeSeed = 1
 
-// DefaultMaxCandidates caps δ' per query (Privacy II rarely needs more
-// than a few hundred; the paper's maximum is δ'≈200).
+// DefaultMaxCandidates caps δ' per query: a hostile coordinator could
+// otherwise submit partition parameters implying billions of candidate
+// queries and stall the LSP. Privacy II rarely needs more than a few
+// hundred; the paper's maximum is δ'≈200.
 const DefaultMaxCandidates = 65536
 
 // NewLSP builds an LSP over the POI database, indexed with one dynamic
@@ -289,12 +287,8 @@ func (l *LSP) validateQuery(q *QueryMsg, locs []*LocationMsg) error {
 			return fmt.Errorf("core: %w", err)
 		}
 	}
-	maxCand := l.MaxCandidates
-	if maxCand <= 0 {
-		maxCand = DefaultMaxCandidates
-	}
-	if dp := q.CandidateCount(); dp > maxCand {
-		return fmt.Errorf("core: query implies %d candidate queries, above this LSP's limit %d", dp, maxCand)
+	if dp := q.CandidateCount(); dp > DefaultMaxCandidates {
+		return fmt.Errorf("core: query implies %d candidate queries, above this LSP's limit %d", dp, DefaultMaxCandidates)
 	}
 	if len(locs) == 0 {
 		return fmt.Errorf("core: no location sets")

@@ -150,7 +150,6 @@ func (f *FixedBase) batchLayout(uses int) (combLayout, bool) {
 // counting its products on s.
 func (c *Ctx) buildComb(s *montScratch, g []big.Word, maxBits int, l combLayout) *FixedBase {
 	n := len(c.mw)
-	done := timeTableBuild(tableFixedBase, l.v<<l.h)
 	f := &FixedBase{
 		ctx:        c,
 		maxBits:    maxBits,
@@ -181,7 +180,6 @@ func (c *Ctx) buildComb(s *montScratch, g []big.Word, maxBits int, l combLayout)
 			}
 		}
 	}
-	done()
 	return f
 }
 
@@ -200,7 +198,6 @@ func (f *FixedBase) Exp(e *big.Int) *big.Int {
 	if e.Sign() < 0 || e.BitLen() > f.maxBits {
 		panic("modmath: fixed-base exponent outside [0, 2^maxBits)")
 	}
-	mFixedHit.Inc()
 	s := f.ctx.newScratch()
 	return s.leave(f.comb(s, e))
 }

@@ -91,8 +91,7 @@ func (c *Ctx) Exp(base, e *big.Int) *big.Int {
 	if err != nil {
 		panic(err)
 	}
-	z, _ := t.product(0, s)
-	return z
+	return t.product(0, s)
 }
 
 // MultiExp computes Π bases[i]^{exps[i]} mod M via Straus' interleaved
@@ -254,7 +253,6 @@ func (c *Ctx) newTables(bases []*big.Int, exps [][]*big.Int, w uint, s *montScra
 	if s == nil {
 		s = c.newScratch()
 	}
-	done := timeTableBuild(tableWindow, live)
 	b2 := make([]big.Word, n)
 	for i, k := range slot {
 		if k < 0 {
@@ -271,7 +269,6 @@ func (c *Ctx) newTables(bases []*big.Int, exps [][]*big.Int, w uint, s *montScra
 			}
 		}
 	}
-	done()
 	return t, nil
 }
 
@@ -285,17 +282,14 @@ func (t *Tables) entry(k, j int) []big.Word {
 // Product returns Π bases[i]^{exps[j][i]} mod M for exponent vector j:
 // exactly the canonical value MultiExpRef returns.
 func (t *Tables) Product(j int) *big.Int {
-	z, width := t.product(j, t.c.newScratch())
-	observeMultiExp(width)
-	return z
+	return t.product(j, t.c.newScratch())
 }
 
-// product runs vector j's chain on Montgomery residues (montgomery.go)
-// and returns the product with its live width (nonzero exponents). The
-// chain squares once per bit level of the longest exponent and
+// product runs vector j's chain on Montgomery residues (montgomery.go).
+// The chain squares once per bit level of the longest exponent and
 // multiplies in every window whose low end sits at that level; the
 // result leaves the domain through one REDC.
-func (t *Tables) product(j int, s *montScratch) (*big.Int, int) {
+func (t *Tables) product(j int, s *montScratch) *big.Int {
 	type term struct {
 		k    int // table index
 		wins []window
@@ -316,9 +310,9 @@ func (t *Tables) product(j int, s *montScratch) (*big.Int, int) {
 	}
 	switch {
 	case len(terms) == 0:
-		return big.NewInt(1), 0
+		return big.NewInt(1)
 	case zero:
-		return new(big.Int), len(terms)
+		return new(big.Int)
 	}
 	acc := make([]big.Word, len(t.c.mw))
 	live := false // acc holds a value (skip squarings of the implicit 1)
@@ -340,7 +334,7 @@ func (t *Tables) product(j int, s *montScratch) (*big.Int, int) {
 			}
 		}
 	}
-	return s.leave(acc), len(terms)
+	return s.leave(acc)
 }
 
 // MultiExpRef is the reference implementation MultiExp is measured and

@@ -89,16 +89,11 @@ func catalog() []catalogEntry {
 		{kindCounter, "group_equivocations_total", nil, nil},
 		{kindCounter, "group_stragglers_total", nil, nil},
 
-		// paillier crypto ops. enc/dec carry a degree label; the rest are
-		// degree-free.
-		{kindCounter, "paillier_ops_total", nil, cross(each("op", "enc", "dec"), allOf("degree"))},
-		{kindCounter, "paillier_ops_total", nil, each("op",
-			"add", "mul_plain", "dot", "mat_select", "rerandomize", "partial_dec", "combine")},
-		{kindHistogram, "paillier_decrypt_seconds", TimeBuckets, allOf("path")},
-		// The pool-depth gauge is per-Precomputer (degree × tenant slot),
-		// not a process aggregate: the coordinator's s=1/s=2 pools and any
-		// per-tenant refilled pools coexist, and one summed gauge is
-		// meaningless under multi-pool traffic (ISSUE 10 satellite).
+		// paillier randomness pools. The pool-depth gauge is
+		// per-Precomputer (degree × tenant slot), not a process aggregate:
+		// the coordinator's s=1/s=2 pools and any per-tenant refilled
+		// pools coexist, and one summed gauge is meaningless under
+		// multi-pool traffic.
 		{kindGauge, "paillier_precompute_pool_depth", nil, cross(allOf("degree"), allOf("tenant"))},
 		{kindCounter, "paillier_precompute_filled_total", nil, nil},
 		{kindCounter, "paillier_precompute_encrypt_total", nil, allOf("source")},
@@ -125,11 +120,6 @@ func catalog() []catalogEntry {
 		{kindCounter, traceSlowName, nil, nil},
 		{kindCounter, traceDumpsName, nil, nil},
 
-		// parallel worker pool (DESIGN.md §10).
-		{kindGauge, "parallel_pool_depth", nil, nil},
-		{kindHistogram, "parallel_task_seconds", TimeBuckets, nil},
-		{kindHistogram, "parallel_batch_size", CountBuckets, nil},
-
 		// cross-session coalescer (DESIGN.md §15): flush trigger mix,
 		// micro-batch shape (tasks and distinct sessions per flush), the
 		// queue wait each submission paid, and submissions that ran
@@ -139,14 +129,6 @@ func catalog() []catalogEntry {
 		{kindHistogram, "parallel_coalesce_batch_tasks", CountBuckets, nil},
 		{kindHistogram, "parallel_coalesce_batch_sessions", CountBuckets, nil},
 		{kindHistogram, "parallel_coalesce_wait_seconds", TimeBuckets, nil},
-
-		// modmath exponentiation kernel (DESIGN.md §11): table builds by
-		// family, fixed-base comb exponentiations (every one a table hit),
-		// and the live width of every multi-exponentiation.
-		{kindCounter, "modmath_table_builds_total", nil, allOf("table")},
-		{kindHistogram, "modmath_table_build_seconds", TimeBuckets, allOf("table")},
-		{kindCounter, "modmath_fixed_base_total", nil, each("result", "hit")},
-		{kindHistogram, "modmath_multiexp_width", CountBuckets, nil},
 
 		// open-loop load harness (internal/load, DESIGN.md §12). Arrivals
 		// only fire during warmup and measure; the drain stage merely

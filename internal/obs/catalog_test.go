@@ -62,8 +62,7 @@ func TestCatalogIdempotent(t *testing.T) {
 
 // TestCatalogCoversKnownFamilies spot-checks that the single call site
 // really covers every subsystem — the two families that used to be
-// registered ad hoc in transport.Pool, plus the parallel pool added in
-// this layer.
+// registered ad hoc in transport.Pool, plus the load harness.
 func TestCatalogCoversKnownFamilies(t *testing.T) {
 	r := NewRegistry()
 	MustPreRegister(r)
@@ -88,25 +87,39 @@ func TestCatalogCoversKnownFamilies(t *testing.T) {
 			t.Errorf("catalog is missing counter family %s{%s}", w[0], w[1])
 		}
 	}
-	if s.Histogram("parallel_task_seconds") == nil {
-		t.Error("catalog is missing parallel_task_seconds")
-	}
-	if s.Histogram("parallel_batch_size") == nil {
-		t.Error("catalog is missing parallel_batch_size")
-	}
-	found := false
-	for _, g := range s.Gauges {
-		if g.Name == "parallel_pool_depth" {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("catalog is missing parallel_pool_depth")
-	}
 	if s.Histogram("load_query_seconds", L("stage", "measure")) == nil {
 		t.Error("catalog is missing load_query_seconds{stage=measure}")
 	}
 	if s.Histogram("load_sched_lag_seconds") == nil {
 		t.Error("catalog is missing load_sched_lag_seconds")
+	}
+}
+
+// TestContractKeysLabelCatalog pins that every key of the privacy
+// contract labels at least one catalogued series: a key no metric can
+// carry is dead privacy surface, left behind when its last family goes.
+func TestContractKeysLabelCatalog(t *testing.T) {
+	r := NewRegistry()
+	MustPreRegister(r)
+	s := r.Snapshot()
+	used := map[string]bool{}
+	mark := func(labels map[string]string) {
+		for k := range labels {
+			used[k] = true
+		}
+	}
+	for _, c := range s.Counters {
+		mark(c.Labels)
+	}
+	for _, g := range s.Gauges {
+		mark(g.Labels)
+	}
+	for _, h := range s.Histograms {
+		mark(h.Labels)
+	}
+	for _, k := range LabelKeys() {
+		if !used[k] {
+			t.Errorf("contract key %q labels no catalogued series", k)
+		}
 	}
 }

@@ -46,13 +46,6 @@ var labelEnums = map[string]map[string]bool{
 		"equivocation", "bad_contribution", "quorum_lost",
 		"canceled", "panic", "remote", OtherValue,
 	),
-	// op: paillier operation names.
-	"op": enum(
-		"enc", "dec", "add", "mul_plain", "dot", "mat_select",
-		"rerandomize", "partial_dec", "combine",
-	),
-	// path: which decryption implementation ran.
-	"path": enum("crt", "threshold"),
 	// source: where encryption randomness came from.
 	"source": enum("pool", "online"),
 	// degree: paillier ciphertext degree ε_s; the protocol uses 1 and 2.
@@ -61,12 +54,8 @@ var labelEnums = map[string]map[string]bool{
 	"dir": enum("rx", "tx"),
 	// kind: which round family a group-session round belongs to.
 	"kind": enum("collect", "decrypt"),
-	// table: which modmath precomputed-table family was built (§11):
-	// per-call Straus odd-power tables vs long-lived fixed-base tables.
-	"table": enum("window", "fixed_base"),
-	// result: whether an encrypted-constant cache lookup or a fixed-base
-	// exponentiation hit, and whether a svc config reload was applied or
-	// rejected.
+	// result: whether an encrypted-constant cache lookup hit, and
+	// whether a svc config reload was applied or rejected.
 	"result": enum("hit", "miss", "applied", "rejected"),
 	// stage: which phase of an open-loop load run an arrival belongs
 	// to (internal/load, DESIGN.md §12). Completions are attributed to

@@ -8,7 +8,7 @@ import (
 
 func TestCounterGaugeBasics(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("test_ops_total", L("op", "enc"))
+	c := r.Counter("test_ops_total", L("dir", "rx"))
 	c.Inc()
 	c.Add(4)
 	c.Add(-10) // ignored: counters are monotonic
@@ -16,11 +16,11 @@ func TestCounterGaugeBasics(t *testing.T) {
 		t.Fatalf("counter = %d, want 5", got)
 	}
 	// Same (name, labels) → same instrument.
-	if r.Counter("test_ops_total", L("op", "enc")) != c {
+	if r.Counter("test_ops_total", L("dir", "rx")) != c {
 		t.Fatal("re-registration returned a different counter")
 	}
 	// Different label value → different instrument.
-	if r.Counter("test_ops_total", L("op", "dec")) == c {
+	if r.Counter("test_ops_total", L("dir", "tx")) == c {
 		t.Fatal("distinct labels returned the same counter")
 	}
 

@@ -201,21 +201,13 @@ func (pk *PublicKey) rerandomizeBatch(ctx context.Context, pl *parallel.Pool, ra
 	}
 	out := make([]*Ciphertext, len(cs))
 	err = pl.ForEach(ctx, len(cs), func(i int) error {
-		out[i] = rerandomized(pk.mulFactor(cs[i].C, d.factor(i), s))
+		out[i] = pk.mulFactor(cs[i].C, d.factor(i), s)
 		return nil
 	})
 	if err != nil {
 		return nil, 0, err
 	}
 	return out, len(d.pool), nil
-}
-
-// rerandomized counts ct as one rerandomized output — a ⊕ with a fresh
-// encryption of zero — and returns it.
-func rerandomized(ct *Ciphertext) *Ciphertext {
-	mRerandomize.Inc()
-	mAdd.Inc()
-	return ct
 }
 
 // EncryptBatch encrypts every plaintext of ms under ε_s in parallel,
@@ -419,14 +411,8 @@ func (pk *PublicKey) selectRows(ctx context.Context, pl *parallel.Pool, rows [][
 	}
 	err = pl.ForEach(ctx, len(rows), func(j int) error {
 		ct := &Ciphertext{C: tb.Product(j), S: s}
-		mDot.Inc()
-		if rs != nil {
-			if f := factors[j]; f != nil {
-				ct = pk.mulFactor(ct.C, f, s)
-			} else {
-				countEnc(s)
-			}
-			ct = rerandomized(ct)
+		if factors != nil && factors[j] != nil {
+			ct = pk.mulFactor(ct.C, factors[j], s)
 		}
 		out[j] = ct
 		return nil
@@ -437,19 +423,13 @@ func (pk *PublicKey) selectRows(ctx context.Context, pl *parallel.Pool, rows [][
 	return out, pooled, nil
 }
 
-// DotProductBatch computes one ⊙ per coefficient row against the shared
-// encrypted vector v, in parallel, results in row order. Every row runs
-// against one kernel table set of v.
-func (pk *PublicKey) DotProductBatch(ctx context.Context, pl *parallel.Pool, rows [][]*big.Int, v []*Ciphertext) ([]*Ciphertext, error) {
-	out, _, err := pk.selectRows(ctx, pl, rows, v, nil)
-	return out, err
-}
-
 // MatSelectBatch is MatSelect (⨂, Theorem 3.1) with the independent row
-// dot-products fanned across the pool.
+// dot-products fanned across the pool: one ⊙ per row of a against the
+// shared encrypted vector v, results in row order. Every row runs
+// against one kernel table set of v.
 func (pk *PublicKey) MatSelectBatch(ctx context.Context, pl *parallel.Pool, a [][]*big.Int, v []*Ciphertext) ([]*Ciphertext, error) {
-	mMatSelect.Inc()
-	return pk.DotProductBatch(ctx, pl, a, v)
+	out, _, err := pk.selectRows(ctx, pl, a, v, nil)
+	return out, err
 }
 
 // MatSelectRerandomized is MatSelectBatch with every output rerandomized:
@@ -461,7 +441,6 @@ func (pk *PublicKey) MatSelectBatch(ctx context.Context, pl *parallel.Pool, a []
 // RerandomizeBatch, or pre.RerandomizeBatch. It also returns how many
 // factors came from pre.
 func (pk *PublicKey) MatSelectRerandomized(ctx context.Context, pl *parallel.Pool, random io.Reader, pre *Precomputer, a [][]*big.Int, v []*Ciphertext) ([]*Ciphertext, int, error) {
-	mMatSelect.Inc()
 	return pk.selectRows(ctx, pl, a, v, &rerandSrc{random: random, pre: pre})
 }
 

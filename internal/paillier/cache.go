@@ -104,7 +104,7 @@ func (ec *EncCache) EncryptBatch(ctx context.Context, pl *parallel.Pool, random 
 			// Fused rerandomization of the stored ciphertext: the fresh
 			// factor is an enc(0), so the product encrypts the same
 			// plaintext under fresh uniform randomness.
-			out[i] = rerandomized(pk.mulFactor(base, d.factor(i), s))
+			out[i] = pk.mulFactor(base, d.factor(i), s)
 			mCacheHit.Inc()
 			return nil
 		}

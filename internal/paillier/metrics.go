@@ -1,40 +1,19 @@
 package paillier
 
-import (
-	"time"
+import "ppgnn/internal/obs"
 
-	"ppgnn/internal/obs"
-)
-
-// Crypto telemetry (DESIGN.md §9). The paillier package reports to the
-// process-global obs.Default registry: the crypto layer has no per-query
-// object to hang a registry on, and its counters are the paper's own
-// cost-model unit ("number of ε_s operations", Section 5) which only
-// makes sense aggregated per process. Counters are pre-bound here so the
-// hot paths pay one atomic add, not a registry lookup.
+// Randomness-pool telemetry (DESIGN.md §9, §15). The paillier package
+// reports to the process-global obs.Default registry: the pools and the
+// encrypted-constant cache are shared across queries and tenants, so
+// their signals only make sense aggregated per process. Per-query
+// operation counts live on cost.Meter, not here. Counters are pre-bound
+// so the hot paths pay one atomic add, not a registry lookup.
 //
-// Privacy: every metric below is an aggregate count or duration with
-// labels drawn from the closed enums in obs/contract.go — op names,
-// degree ∈ {1,2,other}, decrypt path ∈ {crt,threshold}, randomness
-// source ∈ {pool,online}. No plaintext, ciphertext, or key material is
-// ever observable here.
+// Privacy: every metric below is an aggregate count or depth with labels
+// drawn from the closed enums in obs/contract.go — degree ∈ {1,2,other},
+// tenant slot, randomness source ∈ {pool,online}, cache result. No
+// plaintext, ciphertext, or key material is ever observable here.
 var (
-	mEncDeg1      = opCounter("enc", "1")
-	mEncDeg2      = opCounter("enc", "2")
-	mEncDegOther  = opCounter("enc", obs.OtherValue)
-	mDecDeg1      = opCounter("dec", "1")
-	mDecDeg2      = opCounter("dec", "2")
-	mDecDegOther  = opCounter("dec", obs.OtherValue)
-	mAdd          = opCounter("add", "")
-	mMulPlain     = opCounter("mul_plain", "")
-	mDot          = opCounter("dot", "")
-	mMatSelect    = opCounter("mat_select", "")
-	mRerandomize  = opCounter("rerandomize", "")
-	mPartialDec   = opCounter("partial_dec", "")
-	mCombine      = opCounter("combine", "")
-	mDecryptCRT   = obs.Default().Histogram("paillier_decrypt_seconds", obs.TimeBuckets, obs.L("path", "crt"))
-	mDecryptThres = obs.Default().Histogram("paillier_decrypt_seconds", obs.TimeBuckets, obs.L("path", "threshold"))
-
 	// Precomputer pool telemetry: the depth gauge is per-Precomputer —
 	// labeled by degree and tenant slot via poolDepthGauge, so the
 	// coordinator's s=1/s=2 pools and any per-tenant refilled pools stay
@@ -76,40 +55,4 @@ func degreeLabel(s int) string {
 func poolDepthGauge(s int, tenant string) *obs.Gauge {
 	return obs.Default().Gauge("paillier_precompute_pool_depth",
 		obs.L("degree", degreeLabel(s)), obs.L("tenant", obs.ClampLabel("tenant", tenant)))
-}
-
-func opCounter(op, degree string) *obs.Counter {
-	labels := []obs.Label{obs.L("op", op)}
-	if degree != "" {
-		labels = append(labels, obs.L("degree", degree))
-	}
-	return obs.Default().Counter("paillier_ops_total", labels...)
-}
-
-// countEnc/countDec bucket by the protocol-relevant degrees.
-func countEnc(s int) {
-	switch s {
-	case 1:
-		mEncDeg1.Inc()
-	case 2:
-		mEncDeg2.Inc()
-	default:
-		mEncDegOther.Inc()
-	}
-}
-
-func countDec(s int) {
-	switch s {
-	case 1:
-		mDecDeg1.Inc()
-	case 2:
-		mDecDeg2.Inc()
-	default:
-		mDecDegOther.Inc()
-	}
-}
-
-// observeDecrypt records one decryption's wall time on the given path.
-func observeDecrypt(h *obs.Histogram, start time.Time) {
-	h.Observe(time.Since(start).Seconds())
 }

@@ -31,7 +31,6 @@ import (
 	"math/big"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"ppgnn/internal/modmath"
 	"ppgnn/internal/parallel"
@@ -300,7 +299,6 @@ func (pk *PublicKey) encryptWith(m, f *big.Int, s int) *Ciphertext {
 func (pk *PublicKey) mulFactor(c, f *big.Int, s int) *Ciphertext {
 	c = new(big.Int).Mul(c, f)
 	c.Mod(c, pk.NS(s+1))
-	countEnc(s)
 	return &Ciphertext{C: c, S: s}
 }
 
@@ -316,7 +314,6 @@ func (pk *PublicKey) Rerandomize(random io.Reader, c *Ciphertext) (*Ciphertext, 
 	if err != nil {
 		return nil, err
 	}
-	mRerandomize.Inc()
 	return pk.Add(c, zero)
 }
 
@@ -329,7 +326,6 @@ func (pk *PublicKey) Add(c1, c2 *Ciphertext) (*Ciphertext, error) {
 	mod := pk.NS(c1.S + 1)
 	c := new(big.Int).Mul(c1.C, c2.C)
 	c.Mod(c, mod)
-	mAdd.Inc()
 	return &Ciphertext{C: c, S: c1.S}, nil
 }
 
@@ -340,9 +336,7 @@ func (pk *PublicKey) MulPlain(x *big.Int, c *Ciphertext) *Ciphertext {
 	if x.Sign() < 0 {
 		e = new(big.Int).Mod(x, pk.NS(c.S))
 	}
-	res := pk.Ctx(c.S+1).Exp(c.C, e)
-	mMulPlain.Inc()
-	return &Ciphertext{C: res, S: c.S}
+	return &Ciphertext{C: pk.Ctx(c.S+1).Exp(c.C, e), S: c.S}
 }
 
 // DotProduct implements ⊙: given plaintext coefficients xs and an encrypted
@@ -360,7 +354,6 @@ func (pk *PublicKey) DotProduct(xs []*big.Int, cs []*Ciphertext) (*Ciphertext, e
 	if err != nil {
 		return nil, fmt.Errorf("paillier: dot product: %w", err)
 	}
-	mDot.Inc()
 	return &Ciphertext{C: acc, S: s}, nil
 }
 
@@ -387,8 +380,6 @@ func (sk *PrivateKey) Decrypt(c *Ciphertext) (*big.Int, error) {
 	if c.C.Sign() <= 0 || c.C.Cmp(mod) >= 0 {
 		return nil, errors.New("paillier: ciphertext out of range")
 	}
-	defer observeDecrypt(mDecryptCRT, time.Now())
-	countDec(c.S)
 	return sk.decryptCRT(c.C, c.S)
 }
 

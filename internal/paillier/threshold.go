@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math/big"
-	"time"
 )
 
 // Threshold decryption, from Section 4.1 of the same Damgård–Jurik paper
@@ -164,7 +163,6 @@ func (tk *ThresholdKey) PartialDecrypt(share *KeyShare, c *Ciphertext) (*Decrypt
 	}
 	e := new(big.Int).Lsh(tk.delta, 1) // 2Δ
 	e.Mul(e, share.Value)
-	mPartialDec.Inc()
 	return &DecryptionShare{
 		Index: share.Index,
 		S:     c.S,
@@ -175,8 +173,6 @@ func (tk *ThresholdKey) PartialDecrypt(share *KeyShare, c *Ciphertext) (*Decrypt
 // Combine recovers the plaintext from any t decryption shares (extra
 // shares are ignored; duplicates and unknown indices are rejected).
 func (tk *ThresholdKey) Combine(shares []*DecryptionShare) (*big.Int, error) {
-	defer observeDecrypt(mDecryptThres, time.Now())
-	mCombine.Inc()
 	if len(shares) < tk.T {
 		return nil, fmt.Errorf("paillier: %d shares below threshold %d", len(shares), tk.T)
 	}

@@ -175,7 +175,7 @@ func (c *Coalescer) submit(ctx context.Context, n int, fn func(i int) error) err
 	if c.closed {
 		c.mu.Unlock()
 		mCoInline.Inc()
-		return c.fallback.run(ctx, n, fn)
+		return c.fallback.ForEach(ctx, n, fn)
 	}
 	c.pending = append(c.pending, sub)
 	c.tasks += n
@@ -284,7 +284,7 @@ func (c *Coalescer) runBatch(subs []*coSubmission, total int, trigger string) {
 				s.failPanic(v)
 			}
 		}()
-		if err := runTask(gi-offs[si], s.fn); err != nil {
+		if err := s.fn(gi - offs[si]); err != nil {
 			s.fail(err)
 		}
 	}

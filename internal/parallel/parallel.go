@@ -19,9 +19,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
-
-	"ppgnn/internal/obs"
 )
 
 // Pool bounds the concurrency of batch helpers. A Pool holds no
@@ -73,36 +70,20 @@ func (p *Pool) orDefault() *Pool {
 	return p
 }
 
-// Telemetry (DESIGN.md §9, §10): aggregate-only instruments with no
-// labels, pre-bound so the hot path pays atomics, not registry lookups.
-var (
-	mDepth     = obs.Default().Gauge("parallel_pool_depth")
-	mTaskSecs  = obs.Default().Histogram("parallel_task_seconds", obs.TimeBuckets)
-	mBatchSize = obs.Default().Histogram("parallel_batch_size", obs.CountBuckets)
-)
-
 // ForEach runs fn(i) for every i in [0, n), at most Workers at a time,
 // and returns after every started task has finished. The first error (or
 // the context's, if it expires first) cancels dispatch of the remaining
 // indices and is returned; output stays deterministic because task i
 // writes only its own result slot. A width-1 pool runs inline with no
 // goroutines, which is the serial baseline the bench gate compares
-// against.
+// against. A coalescing pool hands the whole batch to the coalescer,
+// which merges it with other sessions' pending batches; error, panic,
+// and ordering semantics are identical.
 func (p *Pool) ForEach(ctx context.Context, n int, fn func(i int) error) error {
 	p = p.orDefault()
 	if n <= 0 {
 		return nil
 	}
-	mBatchSize.Observe(float64(n))
-	return p.run(ctx, n, fn)
-}
-
-// run is ForEach without the batch-size observation, which the
-// coalescer's inline fallback must not record twice. A coalescing pool
-// hands the whole batch to the coalescer, which merges it with other
-// sessions' pending batches; error, panic, and ordering semantics are
-// identical.
-func (p *Pool) run(ctx context.Context, n int, fn func(i int) error) error {
 	if p.co != nil {
 		return p.co.submit(ctx, n, fn)
 	}
@@ -115,7 +96,7 @@ func (p *Pool) run(ctx context.Context, n int, fn func(i int) error) error {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if err := runTask(i, fn); err != nil {
+			if err := fn(i); err != nil {
 				return err
 			}
 		}
@@ -149,7 +130,7 @@ func (p *Pool) run(ctx context.Context, n int, fn func(i int) error) error {
 					fail(err)
 					return
 				}
-				if err := runTask(i, fn); err != nil {
+				if err := fn(i); err != nil {
 					fail(err)
 					return
 				}
@@ -158,14 +139,4 @@ func (p *Pool) run(ctx context.Context, n int, fn func(i int) error) error {
 	}
 	wg.Wait()
 	return firstErr
-}
-
-// runTask executes one task under the depth gauge and latency histogram.
-func runTask(i int, fn func(i int) error) error {
-	mDepth.Add(1)
-	start := time.Now()
-	err := fn(i)
-	mTaskSecs.Observe(time.Since(start).Seconds())
-	mDepth.Add(-1)
-	return err
 }
